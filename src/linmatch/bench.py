@@ -37,6 +37,9 @@ from .neighborhood import NeighborhoodConfig
 
 _TIMER_FLOOR_S = 1e-3
 _MAX_SIZE_DOUBLINGS = 8
+# constant keypoint density: frame area grows with n so neighborhood
+# sizes stay bounded and the largest one remains far below n
+_PX_PER_KEYPOINT = 96.0
 
 _KERNELS = {"linear": linear_attention, "softmax": softmax_attention_reference}
 
@@ -162,25 +165,20 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     return BenchReport(rows, slopes, reps)
 
 
-def _pipeline_scene(n: int, descriptor_dim: int, seed: int, px_per_keypoint: float):
-    # constant keypoint density: frame area grows with n so neighborhood
-    # sizes stay bounded and the largest one remains far below n
-    side = int(np.ceil(np.sqrt(px_per_keypoint * n)))
+def _pipeline_scene(n: int, descriptor_dim: int, seed: int):
+    side = int(np.ceil(np.sqrt(_PX_PER_KEYPOINT * n)))
     noise = GenNoiseConfig(desc_sigma=0.02, jitter_sigma=0.5)
     return generate_pair(seed + n, n, (side, side), descriptor_dim, noise)
 
 
 def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
                    seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None,
-                   filter_cfg=None, px_per_keypoint: float = 96.0,
-                   min_median_s: float = _TIMER_FLOOR_S,
-                   threads: int = 1) -> BenchReport:
+                   filter_cfg=None, min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
     """Time encode + match + filter end-to-end on synthetic scenes.
 
-    Single-threaded by default so the slope reflects algorithmic cost;
-    `threads` > 1 switches to throughput mode.  Also records the largest
-    neighborhood encountered at each size (the `n_max` note) so the
-    restricted-attention cost term stays observable.
+    Single-threaded, so the slope reflects algorithmic cost.  Also records
+    the largest neighborhood encountered at each size (the `n_max` note) so
+    the restricted-attention cost term stays observable.
     """
     sizes = [int(n) for n in sizes]
     _check_sizes(sizes)
@@ -193,10 +191,9 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
 
     def make_fn(n):
         if n not in scenes:
-            scenes[n] = _pipeline_scene(n, cfg.input_dim, seed, px_per_keypoint)
+            scenes[n] = _pipeline_scene(n, cfg.input_dim, seed)
         ks, kt = scenes[n][0], scenes[n][1]
-        return lambda: match_pipeline(ks, kt, weights, cfg, neigh_cfg, filter_cfg,
-                                      threads=threads)
+        return lambda: match_pipeline(ks, kt, weights, cfg, neigh_cfg, filter_cfg)
 
     rows = []
     points = []

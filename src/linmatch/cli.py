@@ -6,7 +6,8 @@ Every subcommand accepts `--seed`, `--config <json>`, `--threads <n>` and
 sections, then explicit flags.  Unknown config sections or keys are rejected
 up front.  All randomness derives from the single seed through stable
 per-module streams, so any subcommand rerun with the same seed reproduces
-its outputs byte for byte.
+its outputs byte for byte.  Verification is single-threaded: `--threads` is
+validated and accepted for compatibility, and changes nothing.
 
 Exit codes: 0 success, 1 failed numeric check, 2 usage error, 3 data error.
 """
@@ -79,7 +80,7 @@ _CONFIG_SECTIONS = {
     "noise": GenNoiseConfig,
     "bench": None,
 }
-_BENCH_KEYS = {"sizes", "reps", "c_prime", "methods", "px_per_keypoint"}
+_BENCH_KEYS = {"sizes", "reps", "c_prime", "methods"}
 
 # fixed stream tags so each module draws from its own child of --seed
 _STREAMS = {"synth": 1, "filter": 2, "train": 3, "scene": 4}
@@ -94,7 +95,6 @@ def _child_seed(seed: int, stream: str, index: int = 0) -> int:
 class RunConfig:
     command: str
     seed: int
-    threads: int
     output: Path | None
     sections: dict  # validated config-file sections
 
@@ -131,7 +131,7 @@ def _run_config(args) -> RunConfig:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     sections = _load_file_sections(args.config)
-    return RunConfig(args.command, args.seed, args.threads, args.output, sections)
+    return RunConfig(args.command, args.seed, args.output, sections)
 
 
 def _section(run: RunConfig, name: str, cls, seeded=None, **flag_values):
@@ -237,7 +237,7 @@ def cmd_match(args) -> int:
                     seeded={"rng_seed": _child_seed(run.seed, "filter")})
 
     result = match_pipeline(ks, kt, weights, net, neigh, fcfg,
-                            skip_filter=args.no_filter, threads=run.threads)
+                            skip_filter=args.no_filter)
     out = _out_dir(run)
     write_matches(out / "matches.csv", result)
     verified = sum(1 for s in result.stage if s == "verified")
@@ -306,8 +306,7 @@ def cmd_bench(args) -> int:
             net = _section(run, "network", NetworkConfig)
             neigh = _section(run, "neighborhood", NeighborhoodConfig)
             report = bench_pipeline(tuple(int(s) for s in sizes), net, reps,
-                                    seed=run.seed, neigh_cfg=neigh,
-                                    threads=run.threads)
+                                    seed=run.seed, neigh_cfg=neigh)
     except ValueError as e:
         raise UsageError(str(e))
     write_bench_csv(out / "bench.csv", report)
@@ -406,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", type=Path, default=None,
                         help="JSON config file with per-module sections")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the filter stage (default 1)")
+                        help="accepted for compatibility; verification is "
+                             "single-threaded and this changes nothing (default 1)")
     common.add_argument("-o", "--output", type=Path, default=None,
                         help="output directory (default current directory)")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,14 +10,14 @@ within `inlier_threshold_factor * R_t` of their prediction count as inliers,
 and the best model's inliers survive when there are at least `min_inliers`
 of them.  There is no refitting step.  A match surviving in any neighborhood
 is kept.  Each neighborhood draws from its own RNG stream derived from
-(rng_seed, seed source index), so results are identical no matter how many
-worker threads run the verification.
+(rng_seed, seed source index), so the result does not depend on the order in
+which neighborhoods are verified.  Verification runs single-threaded: the
+RANSAC loop holds the interpreter lock, so worker threads only slowed it.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,17 +94,12 @@ def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
     seeds = select_seeds(m, ks.keypoints, cfg.r)
     neighborhoods = build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)
 
-    seed_sources = {m.matches[pos][0] for pos in seeds}
-    src_to_pos = {i: pos for pos, (i, _) in enumerate(m.matches)}
-    member_pos = set()
-    for p in neighborhoods:
-        for i in p.source_set:
-            member_pos.add(src_to_pos[int(i)])
-    ordered = sorted(member_pos)
-    matches = [(m.matches[pos][0], m.matches[pos][1], float(m.ratio_score[pos]))
-               for pos in ordered]
-    stages = ["seed" if m.matches[pos][0] in seed_sources else "candidate"
-              for pos in ordered]
+    src = m.matches[:, 0]
+    members = [p.source_set for p in neighborhoods]
+    ordered = np.flatnonzero(np.isin(src, np.concatenate(members) if members else []))
+    i, j = m.matches[ordered].T.tolist()
+    matches = list(zip(i, j, m.ratio_score[ordered].tolist()))
+    stages = np.where(np.isin(src[ordered], src[seeds]), "seed", "candidate").tolist()
     return MatchSet(matches, stages), neighborhoods
 
 
@@ -125,12 +120,12 @@ def _fit_affine(src, tgt):
 
 
 def _verify_neighborhood(pair, cand_pos, src_pts, tgt_pts, fcfg, threshold):
-    """One independent RANSAC; returns the set of surviving match positions."""
+    """One independent RANSAC; returns the surviving match positions."""
     k = len(cand_pos)
     if k < 3:
         if fcfg.keep_subminimal and k >= fcfg.min_inliers:
-            return set(cand_pos)
-        return set()
+            return cand_pos
+        return cand_pos[:0]
     rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
     ones = np.ones((k, 1))
     hom = np.concatenate([src_pts, ones], axis=1)
@@ -147,49 +142,42 @@ def _verify_neighborhood(pair, cand_pos, src_pts, tgt_pts, fcfg, threshold):
         if count > best_count:
             best_count, best_mask = count, mask
     if best_count >= fcfg.min_inliers:
-        return {cand_pos[idx] for idx in np.nonzero(best_mask)[0]}
-    return set()
+        return cand_pos[best_mask]
+    return cand_pos[:0]
 
 
 def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
-                   fcfg: FilterConfig | None = None, r_t: float | None = None,
-                   threads: int = 1) -> MatchSet:
-    """Keep matches that are affine-consistent inliers in any neighborhood."""
+                   fcfg: FilterConfig | None = None, r_t: float | None = None) -> MatchSet:
+    """Keep matches that are affine-consistent inliers in any neighborhood.
+
+    A match is a candidate of a neighborhood when its source index is in the
+    neighborhood's source set and its target index in the target set.
+    """
     fcfg = fcfg or FilterConfig()
     if r_t is None:
         r_t = default_radius(kt.width, kt.height)
     threshold = fcfg.inlier_threshold_factor * r_t
-    src_to_pos = {i: pos for pos, (i, j, _) in enumerate(m.matches)}
-    tgt_of = {i: j for i, j, _ in m.matches}
+    idx = np.array([(i, j) for i, j, _ in m.matches], dtype=np.intp).reshape(-1, 2)
+    src_pts = np.asarray(ks.keypoints, dtype=np.float64)[idx[:, 0]]
+    tgt_pts = np.asarray(kt.keypoints, dtype=np.float64)[idx[:, 1]]
+    pos_of = np.full(len(ks.keypoints), -1, dtype=np.intp)  # source index -> match position
+    pos_of[idx[:, 0]] = np.arange(len(idx))
 
-    jobs = []
+    kept = np.zeros(len(m), dtype=bool)
     for pair in neighborhoods:
-        cand_pos = [src_to_pos[int(i)] for i in pair.source_set
-                    if int(i) in src_to_pos and tgt_of[int(i)] in set(map(int, pair.target_set))]
-        src_pts = np.array([ks.keypoints[m.matches[pos][0]] for pos in cand_pos],
-                           dtype=np.float64).reshape(-1, 2)
-        tgt_pts = np.array([kt.keypoints[m.matches[pos][1]] for pos in cand_pos],
-                           dtype=np.float64).reshape(-1, 2)
-        jobs.append((pair, cand_pos, src_pts, tgt_pts))
-
-    def run(job):
-        return _verify_neighborhood(job[0], job[1], job[2], job[3], fcfg, threshold)
-
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
-    survivors = set().union(*results) if results else set()
-    ordered = sorted(survivors)
+        cand = pos_of[pair.source_set]
+        cand = cand[cand >= 0]
+        cand = cand[np.isin(idx[cand, 1], pair.target_set)]
+        kept[_verify_neighborhood(pair, cand, src_pts[cand], tgt_pts[cand],
+                                  fcfg, threshold)] = True
+    ordered = np.flatnonzero(kept)
     return MatchSet([m.matches[pos] for pos in ordered], ["verified"] * len(ordered))
 
 
 def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
                    cfg: NetworkConfig, neigh_cfg: NeighborhoodConfig | None = None,
-                   filter_cfg: FilterConfig | None = None, skip_filter: bool = False,
-                   threads: int = 1) -> MatchSet:
+                   filter_cfg: FilterConfig | None = None,
+                   skip_filter: bool = False) -> MatchSet:
     """forward -> distance_match -> filter_matches (optionally skipping the filter)."""
     neigh_cfg = neigh_cfg or NeighborhoodConfig()
     enc = forward(ks, kt, weights, cfg, neigh_cfg)
@@ -197,8 +185,7 @@ def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
     if skip_filter:
         return candidates
     resolved = neigh_cfg.resolved_pair((ks.width, ks.height), (kt.width, kt.height))
-    return filter_matches(candidates, ks, kt, neighborhoods, filter_cfg,
-                          r_t=resolved.r_t, threads=threads)
+    return filter_matches(candidates, ks, kt, neighborhoods, filter_cfg, r_t=resolved.r_t)
 
 
 def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,

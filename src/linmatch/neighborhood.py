@@ -12,8 +12,10 @@ survive within R of each other unless tied-and-ranked.  Around every seed,
 the neighborhood collects the matches lying within lambda * R_s of the seed
 on the source side and lambda * R_t on the target side simultaneously.
 
-Seed search runs brute-force for small match sets and through a uniform
-grid hash for large ones; both produce identical output.
+Matches are kept as a (k, 2) index array of (source, target) rows, and every
+stage indexes it directly.  Seed candidates come from a k-d tree radius
+query; each pair it reports is re-tested with the exact squared-distance
+comparison, so the radius boundary does not depend on the tree's arithmetic.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .attention import NeighborhoodPair
 
-_BRUTE_FORCE_LIMIT = 4000
 _CHUNK_ENTRIES = 1 << 22  # ~32 MB of f64 per distance block
 
 
@@ -49,14 +51,6 @@ class NeighborhoodConfig:
         if self.min_neighborhood < 1:
             raise ValueError("min_neighborhood must be at least 1")
 
-    def resolved(self, width: int, height: int) -> "NeighborhoodConfig":
-        """Fill unset radii from the image dimensions."""
-        base = default_radius(width, height)
-        return replace(self,
-                       r=self.r if self.r is not None else base,
-                       r_s=self.r_s if self.r_s is not None else base,
-                       r_t=self.r_t if self.r_t is not None else base)
-
     def resolved_pair(self, source_dims: tuple, target_dims: tuple) -> "NeighborhoodConfig":
         """Fill unset radii per side: r and r_s from the source frame, r_t from the target."""
         base_s = default_radius(*source_dims)
@@ -71,17 +65,21 @@ class NeighborhoodConfig:
 class RatioMatchSet:
     """Mutual-NN matches with per-match distinctiveness scores."""
 
-    matches: list  # of (source_index, target_index)
+    matches: np.ndarray  # (k, 2) intp rows of (source_index, target_index)
     ratio_score: np.ndarray
 
     def __post_init__(self):
+        self.matches = np.asarray(self.matches, dtype=np.intp)
+        if self.matches.size == 0:
+            self.matches = self.matches.reshape(0, 2)
+        if self.matches.ndim != 2 or self.matches.shape[1] != 2:
+            raise ValueError("matches must be (source, target) index pairs")
         self.ratio_score = np.asarray(self.ratio_score, dtype=np.float64)
         if len(self.matches) != self.ratio_score.shape[0]:
             raise ValueError("one score per match required")
-        src = [i for i, _ in self.matches]
-        tgt = [j for _, j in self.matches]
-        if len(set(src)) != len(src) or len(set(tgt)) != len(tgt):
-            raise ValueError("matches must be one-to-one per side")
+        for side in self.matches.T:
+            if len(np.unique(side)) != len(side):
+                raise ValueError("matches must be one-to-one per side")
 
     def __len__(self):
         return len(self.matches)
@@ -136,61 +134,12 @@ def ratio_match(xs_enc, xt_enc, theta: float) -> RatioMatchSet:
         return RatioMatchSet([], np.zeros(0))
     nn_st, d1, _, d2 = _chunked_nearest(a, b, second=True)
     nn_ts, _ = _chunked_nearest(b, a, second=False)
-    matches, scores = [], []
-    for i in range(a.shape[0]):
-        j = nn_st[i]
-        if nn_ts[j] != i:
-            continue
-        if d1[i] > theta * d2[i]:  # ratio test without dividing by inf/zero
-            continue
-        matches.append((i, int(j)))
-        scores.append(np.inf if d1[i] == 0 else d2[i] / d1[i])
-    return RatioMatchSet(matches, np.array(scores))
-
-
-def _beats(score_a, idx_a, score_b, idx_b):
-    """True when match b outranks match a for seed suppression."""
-    return score_b > score_a or (score_b == score_a and idx_b < idx_a)
-
-
-def _seeds_brute(src_idx, scores, pts, radius):
-    r2 = radius * radius
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    beats = (scores[None, :] > scores[:, None]) | \
-        ((scores[None, :] == scores[:, None]) & (src_idx[None, :] < src_idx[:, None]))
-    near = d2 <= r2
-    np.fill_diagonal(near, False)
-    suppressed = (near & beats).any(axis=1)
-    return np.nonzero(~suppressed)[0]
-
-
-def _seeds_grid(src_idx, scores, pts, radius):
-    cells = np.floor(pts / radius).astype(np.int64)
-    buckets = {}
-    for pos, cell in enumerate(map(tuple, cells)):
-        buckets.setdefault(cell, []).append(pos)
-    r2 = radius * radius
-    keep = []
-    for pos in range(len(src_idx)):
-        cx, cy = cells[pos]
-        alive = True
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for other in buckets.get((cx + dx, cy + dy), ()):
-                    if other == pos:
-                        continue
-                    if ((pts[other] - pts[pos]) ** 2).sum() > r2:
-                        continue
-                    if _beats(scores[pos], src_idx[pos], scores[other], src_idx[other]):
-                        alive = False
-                        break
-                if not alive:
-                    break
-            if not alive:
-                break
-        if alive:
-            keep.append(pos)
-    return np.asarray(keep, dtype=np.intp)
+    # mutual nearest neighbors; the ratio test is written without dividing by inf/zero
+    src = np.flatnonzero((nn_ts[nn_st] == np.arange(a.shape[0])) & ~(d1 > theta * d2))
+    d1, d2 = d1[src], d2[src]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(d1 == 0, np.inf, d2 / d1)
+    return RatioMatchSet(np.column_stack([src, nn_st[src]]), scores)
 
 
 def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarray:
@@ -201,12 +150,23 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
     """
     if len(m) == 0:
         return np.zeros(0, dtype=np.intp)
-    src_idx = np.array([i for i, _ in m.matches], dtype=np.intp)
+    src_idx, scores = m.matches[:, 0], m.ratio_score
     pts = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
-    if len(m) <= _BRUTE_FORCE_LIMIT:
-        keep = _seeds_brute(src_idx, m.ratio_score, pts, radius)
-    else:
-        keep = _seeds_grid(src_idx, m.ratio_score, pts, radius)
+    # a non-finite point is within radius of nothing, and the tree rejects it;
+    # the query radius is padded so the exact re-test below sees every pair
+    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
+    pairs = cKDTree(pts[finite]).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
+    a, b = finite[pairs[:, 0]], finite[pairs[:, 1]]
+    near = ((pts[a] - pts[b]) ** 2).sum(axis=1) <= radius * radius
+    a, b = a[near], b[near]
+
+    def outranks(x, y):
+        return (scores[x] > scores[y]) | ((scores[x] == scores[y]) & (src_idx[x] < src_idx[y]))
+
+    suppressed = np.zeros(len(m), dtype=bool)
+    suppressed[a[outranks(b, a)]] = True
+    suppressed[b[outranks(a, b)]] = True
+    keep = np.flatnonzero(~suppressed)
     return keep[np.argsort(src_idx[keep], kind="stable")]
 
 
@@ -217,8 +177,7 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
         raise ValueError("config radii must be resolved before building neighborhoods")
     if len(m) == 0 or len(seeds) == 0:
         return []
-    src_idx = np.array([i for i, _ in m.matches], dtype=np.intp)
-    tgt_idx = np.array([j for _, j in m.matches], dtype=np.intp)
+    src_idx, tgt_idx = m.matches.T
     sp = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
     rs2 = (cfg.lam * cfg.r_s) ** 2

@@ -57,59 +57,6 @@ class LossConfig:
             raise ValueError("decay must lie in (0, 1]")
 
 
-def _rows(x):
-    return (x.data if isinstance(x, Tensor) else np.asarray(x)).shape[0]
-
-
-def _data(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
-
-
-def _sq_dists(a_row: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = b - a_row
-    return (diff * diff).sum(axis=1)
-
-
-def _row(x, idx):
-    return ad.gather_rows(as_tensor(x), np.array([idx], dtype=np.intp))
-
-
-def _sumsq(t: Tensor) -> Tensor:
-    return ad.tsum(ad.mul(t, t))
-
-
-def ranking_loss(xs_c, xt_c, all_xs, all_xt, c, cfg: LossConfig):
-    """Hinged positive/hardest-negative loss for one correspondence c = (i, j)."""
-    i, j = c
-    n, m = _rows(all_xs), _rows(all_xt)
-    if n < 2 or m < 2:
-        raise ValueError("hardest-negative mining needs at least 2 keypoints per side")
-    xs_c, xt_c = as_tensor(xs_c), as_tensor(xt_c)
-    d_pos = _sumsq(ad.sub(xs_c, xt_c))
-
-    # hardest negatives located on detached values; lowest index wins ties
-    dt = _sq_dists(_data(xs_c).reshape(-1), _data(all_xt))
-    dt[j] = np.inf
-    k_t = int(np.argmin(dt))
-    ds = _sq_dists(_data(xt_c).reshape(-1), _data(all_xs))
-    ds[i] = np.inf
-    k_s = int(np.argmin(ds))
-
-    d_nt = _sumsq(ad.sub(xs_c, _row(all_xt, k_t)))
-    d_ns = _sumsq(ad.sub(_row(all_xs, k_s), xt_c))
-    neg = d_nt if d_nt.data <= d_ns.data else d_ns  # tie prefers the target side
-
-    mp = Tensor(np.asarray(cfg.m_p, dtype=d_pos.data.dtype))
-    mn = Tensor(np.asarray(cfg.m_n, dtype=d_pos.data.dtype))
-    return ad.add(ad.relu(ad.sub(d_pos, mp)), ad.relu(ad.sub(mn, neg)))
-
-
-def confidence(f_s_c, f_t_c):
-    """Raw scalar product of the two intermediate descriptor rows."""
-    a, b = as_tensor(f_s_c), as_tensor(f_t_c)
-    return ad.tsum(ad.mul(a, b))
-
-
 def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     """Mean of confidence-weighted ranking losses over all GT correspondences.
 

@@ -230,6 +230,10 @@ def test_config_file_validation(tmp_path):
     bad_key.write_text(json.dumps({"noise": {"desc_sigma": 0.1, "wobble": 2}}))
     assert run_cli(["synth", *SYNTH_ARGS, "--config", bad_key,
                     "-o", tmp_path / "o2"]) == 2
+    dropped_key = tmp_path / "d.json"  # once accepted, then ignored
+    dropped_key.write_text(json.dumps({"bench": {"px_per_keypoint": 50}}))
+    assert run_cli(["synth", *SYNTH_ARGS, "--config", dropped_key,
+                    "-o", tmp_path / "o5"]) == 2
     not_json = tmp_path / "c.json"
     not_json.write_text("{nope")
     assert run_cli(["synth", *SYNTH_ARGS, "--config", not_json,

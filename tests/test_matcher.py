@@ -82,12 +82,12 @@ class TestDistanceMatch:
         seeds = select_seeds(m, ks.keypoints, cfg.r)
         neigh = build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)
         expect = set()
+        tgt_of = dict(m.matches.tolist())
         for p in neigh:
-            tgt_of = dict(m.matches)
             for i in p.source_set:
                 expect.add((int(i), tgt_of[int(i)]))
         assert set(out.pairs()) == expect
-        seed_sources = {m.matches[pos][0] for pos in seeds}
+        seed_sources = set(m.matches[seeds, 0].tolist())
         for (i, _, _), st in zip(out.matches, out.stage):
             assert st == ("seed" if i in seed_sources else "candidate")
 
@@ -166,38 +166,6 @@ class TestFilterMatches:
         ks, kt, m, neigh = self._affine_scene(rng, n=15, outlier_rows=(2, 9))
         out = filter_matches(m, ks, kt, neigh)
         assert set(out.pairs()) <= set(m.pairs())
-
-    def test_threads_do_not_change_result(self):
-        rng = np.random.default_rng(4)
-        # several disjoint neighborhoods
-        all_matches, all_stages, pairs = [], [], []
-        src_all, tgt_all = [], []
-        base = 0
-        for block in range(5):
-            n = 12
-            src = rng.uniform(10, 90, size=(n, 2)) + block * 100
-            a = np.eye(2) * rng.uniform(0.9, 1.1)
-            tgt = src @ a.T + rng.uniform(-5, 5, size=2)
-            src_all.append(src)
-            tgt_all.append(tgt)
-            idx = np.arange(base, base + n)
-            pairs.append(NeighborhoodPair((base, base), idx, idx))
-            all_matches += [(int(i), int(i), 1.5) for i in idx]
-            all_stages += ["candidate"] * n
-            base += n
-        src_all = np.concatenate(src_all)
-        tgt_all = np.concatenate(tgt_all)
-        lim = max(src_all.max(), tgt_all.max()) + 10
-        ks = KeypointSet(src_all.astype(np.float32), np.eye(base, dtype=np.float32),
-                         int(lim), int(lim))
-        kt = KeypointSet(tgt_all.astype(np.float32), np.eye(base, dtype=np.float32),
-                         int(lim), int(lim))
-        m = MatchSet(all_matches, all_stages)
-        outs = [filter_matches(m, ks, kt, pairs, FilterConfig(rng_seed=11), threads=t)
-                for t in (1, 2, 8)]
-        for other in outs[1:]:
-            assert outs[0].matches == other.matches
-            assert outs[0].stage == other.stage
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(5)

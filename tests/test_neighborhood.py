@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from linmatch.neighborhood import (
     NeighborhoodConfig,
     RatioMatchSet,
-    _seeds_brute,
-    _seeds_grid,
     build_neighborhoods,
     default_radius,
     ratio_match,
@@ -34,6 +32,10 @@ def brute_force_ratio_match(a, b, theta):
             continue
         out.append(((i, j), np.inf if d1 == 0 else d2 / d1))
     return out
+
+
+def pairs_of(m):
+    return [tuple(p) for p in m.matches.tolist()]
 
 
 def brute_force_seeds(m, kpts, radius):
@@ -79,7 +81,7 @@ class TestRatioMatch:
         b = np.eye(4)[perm]
         m = ratio_match(a, b, theta=1.0)
         # b[k] = a[perm[k]], so source perm[k] matches target k
-        assert sorted(m.matches) == sorted((int(perm[k]), k) for k in range(4))
+        assert sorted(pairs_of(m)) == sorted((int(perm[k]), k) for k in range(4))
         assert np.isinf(m.ratio_score).all()
 
     def test_theta_one_equals_pure_mutual_nn(self):
@@ -88,7 +90,7 @@ class TestRatioMatch:
         b = rng.standard_normal((25, 8))
         m = ratio_match(a, b, theta=1.0)
         oracle = brute_force_ratio_match(a, b, theta=1.0)
-        assert sorted(m.matches) == sorted(pair for pair, _ in oracle)
+        assert sorted(pairs_of(m)) == sorted(pair for pair, _ in oracle)
 
     def test_matches_brute_force_with_scores(self):
         rng = np.random.default_rng(1)
@@ -97,14 +99,14 @@ class TestRatioMatch:
         for theta in (0.5, 0.8, 1.0):
             m = ratio_match(a, b, theta)
             oracle = brute_force_ratio_match(a, b, theta)
-            assert m.matches == [pair for pair, _ in oracle]
+            assert pairs_of(m) == [pair for pair, _ in oracle]
             np.testing.assert_allclose(m.ratio_score, [s for _, s in oracle], rtol=1e-10)
 
     def test_single_target_second_distance_infinite(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.array([[0.9, 0.1]])
         m = ratio_match(a, b, theta=0.5)
-        assert m.matches == [(0, 0)]
+        assert pairs_of(m) == [(0, 0)]
         assert np.isinf(m.ratio_score[0])
 
     def test_empty_sides(self):
@@ -123,7 +125,7 @@ class TestRatioMatch:
         b = rng.standard_normal((310, 16))
         m = ratio_match(a, b, 1.0)
         oracle = brute_force_ratio_match(a, b, 1.0)
-        assert m.matches == [pair for pair, _ in oracle]
+        assert pairs_of(m) == [pair for pair, _ in oracle]
 
 
 class TestSelectSeeds:
@@ -144,19 +146,21 @@ class TestSelectSeeds:
         kpts = np.array([[0.0, 0.0], [1.0, 0.0]])
         m = RatioMatchSet([(0, 0), (1, 1)], [3.0, 2.0])
         seeds = select_seeds(m, kpts, radius=5.0)
-        assert [m.matches[p] for p in seeds] == [(0, 0)]
+        assert [pairs_of(m)[p] for p in seeds] == [(0, 0)]
+        # a point exactly at the radius is within it
+        assert list(select_seeds(m, np.array([[0.0, 0.0], [3.0, 4.0]]), radius=5.0)) == [0]
 
     def test_tie_breaks_to_lower_source_index(self):
         kpts = np.array([[0.0, 0.0], [1.0, 0.0]])
         m = RatioMatchSet([(0, 0), (1, 1)], [2.0, 2.0])
         seeds = select_seeds(m, kpts, radius=5.0)
-        assert [m.matches[p] for p in seeds] == [(0, 0)]
+        assert [pairs_of(m)[p] for p in seeds] == [(0, 0)]
 
     def test_infinite_score_ties(self):
         kpts = np.array([[0.0, 0.0], [1.0, 0.0]])
         m = RatioMatchSet([(0, 0), (1, 1)], [np.inf, np.inf])
         seeds = select_seeds(m, kpts, radius=5.0)
-        assert [m.matches[p] for p in seeds] == [(0, 0)]
+        assert [pairs_of(m)[p] for p in seeds] == [(0, 0)]
 
     def test_matches_quadratic_oracle(self):
         rng = np.random.default_rng(3)
@@ -165,20 +169,33 @@ class TestSelectSeeds:
         seeds = select_seeds(m, kpts, radius=25.0)
         assert list(seeds) == brute_force_seeds(m, kpts, 25.0)
 
-    def test_grid_and_brute_agree(self):
+    def test_tie_heavy_inputs_match_oracle(self):
         rng = np.random.default_rng(4)
         for trial in range(10):
             n = int(rng.integers(10, 200))
             kpts = rng.uniform(0, 300, size=(n, 2))
-            matches = [(i, i) for i in range(n)]
+            perm = rng.permutation(n)  # match order differs from source order
             scores = rng.choice([1.0, 2.0, 3.0, np.inf], size=n)  # force ties
-            m = RatioMatchSet(matches, scores)
-            src_idx = np.arange(n)
-            pts = kpts
+            m = RatioMatchSet([(int(i), k) for k, i in enumerate(perm)], scores)
             radius = float(rng.uniform(5, 80))
-            brute = _seeds_brute(src_idx, m.ratio_score, pts, radius)
-            grid = _seeds_grid(src_idx, m.ratio_score, pts, radius)
-            assert sorted(brute) == sorted(grid)
+            assert list(select_seeds(m, kpts, radius)) == brute_force_seeds(m, kpts, radius)
+
+    def test_large_match_set_matches_row_reference(self):
+        # as many ratio matches as a 4k-keypoint scene can give
+        rng = np.random.default_rng(10)
+        n = 4500
+        kpts = rng.uniform(0, 600, size=(n, 2))
+        scores = rng.choice([1.0, 2.0, 3.0, np.inf], size=n)
+        m = RatioMatchSet([(i, i) for i in range(n)], scores)
+        radius = 12.0
+        expected = []
+        for p in range(n):  # one row of the quadratic comparison at a time
+            near = ((kpts - kpts[p]) ** 2).sum(axis=1) <= radius * radius
+            near[p] = False
+            beats = (scores > scores[p]) | ((scores == scores[p]) & (np.arange(n) < p))
+            if not (near & beats).any():
+                expected.append(p)
+        assert list(select_seeds(m, kpts, radius)) == expected
 
     def test_separation_invariant(self):
         rng = np.random.default_rng(5)
@@ -186,7 +203,7 @@ class TestSelectSeeds:
         m = self._match_set(rng, 50, 80)
         radius = 20.0
         seeds = select_seeds(m, kpts, radius)
-        chosen = [(m.matches[p], m.ratio_score[p]) for p in seeds]
+        chosen = [(pairs_of(m)[p], m.ratio_score[p]) for p in seeds]
         for a, ((ia, _), sa) in enumerate(chosen):
             for b, ((ib, _), sb) in enumerate(chosen):
                 if a == b:
@@ -195,6 +212,11 @@ class TestSelectSeeds:
                 if d <= radius:
                     assert sa == sb  # only rank-tied seeds may coexist within R
         assert len(seeds) > 0
+
+    def test_non_finite_point_is_near_nothing(self):
+        kpts = np.array([[0.0, 0.0], [np.nan, 0.0], [1.0, 0.0], [np.inf, np.inf]])
+        m = RatioMatchSet([(0, 0), (1, 1), (2, 2), (3, 3)], [1.0, 3.0, 2.0, 0.5])
+        assert list(select_seeds(m, kpts, radius=5.0)) == [1, 2, 3]
 
     def test_empty_input(self):
         assert len(select_seeds(RatioMatchSet([], np.zeros(0)), np.zeros((0, 2)), 5.0)) == 0
@@ -293,12 +315,12 @@ class TestConfig:
             NeighborhoodConfig(r=-3.0)
 
     def test_resolved_fills_radii(self):
-        cfg = NeighborhoodConfig().resolved(100, 100)
+        cfg = NeighborhoodConfig().resolved_pair((100, 100), (100, 100))
         np.testing.assert_allclose(cfg.r, default_radius(100, 100))
         assert cfg.r_s == cfg.r_t == cfg.r
 
     def test_resolved_respects_explicit(self):
-        cfg = NeighborhoodConfig(r=7.0).resolved(100, 100)
+        cfg = NeighborhoodConfig(r=7.0).resolved_pair((100, 100), (100, 100))
         assert cfg.r == 7.0
         np.testing.assert_allclose(cfg.r_s, default_radius(100, 100))
 
@@ -310,8 +332,7 @@ def test_ratio_match_is_partial_bijection(n, seed):
     a = rng.standard_normal((n, 4))
     b = rng.standard_normal((max(1, n // 2), 4))
     m = ratio_match(a, b, 1.0)
-    src = [i for i, _ in m.matches]
-    tgt = [j for _, j in m.matches]
+    src, tgt = m.matches.T.tolist()
     assert len(set(src)) == len(src)
     assert len(set(tgt)) == len(tgt)
     assert all(0 <= i < n for i in src)

@@ -3,18 +3,15 @@
 import numpy as np
 import pytest
 
-from linmatch import autodiff as ad
 from linmatch.autodiff import Tensor
 from linmatch.encoder import EncodedPair, NetworkConfig, init_weights, write_tensor_table
 from linmatch.geometry import GenNoiseConfig, GroundTruth, generate_pair
 from linmatch.training import (
     AdamState,
     LossConfig,
-    confidence,
     gradient_check,
     load_optimizer_state,
     loss_gradient,
-    ranking_loss,
     save_optimizer_state,
     train_toy,
     triplet_loss,
@@ -47,30 +44,10 @@ def random_enc(rng, n, m, c):
     return EncodedPair(xs, xt, fs, ft)
 
 
-def test_confidence_is_dot_product():
-    rng = np.random.default_rng(0)
-    a, b = rng.normal(size=16), rng.normal(size=16)
-    assert np.isclose(float(confidence(a, b).data), float(a @ b))
-
-
-def test_ranking_loss_matches_hand_computation():
-    cfg = LossConfig(m_p=0.1, m_n=2.0)
-    xs = np.array([[0.0, 0.0], [5.0, 5.0]])
-    xt = np.array([[0.3, 0.0], [1.0, 0.0]])
-    # positive dist 0.09, target negative 1.0, source negative 47.09
-    loss = ranking_loss(xs[0], xt[0], xs, xt, (0, 0), cfg)
-    expected = max(0.09 - 0.1, 0.0) + max(2.0 - 1.0, 0.0)
-    assert np.isclose(float(loss.data), expected)
-
-
-def test_ranking_loss_rejects_single_keypoint_side():
-    cfg = LossConfig()
-    one = np.zeros((1, 2))
-    two = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        ranking_loss(one[0], two[0], one, two, (0, 0), cfg)
-    with pytest.raises(ValueError):
-        ranking_loss(two[0], one[0], two, one, (0, 0), cfg)
+def one_pair_loss(xs, xt, cfg):
+    """triplet_loss of the one correspondence (0, 0), whose confidence is 1."""
+    unit = np.ones((3, 1))
+    return triplet_loss(EncodedPair(xs, xt, unit, unit), GroundTruth(pairs=[(0, 0)]), cfg)
 
 
 def test_ranking_loss_tie_prefers_target_side():
@@ -79,10 +56,7 @@ def test_ranking_loss_tie_prefers_target_side():
     cfg = LossConfig(m_p=0.2, m_n=5.0)
     xs = Tensor(np.array([[0.0, 0.0], [-2.0, 0.1]]), requires_grad=True)
     xt = Tensor(np.array([[0.0, 0.1], [2.0, 0.0]]), requires_grad=True)
-    xs_c = ad.gather_rows(xs, np.array([0]))
-    xt_c = ad.gather_rows(xt, np.array([0]))
-    loss = ranking_loss(xs_c, xt_c, xs, xt, (0, 0), cfg)
-    loss.backward()
+    one_pair_loss(xs, xt, cfg).backward()
     assert np.any(xt.grad[1] != 0)
     assert np.all(xs.grad[1] == 0)
 
@@ -91,8 +65,7 @@ def test_ranking_loss_argmin_tie_takes_lowest_index():
     cfg = LossConfig(m_p=0.2, m_n=5.0)
     xs = np.array([[0.0, 0.0], [9.0, 9.0]])
     xt = Tensor(np.array([[0.0, 0.1], [2.0, 0.0], [-2.0, 0.0]]), requires_grad=True)
-    loss = ranking_loss(xs[0], ad.gather_rows(xt, np.array([0])), xs, xt, (0, 0), cfg)
-    loss.backward()
+    one_pair_loss(xs, xt, cfg).backward()
     assert np.any(xt.grad[1] != 0)
     assert np.all(xt.grad[2] == 0)
 
