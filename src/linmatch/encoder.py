@@ -35,7 +35,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .attention import (NeighborhoodPair, ProjectedTriplet, linear_attention,
                         multi_head, pairwise_attention)
-from .geometry import KeypointSet
+from .geometry import KeypointSet, read_exact
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
 _LAWT_MAGIC = b"LAWT"
@@ -292,29 +292,22 @@ def write_tensor_table(path, entries) -> None:
             f.write(data.tobytes())
 
 
-def _read_exact(f, count, what):
-    buf = f.read(count)
-    if len(buf) != count:
-        raise ValueError(f"truncated file while reading {what}")
-    return buf
-
-
 def read_tensor_table(path) -> dict:
     """Read a LAWT container back into an ordered name -> array mapping."""
     tensors = {}
     with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != _LAWT_MAGIC:
+        if read_exact(f, 4, "magic") != _LAWT_MAGIC:
             raise ValueError("bad magic: not a weight file")
-        version, count = struct.unpack("<II", _read_exact(f, 8, "header"))
+        version, count = struct.unpack("<II", read_exact(f, 8, "header"))
         if version != _LAWT_VERSION:
             raise ValueError(f"unsupported version {version}")
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, f"{name} ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, f"{name} dims"))
+            (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length"))
+            name = read_exact(f, name_len, "tensor name").decode("utf-8")
+            (ndim,) = struct.unpack("<B", read_exact(f, 1, f"{name} ndim"))
+            shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, f"{name} dims"))
             n_bytes = int(np.prod(shape)) * 4 if ndim else 4
-            raw = _read_exact(f, n_bytes, f"{name} data")
+            raw = read_exact(f, n_bytes, f"{name} data")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing bytes after last tensor")

@@ -46,10 +46,11 @@ class KeypointSet:
             raise ValueError("descriptor dimension must be >= 1")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
-        k = self.keypoints
-        if k.size and ((k[:, 0] < 0).any() or (k[:, 0] >= self.width).any()
-                       or (k[:, 1] < 0).any() or (k[:, 1] >= self.height).any()):
-            raise ValueError("keypoints must lie inside [0, W) x [0, H)")
+        if not np.isfinite(self.descriptors).all():
+            raise ValueError("descriptors must be finite")
+        # phrased as what must hold, so that NaN keypoints fail it too
+        if not ((self.keypoints >= 0) & (self.keypoints < (self.width, self.height))).all():
+            raise ValueError("keypoints must be finite and lie inside [0, W) x [0, H)")
 
     def __len__(self):
         return self.keypoints.shape[0]
@@ -236,18 +237,24 @@ def write_kpds(path, ks: KeypointSet) -> None:
         f.write(ks.descriptors.astype("<f4").tobytes())
 
 
+def read_exact(f, count, what):
+    buf = f.read(count)
+    if len(buf) != count:
+        raise ValueError(f"truncated file while reading {what}")
+    return buf
+
+
 def read_kpds(path) -> KeypointSet:
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != _KPDS_MAGIC:
             raise ValueError(f"bad magic {magic!r}, expected {_KPDS_MAGIC!r}")
-        version, n, d, width, height = struct.unpack("<5I", f.read(20))
+        version, n, d, width, height = struct.unpack("<5I", read_exact(f, 20, "header"))
         if version != _KPDS_VERSION:
             raise ValueError(f"unsupported version {version}")
-        kpts = np.frombuffer(f.read(n * 2 * 4), dtype="<f4").reshape(n, 2)
-        desc = np.frombuffer(f.read(n * d * 4), dtype="<f4").reshape(n, d)
-        trailing = f.read(1)
-        if trailing:
+        kpts = np.frombuffer(read_exact(f, n * 2 * 4, "keypoints"), dtype="<f4").reshape(n, 2)
+        desc = np.frombuffer(read_exact(f, n * d * 4, "descriptors"), dtype="<f4").reshape(n, d)
+        if f.read(1):
             raise ValueError("trailing bytes after descriptor block")
     return KeypointSet(kpts.copy(), desc.copy(), int(width), int(height))
 

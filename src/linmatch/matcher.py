@@ -11,8 +11,8 @@ and the best model's inliers survive when there are at least `min_inliers`
 of them.  There is no refitting step.  A match surviving in any neighborhood
 is kept.  Each neighborhood draws from its own RNG stream derived from
 (rng_seed, seed source index), so the result does not depend on the order in
-which neighborhoods are verified.  Verification runs single-threaded: the
-RANSAC loop holds the interpreter lock, so worker threads only slowed it.
+which neighborhoods are verified.  Each neighborhood draws, fits and scores
+all its hypotheses in one batch; verification runs single-threaded.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .neighborhood import (
 )
 
 _STAGES = ("seed", "candidate", "verified")
+_SCORE_BLOCK = 256  # RANSAC hypotheses per (block, k) residual table; bounds its memory
 
 
 @dataclass
@@ -110,13 +111,12 @@ def distance_match(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
     return out
 
 
-def _fit_affine(src, tgt):
-    """Exact affine transform through three correspondences, or None if degenerate."""
-    m = np.column_stack([src, np.ones(3)])
-    if abs(np.linalg.det(m)) < 1e-9:
-        return None
-    coef = np.linalg.solve(m, tgt)  # 3x2: rows are (a_x, a_y, 1-coeff)
-    return coef
+def _sample_triples(rng, k, count):
+    """`count` uniform 3-subsets of range(k) in one draw (Floyd's algorithm)."""
+    a, b, c = rng.integers(0, [k - 2, k - 1, k], size=(count, 3)).T
+    b = np.where(b == a, k - 2, b)
+    c = np.where((c == a) | (c == b), k - 1, c)
+    return np.stack([a, b, c], axis=1)
 
 
 def _verify_neighborhood(pair, cand_pos, src_pts, tgt_pts, fcfg, threshold):
@@ -127,20 +127,19 @@ def _verify_neighborhood(pair, cand_pos, src_pts, tgt_pts, fcfg, threshold):
             return cand_pos
         return cand_pos[:0]
     rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
-    ones = np.ones((k, 1))
-    hom = np.concatenate([src_pts, ones], axis=1)
-    best_count = 0
-    best_mask = None
-    for _ in range(fcfg.ransac_iterations):
-        sample = rng.choice(k, size=3, replace=False)
-        coef = _fit_affine(src_pts[sample], tgt_pts[sample])
-        if coef is None:
-            continue
-        residual = np.linalg.norm(hom @ coef - tgt_pts, axis=1)
-        mask = residual <= threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count, best_mask = count, mask
+    samples = _sample_triples(rng, k, fcfg.ransac_iterations)
+    hom = np.concatenate([src_pts, np.ones((k, 1))], axis=1)
+    # a singular system makes the batched solve raise, so drop it first
+    fit = np.abs(np.linalg.det(hom[samples])) >= 1e-9
+    coef = np.linalg.solve(hom[samples[fit]], tgt_pts[samples[fit]])  # (g, 3, 2) affine maps
+    best_count, best_mask = 0, None
+    for start in range(0, len(coef), _SCORE_BLOCK):
+        residual = np.linalg.norm(hom @ coef[start:start + _SCORE_BLOCK] - tgt_pts, axis=2)
+        masks = residual <= threshold
+        counts = masks.sum(axis=1)
+        g = int(counts.argmax())  # the first best in draw order, as a sequential loop takes
+        if counts[g] > best_count:
+            best_count, best_mask = counts[g], masks[g]
     if best_count >= fcfg.min_inliers:
         return cand_pos[best_mask]
     return cand_pos[:0]
@@ -200,14 +199,15 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
         mma = {int(t): 0.0 for t in thresholds}
         recall = 1.0 if not gt.pairs else 0.0
         return Metrics(mma, 0.0, recall, 0, 0.0)
-    src_idx = [i for i, _, _ in m.matches]
-    tgt_idx = [j for _, j, _ in m.matches]
+    pairs = m.pairs()
+    if not all(0 <= i < len(ks) and 0 <= j < len(kt) for i, j in pairs):
+        raise ValueError("match index out of range of the keypoint sets")
+    src_idx, tgt_idx = np.array(pairs, dtype=np.intp).T
     proj, valid = apply_homography(h, ks.keypoints[src_idx])
     tgt_pts = kt.keypoints[tgt_idx].astype(np.float64)
     err = np.where(valid, np.linalg.norm(proj - tgt_pts, axis=1), np.inf)
     mma = {int(t): float((err <= t).mean()) for t in thresholds}
-    gt_set = set(gt.pairs)
-    hits = sum(1 for p in m.pairs() if p in gt_set)
+    hits = len(set(pairs) & set(gt.pairs))  # a MatchSet holds no duplicate pair
     precision = hits / n
     recall = hits / len(gt.pairs) if gt.pairs else 1.0
     inlier_ratio = mma.get(3, float((err <= 3.0).mean()))

@@ -9,7 +9,7 @@ import pytest
 
 from linmatch.cli import main
 from linmatch.encoder import NetworkConfig, init_weights, load_weights, save_weights
-from linmatch.geometry import read_ground_truth, read_kpds
+from linmatch.geometry import KeypointSet, read_ground_truth, read_kpds, write_kpds
 from linmatch.matcher import MatchSet, read_matches, write_matches
 
 
@@ -171,6 +171,50 @@ def test_eval_perfect_matches(tmp_path):
     assert metrics["precision"] == 1.0
     assert metrics["recall"] == 1.0
     assert all(v == 1.0 for v in metrics["mma"].values())
+
+
+def test_truncated_kpds_is_data_error_at_every_offset(tmp_path, capsys):
+    good = tmp_path / "good.kpds"
+    write_kpds(good, KeypointSet(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                 np.arange(6.0).reshape(2, 3), 8, 8))
+    raw = good.read_bytes()
+    weights = small_weights_file(tmp_path / "w.lawt", input_dim=3)
+    cut = tmp_path / "cut.kpds"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(ValueError):
+            read_kpds(cut)
+        assert run_cli(["match", cut, good, "--weights", weights,
+                        "-o", tmp_path / "r"]) == 3, size
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# byte offsets of the first keypoint and of the first descriptor (SYNTH_ARGS: 40 keypoints)
+@pytest.mark.parametrize("offset", [24, 24 + 2 * 4 * 40])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_match_non_finite_input_exit_3(tmp_path, offset, value):
+    data = synth_dataset(tmp_path / "data")
+    src = data / "pair0000" / "source.kpds"
+    raw = bytearray(src.read_bytes())
+    raw[offset:offset + 4] = np.float32(value).tobytes()
+    bad = tmp_path / "bad.kpds"
+    bad.write_bytes(bytes(raw))
+    weights = small_weights_file(tmp_path / "w.lawt")
+    assert run_cli(["match", bad, data / "pair0000" / "target.kpds",
+                    "--weights", weights, "-o", tmp_path / "r"]) == 3
+
+
+@pytest.mark.parametrize("row", ["9999,0", "0,9999", "-1,0"])
+def test_eval_out_of_range_index_exit_3(tmp_path, row):
+    data = synth_dataset(tmp_path / "data")
+    pdir = data / "pair0000"
+    (tmp_path / "matches.csv").write_text(f"i,j,score,stage\n{row},1.0,verified\n")
+    assert run_cli(["eval", "--matches", tmp_path / "matches.csv",
+                    "--source", pdir / "source.kpds",
+                    "--target", pdir / "target.kpds",
+                    "--gt", pdir / "gt.csv",
+                    "--homography", pdir / "homography.txt",
+                    "-o", tmp_path / "m"]) == 3
 
 
 def test_eval_missing_file_exit_3(tmp_path):

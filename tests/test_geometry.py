@@ -106,6 +106,18 @@ class TestKeypointSet:
         with pytest.raises(ValueError):
             KeypointSet(np.zeros((0, 2)), np.zeros((0, 4)), 0, 10)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_keypoint_rejected(self, value):
+        with pytest.raises(ValueError):
+            KeypointSet(np.array([[1.0, 2.0], [3.0, value]]), np.zeros((2, 4)), 10, 10)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptor_rejected(self, value):
+        desc = np.zeros((2, 4))
+        desc[1, 2] = value
+        with pytest.raises(ValueError):
+            KeypointSet(np.array([[1.0, 2.0], [3.0, 4.0]]), desc, 10, 10)
+
 
 class TestGroundTruthType:
     def test_partial_bijection_enforced(self):

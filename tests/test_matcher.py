@@ -1,10 +1,12 @@
 """Candidate expansion, affine verification, pipeline, and metrics."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+import linmatch.matcher as matcher
 from linmatch.attention import NeighborhoodPair
 from linmatch.encoder import NetworkConfig, forward, init_weights
 from linmatch.geometry import (
@@ -26,6 +28,9 @@ from linmatch.matcher import (
     write_matches,
     write_metrics,
     _candidates,
+    _sample_triples,
+    _verify_neighborhood,
+    _SCORE_BLOCK,
 )
 from linmatch.neighborhood import (
     NeighborhoodConfig,
@@ -114,6 +119,96 @@ def exhaustive_affine_check(src, tgt, threshold, min_inliers):
     return best if len(best) >= min_inliers else set()
 
 
+def loop_verify(pair, src, tgt, fcfg, threshold):
+    """One hypothesis at a time: the plain reference for `_verify_neighborhood`.
+
+    Returns (surviving rows, degenerate samples skipped, hypotheses tying the best so far).
+    """
+    k = len(src)
+    rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
+    hom = np.column_stack([src, np.ones(k)])
+    best_count, best_mask = 0, None
+    degenerate = ties = 0
+    for sample in _sample_triples(rng, k, fcfg.ransac_iterations):
+        m = hom[sample]
+        if abs(np.linalg.det(m)) < 1e-9:
+            degenerate += 1
+            continue
+        coef = np.linalg.solve(m, tgt[sample])
+        mask = np.linalg.norm(hom @ coef - tgt, axis=1) <= threshold
+        count = int(mask.sum())
+        ties += count == best_count
+        if count > best_count:
+            best_count, best_mask = count, mask
+    rows = np.flatnonzero(best_mask) if best_count >= fcfg.min_inliers else np.zeros(0, int)
+    return rows, degenerate, ties
+
+
+def random_neighborhood(rng, case):
+    """Affine-related candidates with up to 50 % outliers.
+
+    Odd cases use integer-grid points and an integer map, so exact residuals
+    and inlier-count ties occur; every third case makes some points collinear
+    or duplicated, so degenerate samples occur.
+    """
+    k = 3 if case % 10 == 0 else int(rng.integers(3, 61))
+    grid = case % 2 == 1
+    src = rng.integers(0, 12, size=(k, 2)).astype(np.float64) if grid \
+        else rng.uniform(0, 200, size=(k, 2))
+    if case % 3 == 0:
+        line = rng.choice(k, size=max(2, k // 2), replace=False)
+        src[line] = src[line[0]] + np.outer(np.arange(len(line)), [2.0, 1.0])
+        src[rng.integers(k)] = src[rng.integers(k)]
+    if grid:
+        tgt = src @ np.array([[0.0, -1.0], [1.0, 0.0]]).T + rng.integers(-5, 6, size=2)
+        shift = lambda n: rng.integers(-3, 4, size=(n, 2))
+    else:
+        tgt = src @ (np.eye(2) + rng.normal(0, 0.1, (2, 2))).T + rng.uniform(-9, 9, 2)
+        shift = lambda n: rng.uniform(-30, 30, size=(n, 2))
+    outliers = rng.choice(k, size=int(rng.uniform(0, 0.5) * k), replace=False)
+    tgt[outliers] += shift(len(outliers))
+    return src, tgt
+
+
+class TestBatchedVerifier:
+    @pytest.mark.parametrize("block", [1, 5, _SCORE_BLOCK])
+    def test_matches_loop_reference(self, block, monkeypatch):
+        monkeypatch.setattr(matcher, "_SCORE_BLOCK", block)
+        rng = np.random.default_rng(2024)
+        degenerate = ties = 0
+        for case in range(200):
+            src, tgt = random_neighborhood(rng, case)
+            k = len(src)
+            iters = int(rng.choice([1, 7, 64, 128, _SCORE_BLOCK + 1, 2 * _SCORE_BLOCK + 17],
+                                   p=[0.1, 0.2, 0.3, 0.3, 0.05, 0.05]))
+            fcfg = FilterConfig(ransac_iterations=iters, min_inliers=int(rng.integers(3, 8)),
+                                rng_seed=case)
+            threshold = 1.0 if case % 2 else float(rng.uniform(0.5, 3.0))
+            seed = int(rng.integers(k))
+            pair = NeighborhoodPair((seed, seed), np.arange(k), np.arange(k))
+            cand_pos = np.arange(k) * 3 + 1  # positions need not be row numbers
+            got = _verify_neighborhood(pair, cand_pos, src, tgt, fcfg, threshold)
+            rows, skipped, tied = loop_verify(pair, src, tgt, fcfg, threshold)
+            assert got.tolist() == cand_pos[rows].tolist(), case
+            degenerate += skipped
+            ties += tied
+        assert degenerate > 0 and ties > 0  # both rules were exercised
+
+    def test_sample_triples_are_distinct_and_in_range(self):
+        rng = np.random.default_rng(4)
+        for k in (3, 4, 5, 17, 60):
+            t = _sample_triples(rng, k, 2000)
+            assert t.shape == (2000, 3)
+            assert ((t >= 0) & (t < k)).all()
+            assert ((t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])).all()
+
+    def test_sample_triples_are_uniform_over_subsets(self):
+        t = _sample_triples(np.random.default_rng(11), 5, 20000)
+        counts = collections.Counter(map(tuple, np.sort(t, axis=1).tolist()))
+        assert set(counts) == set(itertools.combinations(range(5), 3))
+        assert all(1800 <= c <= 2200 for c in counts.values())
+
+
 class TestFilterMatches:
     def _affine_scene(self, rng, n=20, outlier_rows=()):
         """Candidates exactly related by one affine map, plus forced outliers."""
@@ -175,6 +270,31 @@ class TestFilterMatches:
         large = filter_matches(m, ks, kt, neigh,
                                FilterConfig(inlier_threshold_factor=0.5, rng_seed=7))
         assert set(small.pairs()) <= set(large.pairs())
+
+    def test_collinear_neighborhood_has_no_survivors(self):
+        n = 12
+        src = np.column_stack([10 + 5.0 * np.arange(n), 20 + 5.0 * np.arange(n)])
+        src[3] = src[2]  # a duplicate too
+        ks = KeypointSet(src, np.eye(n), 256, 256)
+        kt = KeypointSet(src + 3.0, np.eye(n), 256, 256)
+        m = MatchSet([(i, i, 1.0) for i in range(n)], ["candidate"] * n)
+        pair = NeighborhoodPair((0, 0), np.arange(n), np.arange(n))
+        out = filter_matches(m, ks, kt, [pair], FilterConfig(min_inliers=3))
+        assert len(out) == 0
+
+    def test_neighborhood_order_does_not_matter(self):
+        rng = np.random.default_rng(8)
+        ks, kt, m, _ = self._affine_scene(rng, n=30, outlier_rows=(2, 5, 11, 17, 23, 29))
+        neigh = []
+        for seed in (0, 4, 9, 15, 20):
+            members = np.union1d(rng.choice(30, size=12, replace=False), [seed])
+            neigh.append(NeighborhoodPair((seed, seed), members, members))
+        fcfg = FilterConfig(ransac_iterations=6, min_inliers=4, rng_seed=1)
+        base = filter_matches(m, ks, kt, neigh, fcfg)
+        assert 0 < len(base) < len(m)
+        for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+            out = filter_matches(m, ks, kt, [neigh[p] for p in perm], fcfg)
+            assert out.matches == base.matches and out.stage == base.stage
 
     def test_determinism_same_seed(self):
         rng = np.random.default_rng(6)
