@@ -202,6 +202,35 @@ def test_gradient_check_helper_passes_on_tiny_net():
     assert frac_ok == 1.0
 
 
+def test_gradient_check_with_heads_and_pairwise_layer(monkeypatch):
+    """End to end through multi-head self/cross and pairwise layers, float64.
+
+    The scene yields 21 neighborhoods of one to three members, some source
+    rows in three of them, so overlapping sums and every head are exercised.
+    """
+    import linmatch.encoder as enc
+
+    built = []
+    real = enc.build_neighborhoods
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(enc, "build_neighborhoods", recording)
+    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=2, l1=1, l2=1)
+    scene = generate_pair(0, 24, (96, 96), 8, GenNoiseConfig(desc_sigma=0.1, distractors=4))
+    max_err, frac_ok, count = gradient_check(cfg, LossConfig(), seed=0, samples=96,
+                                             scene=scene, dtype=np.float64)
+    pairs = built[0]
+    assert len(pairs) >= 5
+    in_sets = np.bincount(np.concatenate([p.source_set for p in pairs]))
+    assert in_sets.max() >= 2, "neighborhoods must overlap"
+    assert count == 96
+    assert max_err < 1e-5
+    assert frac_ok == 1.0
+
+
 def toy_dataset(count, d, seed0=100):
     return [tiny_scene(seed0 + k, d)[:3] for k in range(count)]
 
