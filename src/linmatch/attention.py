@@ -1,31 +1,36 @@
-"""Attention kernels: linear, neighborhood-restricted pairwise, and softmax.
+"""Attention kernels: linear, neighborhood-restricted, and softmax.
 
-The linear kernel replaces the usual N-by-M weight matrix with two small
-accumulators built from the positive feature map phi(x) = elu(x) + 1:
+Multi-head attention splits the C' columns into `heads` contiguous groups of
+d = C' / heads.  The linear and restricted kernels view their inputs as
+(rows, heads, d) arrays and serve every head with the same batched numpy
+calls; each is one autodiff op with a hand-written backward.
 
-    K_v = phi(K)^T V       (C' x C')
-    K_m = sum_j phi(K_j)   (C',)
+The linear kernel replaces the N-by-M weight matrix with per-head
+accumulators built from the positive feature map phi(x) = elu(x) + 1,
+K_v = phi(K)^T V (d x d) and K_m = sum_j phi(K_j), and gives query row i
+(phi(Q_i) K_v) / (phi(Q_i) . K_m) at cost O((M + N) C' d).  K_m is the last
+column of K_v once V gets a ones column, so one product yields numerator and
+denominator; phi > 0, so the denominator never vanishes.
 
-so the output row for query i is (phi(Q_i) K_v) / (phi(Q_i) . K_m), at total
-cost O(M C'^2 + N C'^2).  Because phi is strictly positive the denominator
-never vanishes.
+The restricted kernel applies the same ratio within matched neighborhoods,
+held by a `Membership` as CSR arrays: each side's member rows concatenated
+neighborhood by neighborhood (segments).  K_v is summed over a segment's key
+rows and applied to its query rows by one batched matmul per distinct
+segment size (never a d x d product per member), and the results are
+sum-scattered into the output rows: rows outside every neighborhood stay
+exactly zero, rows in several get the plain sum.  The reverse direction
+(target rows querying source rows) swaps the two sides.  The linear kernel
+is the same op with one segment holding every row.
 
-The pairwise kernel applies the same ratio restricted to matched neighborhood
-index sets and scatters the results back: rows not covered by any
-neighborhood stay exactly zero, and rows covered by several neighborhoods
-receive the plain sum of the per-neighborhood outputs (no renormalization).
-
-The softmax kernel is the quadratic reference used as a correctness oracle
-and as the baseline in complexity benchmarks; it deliberately materializes
-the full N-by-M weight matrix.
-
-All kernels accept either numpy arrays or autodiff Tensors in the triplet;
-numpy in, numpy out.
+The softmax kernel is a single-head numpy reference (correctness oracle and
+complexity baseline) that deliberately materializes the N-by-M weight
+matrix.  The other kernels take numpy arrays or autodiff Tensors; numpy in,
+numpy out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,21 +67,76 @@ class NeighborhoodPair:
         self.target_set = np.asarray(self.target_set, dtype=np.intp)
         if self.source_set.size == 0 or self.target_set.size == 0:
             raise ValueError("neighborhood sides must be non-empty")
+        if any(np.unique(s).size != s.size for s in (self.source_set, self.target_set)):
+            raise ValueError("a neighborhood side must not repeat an index")
         if self.seed[0] not in self.source_set or self.seed[1] not in self.target_set:
             raise ValueError("seed indices must belong to their own sets")
+
+
+class Segments:
+    """One side's member rows, concatenated segment by segment.
+
+    `sets=None` stands for every input row, in order, as one segment.
+    `groups` pairs each distinct segment size with the ids of the segments
+    of that size and their members' positions, a (segments, size) array.
+    """
+
+    def __init__(self, sets=None):
+        if sets is None:  # position None indexes x[None]: the whole array, as a view
+            self.rows, self.count, self.groups = None, 1, [(np.zeros(1, dtype=np.intp), None)]
+            return
+        sizes = np.array([len(s) for s in sets], dtype=np.intp)
+        self.rows = np.concatenate(sets) if sets else np.zeros(0, dtype=np.intp)
+        self.count, starts = len(sets), np.cumsum(sizes) - sizes
+        self.groups = [(segs, starts[segs][:, None] + np.arange(size))
+                       for size in np.unique(sizes) for segs in [np.flatnonzero(sizes == size)]]
+
+    def gather(self, x):
+        return x if self.rows is None else x[self.rows]
+
+    def scatter(self, x, n):
+        """Sum member rows back into an (n, ...) array."""
+        if self.rows is None:
+            return x
+        out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+        np.add.at(out, self.rows, x)
+        return out
+
+    def seg_outer(self, a, b):
+        """Per segment, the sum over its members of a_e^T b_e: (S, H, da, db)."""
+        out = np.empty((self.count,) + a.shape[1:] + b.shape[-1:], dtype=a.dtype)
+        for segs, pos in self.groups:
+            out[segs] = np.matmul(a[pos].transpose(0, 2, 3, 1), b[pos].transpose(0, 2, 1, 3))
+        return out
+
+    def seg_apply(self, a, t):
+        """a_e @ t[segment of e] for every member e: (members, H, dt)."""
+        out = np.empty(a.shape[:-1] + t.shape[-1:], dtype=a.dtype)
+        for segs, pos in self.groups:
+            out[pos] = np.matmul(a[pos].transpose(0, 2, 1, 3), t[segs]).transpose(0, 2, 1, 3)
+        return out
+
+
+class Membership(list):
+    """A list of `NeighborhoodPair` plus its per-side `Segments`.
+
+    Built once per forward pass and shared by every pairwise layer and both
+    directions; do not modify the list afterwards.
+    """
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.source = Segments([p.source_set for p in self])
+        self.target = Segments([p.target_set for p in self])
 
 
 def _shape(x):
     return x.data.shape if isinstance(x, Tensor) else np.shape(x)
 
 
-def _is_tensor_triplet(t: ProjectedTriplet) -> bool:
-    return any(isinstance(x, Tensor) for x in (t.q, t.k, t.v))
-
-
 def _dispatch(kernel_core, t: ProjectedTriplet, *args):
     """Run a Tensor-level core; unwrap to numpy when inputs are plain arrays."""
-    if _is_tensor_triplet(t):
+    if any(isinstance(x, Tensor) for x in (t.q, t.k, t.v)):
         return kernel_core(as_tensor(t.q), as_tensor(t.k), as_tensor(t.v), *args)
     with ad.no_grad():
         out = kernel_core(as_tensor(np.asarray(t.q)), as_tensor(np.asarray(t.k)),
@@ -84,81 +144,71 @@ def _dispatch(kernel_core, t: ProjectedTriplet, *args):
     return out.data
 
 
-def _linear_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    phi_q = ad.phi(q)
-    phi_k = ad.phi(k)
-    k_v = ad.matmul(ad.transpose(phi_k), v)            # C' x C'
-    k_m = ad.tsum(phi_k, axis=0, keepdims=True)        # 1 x C'
-    num = ad.matmul(phi_q, k_v)                        # N x C'
-    den = ad.matmul(phi_q, ad.transpose(k_m))          # N x 1
-    return ad.div(num, den)
+def _segment_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                       qside: Segments, kside: Segments) -> Tensor:
+    """Per segment and head, phi(Q) K_v / phi(Q).K_m, summed into the query rows."""
+    (n, c), m = q.data.shape, k.data.shape[0]
+    if heads < 1 or c % heads:
+        raise ValueError(f"column count {c} not divisible by {heads} heads")
+    d = c // heads
+    pq = ad.phi_array(qside.gather(q.data.reshape(n, heads, d)))
+    pk = ad.phi_array(kside.gather(k.data.reshape(m, heads, d)))
+    v1 = kside.gather(v.data.reshape(m, heads, d))
+    v1 = np.concatenate([v1, np.ones_like(v1[..., :1])], axis=-1)
+    kv = kside.seg_outer(pk, v1)  # (S, H, d, d + 1): [K_v | K_m]
+    nd = qside.seg_apply(pq, kv)  # per query member: [numerator | denominator]
+    den = nd[..., d:]
+    o = nd[..., :d] / den
+    ad.note_mul((pk.size + pq.size) * (d + 1) + pq.size)
+    for a in (pq, pk, v1, kv, nd):
+        ad.note_alloc(a)
+
+    def backward(g):
+        dnum = qside.gather(g.reshape(n, heads, d)) / den
+        dnd = np.concatenate([dnum, -(dnum * o).sum(axis=-1, keepdims=True)], axis=-1)
+        dkv = qside.seg_outer(pq, dnd)
+        # phi'(x) is 1 where phi(x) = x + 1 >= 1, and phi(x) = exp(x) below
+        if q.requires_grad:
+            dpq = qside.seg_apply(dnd, kv.swapaxes(-1, -2)) * np.minimum(pq, 1.0)
+            q._accumulate(qside.scatter(dpq, n).reshape(n, c))
+        if k.requires_grad:
+            dpk = kside.seg_apply(v1, dkv.swapaxes(-1, -2)) * np.minimum(pk, 1.0)
+            k._accumulate(kside.scatter(dpk, m).reshape(m, c))
+        if v.requires_grad:
+            v._accumulate(kside.scatter(kside.seg_apply(pk, dkv)[..., :d], m).reshape(m, c))
+
+    return ad.node(qside.scatter(o, n).reshape(n, c), (q, k, v), backward)
 
 
-def linear_attention(t: ProjectedTriplet):
+def linear_attention(t: ProjectedTriplet, heads: int = 1):
     """Attention via streamed accumulators; never forms an N x M matrix."""
     if _shape(t.k)[0] < 1:
         raise ValueError("linear_attention requires at least one key row")
-    return _dispatch(_linear_core, t)
+    return _dispatch(_segment_attention, t, heads, Segments(), Segments())
 
 
-def _softmax_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    scale = 1.0 / np.sqrt(q.data.shape[1])
-    scores = ad.mul(ad.matmul(q, ad.transpose(k)), Tensor(np.asarray(scale)))
-    # constant shift for numerical stability; cancels in the ratio
-    shift = Tensor(scores.data.max(axis=1, keepdims=True))
-    e = ad.exp(ad.sub(scores, shift))
-    w = ad.div(e, ad.tsum(e, axis=1, keepdims=True))
-    return ad.matmul(w, v)
+def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool = False):
+    """Linear attention restricted to neighborhood pairs, summed on overlap.
+
+    `pairs` is a `Membership` or a list of `NeighborhoodPair`; source rows
+    query target rows, or the other way round with `reverse`.  Rows outside
+    every query-side set are exactly zero.
+    """
+    members = pairs if isinstance(pairs, Membership) else Membership(pairs)
+    sides = (members.target, members.source) if reverse else (members.source, members.target)
+    for side, n in zip(sides, (_shape(t.q)[0], _shape(t.k)[0])):
+        if side.rows.size and (side.rows.min() < 0 or side.rows.max() >= n):
+            raise ValueError("neighborhood index out of range")
+    return _dispatch(_segment_attention, t, heads, *sides)
 
 
 def softmax_attention_reference(t: ProjectedTriplet):
     """Scaled dot-product attention, O(N M C'); correctness/complexity baseline."""
-    if _shape(t.k)[0] < 1:
+    q, k, v = (np.asarray(x.data if isinstance(x, Tensor) else x) for x in (t.q, t.k, t.v))
+    if k.shape[0] < 1:
         raise ValueError("softmax attention requires at least one key row")
-    return _dispatch(_softmax_core, t)
-
-
-def _pairwise_core(q: Tensor, k: Tensor, v: Tensor, pairs) -> Tensor:
-    n = q.data.shape[0]
-    if not pairs:
-        return Tensor(np.zeros((n, q.data.shape[1]), dtype=q.data.dtype))
-    blocks, idx_list = [], []
-    for p in pairs:
-        qp = ad.gather_rows(q, p.source_set)
-        kp = ad.gather_rows(k, p.target_set)
-        vp = ad.gather_rows(v, p.target_set)
-        blocks.append(_linear_core(qp, kp, vp))
-        idx_list.append(p.source_set)
-    return ad.scatter_rows_sum(n, idx_list, blocks)
-
-
-def pairwise_attention(t: ProjectedTriplet, pairs):
-    """Linear attention restricted to neighborhood pairs, summed on overlap.
-
-    Rows outside every source set are exactly zero.
-    """
-    n, m = _shape(t.q)[0], _shape(t.k)[0]
-    for p in pairs:
-        if p.source_set.max() >= n or p.target_set.max() >= m:
-            raise ValueError("neighborhood index out of range")
-    return _dispatch(_pairwise_core, t, pairs)
-
-
-def _multi_head_core(q, k, v, kernel, heads):
-    dim = q.data.shape[1] // heads
-    parts = []
-    for h in range(heads):
-        j0, j1 = h * dim, (h + 1) * dim
-        sub = ProjectedTriplet(ad.slice_cols(q, j0, j1),
-                               ad.slice_cols(k, j0, j1),
-                               ad.slice_cols(v, j0, j1))
-        parts.append(as_tensor(kernel(sub)))
-    return ad.concat_cols_multi(parts)
-
-
-def multi_head(kernel, t: ProjectedTriplet, heads: int):
-    """Split columns into contiguous head groups, apply kernel per group, concat."""
-    c = _shape(t.q)[1]
-    if c % heads != 0:
-        raise ValueError(f"column count {c} not divisible by {heads} heads")
-    return _dispatch(_multi_head_core, t, kernel, heads)
+    scores = q @ k.T / np.sqrt(q.shape[1])
+    ad.note_mul(2 * scores.size * q.shape[1])
+    ad.note_alloc(scores)
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))  # the shift cancels in the ratio
+    return (w / w.sum(axis=1, keepdims=True)) @ v

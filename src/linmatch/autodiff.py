@@ -7,12 +7,15 @@ mode, in which no tape is recorded and the op functions reduce to plain numpy
 calls plus a constant-time dispatch.
 
 The op set is deliberately small: matmul, broadcast arithmetic, elementwise
-nonlinearities, row gather/scatter, column slicing, concatenation, reductions
-and a fused layer norm.  Gradients for broadcast ops are reduced back to the
-operand shape by `_unbroadcast`.
+nonlinearities, a row gather, two-way column concatenation, reductions and a
+fused layer norm; gradients of broadcast ops are reduced back to the operand
+shape by `_unbroadcast`.  The attention kernels split heads and scatter
+neighborhood rows inside their own fused ops, built through `node` with a
+hand-written backward.
 
 A thread-local operation counter can be enabled with `count_ops()`; it records
-multiply counts and every allocated result shape, which is how the complexity
+multiply counts and every allocated result shape (fused ops report their
+intermediates through `note_mul`/`note_alloc`), which is how the complexity
 audit asserts that the linear-attention path never materializes an
 N-by-M buffer.
 """
@@ -81,13 +84,15 @@ def count_ops():
         _state.op_counter = prev
 
 
-def _note_alloc(arr):
+def note_alloc(arr):
+    """Record an allocated array's shape with the active counter, if any."""
     c = _counter()
     if c is not None and arr.ndim >= 1:
         c.note_alloc(arr.shape)
 
 
-def _note_mul(size):
+def note_mul(size):
+    """Record `size` multiplies with the active counter, if any."""
     c = _counter()
     if c is not None:
         c.note_elementwise_mul(size)
@@ -113,9 +118,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -140,6 +142,7 @@ class Tensor:
             topo.append(t)
 
         visit(self)
+        visit = None  # drop the closure's self-reference: the graph is freed on return, not by gc
         self._accumulate(grad)
         for t in reversed(topo):
             if t._backward is not None:
@@ -164,8 +167,9 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
-def _make(data, parents, backward):
-    _note_alloc(data)
+def node(data, parents, backward):
+    """Result Tensor of an op (here or fused elsewhere); `backward(g)` feeds the parents."""
+    note_alloc(data)
     need = _grad_enabled() and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=need, _parents=parents, _backward=backward if need else None)
 
@@ -180,7 +184,7 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    return _make(out_data, (a, b), backward)
+    return node(out_data, (a, b), backward)
 
 
 def sub(a, b):
@@ -193,13 +197,13 @@ def sub(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    return _make(out_data, (a, b), backward)
+    return node(out_data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data * b.data
-    _note_mul(out_data.size)
+    note_mul(out_data.size)
 
     def backward(g):
         if a.requires_grad:
@@ -207,13 +211,13 @@ def mul(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    return _make(out_data, (a, b), backward)
+    return node(out_data, (a, b), backward)
 
 
 def div(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data / b.data
-    _note_mul(out_data.size)
+    note_mul(out_data.size)
 
     def backward(g):
         if a.requires_grad:
@@ -221,7 +225,7 @@ def div(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    return _make(out_data, (a, b), backward)
+    return node(out_data, (a, b), backward)
 
 
 def neg(a):
@@ -230,7 +234,7 @@ def neg(a):
     def backward(g):
         a._accumulate(-g)
 
-    return _make(-a.data, (a,), backward)
+    return node(-a.data, (a,), backward)
 
 
 def matmul(a, b):
@@ -249,7 +253,7 @@ def matmul(a, b):
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return _make(out_data, (a, b), backward)
+    return node(out_data, (a, b), backward)
 
 
 def transpose(a):
@@ -258,7 +262,7 @@ def transpose(a):
     def backward(g):
         a._accumulate(g.T)
 
-    return _make(a.data.T, (a,), backward)
+    return node(a.data.T, (a,), backward)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -270,29 +274,27 @@ def tsum(a, axis=None, keepdims=False):
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    return _make(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
+
+
+def phi_array(x):
+    """Positive feature map elu(x) + 1 on an array: x + 1 for x >= 0, exp(x) below,
+    computed as exp(min(x, 0)) + max(x, 0) (fewer passes than `np.where`)."""
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def phi(a):
-    """Positive feature map elu(x) + 1: x + 1 for x >= 0, exp(x) below."""
+    """`phi_array` as an op; its derivative is 1 for x >= 0 and exp(x) below."""
     a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    out_data = phi_array(a.data)
 
     def backward(g):
-        a._accumulate(g * np.where(x >= 0, 1.0, out_data))
+        a._accumulate(g * np.where(a.data >= 0, 1.0, out_data))
 
-    return _make(out_data, (a,), backward)
-
-
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 def relu(a):
@@ -303,7 +305,7 @@ def relu(a):
         # subgradient 0 at the kink
         a._accumulate(g * (a.data > 0))
 
-    return _make(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 def sqrt(a):
@@ -313,7 +315,7 @@ def sqrt(a):
     def backward(g):
         a._accumulate(g * 0.5 / out_data)
 
-    return _make(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 def concat_cols(a, b):
@@ -328,34 +330,7 @@ def concat_cols(a, b):
         if b.requires_grad:
             b._accumulate(g[:, na:])
 
-    return _make(out_data, (a, b), backward)
-
-
-def slice_cols(a, j0, j1):
-    a = as_tensor(a)
-    out_data = a.data[:, j0:j1].copy()
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[:, j0:j1] = g
-        a._accumulate(full)
-
-    return _make(out_data, (a,), backward)
-
-
-def concat_cols_multi(parts):
-    """n-way column concatenation (used to reassemble attention heads)."""
-    parts = [as_tensor(p) for p in parts]
-    widths = [p.data.shape[1] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    offsets = np.cumsum([0] + widths)
-
-    def backward(g):
-        for p, j0, j1 in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._accumulate(g[:, j0:j1])
-
-    return _make(out_data, tuple(parts), backward)
+    return node(out_data, (a, b), backward)
 
 
 def gather_rows(a, idx):
@@ -368,29 +343,7 @@ def gather_rows(a, idx):
         np.add.at(full, idx, g)
         a._accumulate(full)
 
-    return _make(out_data, (a,), backward)
-
-
-def scatter_rows_sum(n_rows, idx_list, blocks):
-    """Sum of row-scattered blocks into an (n_rows, C) tensor.
-
-    Each `blocks[p]` lands on rows `idx_list[p]`; overlapping rows across
-    blocks accumulate.  Indices within one block must be unique.
-    """
-    blocks = [as_tensor(b) for b in blocks]
-    if not blocks:
-        raise ValueError("scatter_rows_sum needs at least one block")
-    cols = blocks[0].data.shape[1]
-    out_data = np.zeros((n_rows, cols), dtype=blocks[0].data.dtype)
-    for idx, b in zip(idx_list, blocks):
-        out_data[np.asarray(idx, dtype=np.intp)] += b.data
-
-    def backward(g):
-        for idx, b in zip(idx_list, blocks):
-            if b.requires_grad:
-                b._accumulate(g[np.asarray(idx, dtype=np.intp)])
-
-    return _make(out_data, tuple(blocks), backward)
+    return node(out_data, (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps=1e-5):
@@ -403,7 +356,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
     inv = 1.0 / np.sqrt(var + eps)
     xn = xc * inv
     out_data = xn * gamma.data + beta.data
-    _note_mul(out_data.size)
+    note_mul(out_data.size)
 
     def backward(g):
         if gamma.requires_grad:
@@ -415,7 +368,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
             term = nf * dxn - dxn.sum(axis=1, keepdims=True) - xn * (dxn * xn).sum(axis=1, keepdims=True)
             x._accumulate(inv / nf * term)
 
-    return _make(out_data, (x, gamma, beta), backward)
+    return node(out_data, (x, gamma, beta), backward)
 
 
 def row_l2_normalize(x):

@@ -216,12 +216,8 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
 
 
 def _disjoint_blocks(count: int, block: int):
-    pairs = []
-    for b in range(count):
-        src = np.arange(b * block, (b + 1) * block, dtype=np.intp)
-        tgt = np.arange(b * block, (b + 1) * block, dtype=np.intp)
-        pairs.append(NeighborhoodPair((int(src[0]), int(tgt[0])), src, tgt))
-    return pairs
+    sets = [np.arange(b * block, (b + 1) * block, dtype=np.intp) for b in range(count)]
+    return [NeighborhoodPair((int(s[0]), int(s[0])), s, s) for s in sets]
 
 
 def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,
@@ -231,8 +227,9 @@ def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,
     The streaming kernel must stay within 2x of (m+n)*c'^2 + (m+n)*c'
     multiplies and never allocate an n x m (or m x n) buffer; the
     quadratic reference must allocate exactly such a buffer; restricted
-    attention cost must scale with total neighborhood membership.  Raises
-    AssertionError on any violation and returns the raw counts.
+    attention must report a non-zero cost that scales with total
+    neighborhood membership.  Raises AssertionError on any violation and
+    returns the raw counts.
     """
     rng = np.random.default_rng(seed)
     q = rng.normal(size=(n, c_prime)).astype(np.float32)
@@ -260,6 +257,8 @@ def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,
         pairwise_attention(t, _disjoint_blocks(blocks, block))
     with count_ops() as pw2:
         pairwise_attention(t, _disjoint_blocks(2 * blocks, block))
+    if pw1.multiplies <= 0:
+        raise AssertionError("restricted attention reported no multiplies")
     if pw2.multiplies != 2 * pw1.multiplies:
         raise AssertionError("restricted attention cost is not proportional to "
                              "total neighborhood membership")

@@ -30,7 +30,7 @@ from .bench import (
     write_bench_csv,
     write_bench_json,
 )
-from .encoder import NetworkConfig, NetworkWeights, load_weights, save_weights
+from .encoder import NetworkConfig, load_weights, save_weights
 from .geometry import (
     GenNoiseConfig,
     generate_pair,
@@ -219,7 +219,7 @@ def cmd_match(args) -> int:
     kt = _read_input(read_kpds, args.target, "target keypoint")
     weights = _read_input(load_weights, args.weights, "weight")
     if args.skip_pairwise:
-        weights = NetworkWeights(weights.self_layers, weights.cross_layers, [])
+        weights = dataclasses.replace(weights, pair_layers=[])
 
     wq = np.asarray(weights.self_layers[0].wq)
     in_dim, hidden = wq.shape
@@ -229,8 +229,11 @@ def cmd_match(args) -> int:
             raise DataError(f"{side} descriptor dim {d} does not match "
                             f"weight input dim {in_dim}")
 
+    for value in (args.heads, run.sections.get("network", {}).get("heads")):
+        if weights.heads is not None and value not in (None, weights.heads):
+            raise UsageError(f"{value} heads requested, {args.weights} records {weights.heads}")
     net = _section(run, "network", NetworkConfig, input_dim=in_dim,
-                   hidden_dim=hidden, heads=args.heads,
+                   hidden_dim=hidden, heads=weights.heads or args.heads,
                    l1=len(weights.self_layers), l2=len(weights.pair_layers))
     neigh = _section(run, "neighborhood", NeighborhoodConfig, theta=args.theta)
     fcfg = _section(run, "filter", FilterConfig,
@@ -428,7 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     ma.add_argument("source", help="source .kpds file")
     ma.add_argument("target", help="target .kpds file")
     ma.add_argument("--weights", required=True, help="weight .lawt file")
-    ma.add_argument("--heads", type=int, default=None)
+    ma.add_argument("--heads", type=int, default=None,
+                    help="attention heads; must match the count a version 2 "
+                         "weight file records (default: that count, else 8)")
     ma.add_argument("--theta", type=float, default=None,
                     help="distance-ratio acceptance threshold")
     ma.add_argument("--no-filter", action="store_true",

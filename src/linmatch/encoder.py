@@ -3,7 +3,8 @@
 Layer wiring
 ------------
 Each encoder layer projects its query rows and source rows to q/k/v, runs a
-multi-head attention kernel to get a message m, and combines:
+multi-head attention kernel `kernel(triplet, heads)` (all heads in one call)
+to get a message m, and combines:
 
     out = carrier + mlp1(relu(layer_norm(mlp0(concat(carrier, m)))))
 
@@ -16,16 +17,20 @@ layer is exactly the identity on its carrier.
 The full network runs L1 iterations of (self, cross) updates with linear
 attention, captures the raw descriptors f after the last cross layer, builds
 match neighborhoods from f (only when L2 > 0; keypoint coordinates enter the
-computation nowhere else), then runs L2 pairwise-attention iterations.  The
-final rows are L2-normalized to give x.  With L2 = 0, x is exactly the
-row-normalized f.
+computation nowhere else) as one `Membership`, then runs L2 pairwise-attention
+iterations on it.  The final rows are L2-normalized to give x.  With L2 = 0,
+x is exactly the row-normalized f.
 
 Weights are stored in the "LAWT" container: little-endian, magic + version +
-tensor count, then named f32 tensors `layer{i}.{self|cross|pair}.{param}`.
+tensor count, then (version 2) a length-prefixed JSON config record, then
+named f32 tensors `layer{i}.{self|cross|pair}.{param}`.  For weights the
+record holds the head count, so a model cannot run silently with another;
+version 1 files (no record, head count unknown) are still read.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 
@@ -33,13 +38,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .attention import (NeighborhoodPair, ProjectedTriplet, linear_attention,
-                        multi_head, pairwise_attention)
+from .attention import Membership, ProjectedTriplet, linear_attention, pairwise_attention
 from .geometry import KeypointSet, read_exact
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
 _LAWT_MAGIC = b"LAWT"
-_LAWT_VERSION = 1
+_LAWT_VERSION = 2  # version 1 lacks the config record
 
 _PARAM_NAMES = ("wq", "wk", "wv", "mlp0", "mlp1", "ln_g", "ln_b")
 
@@ -95,6 +99,7 @@ class NetworkWeights:
     self_layers: list  # L1 LayerWeights; index 0 is the rectangular reducer
     cross_layers: list  # L1 LayerWeights
     pair_layers: list  # L2 LayerWeights
+    heads: int | None = None  # the head count they were made for; None if unrecorded
 
     def all_params(self):
         """(name, value) pairs in the canonical file order."""
@@ -109,6 +114,8 @@ class NetworkWeights:
         return out
 
     def validate(self, cfg: NetworkConfig):
+        if self.heads is not None and self.heads != cfg.heads:
+            raise ValueError(f"weights are for {self.heads} heads, config has {cfg.heads}")
         if len(self.self_layers) != cfg.l1 or len(self.cross_layers) != cfg.l1:
             raise ValueError(f"expected {cfg.l1} self/cross layers")
         if len(self.pair_layers) != cfg.l2:
@@ -128,30 +135,20 @@ class EncodedPair:
     ft_hat: object  # M x C'
 
 
-def _rows(x) -> int:
-    return (x.data if isinstance(x, Tensor) else np.asarray(x)).shape[0]
-
-
-def _cols(x) -> int:
-    return (x.data if isinstance(x, Tensor) else np.asarray(x)).shape[1]
-
-
 def encoder_layer(x_query, x_source, w: LayerWeights, kernel=linear_attention,
                   heads: int = 1):
     """One residual attention block; see the module docstring for wiring."""
-    xq, xs = as_tensor(x_query), as_tensor(x_source)
-    hidden = _cols(w.wv)
-    square = _cols(xq) == hidden
-    carrier = xq if square else ad.matmul(xq, as_tensor(w.wv))
-    if _rows(xq) == 0:
+    xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
+    (n, width), hidden = xq.data.shape, wv.data.shape[1]
+    carrier = xq if width == hidden else ad.matmul(xq, wv)
+    if n == 0:
         return carrier
-    if _rows(xs) == 0:
-        m = Tensor(np.zeros((_rows(xq), hidden), dtype=carrier.data.dtype))
+    if xs.data.shape[0] == 0:
+        m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
     else:
-        t = ProjectedTriplet(ad.matmul(xq, as_tensor(w.wq)),
-                             ad.matmul(xs, as_tensor(w.wk)),
-                             ad.matmul(xs, as_tensor(w.wv)))
-        m = as_tensor(kernel(t) if heads == 1 else multi_head(kernel, t, heads))
+        t = ProjectedTriplet(ad.matmul(xq, as_tensor(w.wq)), ad.matmul(xs, as_tensor(w.wk)),
+                             ad.matmul(xs, wv))
+        m = as_tensor(kernel(t, heads))
     h = ad.concat_cols(carrier, m)
     h = ad.matmul(h, as_tensor(w.mlp0))
     h = ad.layer_norm(h, as_tensor(w.ln_g), as_tensor(w.ln_b))
@@ -172,32 +169,15 @@ def cross_attention_update(xs, xt, w: LayerWeights, heads: int = 1):
             encoder_layer(xt, xs, w, linear_attention, heads))
 
 
-def _swap_pairs(pairs):
-    return [NeighborhoodPair(seed=(p.seed[1], p.seed[0]),
-                             source_set=p.target_set,
-                             target_set=p.source_set) for p in pairs]
-
-
 def pairwise_layer_update(xs, xt, pairs, w: LayerWeights, heads: int = 1):
     """Neighborhood-restricted update in both directions.
 
-    Rows outside every neighborhood get a zero message and are changed only
-    by the feed-forward path of the layer.
+    `pairs` is a `Membership` or a list of `NeighborhoodPair`.  Rows outside
+    every neighborhood get a zero message and are changed only by the
+    feed-forward path of the layer.
     """
-    swapped = _swap_pairs(pairs)
-
-    def kern_st(t):
-        return pairwise_attention(t, pairs)
-
-    def kern_ts(t):
-        return pairwise_attention(t, swapped)
-
-    return (encoder_layer(xs, xt, w, kern_st, heads),
-            encoder_layer(xt, xs, w, kern_ts, heads))
-
-
-def _is_tensor_weights(weights: NetworkWeights) -> bool:
-    return isinstance(weights.self_layers[0].wq, Tensor)
+    return (encoder_layer(xs, xt, w, lambda t, h: pairwise_attention(t, pairs, h), heads),
+            encoder_layer(xt, xs, w, lambda t, h: pairwise_attention(t, pairs, h, True), heads))
 
 
 def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
@@ -211,8 +191,7 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
     if xs.descriptors.shape[1] != cfg.input_dim or xt.descriptors.shape[1] != cfg.input_dim:
         raise ValueError(f"descriptor dim must be {cfg.input_dim}")
     weights.validate(cfg)
-    tensor_mode = _is_tensor_weights(weights)
-    if tensor_mode:
+    if isinstance(weights.self_layers[0].wq, Tensor):
         return _forward_impl(xs, xt, weights, cfg, neigh_cfg)
     with ad.no_grad():
         enc = _forward_impl(xs, xt, weights, cfg, neigh_cfg)
@@ -233,18 +212,11 @@ def _forward_impl(xs, xt, weights, cfg, neigh_cfg):
             (xs.width, xs.height), (xt.width, xt.height))
         m = ratio_match(fs.data, ft.data, ncfg.theta)
         seeds = select_seeds(m, xs.keypoints, ncfg.r)
-        pairs = build_neighborhoods(seeds, m, xs.keypoints, xt.keypoints, ncfg)
+        pairs = Membership(build_neighborhoods(seeds, m, xs.keypoints, xt.keypoints, ncfg))
         for i in range(cfg.l2):
             a, b = pairwise_layer_update(a, b, pairs, weights.pair_layers[i], cfg.heads)
-    xs_hat = _safe_normalize(a)
-    xt_hat = _safe_normalize(b)
+    xs_hat, xt_hat = (ad.row_l2_normalize(x) if x.data.shape[0] else x for x in (a, b))
     return EncodedPair(xs_hat, xt_hat, fs, ft)
-
-
-def _safe_normalize(x):
-    if _rows(x) == 0:
-        return x
-    return ad.row_l2_normalize(x)
 
 
 def _xavier(rng, fan_in, fan_out, dtype):
@@ -273,14 +245,16 @@ def init_weights(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkWeig
         selfs.append(make_layer(cfg.input_dim if i == 0 else c))
         crosses.append(make_layer(c))
     pairs = [make_layer(c) for _ in range(cfg.l2)]
-    return NetworkWeights(selfs, crosses, pairs)
+    return NetworkWeights(selfs, crosses, pairs, cfg.heads)
 
 
-def write_tensor_table(path, entries) -> None:
-    """Serialize named f32 tensors in the LAWT container layout."""
+def write_tensor_table(path, entries, config=None) -> None:
+    """Serialize named f32 tensors, and the `config` dict, in the LAWT layout."""
+    record = json.dumps(config or {}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_LAWT_MAGIC)
-        f.write(struct.pack("<II", _LAWT_VERSION, len(entries)))
+        f.write(struct.pack("<IIH", _LAWT_VERSION, len(entries), len(record)))
+        f.write(record)
         for name, value in entries:
             data = value.data if isinstance(value, Tensor) else np.asarray(value)
             data = np.ascontiguousarray(data, dtype="<f4")
@@ -292,15 +266,21 @@ def write_tensor_table(path, entries) -> None:
             f.write(data.tobytes())
 
 
-def read_tensor_table(path) -> dict:
-    """Read a LAWT container back into an ordered name -> array mapping."""
+def read_tensor_table(path):
+    """Read a LAWT container back into (ordered name -> array mapping, config)."""
     tensors = {}
     with open(path, "rb") as f:
         if read_exact(f, 4, "magic") != _LAWT_MAGIC:
             raise ValueError("bad magic: not a weight file")
         version, count = struct.unpack("<II", read_exact(f, 8, "header"))
-        if version != _LAWT_VERSION:
+        if version not in (1, _LAWT_VERSION):
             raise ValueError(f"unsupported version {version}")
+        config = {}
+        if version >= 2:
+            (size,) = struct.unpack("<H", read_exact(f, 2, "config length"))
+            config = json.loads(read_exact(f, size, "config record").decode("utf-8"))
+            if not isinstance(config, dict):
+                raise ValueError("config record is not a JSON object")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length"))
             name = read_exact(f, name_len, "tensor name").decode("utf-8")
@@ -311,16 +291,23 @@ def read_tensor_table(path) -> dict:
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing bytes after last tensor")
-    return tensors
+    return tensors, config
 
 
 def save_weights(path, weights: NetworkWeights) -> None:
-    write_tensor_table(path, weights.all_params())
+    config = {} if weights.heads is None else {"heads": weights.heads}
+    write_tensor_table(path, weights.all_params(), config)
 
 
 def load_weights(path) -> NetworkWeights:
     """Read a LAWT file back into a layer structure, validating completeness."""
-    return _assemble(read_tensor_table(path))
+    tensors, config = read_tensor_table(path)
+    weights = _assemble(tensors)
+    weights.heads, hidden = config.get("heads"), weights.self_layers[0].wq.shape[1]
+    if weights.heads is not None and (type(weights.heads) is not int or weights.heads < 1
+                                      or hidden % weights.heads):
+        raise ValueError(f"config record: bad head count {weights.heads!r} for width {hidden}")
+    return weights
 
 
 def _assemble(tensors) -> NetworkWeights:
@@ -350,6 +337,8 @@ def _assemble(tensors) -> NetworkWeights:
     self_idx = sorted(i for (i, kind) in layers if kind == "self")
     pair_idx = sorted(i for (i, kind) in layers if kind == "pair")
     l1 = len(self_idx)
+    if l1 == 0:
+        raise ValueError("no self/cross layers in the weight file")
     if self_idx != list(range(l1)):
         raise ValueError("self layer indices are not contiguous from zero")
     if pair_idx and pair_idx != list(range(l1, l1 + len(pair_idx))):

@@ -257,7 +257,7 @@ def save_optimizer_state(path, state: AdamState) -> None:
 
 
 def load_optimizer_state(path, weights: NetworkWeights) -> AdamState:
-    table = read_tensor_table(path)
+    table, _ = read_tensor_table(path)
     state = AdamState(weights)
     for name in state.m:
         if f"{name}.m" not in table or f"{name}.v" not in table:

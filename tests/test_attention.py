@@ -5,10 +5,10 @@ import pytest
 
 from linmatch import autodiff as ad
 from linmatch.attention import (
+    Membership,
     NeighborhoodPair,
     ProjectedTriplet,
     linear_attention,
-    multi_head,
     pairwise_attention,
     softmax_attention_reference,
 )
@@ -240,6 +240,30 @@ class TestPairwiseAttention:
         with pytest.raises(ValueError):
             pairwise_attention(t, [bad])
 
+    def test_duplicate_indices_rejected(self):
+        # a repeated row is added once forward but would be counted twice backward
+        with pytest.raises(ValueError, match="repeat"):
+            NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))
+        with pytest.raises(ValueError, match="repeat"):
+            NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))
+
+    def test_fused_op_allocations_stay_linear(self):
+        """Nothing above a constant times (N + M + membership) C': no N x M table,
+        no d x d product per member."""
+        n, m, c, heads = 64, 64, 16, 2
+        rng = np.random.default_rng(25)
+        t = random_triplet(rng, n, m, c)
+        pairs = [NeighborhoodPair((s, s + 1), np.arange(s, s + 10), np.arange(s + 1, s + 11))
+                 for s in range(0, 48, 4)]
+        members = sum(len(p.source_set) + len(p.target_set) for p in pairs)
+        with ad.count_ops() as counter:
+            pairwise_attention(t, pairs, heads)
+        assert counter.multiplies > 0
+        assert not counter.has_allocation((n, m))
+        per_member_outer = len(pairs) * 10 * c * (c // heads)
+        bound = 2 * (n + m + members) * c
+        assert counter.max_allocation() <= bound < per_member_outer
+
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
             NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))
@@ -247,48 +271,133 @@ class TestPairwiseAttention:
             NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))
 
 
+def per_head(kernel, t, heads):
+    """Multi-head reference: run `kernel` on each head's columns alone, concatenate."""
+    d = t.q.shape[1] // heads
+    cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
+    return np.concatenate([kernel(ProjectedTriplet(t.q[:, c], t.k[:, c], t.v[:, c]))
+                           for c in cols], axis=1)
+
+
+def scattered_blocks(t, pairs):
+    """Restricted-attention reference: the double-loop oracle per pair, summed."""
+    out = np.zeros(t.q.shape)
+    for p in pairs:
+        out[p.source_set] += naive_linear_attention(t.q[p.source_set], t.k[p.target_set],
+                                                    t.v[p.target_set])
+    return out
+
+
+def overlapping_pairs():
+    """Neighborhoods of one to five members sharing rows on both sides."""
+    sets = [([0, 1, 2], [0, 1]), ([2, 3], [1, 2, 3]), ([1, 2, 4, 5, 6], [3, 4, 5, 6, 7]),
+            ([7], [0]), ([6, 8], [8, 9])]
+    return [NeighborhoodPair((s[0], t[0]), np.array(s), np.array(t)) for s, t in sets]
+
+
 class TestMultiHead:
+    """Heads batched inside one kernel call equal a loop over column groups."""
+
     def test_single_head_is_identity_wrapper(self):
         rng = np.random.default_rng(30)
         t = random_triplet(rng, 6, 7, 8)
-        np.testing.assert_allclose(multi_head(linear_attention, t, 1),
-                                   linear_attention(t), rtol=1e-14)
+        np.testing.assert_array_equal(linear_attention(t, 1), linear_attention(t))
+        np.testing.assert_allclose(linear_attention(t, 1), naive_linear_attention(t.q, t.k, t.v),
+                                   rtol=1e-12)
 
     def test_matches_manual_slicing(self):
         rng = np.random.default_rng(31)
-        t = random_triplet(rng, 8, 8, 8)
-        out = multi_head(linear_attention, t, 4)
-        parts = []
-        for h in range(4):
-            j0, j1 = 2 * h, 2 * h + 2
-            sub = ProjectedTriplet(t.q[:, j0:j1], t.k[:, j0:j1], t.v[:, j0:j1])
-            parts.append(linear_attention(sub))
-        np.testing.assert_allclose(out, np.concatenate(parts, axis=1), rtol=1e-12)
+        t = random_triplet(rng, 8, 9, 8)
+        for heads in (2, 4):
+            np.testing.assert_allclose(linear_attention(t, heads),
+                                       per_head(lambda s: naive_linear_attention(s.q, s.k, s.v),
+                                                t, heads), rtol=1e-12)
 
     def test_scalar_heads_preserve_column_order(self):
         rng = np.random.default_rng(32)
         t = random_triplet(rng, 5, 5, 4)
-        out = multi_head(linear_attention, t, 4)
+        out = linear_attention(t, 4)
         for col in range(4):
             sub = ProjectedTriplet(t.q[:, col:col + 1], t.k[:, col:col + 1], t.v[:, col:col + 1])
             np.testing.assert_allclose(out[:, col:col + 1], linear_attention(sub), rtol=1e-12)
 
-    def test_softmax_kernel_pluggable(self):
+    def test_pairwise_matches_manual_slicing(self):
         rng = np.random.default_rng(33)
-        t = random_triplet(rng, 6, 6, 8)
-        out = multi_head(softmax_attention_reference, t, 2)
-        parts = []
-        for h in range(2):
-            j0, j1 = 4 * h, 4 * h + 4
-            sub = ProjectedTriplet(t.q[:, j0:j1], t.k[:, j0:j1], t.v[:, j0:j1])
-            parts.append(softmax_attention_reference(sub))
-        np.testing.assert_allclose(out, np.concatenate(parts, axis=1), rtol=1e-12)
+        t = random_triplet(rng, 9, 10, 6)
+        pairs = overlapping_pairs()
+        for heads in (1, 2, 3, 6):
+            expect = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
+            np.testing.assert_allclose(pairwise_attention(t, pairs, heads), expect,
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_reverse_swaps_the_sides(self):
+        rng = np.random.default_rng(35)
+        t = random_triplet(rng, 10, 9, 4)
+        pairs = overlapping_pairs()
+        swapped = [NeighborhoodPair(p.seed[::-1], p.target_set, p.source_set) for p in pairs]
+        np.testing.assert_allclose(pairwise_attention(t, Membership(pairs), 2, reverse=True),
+                                   per_head(lambda s: scattered_blocks(s, swapped), t, 2),
+                                   rtol=1e-12, atol=1e-14)
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(36)
+        t = random_triplet(rng, 9, 10, 8, dtype=np.float32)
+        out = pairwise_attention(t, overlapping_pairs(), 4)
+        assert out.dtype == np.float32
+        t64 = ProjectedTriplet(*(x.astype(np.float64) for x in (t.q, t.k, t.v)))
+        np.testing.assert_allclose(out, pairwise_attention(t64, overlapping_pairs(), 4),
+                                   rtol=1e-5, atol=1e-6)
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(34)
         t = random_triplet(rng, 4, 4, 6)
         with pytest.raises(ValueError):
-            multi_head(linear_attention, t, 4)
+            linear_attention(t, 4)
+        with pytest.raises(ValueError):
+            pairwise_attention(t, [NeighborhoodPair((0, 0), [0], [0])], 4)
+
+
+def finite_difference_check(kernel, q, k, v, eps=1e-6):
+    """Analytic q/k/v gradients of sum(w * kernel) against central differences."""
+    w = np.random.default_rng(9).standard_normal(q.shape)
+    tq, tk, tv = (ad.Tensor(x.copy(), requires_grad=True) for x in (q, k, v))
+    ad.tsum(ad.mul(kernel(ProjectedTriplet(tq, tk, tv)), ad.Tensor(w))).backward()
+    for tensor in (tq, tk, tv):
+        arr = tensor.data
+        numeric = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            hi = (kernel(ProjectedTriplet(tq.data, tk.data, tv.data)) * w).sum()
+            arr[idx] = orig - eps
+            lo = (kernel(ProjectedTriplet(tq.data, tk.data, tv.data)) * w).sum()
+            arr[idx] = orig
+            numeric[idx] = (hi - lo) / (2 * eps)
+        np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+class TestFusedGradients:
+    def test_pairwise_overlapping_pairs_two_heads(self):
+        rng = np.random.default_rng(40)
+        t = random_triplet(rng, 9, 10, 4)
+        pairs = Membership(overlapping_pairs())
+        for reverse in (False, True):
+            q = t.k if reverse else t.q
+            k = t.q if reverse else t.k
+            v = rng.standard_normal(k.shape)
+            finite_difference_check(lambda s: pairwise_attention(s, pairs, 2, reverse), q, k, v)
+
+    def test_linear_two_heads(self):
+        rng = np.random.default_rng(41)
+        t = random_triplet(rng, 5, 6, 4)
+        finite_difference_check(lambda s: linear_attention(s, 2), t.q, t.k, t.v)
+
+    def test_rows_outside_every_set_get_zero_gradient(self):
+        rng = np.random.default_rng(42)
+        t = random_triplet(rng, 12, 11, 4)
+        q, k, v = (ad.Tensor(x, requires_grad=True) for x in (t.q, t.k, t.v))
+        ad.tsum(pairwise_attention(ProjectedTriplet(q, k, v), overlapping_pairs(), 2)).backward()
+        assert (q.grad[9:] == 0).all() and (k.grad[10:] == 0).all() and (v.grad[10:] == 0).all()
 
 
 class TestTripletValidation:

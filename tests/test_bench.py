@@ -102,8 +102,18 @@ def test_op_counter_audit_counts_and_bounds():
     assert counts["linear_bound"] == 2 * (512 * 256 + 512 * 16)
     assert 0 < counts["linear_multiplies"] <= counts["linear_bound"]
     assert counts["softmax_multiplies"] > counts["linear_multiplies"]
+    assert counts["pairwise_multiplies"] > 0
     assert counts["pairwise_multiplies_doubled"] == 2 * counts["pairwise_multiplies"]
     assert counts["linear_max_allocation"] < 256 * 256
+
+
+def test_op_counter_audit_rejects_an_uncounted_kernel(monkeypatch):
+    # a fused kernel that reports nothing would pass the doubling check as 0 == 0
+    import linmatch.autodiff as ad
+
+    monkeypatch.setattr(ad, "note_mul", lambda size: None)
+    with pytest.raises(AssertionError, match="no multiplies"):
+        op_counter_audit()
 
 
 def test_op_counter_audit_rectangular():

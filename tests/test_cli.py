@@ -341,3 +341,59 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "synth" in proc.stdout and "gradcheck" in proc.stdout
+
+
+def write_v1_weights(path, weights):
+    """The version 1 layout: header, then tensors, no config record."""
+    save_weights(path, weights)
+    raw = path.read_bytes()
+    record_len = int.from_bytes(raw[12:14], "little")
+    path.write_bytes(b"LAWT" + (1).to_bytes(4, "little") + raw[8:12] + raw[14 + record_len:])
+
+
+def test_train_toy_then_match_uses_recorded_heads(tmp_path):
+    train = tmp_path / "train"
+    assert run_cli(["train-toy", *TRAIN_ARGS[:-2], "--l2", 1, "--steps", 2, "-o", train]) == 0
+    weights = train / "weights.lawt"
+    assert load_weights(weights).heads == 2
+    data = tmp_path / "data"
+    assert run_cli(["synth", *SYNTH_ARGS, "--desc-sigma", 0.3, "--distractors", 8,
+                    "-o", data]) == 0
+    # unfiltered, so the 40-point scene keeps candidates whose scores show the head count
+    pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds", "--no-filter"]
+    outputs = {}
+    for name, extra in (("recorded", []), ("explicit", ["--heads", 2])):
+        assert run_cli(["match", *pair, "--weights", weights, *extra, "-o", tmp_path / name]) == 0
+        outputs[name] = (tmp_path / name / "matches.csv").read_bytes()
+    assert outputs["recorded"] == outputs["explicit"]
+    # the same weights run under another head count give another result
+    v1 = tmp_path / "v1.lawt"
+    write_v1_weights(v1, load_weights(weights))
+    assert load_weights(v1).heads is None
+    assert run_cli(["match", *pair, "--weights", v1, "--heads", 8, "-o", tmp_path / "v1"]) == 0
+    assert (tmp_path / "v1" / "matches.csv").read_bytes() != outputs["recorded"]
+
+
+def test_match_heads_conflicting_with_weight_file_exit_2(tmp_path, capsys):
+    data = synth_dataset(tmp_path / "data")
+    weights = small_weights_file(tmp_path / "w.lawt")  # records 2 heads
+    pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds"]
+    assert run_cli(["match", *pair, "--weights", weights, "--heads", 4, "-o", tmp_path / "a"]) == 2
+    assert "records 2" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"heads": 8}}))
+    assert run_cli(["match", *pair, "--weights", weights, "--config", cfg,
+                    "-o", tmp_path / "b"]) == 2
+    assert not (tmp_path / "a" / "matches.csv").exists()
+
+
+def test_bad_weight_config_record_exit_3(tmp_path):
+    data = synth_dataset(tmp_path / "data")
+    pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds"]
+    good = small_weights_file(tmp_path / "w.lawt").read_bytes()
+    record_len = int.from_bytes(good[12:14], "little")
+    for record in (b'{"heads": 3}', b'{"heads": "2"}', b'[2]', b'{nope', b'\xff\xfe'):
+        bad = tmp_path / "bad.lawt"
+        bad.write_bytes(good[:12] + len(record).to_bytes(2, "little") + record
+                        + good[14 + record_len:])
+        assert run_cli(["match", *pair, "--weights", bad, "-o", tmp_path / "o"]) == 3, record

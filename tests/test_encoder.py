@@ -17,6 +17,7 @@ from linmatch.encoder import (
     pairwise_layer_update,
     save_weights,
     self_attention_update,
+    write_tensor_table,
 )
 from linmatch.geometry import GenNoiseConfig, KeypointSet, generate_pair
 from linmatch.neighborhood import (
@@ -392,3 +393,30 @@ class TestWeightFiles:
         w.self_layers[0].wq = np.zeros((3, 3), dtype=np.float32)
         with pytest.raises(ValueError, match="wq"):
             w.validate(cfg)
+
+
+def test_weights_record_their_head_count(tmp_path):
+    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=2, l1=1, l2=1)
+    w = init_weights(cfg, seed=0)
+    assert w.heads == 2
+    p = tmp_path / "w.lawt"
+    save_weights(p, w)
+    assert load_weights(p).heads == 2
+    ks, kt, _, _ = tiny_scene()
+    with pytest.raises(ValueError, match="heads"):
+        forward(ks, kt, w, NetworkConfig(input_dim=8, hidden_dim=4, heads=4, l1=1, l2=1))
+    write_tensor_table(p, [], {"heads": 2})
+    with pytest.raises(ValueError, match="no self/cross layers"):
+        load_weights(p)
+
+
+def test_weight_file_cut_anywhere_is_a_value_error(tmp_path):
+    cfg = NetworkConfig(input_dim=2, hidden_dim=2, heads=2, l1=1, l2=0)
+    p = tmp_path / "w.lawt"
+    save_weights(p, init_weights(cfg, seed=0))
+    whole = p.read_bytes()
+    cut = tmp_path / "cut.lawt"
+    for end in range(len(whole)):
+        cut.write_bytes(whole[:end])
+        with pytest.raises(ValueError):
+            load_weights(cut)
