@@ -90,6 +90,12 @@ class Segments:
         self.count, starts = len(sets), np.cumsum(sizes) - sizes
         self.groups = [(segs, starts[segs][:, None] + np.arange(size))
                        for size in np.unique(sizes) for segs in [np.flatnonzero(sizes == size)]]
+        # level L holds each row's (L+1)-th member, so a level repeats no row and
+        # adding level by level sums in member order, exactly as np.add.at does
+        order = np.argsort(self.rows, kind="stable")
+        rank = np.arange(order.size) - np.searchsorted(self.rows[order], self.rows[order])
+        self.levels = [(self.rows[lv], lv) for r in range(rank.max(initial=-1) + 1)
+                       for lv in [order[rank == r]]]
 
     def gather(self, x):
         return x if self.rows is None else x[self.rows]
@@ -99,7 +105,8 @@ class Segments:
         if self.rows is None:
             return x
         out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
-        np.add.at(out, self.rows, x)
+        for rows, members in self.levels:
+            out[rows] += x[members]
         return out
 
     def seg_outer(self, a, b):

@@ -52,12 +52,6 @@ class OpCounter:
         self.multiplies = 0
         self.allocations = []  # list of shape tuples
 
-    def note_matmul(self, n, k, m):
-        self.multiplies += n * k * m
-
-    def note_elementwise_mul(self, size):
-        self.multiplies += size
-
     def note_alloc(self, shape):
         self.allocations.append(tuple(shape))
 
@@ -95,7 +89,7 @@ def note_mul(size):
     """Record `size` multiplies with the active counter, if any."""
     c = _counter()
     if c is not None:
-        c.note_elementwise_mul(size)
+        c.multiplies += size
 
 
 class Tensor:
@@ -240,12 +234,7 @@ def neg(a):
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
-    c = _counter()
-    if c is not None:
-        n = a.data.shape[0] if a.data.ndim == 2 else 1
-        k = a.data.shape[-1]
-        m = b.data.shape[1] if b.data.ndim == 2 else 1
-        c.note_matmul(n, k, m)
+    note_mul(a.data.size * (b.data.shape[1] if b.data.ndim == 2 else 1))  # n * k * m
 
     def backward(g):
         if a.requires_grad:

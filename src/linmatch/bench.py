@@ -9,8 +9,8 @@ while the quadratic reference visibly does.
 Medians are taken over >= 3 repetitions after 2 discarded warm-up runs.
 When a median falls under the 1 ms timer floor the problem size doubles
 until it does not (with a warning), keeping per-method sizes strictly
-increasing so the fit stays well-posed.  Everything runs single-threaded
-by default so slopes reflect algorithmic cost, not parallelism.
+increasing so the fit stays well-posed.  BLAS threads are not pinned here: for
+slopes of algorithmic cost, pin them before NumPy loads (as tests/conftest.py does).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
                    filter_cfg=None, min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
     """Time encode + match + filter end-to-end on synthetic scenes.
 
-    Single-threaded, so the slope reflects algorithmic cost.  Also records
+    With BLAS threads pinned, the slope reflects algorithmic cost.  Also records
     the largest neighborhood encountered at each size (the `n_max` note) so
     the restricted-attention cost term stays observable.
     """

@@ -107,7 +107,7 @@ def _load_file_sections(path) -> dict:
         raise UsageError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # not JSON, or not UTF-8 text
         raise UsageError(f"config file is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object of sections")
@@ -290,8 +290,7 @@ def cmd_bench(args) -> int:
             print(f"audit failed: {e}", file=sys.stderr)
             return EXIT_FAILED_CHECK
         with open(out / "audit.json", "w") as f:
-            json.dump({k: list(v) if isinstance(v, tuple) else v
-                       for k, v in counts.items()}, f, indent=2, sort_keys=True)
+            json.dump(counts, f, indent=2, sort_keys=True)  # tuples are written as lists
             f.write("\n")
         print(f"audit ok: {counts['linear_multiplies']} multiplies "
               f"(bound {counts['linear_bound']}) -> {out / 'audit.json'}")

@@ -31,6 +31,7 @@ version 1 files (no record, head count unknown) are still read.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -103,15 +104,10 @@ class NetworkWeights:
 
     def all_params(self):
         """(name, value) pairs in the canonical file order."""
-        out = []
-        for i, w in enumerate(self.self_layers):
-            out += [(f"layer{i}.self.{n}", v) for n, v in w.params()]
-        for i, w in enumerate(self.cross_layers):
-            out += [(f"layer{i}.cross.{n}", v) for n, v in w.params()]
-        base = len(self.self_layers)
-        for i, w in enumerate(self.pair_layers):
-            out += [(f"layer{base + i}.pair.{n}", v) for n, v in w.params()]
-        return out
+        layers = [(i, "self", w) for i, w in enumerate(self.self_layers)]
+        layers += [(i, "cross", w) for i, w in enumerate(self.cross_layers)]
+        layers += [(len(self.self_layers) + i, "pair", w) for i, w in enumerate(self.pair_layers)]
+        return [(f"layer{i}.{kind}.{n}", v) for i, kind, w in layers for n, v in w.params()]
 
     def validate(self, cfg: NetworkConfig):
         if self.heads is not None and self.heads != cfg.heads:
@@ -286,8 +282,7 @@ def read_tensor_table(path):
             name = read_exact(f, name_len, "tensor name").decode("utf-8")
             (ndim,) = struct.unpack("<B", read_exact(f, 1, f"{name} ndim"))
             shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, f"{name} dims"))
-            n_bytes = int(np.prod(shape)) * 4 if ndim else 4
-            raw = read_exact(f, n_bytes, f"{name} data")
+            raw = read_exact(f, math.prod(shape) * 4, f"{name} data")  # Python ints: no wrap
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing bytes after last tensor")
@@ -300,13 +295,15 @@ def save_weights(path, weights: NetworkWeights) -> None:
 
 
 def load_weights(path) -> NetworkWeights:
-    """Read a LAWT file back into a layer structure, validating completeness."""
+    """Read a LAWT file into a layer structure, checking every shape and value."""
     tensors, config = read_tensor_table(path)
     weights = _assemble(tensors)
-    weights.heads, hidden = config.get("heads"), weights.self_layers[0].wq.shape[1]
+    weights.heads, (in_dim, hidden) = config.get("heads"), np.shape(weights.self_layers[0].wq)
     if weights.heads is not None and (type(weights.heads) is not int or weights.heads < 1
                                       or hidden % weights.heads):
         raise ValueError(f"config record: bad head count {weights.heads!r} for width {hidden}")
+    weights.validate(NetworkConfig(in_dim, hidden, weights.heads or 1, len(weights.self_layers),
+                                   len(weights.pair_layers)))
     return weights
 
 

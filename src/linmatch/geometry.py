@@ -14,6 +14,7 @@ regardless of image size).  Everything else is unmatchable.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -238,10 +239,11 @@ def write_kpds(path, ks: KeypointSet) -> None:
 
 
 def read_exact(f, count, what):
-    buf = f.read(count)
-    if len(buf) != count:
-        raise ValueError(f"truncated file while reading {what}")
-    return buf
+    """Read `count` bytes; a count past the end of the file is refused unread."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise ValueError(f"truncated file: {what} needs {count} bytes, {left} left")
+    return f.read(count)
 
 
 def read_kpds(path) -> KeypointSet:

@@ -67,7 +67,6 @@ class FilterConfig:
     inlier_threshold_factor: float = 0.15  # fraction of R_t
     min_inliers: int = 6
     rng_seed: int = 0
-    keep_subminimal: bool = False  # pass neighborhoods of < 3 through unverified
 
     def __post_init__(self):
         if self.ransac_iterations < 1:
@@ -122,9 +121,7 @@ def _sample_triples(rng, k, count):
 def _verify_neighborhood(pair, cand_pos, src_pts, tgt_pts, fcfg, threshold):
     """One independent RANSAC; returns the surviving match positions."""
     k = len(cand_pos)
-    if k < 3:
-        if fcfg.keep_subminimal and k >= fcfg.min_inliers:
-            return cand_pos
+    if k < 3:  # fewer than min_inliers >= 3 candidates can never pass
         return cand_pos[:0]
     rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
     samples = _sample_triples(rng, k, fcfg.ransac_iterations)

@@ -8,6 +8,7 @@ from linmatch.attention import (
     Membership,
     NeighborhoodPair,
     ProjectedTriplet,
+    Segments,
     linear_attention,
     pairwise_attention,
     softmax_attention_reference,
@@ -398,6 +399,63 @@ class TestFusedGradients:
         q, k, v = (ad.Tensor(x, requires_grad=True) for x in (t.q, t.k, t.v))
         ad.tsum(pairwise_attention(ProjectedTriplet(q, k, v), overlapping_pairs(), 2)).backward()
         assert (q.grad[9:] == 0).all() and (k.grad[10:] == 0).all() and (v.grad[10:] == 0).all()
+
+
+def add_at_scatter(self, x, n):
+    """The np.add.at scatter that `Segments.scatter` must equal bit for bit."""
+    if self.rows is None:
+        return x
+    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    np.add.at(out, self.rows, x)
+    return out
+
+
+def hub_pairs(rng, n, m, count):
+    """Neighborhoods that all hold source row 0 and target row 0, plus random others."""
+    pairs = []
+    for _ in range(count):
+        src = np.unique(np.r_[0, rng.choice(n, rng.integers(1, 6))])
+        tgt = np.unique(np.r_[0, rng.choice(m, rng.integers(1, 6))])
+        pairs.append(NeighborhoodPair((0, 0), src, tgt))
+    return pairs
+
+
+class TestLevelScatter:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_add_at(self, dtype):
+        rng = np.random.default_rng(50)
+        members = Membership(hub_pairs(rng, 30, 25, 40))
+        for side, n in ((members.source, 30), (members.target, 25)):
+            assert np.bincount(side.rows).max() == 40  # row 0 is in every segment
+            x = (rng.standard_normal((side.rows.size, 2, 3)) * 1e3).astype(dtype)
+            assert np.array_equal(side.scatter(x, n), add_at_scatter(side, x, n))
+            assert side.scatter(x, n).dtype == dtype
+
+    def test_empty_membership(self):
+        side = Segments([])
+        assert np.array_equal(side.scatter(np.zeros((0, 2, 3)), 4), np.zeros((4, 2, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_forward_and_every_gradient_equal_add_at(self, monkeypatch, dtype, reverse):
+        rng = np.random.default_rng(51)
+        t = random_triplet(rng, 30, 25, 6, dtype)
+        if reverse:
+            t = ProjectedTriplet(t.k, t.q, rng.standard_normal(t.q.shape).astype(dtype))
+        members = Membership(hub_pairs(rng, 30, 25, 40))
+        g = rng.standard_normal(t.q.shape).astype(dtype)
+
+        def run():
+            q, k, v = (ad.Tensor(x, requires_grad=True) for x in (t.q, t.k, t.v))
+            out = pairwise_attention(ProjectedTriplet(q, k, v), members, 2, reverse)
+            ad.tsum(ad.mul(out, ad.Tensor(g))).backward()
+            return out.data, q.grad, k.grad, v.grad
+
+        levels = run()
+        monkeypatch.setattr(Segments, "scatter", add_at_scatter)
+        for got, want in zip(levels, run()):
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
 
 class TestTripletValidation:

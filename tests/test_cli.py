@@ -275,13 +275,15 @@ def test_config_file_validation(tmp_path):
     assert run_cli(["synth", *SYNTH_ARGS, "--config", bad_key,
                     "-o", tmp_path / "o2"]) == 2
     dropped_key = tmp_path / "d.json"  # once accepted, then ignored
-    dropped_key.write_text(json.dumps({"bench": {"px_per_keypoint": 50}}))
-    assert run_cli(["synth", *SYNTH_ARGS, "--config", dropped_key,
-                    "-o", tmp_path / "o5"]) == 2
+    for body in ({"bench": {"px_per_keypoint": 50}}, {"filter": {"keep_subminimal": True}}):
+        dropped_key.write_text(json.dumps(body))
+        assert run_cli(["synth", *SYNTH_ARGS, "--config", dropped_key,
+                        "-o", tmp_path / "o5"]) == 2
     not_json = tmp_path / "c.json"
-    not_json.write_text("{nope")
-    assert run_cli(["synth", *SYNTH_ARGS, "--config", not_json,
-                    "-o", tmp_path / "o3"]) == 2
+    for raw in (b"{nope", b"\xff\xfe{}"):  # the second is not UTF-8 text
+        not_json.write_bytes(raw)
+        assert run_cli(["synth", *SYNTH_ARGS, "--config", not_json,
+                        "-o", tmp_path / "o3"]) == 2
     assert run_cli(["synth", *SYNTH_ARGS, "--config", tmp_path / "ghost.json",
                     "-o", tmp_path / "o4"]) == 2
 

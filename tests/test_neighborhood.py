@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linmatch import neighborhood
 from linmatch.neighborhood import (
     NeighborhoodConfig,
     RatioMatchSet,
@@ -32,6 +33,61 @@ def brute_force_ratio_match(a, b, theta):
             continue
         out.append(((i, j), np.inf if d1 == 0 else d2 / d1))
     return out
+
+
+def _chunked_nearest(a, b, second, chunk_entries):
+    """Nearest (and optionally second-nearest) rows of b for each row of a.
+
+    The matcher's former two-pass kernel, kept as the reference for the single
+    pass: each direction builds its own chunked distance table.
+    """
+    n, m = a.shape[0], b.shape[0]
+    aa = (a * a).sum(axis=1)
+    bb = (b * b).sum(axis=1)
+    j1 = np.empty(n, dtype=np.intp)
+    j2 = np.empty(n, dtype=np.intp) if second and m >= 2 else None
+    chunk = max(1, chunk_entries // max(m, 1))
+    for s in range(0, n, chunk):
+        e = min(n, s + chunk)
+        block = aa[s:e, None] + bb[None, :] - 2.0 * (a[s:e] @ b.T)
+        idx1 = block.argmin(axis=1)
+        j1[s:e] = idx1
+        if j2 is not None:
+            block[np.arange(e - s), idx1] = np.inf
+            j2[s:e] = block.argmin(axis=1)
+    d1 = np.linalg.norm(a - b[j1], axis=1)
+    if not second:
+        return j1, d1
+    if j2 is None:
+        return j1, d1, None, np.full(n, np.inf)
+    d2 = np.linalg.norm(a - b[j2], axis=1)
+    flip = d2 < d1
+    if flip.any():
+        j1[flip], j2[flip] = j2[flip], j1[flip]
+        d1[flip], d2[flip] = d2[flip], d1[flip]
+    return j1, d1, j2, d2
+
+
+def two_pass_ratio_match(a, b, theta, chunk_entries):
+    """`ratio_match` as it was with one distance table per direction."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    nn_st, d1, _, d2 = _chunked_nearest(a, b, True, chunk_entries)
+    nn_ts, _ = _chunked_nearest(b, a, False, chunk_entries)
+    src = np.flatnonzero((nn_ts[nn_st] == np.arange(a.shape[0])) & ~(d1 > theta * d2))
+    d1, d2 = d1[src], d2[src]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.where(d1 == 0, np.inf, d2 / d1)
+    return np.column_stack([src, nn_st[src]]).astype(np.intp), scores
+
+
+def assert_same_as_two_pass(a, b, monkeypatch, chunk_entries):
+    monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", chunk_entries)
+    for theta in (0.6, 0.9, 1.0):
+        m = ratio_match(a, b, theta)
+        want, scores = two_pass_ratio_match(a, b, theta, chunk_entries)
+        assert np.array_equal(m.matches, want.reshape(-1, 2))
+        assert np.array_equal(m.ratio_score, scores)
 
 
 def pairs_of(m):
@@ -119,13 +175,65 @@ class TestRatioMatch:
         assert len(ratio_match(a, b, theta=0.5)) == 0
         assert len(ratio_match(a, b, theta=1.0)) == 1
 
-    def test_chunked_path_matches_small_path(self):
+    def test_chunked_path_matches_small_path(self, monkeypatch):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((300, 16))
         b = rng.standard_normal((310, 16))
+        entries = 97 * 310  # 97-row chunks: three full ones and a ragged 9-row one
+        monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", entries)
         m = ratio_match(a, b, 1.0)
         oracle = brute_force_ratio_match(a, b, 1.0)
         assert pairs_of(m) == [pair for pair, _ in oracle]
+        assert_same_as_two_pass(a, b, monkeypatch, entries)
+
+
+def _dyadic(rng, shape):
+    """Small multiples of 1/4: every distance is exact in f64, so ties are exact."""
+    return rng.integers(-8, 9, shape) / 4.0
+
+
+def _cases():
+    rng = np.random.default_rng(7)
+    yield "random", rng.standard_normal((130, 12)), rng.standard_normal((140, 12))
+    yield "grid", rng.integers(-2, 3, (120, 5)).astype(float), \
+        rng.integers(-2, 3, (110, 5)).astype(float)
+    a, b = _dyadic(rng, (90, 6)), _dyadic(rng, (100, 6))
+    a[45:], b[50:] = a[:45], b[:50]  # every row has a twin
+    yield "duplicates", a, b
+    yield "n=1", rng.standard_normal((1, 8)), rng.standard_normal((50, 8))
+    yield "m=1", rng.standard_normal((50, 8)), rng.standard_normal((1, 8))
+    yield "n=m=1", rng.standard_normal((1, 8)), rng.standard_normal((1, 8))
+    yield "m=2", rng.standard_normal((60, 8)), rng.standard_normal((2, 8))
+    yield "n>>m", rng.integers(-1, 2, (400, 3)).astype(float), rng.standard_normal((5, 3))
+    yield "n<<m", rng.standard_normal((5, 3)), rng.integers(-1, 2, (400, 3)).astype(float)
+
+
+class TestSinglePass:
+    """One table per chunk answers both directions, as the two-pass matcher did."""
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, 64, None])
+    @pytest.mark.parametrize("case", [c[0] for c in _cases()])
+    def test_matches_two_pass_reference(self, monkeypatch, case, rows_per_chunk):
+        _, a, b = next(c for c in _cases() if c[0] == case)
+        entries = neighborhood._CHUNK_ENTRIES if rows_per_chunk is None \
+            else rows_per_chunk * len(b)
+        assert_same_as_two_pass(a, b, monkeypatch, entries)
+
+    def test_column_tie_across_chunk_boundary_keeps_earlier_row(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        b = _dyadic(rng, (20, 4))
+        b[:, 0] = 8.0 * np.arange(20)  # columns lie far apart
+        a = _dyadic(rng, (30, 4)) + 1000.0  # rows lie far from every column
+        a[3] = a[13] = a[23] = b[5]  # rows in chunks 0, 1 and 2 all reach column 5
+        a[17] = b[9] + 0.25  # column 9: chunk 1 reaches it first ...
+        a[22] = b[9] + 0.25  # ... and chunk 2 only ties
+        a[28] = b[11] + 0.5  # column 11: chunk 2 is strictly closer than chunk 0
+        a[4] = b[11] + 0.75
+        monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", 10 * len(b))
+        _, _, _, nearest_a = neighborhood._mutual_nearest(a, b)
+        assert (nearest_a[5], nearest_a[9], nearest_a[11]) == (3, 17, 28)
+        assert_same_as_two_pass(a, b, monkeypatch, 10 * len(b))
+        assert_same_as_two_pass(a, b, monkeypatch, 7 * len(b))
 
 
 class TestSelectSeeds:
