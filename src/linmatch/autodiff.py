@@ -6,12 +6,13 @@ serves both inference and training.  Inference wraps arrays in `no_grad()`
 mode, in which no tape is recorded and the op functions reduce to plain numpy
 calls plus a constant-time dispatch.
 
-The op set is deliberately small: matmul, broadcast arithmetic, elementwise
-nonlinearities, a row gather, two-way column concatenation, reductions and a
-fused layer norm; gradients of broadcast ops are reduced back to the operand
-shape by `_unbroadcast`.  The attention kernels split heads and scatter
-neighborhood rows inside their own fused ops, built through `node` with a
-hand-written backward.
+The op set is deliberately small, and ops are plain functions (`Tensor` has
+no operator overloads): `add`, `sub`, `mul` and `div` with broadcasting,
+`matmul`, `tsum`, `relu`, `sqrt`, a row gather, two-way column concatenation
+and a fused layer norm; gradients of broadcast ops are reduced back to the
+operand shape by `_unbroadcast`.  The attention kernels apply the feature map
+`phi_array`, split heads and scatter neighborhood rows inside their own fused
+ops, built through `node` with a hand-written backward.
 
 A thread-local operation counter can be enabled with `count_ops()`; it records
 multiply counts and every allocated result shape (fused ops report their
@@ -104,14 +105,6 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -142,7 +135,6 @@ class Tensor:
             if t._backward is not None:
                 t._backward(t.grad)
 
-    # Operators defined after the op functions below.
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
 
@@ -222,15 +214,6 @@ def div(a, b):
     return node(out_data, (a, b), backward)
 
 
-def neg(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        a._accumulate(-g)
-
-    return node(-a.data, (a,), backward)
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
@@ -243,15 +226,6 @@ def matmul(a, b):
             b._accumulate(a.data.T @ g)
 
     return node(out_data, (a, b), backward)
-
-
-def transpose(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        a._accumulate(g.T)
-
-    return node(a.data.T, (a,), backward)
 
 
 def tsum(a, axis=None, keepdims=False):
@@ -273,17 +247,6 @@ def phi_array(x):
     np.exp(out, out=out)
     out += np.maximum(x, 0.0)
     return out
-
-
-def phi(a):
-    """`phi_array` as an op; its derivative is 1 for x >= 0 and exp(x) below."""
-    a = as_tensor(a)
-    out_data = phi_array(a.data)
-
-    def backward(g):
-        a._accumulate(g * np.where(a.data >= 0, 1.0, out_data))
-
-    return node(out_data, (a,), backward)
 
 
 def relu(a):
@@ -364,15 +327,3 @@ def row_l2_normalize(x):
     """Divide each row by its Euclidean norm (rows must be nonzero)."""
     norms = sqrt(tsum(mul(x, x), axis=1, keepdims=True))
     return div(x, norms)
-
-
-Tensor.__add__ = add
-Tensor.__radd__ = add
-Tensor.__sub__ = sub
-Tensor.__rsub__ = lambda self, other: sub(other, self)
-Tensor.__mul__ = mul
-Tensor.__rmul__ = mul
-Tensor.__truediv__ = div
-Tensor.__rtruediv__ = lambda self, other: div(other, self)
-Tensor.__neg__ = neg
-Tensor.__matmul__ = matmul

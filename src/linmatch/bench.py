@@ -1,4 +1,4 @@
-"""Wall-clock scaling benchmarks and operation-count audits.
+"""Scaling benchmarks and operation-count audits.
 
 Measures median forward time of the attention kernels (and of the full
 matching pipeline) across problem sizes, fits a log-log slope per method,
@@ -6,11 +6,14 @@ and audits the debug counters: the streaming kernel must multiply within
 2x of (M+N)C'^2 plus lower-order terms and never allocate an NxM buffer,
 while the quadratic reference visibly does.
 
+Times are the calling thread's CPU time (`time.thread_time`), not wall
+time, so time spent waiting for a busy CPU does not count.  Work that BLAS
+hands to other threads does not count either: pin BLAS to one thread
+before NumPy loads (as tests/conftest.py does), or the times leave work out.
 Medians are taken over >= 3 repetitions after 2 discarded warm-up runs.
 When a median falls under the 1 ms timer floor the problem size doubles
 until it does not (with a warning), keeping per-method sizes strictly
-increasing so the fit stays well-posed.  BLAS threads are not pinned here: for
-slopes of algorithmic cost, pin them before NumPy loads (as tests/conftest.py does).
+increasing so the fit stays well-posed.
 """
 
 from __future__ import annotations
@@ -73,46 +76,53 @@ class BenchReport:
                 raise ValueError(f"{method}: slope without measurements")
 
 
-def _check_sizes(sizes):
-    if len(sizes) < 2:
-        raise ValueError("need at least 2 size points; slope is undefined for one")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly increasing")
-    if sizes[-1] < 4 * sizes[0]:
-        raise ValueError("sizes must span at least a 4x range")
-
-
 def _measure(fn, reps: int) -> float:
     fn()
     fn()
     times = []
     for _ in range(reps):
-        t0 = time.perf_counter()
+        t0 = time.thread_time()
         fn()
-        times.append(time.perf_counter() - t0)
+        times.append(time.thread_time() - t0)
     return float(np.median(times))
 
 
-def _measure_scaling(make_fn, requested: int, prev_n: int, reps: int,
-                     min_median_s: float, label: str):
-    """Median time at the smallest admissible size >= requested.
+def _scaling(make_fn, sizes, reps: int, min_median_s: float, label: str):
+    """Median seconds of `make_fn(n)()` per size, and their log-log slope.
 
-    Doubles the size while the median sits under the timer floor or would
-    break per-method monotonicity, and reports the size actually used.
+    A size doubles while it would not exceed the previous one or its median
+    sits under `min_median_s` (with a warning); returns ([(n, median)], slope)
+    with the sizes actually used.
     """
-    n = int(requested)
-    while n <= prev_n:
-        n *= 2
-    if n != requested:
-        warnings.warn(f"{label}: size {requested} raised to {n} to keep sizes increasing")
-    for _ in range(_MAX_SIZE_DOUBLINGS):
-        median = _measure(make_fn(n), reps)
-        if median >= min_median_s:
-            return n, median
-        n *= 2
-        warnings.warn(f"{label}: median under {min_median_s * 1e3:.1f} ms timer floor, "
-                      f"raising size to {n}")
-    return n, _measure(make_fn(n), reps)
+    sizes = [int(n) for n in sizes]
+    if len(sizes) < 2:
+        raise ValueError("need at least 2 size points; slope is undefined for one")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    if sizes[0] < 1:
+        raise ValueError("sizes must be at least 1")
+    if sizes[-1] < 4 * sizes[0]:
+        raise ValueError("sizes must span at least a 4x range")
+    if reps < 3:
+        raise ValueError("need at least 3 repetitions")
+    points = []
+    for requested in sizes:
+        n = requested
+        while points and n <= points[-1][0]:
+            n *= 2
+        if n != requested:
+            warnings.warn(f"{label}: size {requested} raised to {n} to keep sizes increasing")
+        for _ in range(_MAX_SIZE_DOUBLINGS):
+            median = _measure(make_fn(n), reps)
+            if median >= min_median_s:
+                break
+            n *= 2
+            warnings.warn(f"{label}: median under {min_median_s * 1e3:.1f} ms timer floor, "
+                          f"raising size to {n}")
+        else:
+            median = _measure(make_fn(n), reps)
+        points.append((n, median))
+    return points, loglog_slope(points)
 
 
 def loglog_slope(points) -> float:
@@ -134,10 +144,6 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
                     c_prime: int = 64, reps: int = 5, seed: int = 0,
                     min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
     """Time each attention kernel on random N x C' inputs (M = N)."""
-    sizes = [int(n) for n in sizes]
-    _check_sizes(sizes)
-    if reps < 3:
-        raise ValueError("need at least 3 repetitions")
     unknown = sorted(set(methods) - set(_KERNELS))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
@@ -151,17 +157,11 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
             t = _random_triplet(n, c_prime, seed)
             return lambda: kernel(t)
 
-        points = []
-        prev_n = 0
-        for requested in sizes:
-            n, median = _measure_scaling(make_fn, requested, prev_n, reps,
-                                         min_median_s, method)
+        points, slopes[method] = _scaling(make_fn, sizes, reps, min_median_s, method)
+        for n, median in points:
             with count_ops() as ops:
                 kernel(_random_triplet(n, c_prime, seed))
             rows.append(BenchRow(method, n, median * 1e3, ops.multiplies))
-            points.append((n, median))
-            prev_n = n
-        slopes[method] = loglog_slope(points)
     return BenchReport(rows, slopes, reps)
 
 
@@ -173,17 +173,13 @@ def _pipeline_scene(n: int, descriptor_dim: int, seed: int):
 
 def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
                    seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None,
-                   filter_cfg=None, min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
+                   min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
     """Time encode + match + filter end-to-end on synthetic scenes.
 
     With BLAS threads pinned, the slope reflects algorithmic cost.  Also records
     the largest neighborhood encountered at each size (the `n_max` note) so
     the restricted-attention cost term stays observable.
     """
-    sizes = [int(n) for n in sizes]
-    _check_sizes(sizes)
-    if reps < 3:
-        raise ValueError("need at least 3 repetitions")
     cfg = cfg or NetworkConfig()
     weights = init_weights(cfg, seed)
 
@@ -193,26 +189,18 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
         if n not in scenes:
             scenes[n] = _pipeline_scene(n, cfg.input_dim, seed)
         ks, kt = scenes[n][0], scenes[n][1]
-        return lambda: match_pipeline(ks, kt, weights, cfg, neigh_cfg, filter_cfg)
+        return lambda: match_pipeline(ks, kt, weights, cfg, neigh_cfg)
 
-    rows = []
-    points = []
+    points, slope = _scaling(make_fn, sizes, reps, min_median_s, "pipeline")
     n_max_note = {}
-    prev_n = 0
-    for requested in sizes:
-        n, median = _measure_scaling(make_fn, requested, prev_n, reps,
-                                     min_median_s, "pipeline")
+    for n, _ in points:
         ks, kt = scenes[n][0], scenes[n][1]
         enc = forward(ks, kt, weights, cfg, neigh_cfg)
         _, neighborhoods = _candidates(enc, ks, kt, neigh_cfg or NeighborhoodConfig())
-        n_max = max((len(p.source_set) for p in neighborhoods), default=0)
-        n_max_note[n] = n_max
-        rows.append(BenchRow("pipeline", n, median * 1e3))
-        points.append((n, median))
-        prev_n = n
-    notes = {"n_max": n_max_note,
-             "n_max_ratio": {n: (v / n if n else 0.0) for n, v in n_max_note.items()}}
-    return BenchReport(rows, {"pipeline": loglog_slope(points)}, reps, notes)
+        n_max_note[n] = max((len(p.source_set) for p in neighborhoods), default=0)
+    notes = {"n_max": n_max_note, "n_max_ratio": {n: v / n for n, v in n_max_note.items()}}
+    rows = [BenchRow("pipeline", n, median * 1e3) for n, median in points]
+    return BenchReport(rows, {"pipeline": slope}, reps, notes)
 
 
 def _disjoint_blocks(count: int, block: int):

@@ -93,7 +93,6 @@ def _child_seed(seed: int, stream: str, index: int = 0) -> int:
 
 @dataclass
 class RunConfig:
-    command: str
     seed: int
     output: Path | None
     sections: dict  # validated config-file sections
@@ -131,7 +130,7 @@ def _run_config(args) -> RunConfig:
     if args.threads < 1:
         raise UsageError("--threads must be at least 1")
     sections = _load_file_sections(args.config)
-    return RunConfig(args.command, args.seed, args.output, sections)
+    return RunConfig(args.seed, args.output, sections)
 
 
 def _section(run: RunConfig, name: str, cls, seeded=None, **flag_values):
@@ -179,14 +178,22 @@ def cmd_synth(args) -> int:
         raise UsageError("--pairs must be positive")
     if args.kpts <= 0:
         raise UsageError("--kpts must be positive")
+    if args.desc_dim <= 0:
+        raise UsageError("--desc-dim must be positive")
+    if (args.min_matches or 0) > args.kpts:
+        raise UsageError("--min-matches cannot exceed --kpts")
     out = _out_dir(run)
     noise = _section(run, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
                      jitter_sigma=args.jitter_sigma, distractors=args.distractors)
     entries = []
     for k in range(args.pairs):
         child = _child_seed(run.seed, "synth", k)
-        ks, kt, gt, h = generate_pair(child, args.kpts, args.dims, args.desc_dim,
-                                      noise, min_matches=args.min_matches)
+        try:
+            ks, kt, gt, h = generate_pair(child, args.kpts, args.dims, args.desc_dim,
+                                          noise, min_matches=args.min_matches)
+        except RuntimeError as e:  # reachable, but not reached by these seeds
+            print(f"synth failed: {e}", file=sys.stderr)
+            return EXIT_FAILED_CHECK
         name = f"pair{k:04d}"
         pdir = out / name
         pdir.mkdir(exist_ok=True)
@@ -239,8 +246,10 @@ def cmd_match(args) -> int:
     fcfg = _section(run, "filter", FilterConfig,
                     seeded={"rng_seed": _child_seed(run.seed, "filter")})
 
-    result = match_pipeline(ks, kt, weights, net, neigh, fcfg,
-                            skip_filter=args.no_filter)
+    try:
+        result = match_pipeline(ks, kt, weights, net, neigh, fcfg, skip_filter=args.no_filter)
+    except ValueError as e:  # encodings overflowed
+        raise DataError(str(e))
     out = _out_dir(run)
     write_matches(out / "matches.csv", result)
     verified = sum(1 for s in result.stage if s == "verified")
@@ -327,6 +336,8 @@ def cmd_train_toy(args) -> int:
         raise UsageError("--pairs must be positive")
     if args.steps <= 0:
         raise UsageError("--steps must be positive")
+    if args.kpts < 2:
+        raise UsageError("--kpts must be at least 2: the loss mines a negative per side")
     net = _section(run, "network", NetworkConfig, input_dim=args.desc_dim,
                    hidden_dim=args.hidden, heads=args.heads, l1=args.l1,
                    l2=args.l2)
@@ -344,7 +355,7 @@ def cmd_train_toy(args) -> int:
         weights, trace, state = train_toy(dataset, net, loss, args.steps,
                                           seed=_child_seed(run.seed, "train"),
                                           neigh_cfg=neigh)
-    except RuntimeError as e:
+    except (RuntimeError, ValueError) as e:  # non-finite loss, or a scene it cannot train on
         print(f"training aborted: {e}", file=sys.stderr)
         return EXIT_FAILED_CHECK
     out = _out_dir(run)
@@ -360,6 +371,10 @@ def cmd_train_toy(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     run = _run_config(args)
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
+    if not 0 < args.step < 1:
+        raise UsageError("--step must lie in (0, 1)")
     net = _section(run, "network", NetworkConfig, input_dim=args.input_dim,
                    hidden_dim=args.hidden, heads=args.heads, l1=args.l1,
                    l2=args.l2)

@@ -87,6 +87,8 @@ class NetworkConfig:
     l2: int = 2  # pairwise loop count
 
     def __post_init__(self):
+        if min(self.input_dim, self.hidden_dim, self.heads) < 1:
+            raise ValueError("input_dim, hidden_dim and heads must be at least 1")
         if self.hidden_dim % self.heads != 0:
             raise ValueError("hidden_dim must be divisible by heads")
         if self.l1 < 1:
@@ -182,7 +184,10 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
 
     Pure given weights; deterministic.  Keypoint coordinates are used only
     for neighborhood selection between the cross and pairwise stages, so
-    with l2 = 0 the output depends on descriptors alone.
+    with l2 = 0 the output depends on descriptors alone.  With array weights
+    (inference), non-finite encodings raise `ValueError`: one huge input or
+    weight overflows, and linear attention spreads that to every row.
+    Training (Tensor weights) checks its loss instead.
     """
     if xs.descriptors.shape[1] != cfg.input_dim or xt.descriptors.shape[1] != cfg.input_dim:
         raise ValueError(f"descriptor dim must be {cfg.input_dim}")
@@ -191,7 +196,10 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
         return _forward_impl(xs, xt, weights, cfg, neigh_cfg)
     with ad.no_grad():
         enc = _forward_impl(xs, xt, weights, cfg, neigh_cfg)
-    return EncodedPair(enc.xs_hat.data, enc.xt_hat.data, enc.fs_hat.data, enc.ft_hat.data)
+    out = EncodedPair(enc.xs_hat.data, enc.xt_hat.data, enc.fs_hat.data, enc.ft_hat.data)
+    if not all(np.isfinite(x).all() for x in vars(out).values()):
+        raise ValueError("non-finite encodings: an input or weight is too large")
+    return out
 
 
 def _forward_impl(xs, xt, weights, cfg, neigh_cfg):

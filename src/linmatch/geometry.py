@@ -88,9 +88,6 @@ class Homography:
             raise ValueError("cannot normalize: bottom-right entry is zero")
         self.matrix = m / m[2, 2]
 
-    def inverse(self) -> "Homography":
-        return Homography(np.linalg.inv(self.matrix))
-
 
 @dataclass
 class GenNoiseConfig:

@@ -34,6 +34,7 @@ from .neighborhood import (
 
 _STAGES = ("seed", "candidate", "verified")
 _SCORE_BLOCK = 256  # RANSAC hypotheses per (block, k) residual table; bounds its memory
+_MMA_THRESHOLDS_PX = tuple(range(1, 11))
 
 
 @dataclass
@@ -79,7 +80,7 @@ class FilterConfig:
 
 @dataclass
 class Metrics:
-    mma: dict  # threshold px -> fraction of matches within it
+    mma: dict  # threshold px (1..10) -> fraction of matches within it
     precision: float
     recall: float
     num_matches: int
@@ -172,7 +173,7 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
 
 def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
                    cfg: NetworkConfig, neigh_cfg: NeighborhoodConfig | None = None,
-                   filter_cfg: FilterConfig | None = None,
+                   fcfg: FilterConfig | None = None,
                    skip_filter: bool = False) -> MatchSet:
     """forward -> distance_match -> filter_matches (optionally skipping the filter)."""
     neigh_cfg = neigh_cfg or NeighborhoodConfig()
@@ -181,11 +182,11 @@ def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
     if skip_filter:
         return candidates
     resolved = neigh_cfg.resolved_pair((ks.width, ks.height), (kt.width, kt.height))
-    return filter_matches(candidates, ks, kt, neighborhoods, filter_cfg, r_t=resolved.r_t)
+    return filter_matches(candidates, ks, kt, neighborhoods, fcfg, r_t=resolved.r_t)
 
 
 def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
-             kt: KeypointSet, thresholds=tuple(range(1, 11))) -> Metrics:
+             kt: KeypointSet) -> Metrics:
     """Reprojection accuracy and ground-truth precision/recall.
 
     Conventions: an empty match set reports 0 for every accuracy number;
@@ -193,7 +194,7 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     """
     n = len(m)
     if n == 0:
-        mma = {int(t): 0.0 for t in thresholds}
+        mma = {t: 0.0 for t in _MMA_THRESHOLDS_PX}
         recall = 1.0 if not gt.pairs else 0.0
         return Metrics(mma, 0.0, recall, 0, 0.0)
     pairs = m.pairs()
@@ -203,12 +204,11 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     proj, valid = apply_homography(h, ks.keypoints[src_idx])
     tgt_pts = kt.keypoints[tgt_idx].astype(np.float64)
     err = np.where(valid, np.linalg.norm(proj - tgt_pts, axis=1), np.inf)
-    mma = {int(t): float((err <= t).mean()) for t in thresholds}
+    mma = {t: float((err <= t).mean()) for t in _MMA_THRESHOLDS_PX}
     hits = len(set(pairs) & set(gt.pairs))  # a MatchSet holds no duplicate pair
     precision = hits / n
     recall = hits / len(gt.pairs) if gt.pairs else 1.0
-    inlier_ratio = mma.get(3, float((err <= 3.0).mean()))
-    return Metrics(mma, precision, recall, n, inlier_ratio)
+    return Metrics(mma, precision, recall, n, mma[3])
 
 
 def write_matches(path, m: MatchSet) -> None:

@@ -33,7 +33,6 @@ from .encoder import (
     NetworkWeights,
     forward,
     init_weights,
-    read_tensor_table,
     write_tensor_table,
 )
 from .geometry import GroundTruth
@@ -108,20 +107,10 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     return ad.mul(total, Tensor(np.asarray(1.0 / len(gt.pairs), dtype=xsd.dtype)))
 
 
-def _tensorize(weights: NetworkWeights) -> NetworkWeights:
+def _map_params(weights: NetworkWeights, fn) -> NetworkWeights:
+    """The same layers with every parameter replaced by `fn(parameter)`."""
     def conv(layer: LayerWeights) -> LayerWeights:
-        return LayerWeights(**{name: Tensor(np.asarray(val), requires_grad=True)
-                               for name, val in layer.params()})
-    return NetworkWeights([conv(w) for w in weights.self_layers],
-                          [conv(w) for w in weights.cross_layers],
-                          [conv(w) for w in weights.pair_layers])
-
-
-def _grads_of(weights: NetworkWeights) -> NetworkWeights:
-    def conv(layer: LayerWeights) -> LayerWeights:
-        return LayerWeights(**{name: (val.grad if val.grad is not None
-                                      else np.zeros_like(val.data))
-                               for name, val in layer.params()})
+        return LayerWeights(**{name: fn(val) for name, val in layer.params()})
     return NetworkWeights([conv(w) for w in weights.self_layers],
                           [conv(w) for w in weights.cross_layers],
                           [conv(w) for w in weights.pair_layers])
@@ -134,11 +123,12 @@ def loss_gradient(weights: NetworkWeights, batch, net_cfg: NetworkConfig,
     Returns (loss, grads) where grads mirrors the weight structure.
     """
     ks, kt, gt = batch
-    tw = _tensorize(weights)
+    tw = _map_params(weights, lambda w: Tensor(np.asarray(w), requires_grad=True))
     enc = forward(ks, kt, tw, net_cfg, neigh_cfg)
     loss = triplet_loss(enc, gt, loss_cfg)
     loss.backward()
-    return float(loss.data), _grads_of(tw)
+    return float(loss.data), _map_params(
+        tw, lambda t: t.grad if t.grad is not None else np.zeros_like(t.data))
 
 
 def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
@@ -217,8 +207,7 @@ class AdamState:
 
 
 def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,
-              seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None,
-              initial_weights: NetworkWeights | None = None):
+              seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None):
     """Single-pair-per-step Adam training; returns (weights, trace, state).
 
     The trace lists (step, loss, lr) tuples and the final optimizer moments
@@ -227,8 +216,7 @@ def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    weights = initial_weights if initial_weights is not None \
-        else init_weights(net_cfg, seed=seed, dtype=np.float64)
+    weights = init_weights(net_cfg, seed=seed, dtype=np.float64)
     state = AdamState(weights)
     rng = np.random.default_rng(seed)
     trace = []
@@ -254,14 +242,3 @@ def save_optimizer_state(path, state: AdamState) -> None:
     entries = [(f"{name}.m", arr) for name, arr in state.m.items()]
     entries += [(f"{name}.v", arr) for name, arr in state.v.items()]
     write_tensor_table(path, entries)
-
-
-def load_optimizer_state(path, weights: NetworkWeights) -> AdamState:
-    table, _ = read_tensor_table(path)
-    state = AdamState(weights)
-    for name in state.m:
-        if f"{name}.m" not in table or f"{name}.v" not in table:
-            raise ValueError(f"optimizer state missing moments for {name}")
-        state.m[name] = table[f"{name}.m"].astype(np.float64)
-        state.v[name] = table[f"{name}.v"].astype(np.float64)
-    return state

@@ -346,7 +346,7 @@ def test_criterion_06_clean_scene_perfect_and_deterministic():
     ncfg = NeighborhoodConfig(r=radius, r_s=radius, r_t=radius)
     fcfg = FilterConfig(min_inliers=3)
 
-    runs = [match_pipeline(ks, kt, weights, cfg, ncfg, filter_cfg=fcfg)
+    runs = [match_pipeline(ks, kt, weights, cfg, ncfg, fcfg=fcfg)
             for _ in range(2)]
     res = evaluate(runs[0], gt, Homography(np.eye(3)), ks, kt)
     print(f"criterion 6: recall={res.recall:.3f} precision={res.precision:.3f} "

@@ -53,7 +53,7 @@ def random_triplet(rng, n, m, c, dtype=np.float64):
 class TestPhi:
     def test_fixed_points(self):
         x = np.array([0.0, 1.0, -20.0])
-        out = ad.phi(ad.Tensor(x)).data
+        out = ad.phi_array(x)
         np.testing.assert_allclose(out[0], 1.0)
         np.testing.assert_allclose(out[1], 2.0)
         np.testing.assert_allclose(out[2], np.exp(-20.0), rtol=1e-12)

@@ -189,9 +189,10 @@ def test_truncated_kpds_is_data_error_at_every_offset(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
-# byte offsets of the first keypoint and of the first descriptor (SYNTH_ARGS: 40 keypoints)
+# byte offsets of the first keypoint and of the first descriptor (SYNTH_ARGS: 40 keypoints);
+# a finite 3e38 descriptor overflows the encodings, because linear attention sums all rows
 @pytest.mark.parametrize("offset", [24, 24 + 2 * 4 * 40])
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 3e38])
 def test_match_non_finite_input_exit_3(tmp_path, offset, value):
     data = synth_dataset(tmp_path / "data")
     src = data / "pair0000" / "source.kpds"
@@ -200,8 +201,23 @@ def test_match_non_finite_input_exit_3(tmp_path, offset, value):
     bad = tmp_path / "bad.kpds"
     bad.write_bytes(bytes(raw))
     weights = small_weights_file(tmp_path / "w.lawt")
-    assert run_cli(["match", bad, data / "pair0000" / "target.kpds",
-                    "--weights", weights, "-o", tmp_path / "r"]) == 3
+    with np.errstate(all="ignore"):
+        assert run_cli(["match", bad, data / "pair0000" / "target.kpds",
+                        "--weights", weights, "-o", tmp_path / "r"]) == 3
+
+
+def test_match_overflowing_weight_exit_3(tmp_path, capsys):
+    data = synth_dataset(tmp_path / "data")
+    weights = init_weights(NetworkConfig(input_dim=8, hidden_dim=8, heads=2, l1=1, l2=1), seed=3)
+    weights.self_layers[0].wq[0, 0] = 3e38  # finite, and valid at load
+    save_weights(tmp_path / "w.lawt", weights)
+    with np.errstate(all="ignore"):
+        code = run_cli(["match", data / "pair0000" / "source.kpds",
+                        data / "pair0000" / "target.kpds",
+                        "--weights", tmp_path / "w.lawt", "-o", tmp_path / "r"])
+    assert code == 3
+    assert "non-finite encodings" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "matches.csv").exists()
 
 
 @pytest.mark.parametrize("row", ["9999,0", "0,9999", "-1,0"])
@@ -294,6 +310,35 @@ TRAIN_ARGS = ["--pairs", 2, "--kpts", 12, "--dims", "96x96", "--desc-dim", 8,
 
 def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
+
+
+# each flag at a value that, left unchecked, hangs (bench) or ends in a traceback
+@pytest.mark.parametrize("argv", [
+    ["bench", "--methods", "linear", "--reps", 3, "--c-prime", 8, "--sizes", "0,64"],
+    ["train-toy", *TRAIN_ARGS, "--heads", 0],
+    ["train-toy", *TRAIN_ARGS, "--hidden", 0],
+    ["train-toy", *TRAIN_ARGS, "--desc-dim", 0],
+    ["train-toy", *TRAIN_ARGS, "--kpts", 1],
+    ["gradcheck", "--heads", 0],
+    ["gradcheck", "--samples", 0],
+    ["gradcheck", "--samples", -3],
+    ["gradcheck", "--step", 0],
+    ["synth", *SYNTH_ARGS, "--desc-dim", 0],
+    ["synth", *SYNTH_ARGS, "--min-matches", 41],  # more than the 40 keypoints
+], ids=lambda argv: " ".join(str(a) for a in argv[:1] + argv[-2:]))
+def test_out_of_range_flag_is_usage_error(tmp_path, argv):
+    assert run_cli([*argv, "-o", tmp_path / "o"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    # 10 px jitter leaves few projections within the 3 px label cutoff
+    (["synth", *SYNTH_ARGS, "--jitter-sigma", 10, "--min-matches", 40], "could not reach 40"),
+    # a scene of two keypoints keeps fewer than two on some side
+    (["train-toy", *TRAIN_ARGS, "--kpts", 2], "at least 2 keypoints per side"),
+], ids=["synth", "train-toy"])
+def test_unlucky_generated_scene_fails_the_check(tmp_path, capsys, argv, message):
+    assert run_cli([*argv, "-o", tmp_path / "o"]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_train_toy_outputs_and_config_precedence(tmp_path):

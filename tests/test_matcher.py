@@ -328,7 +328,7 @@ class TestMatchPipeline:
         weights = init_weights(cfg, seed=0, dtype=np.float64)
         ncfg = NeighborhoodConfig(r=radius, r_s=radius, r_t=radius)
         out = match_pipeline(ks, kt, weights, cfg, ncfg,
-                             filter_cfg=FilterConfig(min_inliers=3))
+                             fcfg=FilterConfig(min_inliers=3))
         res = evaluate(out, gt, Homography(np.eye(3)), ks, kt)
         assert res.recall == 1.0
         assert res.precision == 1.0
@@ -347,7 +347,7 @@ class TestMatchPipeline:
                                       GenNoiseConfig(desc_sigma=0.4, distractors=40))
         dm = match_pipeline(ks, kt, weights, cfg, skip_filter=True)
         filt = match_pipeline(ks, kt, weights, cfg,
-                              filter_cfg=FilterConfig(min_inliers=3))
+                              fcfg=FilterConfig(min_inliers=3))
         if len(dm) and len(filt):
             p_dm = evaluate(dm, gt, h, ks, kt).precision
             p_f = evaluate(filt, gt, h, ks, kt).precision
@@ -359,7 +359,7 @@ class TestMatchPipeline:
                                      GenNoiseConfig(desc_sigma=0.3, distractors=20))
         dm = match_pipeline(ks, kt, weights, cfg, skip_filter=True)
         filt = match_pipeline(ks, kt, weights, cfg,
-                              filter_cfg=FilterConfig(min_inliers=3))
+                              fcfg=FilterConfig(min_inliers=3))
         assert set(filt.pairs()) <= set(dm.pairs())
 
 
