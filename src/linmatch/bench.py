@@ -147,6 +147,8 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     unknown = sorted(set(methods) - set(_KERNELS))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
+    if c_prime < 1:
+        raise ValueError("c_prime must be at least 1")
 
     rows = []
     slopes = {}

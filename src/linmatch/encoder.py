@@ -187,14 +187,16 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
     with l2 = 0 the output depends on descriptors alone.  With array weights
     (inference), non-finite encodings raise `ValueError`: one huge input or
     weight overflows, and linear attention spreads that to every row.
-    Training (Tensor weights) checks its loss instead.
+    Training (Tensor weights) checks its loss instead; with l2 > 0 on either
+    path, `ratio_match` rejects non-finite encodings first.
     """
     if xs.descriptors.shape[1] != cfg.input_dim or xt.descriptors.shape[1] != cfg.input_dim:
         raise ValueError(f"descriptor dim must be {cfg.input_dim}")
     weights.validate(cfg)
     if isinstance(weights.self_layers[0].wq, Tensor):
         return _forward_impl(xs, xt, weights, cfg, neigh_cfg)
-    with ad.no_grad():
+    # an overflow shows up as non-finite encodings, rejected below with one message
+    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         enc = _forward_impl(xs, xt, weights, cfg, neigh_cfg)
     out = EncodedPair(enc.xs_hat.data, enc.xt_hat.data, enc.fs_hat.data, enc.ft_hat.data)
     if not all(np.isfinite(x).all() for x in vars(out).values()):

@@ -17,10 +17,22 @@ stage indexes it directly.  Seed candidates come from a k-d tree radius
 query; each pair it reports is re-tested with the exact squared-distance
 comparison, so the radius boundary does not depend on the tree's arithmetic.
 
-One f64 distance table per chunk of source rows serves both directions: rows
-give the nearest and second-nearest target, columns the nearest source.  Ties
-go to the lower index, as argmin's do: the lowest row of a chunk reaching a
-column's minimum wins, and a later chunk only when strictly closer.
+One distance table per chunk of source rows serves both directions: rows
+give the nearest and second-nearest target, columns the nearest source.  The
+table is one product in the encodings' own dtype (float32 in the pipeline,
+float64 in training), [-2a | aa | 1] @ [b | 1 | bb]^T, and it only picks
+candidates.  Each entry lies within E of the squared distance, where
+E = (gamma_{C+6} + gamma_{3C+6} of float64) * (max|a| + max|b|)^2 and
+gamma_k = k*u / (1 - k*u) is the dot-product error bound (Higham, Accuracy
+and Stability of Numerical Algorithms, section 3.1); the slack over
+gamma_{C+2} covers rounding the squared norms and the window's threshold,
+and the float64 term the exact distances themselves.  So a row's two nearest
+targets lie within 2E of its second-smallest entry, and a column's nearest
+source within 2E of its smallest.  Every entry inside those windows is
+recomputed by direct subtraction in float64, as np.linalg.norm(a_i - b_j),
+and the exact distances decide: the lower index wins an exact tie, and a
+later chunk takes a column only when strictly closer.  NaN or inf encodings
+are rejected.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from scipy.spatial import cKDTree
 
 from .attention import NeighborhoodPair
 
-_CHUNK_ENTRIES = 1 << 22  # ~32 MB of f64 per distance block
+_CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
 
 
 @dataclass
@@ -97,49 +109,125 @@ def default_radius(width: int, height: int) -> float:
     return float(np.sqrt(width * height / (100.0 * np.pi)))
 
 
+def _gamma(k: int, dtype) -> float:
+    """Higham's gamma_k = k*u / (1 - k*u): the relative error bound of a length-k dot product."""
+    ku = k * np.finfo(dtype).eps / 2
+    return ku / (1 - ku)
+
+
+def _exact(a, b, rows, cols, batch):
+    """Distances from a[rows] to b[cols] by direct subtraction in f64, `batch` pairs at a time."""
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), batch):
+        diff = np.subtract(a[rows[s:s + batch]], b[cols[s:s + batch]], dtype=np.float64)
+        out[s:s + batch] = np.sqrt((diff * diff).sum(axis=1))  # np.linalg.norm(diff, axis=1)
+    return out
+
+
 def _mutual_nearest(a: np.ndarray, b: np.ndarray):
     """(j1, d1, d2, i1): each row of a's nearest row of b, its nearest and
     second-nearest distances, and each row of b's nearest row of a.
 
-    Distances are ranked with the expanded dot product in f64 and the chosen
-    few are then recomputed exactly by direct subtraction, so downstream
-    threshold comparisons do not inherit cancellation error.
+    Per chunk, columns keep a running minimum of the table, and every entry
+    within the window of it is recomputed and merged.  Rows take their two
+    smallest entries; a row whose third-smallest entry is also within the
+    window of the second is crowded, and all its entries within the window
+    are recomputed.  Masks, candidate lists and exact batches are cut to
+    O((n + m) * C) entries, so the scratch stays one table plus that, even
+    when every distance ties.  The table falls back to float64 when float32
+    squares could overflow.
     """
-    n, m = a.shape[0], b.shape[0]
-    aa, bb = (a * a).sum(axis=1), (b * b).sum(axis=1)
-    j1, j2 = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp) if m >= 2 else None
-    col_d, col_i = np.full(m, np.inf), np.zeros(m, dtype=np.intp)
+    n, m, c = a.shape[0], b.shape[0], a.shape[1]
+    aa = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+    bb = np.einsum("ij,ij->i", b, b, dtype=np.float64)
+    # (max|a| + max|b|)^2 bounds every |x|.|y| of the augmented product below
+    reach = (np.sqrt(aa.max()) + np.sqrt(bb.max())) ** 2
+    dt = np.result_type(a, b)
+    if not reach < np.finfo(dt).max / 4:
+        dt = np.dtype(np.float64)
+        if not reach < np.finfo(dt).max / 4:
+            raise ValueError("non-finite distances: encodings too large to compare")
+    # one product gives aa - 2ab + bb: [-2a | aa | 1] @ [b | 1 | bb]^T
+    lhs = np.empty((n, c + 2), dt)
+    np.multiply(a, -2, out=lhs[:, :c])
+    lhs[:, c], lhs[:, c + 1] = aa, 1
+    rhs = np.empty((m, c + 2), dt)
+    rhs[:, :c], rhs[:, c], rhs[:, c + 1] = b, 1, bb
+    # twice the bound on |table - exact| (see the module docstring)
+    g = _gamma(c + 6, dt) + _gamma(3 * c + 6, np.float64)
+    window = dt.type(2 * (g * reach + (c + 3) * np.finfo(dt).smallest_subnormal))
+
+    span = max(1 << 16, (n + m) * c)  # scratch entries: masks, candidate lists, exact batches
+    batch, cap, step = max(1, span // max(8 * c, 1)), span // 8, max(1, span // m)
+    j1, d1, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.full(n, np.inf)
+    col_t, col_d, col_i = np.full(m, np.inf, dt), np.full(m, np.inf), np.zeros(m, dtype=np.intp)
     chunk = min(n, max(1, _CHUNK_ENTRIES // m))
-    table, sums = np.empty((chunk, m)), np.empty((chunk, m))  # reused: fresh ones fault every page
+    table = np.empty((chunk, m), dt)  # reused: a fresh one faults every page
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
-        block = np.matmul(-2.0 * a[s:e], b.T, out=table[:e - s])
-        block += np.add(aa[s:e, None], bb, out=sums[:e - s])
-        idx1 = block.argmin(axis=1)
-        j1[s:e] = idx1
-        # per column: the lowest row reaching its minimum (argmin along a column
-        # would copy the block transposed); a later chunk must do strictly better
-        cmin = block.min(axis=0)
-        rows, cols = np.divmod(np.flatnonzero(block == cmin), m)  # ~10x faster than 2-D nonzero
-        cols, first = np.unique(cols, return_index=True)
-        take = cmin[cols] < col_d[cols]
-        col_d[cols[take]], col_i[cols[take]] = cmin[cols[take]], s + rows[first[take]]
-        if j2 is not None:
-            block[np.arange(e - s), idx1] = np.inf
-            j2[s:e] = block.argmin(axis=1)
-    d1 = np.linalg.norm(a - b[j1], axis=1)
-    if j2 is None:
-        return j1, d1, np.full(n, np.inf), col_i
-    d2 = np.linalg.norm(a - b[j2], axis=1)
-    flip = d2 < d1  # exact recomputation may reorder near-ties
-    j1[flip], d1[flip], d2[flip] = j2[flip], d2[flip], d1[flip]
+        block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
+        # columns: every row within the window of the running column minimum
+        np.minimum(col_t, block.min(axis=0), out=col_t)
+        limit = col_t + window
+        for p in range(0, e - s, step):
+            keep = block[p:p + step] <= limit
+            if np.count_nonzero(keep) <= cap:
+                groups = [np.divmod(np.flatnonzero(keep), m)]
+            else:  # near-ties everywhere: one row at a time bounds the lists
+                groups = ((np.full(k.sum(), i), np.flatnonzero(k)) for i, k in enumerate(keep))
+            for rows, cols in groups:
+                rows += s + p
+                dist = _exact(a, b, rows, cols, batch)
+                closer = dist < col_d[cols]  # a later row must be strictly closer
+                rows, cols, dist = rows[closer], cols[closer], dist[closer]
+                np.minimum.at(col_d, cols, dist)
+                tie = dist == col_d[cols]
+                col_i[cols[tie]] = n
+                np.minimum.at(col_i, cols[tie], rows[tie])
+        # rows: the two smallest entries, and a third one inside the window flags a crowded row
+        ar = np.arange(e - s)
+        i1 = block.argmin(axis=1)
+        if m == 1:
+            j1[s:e], d1[s:e] = i1, _exact(a, b, s + ar, i1, batch)
+            continue
+        v1 = block[ar, i1]
+        block[ar, i1] = np.inf
+        i2 = block.argmin(axis=1)
+        v2 = block[ar, i2]
+        block[ar, i2] = np.inf
+        crowded = np.flatnonzero(block.min(axis=1) <= v2 + window)
+        block[ar, i1], block[ar, i2] = v1, v2
+        dist = _exact(a, b, np.concatenate([ar, ar]) + s, np.concatenate([i1, i2]), batch)
+        r1, r2 = dist[:e - s], dist[e - s:]
+        swap = (r2 < r1) | ((r2 == r1) & (i2 < i1))
+        j1[s:e] = np.where(swap, i2, i1)
+        d1[s:e], d2[s:e] = np.minimum(r1, r2), np.maximum(r1, r2)
+        for i in crowded:
+            cols = np.flatnonzero(block[i] <= v2[i] + window)
+            dist = _exact(a, b, np.full(len(cols), s + i), cols, batch)
+            k1 = dist.argmin()  # cols ascend, so argmin keeps the lower index of a tie
+            j1[s + i], d1[s + i] = cols[k1], dist[k1]
+            dist[k1] = np.inf
+            d2[s + i] = dist.min()
     return j1, d1, d2, col_i
 
 
+def _encodings(x) -> np.ndarray:
+    """x as float32 or float64 (other dtypes become float64), rejecting NaN and inf."""
+    x = np.asarray(x)
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite encodings: NaN or inf among the rows to match")
+    return x
+
+
 def ratio_match(xs_enc, xt_enc, theta: float) -> RatioMatchSet:
-    """Mutual-NN matches passing d1/d2 <= theta, scored by d2/d1."""
-    a = np.asarray(xs_enc, dtype=np.float64)
-    b = np.asarray(xt_enc, dtype=np.float64)
+    """Mutual-NN matches passing d1/d2 <= theta, scored by d2/d1.
+
+    Raises ValueError on NaN or inf encodings.
+    """
+    a, b = _encodings(xs_enc), _encodings(xt_enc)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return RatioMatchSet([], np.zeros(0))
     nn_st, d1, d2, nn_ts = _mutual_nearest(a, b)

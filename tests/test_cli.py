@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -193,7 +194,7 @@ def test_truncated_kpds_is_data_error_at_every_offset(tmp_path, capsys):
 # a finite 3e38 descriptor overflows the encodings, because linear attention sums all rows
 @pytest.mark.parametrize("offset", [24, 24 + 2 * 4 * 40])
 @pytest.mark.parametrize("value", [np.nan, np.inf, 3e38])
-def test_match_non_finite_input_exit_3(tmp_path, offset, value):
+def test_match_non_finite_input_exit_3(tmp_path, capsys, offset, value):
     data = synth_dataset(tmp_path / "data")
     src = data / "pair0000" / "source.kpds"
     raw = bytearray(src.read_bytes())
@@ -201,9 +202,12 @@ def test_match_non_finite_input_exit_3(tmp_path, offset, value):
     bad = tmp_path / "bad.kpds"
     bad.write_bytes(bytes(raw))
     weights = small_weights_file(tmp_path / "w.lawt")
-    with np.errstate(all="ignore"):
+    capsys.readouterr()  # drop synth's output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning on the way fails the run
         assert run_cli(["match", bad, data / "pair0000" / "target.kpds",
                         "--weights", weights, "-o", tmp_path / "r"]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1  # the error line alone
 
 
 def test_match_overflowing_weight_exit_3(tmp_path, capsys):
@@ -312,9 +316,11 @@ def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 
 
-# each flag at a value that, left unchecked, hangs (bench) or ends in a traceback
+# each flag at a value that, left unchecked, hangs or times empty problems (bench) or ends
+# in a traceback
 @pytest.mark.parametrize("argv", [
     ["bench", "--methods", "linear", "--reps", 3, "--c-prime", 8, "--sizes", "0,64"],
+    ["bench", "--methods", "linear", "--reps", 3, "--sizes", "64,256", "--c-prime", 0],
     ["train-toy", *TRAIN_ARGS, "--heads", 0],
     ["train-toy", *TRAIN_ARGS, "--hidden", 0],
     ["train-toy", *TRAIN_ARGS, "--desc-dim", 0],

@@ -1,5 +1,7 @@
 """Matching, seeding, and neighborhood construction vs brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,85 @@ class TestSinglePass:
         assert (nearest_a[5], nearest_a[9], nearest_a[11]) == (3, 17, 28)
         assert_same_as_two_pass(a, b, monkeypatch, 10 * len(b))
         assert_same_as_two_pass(a, b, monkeypatch, 7 * len(b))
+
+
+def _ulp_groups(rng, base, size):
+    """`size` float32 copies of each row of `base`; every copy after the first moves its
+    first coordinate 1-4 ulps up, so distances to a group's rows differ in the last bits."""
+    rows = np.repeat(base.astype(np.float32), size, axis=0)
+    for k in range(1, size):
+        x, steps = rows[k::size, 0], rng.integers(1, 5, len(base))
+        for step in range(4):
+            x = np.where(steps > step, np.nextafter(x, np.float32(np.inf)), x)
+        rows[k::size, 0] = x
+    return rows
+
+
+def _float32_cases():
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((12, 16))
+    b = _ulp_groups(rng, base, 3)  # each row's three nearest columns tie to a few ulps ...
+    a = _ulp_groups(rng, base + 0.05 * rng.standard_normal(base.shape), 3)  # ... and so do columns
+    a[7], b[7] = a[6], b[6]  # exact ties; rows 6 and 7 sit in different 1- and 7-row chunks
+    yield "ulp ties", a, b
+    b = rng.standard_normal((50, 8))
+    a = b[rng.permutation(50)[:40]] + 0.3 * rng.standard_normal((40, 8))
+    yield "offset 1000", (a + 1000).astype(np.float32), (b + 1000).astype(np.float32)
+    yield "all equal", np.full((30, 8), 0.7, np.float32), np.full((20, 8), 0.7, np.float32)
+    b = rng.standard_normal((40, 8))
+    a = b[rng.permutation(40)] + 0.1 * rng.standard_normal((40, 8))
+    yield "squares beyond float32", (a * 1e25).astype(np.float32), (b * 1e25).astype(np.float32)
+
+
+class TestFloat32Ranking:
+    """float32 tables only pick candidates; exact distances decide, as in the oracle."""
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 7, None])
+    @pytest.mark.parametrize("case", [c[0] for c in _float32_cases()])
+    def test_matches_exact_oracle(self, monkeypatch, case, rows_per_chunk):
+        _, a, b = next(c for c in _float32_cases() if c[0] == case)
+        if rows_per_chunk is not None:
+            monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", rows_per_chunk * len(b))
+        for theta in (0.6, 0.9, 1.0):
+            m = ratio_match(a, b, theta)
+            oracle = brute_force_ratio_match(a, b, theta)
+            assert pairs_of(m) == [pair for pair, _ in oracle]
+            assert np.array_equal(m.ratio_score, [score for _, score in oracle])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, dtype, value):
+        rng = np.random.default_rng(13)
+        for side in range(2):
+            x = [rng.standard_normal((6, 4)).astype(dtype) for _ in range(2)]
+            x[side][3, 1] = value
+            with pytest.raises(ValueError, match="non-finite encodings"):
+                ratio_match(x[0], x[1], 1.0)
+
+    def test_distances_beyond_float64_rejected(self):
+        a = np.full((3, 4), 1e160)
+        with pytest.raises(ValueError, match="too large"):
+            ratio_match(a, -a, 1.0)
+
+    @pytest.mark.parametrize("case", ["random", "all equal"])
+    def test_peak_memory_is_one_float32_table(self, case):
+        """One (chunk, m) table in the input dtype plus O((n + m) * C) scratch: no
+        float64 table, and candidate lists stay bounded when every distance ties."""
+        c = 64
+        if case == "random":
+            rng = np.random.default_rng(14)
+            a, b = (rng.standard_normal((2048, c)).astype(np.float32) for _ in range(2))
+        else:
+            a = b = np.ones((512, c), np.float32)
+        n, m = len(a), len(b)
+        table = min(n, neighborhood._CHUNK_ENTRIES // m) * m * a.itemsize
+        tracemalloc.start()
+        try:
+            ratio_match(a, b, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table + 4 * (n + m) * c * 8
 
 
 class TestSelectSeeds:
