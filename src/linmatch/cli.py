@@ -166,7 +166,7 @@ def _read_input(reader, path, what):
         raise DataError(f"{what} file not found: {p}")
     try:
         return reader(p)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: an index beyond intp
         raise DataError(f"{p}: {e}")
 
 
@@ -265,9 +265,7 @@ def cmd_eval(args) -> int:
     m = _read_input(read_matches, args.matches, "match")
     ks = _read_input(read_kpds, args.source, "source keypoint")
     kt = _read_input(read_kpds, args.target, "target keypoint")
-    gt = _read_input(lambda p: read_ground_truth(p, n_source=len(ks),
-                                                 n_target=len(kt)),
-                     args.gt, "ground-truth")
+    gt = _read_input(read_ground_truth, args.gt, "ground-truth")
     h = _read_input(read_homography, args.homography, "homography")
     try:
         metrics = evaluate(m, gt, h, ks, kt)

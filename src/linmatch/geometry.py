@@ -9,14 +9,15 @@ Gaussian noise; distractor descriptors are independent draws.
 Ground truth follows a mutual-nearest-neighbor rule under exact reprojection:
 a source/target pair is labeled a correspondence iff each is the other's
 nearest neighbor and the reprojection distance is below 3 pixels (absolute,
-regardless of image size).  Everything else is unmatchable.
+regardless of image size).  The pairs are one (k, 2) index array; an index
+that appears in no row is unmatchable.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -57,21 +58,27 @@ class KeypointSet:
         return self.keypoints.shape[0]
 
 
+def index_pairs(rows) -> np.ndarray:
+    """`rows` as a (k, 2) intp array of (source, target) indices, one-to-one per side."""
+    pairs = np.asarray(rows, dtype=np.intp)
+    if pairs.shape == (0,):
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("pairs must be (k, 2) rows of (source, target) indices")
+    for side in pairs.T:
+        if len(np.unique(side)) != len(side):
+            raise ValueError("pairs must be one-to-one per side")
+    return pairs
+
+
 @dataclass
 class GroundTruth:
-    """Partial bijection of true correspondences plus unmatchable leftovers."""
+    """Partial bijection of true correspondences; every other index is unmatchable."""
 
-    pairs: list  # of (source_index, target_index)
-    unmatchable_source: set = field(default_factory=set)
-    unmatchable_target: set = field(default_factory=set)
+    pairs: np.ndarray  # (k, 2) intp rows of (source_index, target_index)
 
     def __post_init__(self):
-        src = [i for i, _ in self.pairs]
-        tgt = [j for _, j in self.pairs]
-        if len(set(src)) != len(src) or len(set(tgt)) != len(tgt):
-            raise ValueError("ground-truth pairs must form a partial bijection")
-        if self.unmatchable_source & set(src) or self.unmatchable_target & set(tgt):
-            raise ValueError("unmatchable sets must be disjoint from matched indices")
+        self.pairs = index_pairs(self.pairs)
 
 
 @dataclass
@@ -148,29 +155,15 @@ def _clip_to_frame(pts: np.ndarray, width: int, height: int) -> np.ndarray:
 
 def label_correspondences(h: Homography, ks: KeypointSet, kt: KeypointSet) -> GroundTruth:
     """Mutual-NN labeling under exact reprojection with the 3 px cutoff."""
-    n, m = len(ks), len(kt)
     proj, valid = apply_homography(h, ks.keypoints)
-    pairs = []
-    matched_s, matched_t = set(), set()
-    vidx = np.nonzero(valid)[0]
-    if vidx.size and m:
-        vproj = proj[vidx]
-        tpts = kt.keypoints.astype(np.float64)
-        tree_t = cKDTree(tpts)
-        d_st, nn_st = tree_t.query(vproj)  # nearest target for each projection
-        tree_s = cKDTree(vproj)
-        _, nn_ts = tree_s.query(tpts)  # nearest projection for each target
-        for row, (j, d) in enumerate(zip(nn_st, d_st)):
-            if nn_ts[j] == row and d < LABEL_DISTANCE_PX:
-                i = int(vidx[row])
-                pairs.append((i, int(j)))
-                matched_s.add(i)
-                matched_t.add(int(j))
-    return GroundTruth(
-        pairs=pairs,
-        unmatchable_source=set(range(n)) - matched_s,
-        unmatchable_target=set(range(m)) - matched_t,
-    )
+    vidx = np.flatnonzero(valid)
+    if vidx.size == 0 or len(kt) == 0:
+        return GroundTruth([])
+    tpts = kt.keypoints.astype(np.float64)
+    d_st, nn_st = cKDTree(tpts).query(proj[vidx])  # nearest target for each projection
+    _, nn_ts = cKDTree(proj[vidx]).query(tpts)  # nearest projection for each target
+    mutual = (nn_ts[nn_st] == np.arange(vidx.size)) & (d_st < LABEL_DISTANCE_PX)
+    return GroundTruth(np.column_stack([vidx[mutual], nn_st[mutual]]))
 
 
 def generate_pair(seed: int, n_keypoints: int, dims: tuple, descriptor_dim: int,
@@ -260,12 +253,11 @@ def read_kpds(path) -> KeypointSet:
 
 def write_ground_truth(path, gt: GroundTruth) -> None:
     with open(path, "w") as f:
-        for i, j in gt.pairs:
+        for i, j in gt.pairs.tolist():
             f.write(f"{i},{j}\n")
 
 
-def read_ground_truth(path, n_source: int | None = None,
-                      n_target: int | None = None) -> GroundTruth:
+def read_ground_truth(path) -> GroundTruth:
     pairs = []
     with open(path) as f:
         for line in f:
@@ -274,9 +266,7 @@ def read_ground_truth(path, n_source: int | None = None,
                 continue
             i, j = line.split(",")
             pairs.append((int(i), int(j)))
-    unm_s = set(range(n_source)) - {i for i, _ in pairs} if n_source is not None else set()
-    unm_t = set(range(n_target)) - {j for _, j in pairs} if n_target is not None else set()
-    return GroundTruth(pairs, unm_s, unm_t)
+    return GroundTruth(pairs)
 
 
 def write_homography(path, h: Homography) -> None:

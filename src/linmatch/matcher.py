@@ -192,11 +192,12 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     Conventions: an empty match set reports 0 for every accuracy number;
     an empty ground truth makes recall vacuously 1.
     """
-    n = len(m)
+    if ((gt.pairs < 0) | (gt.pairs >= (len(ks), len(kt)))).any():
+        raise ValueError("ground-truth index out of range of the keypoint sets")
+    n, truth = len(m), len(gt.pairs)
     if n == 0:
         mma = {t: 0.0 for t in _MMA_THRESHOLDS_PX}
-        recall = 1.0 if not gt.pairs else 0.0
-        return Metrics(mma, 0.0, recall, 0, 0.0)
+        return Metrics(mma, 0.0, 0.0 if truth else 1.0, 0, 0.0)
     pairs = m.pairs()
     if not all(0 <= i < len(ks) and 0 <= j < len(kt) for i, j in pairs):
         raise ValueError("match index out of range of the keypoint sets")
@@ -205,9 +206,11 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     tgt_pts = kt.keypoints[tgt_idx].astype(np.float64)
     err = np.where(valid, np.linalg.norm(proj - tgt_pts, axis=1), np.inf)
     mma = {t: float((err <= t).mean()) for t in _MMA_THRESHOLDS_PX}
-    hits = len(set(pairs) & set(gt.pairs))  # a MatchSet holds no duplicate pair
+    partner = np.full(len(ks), -1, dtype=np.intp)  # source index -> its true target
+    partner[gt.pairs[:, 0]] = gt.pairs[:, 1]
+    hits = int(np.count_nonzero(partner[src_idx] == tgt_idx))  # a MatchSet has no duplicates
     precision = hits / n
-    recall = hits / len(gt.pairs) if gt.pairs else 1.0
+    recall = hits / truth if truth else 1.0
     return Metrics(mma, precision, recall, n, mma[3])
 
 

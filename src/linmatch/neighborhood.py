@@ -14,8 +14,12 @@ on the source side and lambda * R_t on the target side simultaneously.
 
 Matches are kept as a (k, 2) index array of (source, target) rows, and every
 stage indexes it directly.  Seed candidates come from a k-d tree radius
-query; each pair it reports is re-tested with the exact squared-distance
-comparison, so the radius boundary does not depend on the tree's arithmetic.
+query between the matches' source points; neighborhood members from one
+query between the seeds' source points and the matches', with the radius
+padded.  Each pair either query reports is re-tested with the exact
+squared-distance comparison (on both sides, for members), so the radius
+boundary does not depend on the tree's arithmetic.  A seed whose own point is
+non-finite has no members and gets no neighborhood.
 
 One distance table per chunk of source rows serves both directions: rows
 give the nearest and second-nearest target, columns the nearest source.  The
@@ -43,6 +47,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .attention import NeighborhoodPair
+from .geometry import index_pairs
 
 _CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
 
@@ -54,7 +59,6 @@ class NeighborhoodConfig:
     r: float | None = None  # seed separation radius (px)
     r_s: float | None = None  # source-side neighborhood radius (px)
     r_t: float | None = None  # target-side neighborhood radius (px)
-    min_neighborhood: int = 1  # drop neighborhoods smaller than this
 
     def __post_init__(self):
         if not (0 < self.theta <= 1):
@@ -65,8 +69,6 @@ class NeighborhoodConfig:
             val = getattr(self, name)
             if val is not None and val <= 0:
                 raise ValueError(f"{name} must be positive when set")
-        if self.min_neighborhood < 1:
-            raise ValueError("min_neighborhood must be at least 1")
 
     def resolved_pair(self, source_dims: tuple, target_dims: tuple) -> "NeighborhoodConfig":
         """Fill unset radii per side: r and r_s from the source frame, r_t from the target."""
@@ -86,17 +88,10 @@ class RatioMatchSet:
     ratio_score: np.ndarray
 
     def __post_init__(self):
-        self.matches = np.asarray(self.matches, dtype=np.intp)
-        if self.matches.size == 0:
-            self.matches = self.matches.reshape(0, 2)
-        if self.matches.ndim != 2 or self.matches.shape[1] != 2:
-            raise ValueError("matches must be (source, target) index pairs")
+        self.matches = index_pairs(self.matches)
         self.ratio_score = np.asarray(self.ratio_score, dtype=np.float64)
         if len(self.matches) != self.ratio_score.shape[0]:
             raise ValueError("one score per match required")
-        for side in self.matches.T:
-            if len(np.unique(side)) != len(side):
-                raise ValueError("matches must be one-to-one per side")
 
     def __len__(self):
         return len(self.matches)
@@ -269,9 +264,14 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
 
 def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoints,
                         cfg: NeighborhoodConfig) -> list:
-    """Matches within lambda*R_s of a seed's source AND lambda*R_t of its target."""
+    """Matches within lambda*R_s of a seed's source AND lambda*R_t of its target.
+
+    One neighborhood per seed, in the order of `seeds`, except that a seed
+    with a non-finite point of its own has no members and gets none.
+    """
     if cfg.r_s is None or cfg.r_t is None:
         raise ValueError("config radii must be resolved before building neighborhoods")
+    seeds = np.asarray(seeds, dtype=np.intp)
     if len(m) == 0 or len(seeds) == 0:
         return []
     src_idx, tgt_idx = m.matches.T
@@ -279,16 +279,19 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
     rs2 = (cfg.lam * cfg.r_s) ** 2
     rt2 = (cfg.lam * cfg.r_t) ** 2
-    pairs = []
-    for pos in np.asarray(seeds, dtype=np.intp):
-        ds = ((sp - sp[pos]) ** 2).sum(axis=1)
-        dt = ((tp - tp[pos]) ** 2).sum(axis=1)
-        member = (ds <= rs2) & (dt <= rt2)
-        if member.sum() < cfg.min_neighborhood:
-            continue
-        pairs.append(NeighborhoodPair(
-            seed=(int(src_idx[pos]), int(tgt_idx[pos])),
-            source_set=np.sort(src_idx[member]),
-            target_set=np.sort(tgt_idx[member]),
-        ))
-    return pairs
+    # a non-finite point is within radius of nothing, and the tree rejects it;
+    # the query radius is padded so the exact tests below see every member
+    seeds = seeds[np.isfinite(sp[seeds]).all(axis=1) & np.isfinite(tp[seeds]).all(axis=1)]
+    finite = np.flatnonzero(np.isfinite(sp).all(axis=1))
+    near = cKDTree(sp[seeds]).sparse_distance_matrix(
+        cKDTree(sp[finite]), cfg.lam * cfg.r_s * (1 + 1e-9), output_type="ndarray")
+    row, pos = near["i"], finite[near["j"]]
+    ds = ((sp[pos] - sp[seeds[row]]) ** 2).sum(axis=1)
+    dt = ((tp[pos] - tp[seeds[row]]) ** 2).sum(axis=1)
+    member = (ds <= rs2) & (dt <= rt2)
+    row, pos = row[member], pos[member]
+    source_sets = src_idx[pos[np.lexsort((src_idx[pos], row))]]
+    target_sets = tgt_idx[pos[np.lexsort((tgt_idx[pos], row))]]
+    cuts = np.cumsum(np.bincount(row, minlength=len(seeds)))[:-1]  # each seed is a member
+    return [NeighborhoodPair(seed=(int(src_idx[s]), int(tgt_idx[s])), source_set=a, target_set=b)
+            for s, a, b in zip(seeds, np.split(source_sets, cuts), np.split(target_sets, cuts))]

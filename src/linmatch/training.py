@@ -62,7 +62,7 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     Vectorized over correspondences: negatives are located on detached
     descriptor values, then only the selected rows enter the graph.
     """
-    if not gt.pairs:
+    if len(gt.pairs) == 0:
         raise ValueError("need at least one ground-truth correspondence")
     xs, xt = as_tensor(enc.xs_hat), as_tensor(enc.xt_hat)
     fs, ft = as_tensor(enc.fs_hat), as_tensor(enc.ft_hat)
@@ -70,8 +70,7 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     if n < 2 or m < 2:
         raise ValueError("hardest-negative mining needs at least 2 keypoints per side")
 
-    i_arr = np.array([i for i, _ in gt.pairs], dtype=np.intp)
-    j_arr = np.array([j for _, j in gt.pairs], dtype=np.intp)
+    i_arr, j_arr = gt.pairs.T
 
     xsd, xtd = xs.data, xt.data
     # squared-distance tables on detached data, GT partner masked out

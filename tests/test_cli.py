@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, file outputs, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -56,6 +57,17 @@ def test_synth_same_seed_byte_identical(tmp_path):
     assert files
     for rel in files:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_synth_gt_csv_bytes_are_pinned(tmp_path):
+    # SHA-256 of the gt.csv written when ground truth was still a list of tuples;
+    # 35 of the 64 keypoints pair up under this jitter and these distractors
+    run_cli(["synth", "--pairs", 1, "--kpts", 64, "--dims", "320x240", "--desc-dim", 8,
+             "--jitter-sigma", 2, "--distractors", 10, "--seed", 0, "-o", tmp_path])
+    raw = (tmp_path / "pair0000" / "gt.csv").read_bytes()
+    assert raw.count(b"\n") == 35
+    assert hashlib.sha256(raw).hexdigest() == \
+        "ba1841548c6e53f7f8a8217dab9f87919d3f4e944cb8f817619e5da05c22be6a"
 
 
 def test_synth_usage_errors(tmp_path):
@@ -157,8 +169,9 @@ def test_eval_perfect_matches(tmp_path):
     pdir = data / "pair0000"
     ks = read_kpds(pdir / "source.kpds")
     kt = read_kpds(pdir / "target.kpds")
-    gt = read_ground_truth(pdir / "gt.csv", n_source=len(ks), n_target=len(kt))
-    perfect = MatchSet([(i, j, 1.0) for i, j in gt.pairs],
+    gt = read_ground_truth(pdir / "gt.csv")
+    assert gt.pairs.max(axis=0).tolist() < [len(ks), len(kt)]
+    perfect = MatchSet([(i, j, 1.0) for i, j in gt.pairs.tolist()],
                        ["verified"] * len(gt.pairs))
     write_matches(tmp_path / "matches.csv", perfect)
     out = tmp_path / "metrics"
@@ -235,6 +248,28 @@ def test_eval_out_of_range_index_exit_3(tmp_path, row):
                     "--gt", pdir / "gt.csv",
                     "--homography", pdir / "homography.txt",
                     "-o", tmp_path / "m"]) == 3
+
+
+# SYNTH_ARGS scenes have 40 keypoints per side, so 40 is one past the last index;
+# no row shares an index with the file's own pairs, which would fail another check
+@pytest.mark.parametrize("row", ["-1,-2", "40,41", "99999999999999999999,-1"])
+def test_eval_ground_truth_out_of_range_exit_3(tmp_path, capsys, row):
+    data = synth_dataset(tmp_path / "data")
+    pdir = data / "pair0000"
+    gt = read_ground_truth(pdir / "gt.csv")
+    write_matches(tmp_path / "matches.csv", MatchSet(
+        [(i, j, 1.0) for i, j in gt.pairs.tolist()], ["verified"] * len(gt.pairs)))
+    (tmp_path / "gt.csv").write_text((pdir / "gt.csv").read_text() + row + "\n")
+    capsys.readouterr()  # drop synth's output
+    assert run_cli(["eval", "--matches", tmp_path / "matches.csv",
+                    "--source", pdir / "source.kpds",
+                    "--target", pdir / "target.kpds",
+                    "--gt", tmp_path / "gt.csv",
+                    "--homography", pdir / "homography.txt",
+                    "-o", tmp_path / "m"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "m" / "metrics.json").exists()
 
 
 def test_eval_missing_file_exit_3(tmp_path):

@@ -39,6 +39,10 @@ def brute_force_labels(h, ks, kt):
     return pairs
 
 
+def as_tuples(gt):
+    return sorted(map(tuple, gt.pairs.tolist()))
+
+
 class TestHomography:
     def test_identity_fixed_point(self):
         h = Homography(np.eye(3))
@@ -126,9 +130,15 @@ class TestGroundTruthType:
         with pytest.raises(ValueError):
             GroundTruth([(0, 1), (2, 1)])
 
-    def test_unmatchable_disjointness(self):
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2)], [0, 1], [[0]], np.zeros((2, 2, 2))])
+    def test_pairs_must_be_k_by_2(self, pairs):
         with pytest.raises(ValueError):
-            GroundTruth([(0, 1)], unmatchable_source={0})
+            GroundTruth(pairs)
+
+    def test_pairs_are_an_index_array(self):
+        for pairs, k in (([(0, 3), (2, 1)], 2), ([], 0)):
+            gt = GroundTruth(pairs)
+            assert gt.pairs.shape == (k, 2) and gt.pairs.dtype == np.intp
 
 
 class TestGeneratePair:
@@ -137,24 +147,23 @@ class TestGeneratePair:
         b = generate_pair(9, 64, (320, 240), 16)
         np.testing.assert_array_equal(a[0].keypoints, b[0].keypoints)
         np.testing.assert_array_equal(a[1].descriptors, b[1].descriptors)
-        assert a[2].pairs == b[2].pairs
+        np.testing.assert_array_equal(a[2].pairs, b[2].pairs)
         np.testing.assert_array_equal(a[3].matrix, b[3].matrix)
 
     def test_noiseless_covers_all_survivors(self):
         ks, kt, gt, h = generate_pair(7, 128, (320, 240), 16, GenNoiseConfig())
         # every target keypoint is a projected survivor, so all must be matched
-        assert len(gt.pairs) == len(kt)
-        assert gt.unmatchable_target == set()
+        np.testing.assert_array_equal(np.sort(gt.pairs[:, 1]), np.arange(len(kt)))
 
     def test_identity_homography_pairs_are_diagonal(self):
         ks, kt, gt, h = generate_pair(3, 64, (100, 100), 8,
                                       homography=Homography(np.eye(3)))
-        assert gt.pairs == [(i, i) for i in range(64)]
+        np.testing.assert_array_equal(gt.pairs, [(i, i) for i in range(64)])
 
     def test_jittered_pairs_match_brute_force_oracle(self):
         ks, kt, gt, h = generate_pair(7, 128, (320, 240), 16,
                                       GenNoiseConfig(jitter_sigma=5.0, distractors=20))
-        assert sorted(gt.pairs) == sorted(brute_force_labels(h, ks, kt))
+        assert as_tuples(gt) == sorted(brute_force_labels(h, ks, kt))
         # jitter of 5 px must push a decent share of pairs past the cutoff
         assert 0 < len(gt.pairs) < len(kt) - 20
 
@@ -162,14 +171,15 @@ class TestGeneratePair:
         ks, kt, gt, h = generate_pair(11, 96, (320, 240), 8,
                                       GenNoiseConfig(jitter_sigma=2.0, distractors=10))
         proj, valid = apply_homography(h, ks.keypoints)
-        matched_t = {j for _, j in gt.pairs}
         for i, j in gt.pairs:
             assert valid[i]
             d = np.linalg.norm(proj[i] - kt.keypoints[j].astype(np.float64))
             assert d < 3.0
-        # unmatchable means no mutual-NN partner under 3 px
+        # unmatchable (in no pair) means no mutual-NN partner under 3 px
+        unmatched = np.setdiff1d(np.arange(len(ks)), gt.pairs[:, 0])
+        assert unmatched.size > 0
         oracle = dict(brute_force_labels(h, ks, kt))
-        for i in gt.unmatchable_source:
+        for i in unmatched.tolist():
             assert i not in oracle
 
     def test_min_matches_resamples(self):
@@ -196,14 +206,13 @@ class TestLabelCorrespondences:
         for seed in range(5):
             ks, kt, gt, h = generate_pair(seed, 80, (256, 256), 4,
                                           GenNoiseConfig(jitter_sigma=3.0, distractors=15))
-            assert sorted(gt.pairs) == sorted(brute_force_labels(h, ks, kt))
+            assert as_tuples(gt) == sorted(brute_force_labels(h, ks, kt))
 
     def test_empty_target(self):
         ks = KeypointSet(np.array([[1.0, 1.0]]), np.zeros((1, 4)), 10, 10)
         kt = KeypointSet(np.zeros((0, 2)), np.zeros((0, 4)), 10, 10)
         gt = label_correspondences(Homography(np.eye(3)), ks, kt)
-        assert gt.pairs == []
-        assert gt.unmatchable_source == {0}
+        assert gt.pairs.shape == (0, 2) and gt.pairs.dtype == np.intp
 
 
 class TestFileFormats:
@@ -230,13 +239,13 @@ class TestFileFormats:
             read_kpds(p)
 
     def test_ground_truth_round_trip(self, tmp_path):
-        gt = GroundTruth([(0, 3), (2, 1), (5, 5)], {1, 3, 4}, {0, 2, 4})
+        gt = GroundTruth([(0, 3), (2, 1), (5, 5)])
         p = tmp_path / "gt.csv"
         write_ground_truth(p, gt)
-        loaded = read_ground_truth(p, n_source=6, n_target=6)
-        assert loaded.pairs == gt.pairs
-        assert loaded.unmatchable_source == gt.unmatchable_source
-        assert loaded.unmatchable_target == gt.unmatchable_target
+        assert p.read_text() == "0,3\n2,1\n5,5\n"
+        loaded = read_ground_truth(p)
+        np.testing.assert_array_equal(loaded.pairs, gt.pairs)
+        assert loaded.pairs.dtype == np.intp
 
     def test_homography_round_trip(self, tmp_path):
         _, _, _, h = generate_pair(33, 8, (320, 240), 4)

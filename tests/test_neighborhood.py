@@ -1,6 +1,7 @@
 """Matching, seeding, and neighborhood construction vs brute-force oracles."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -478,18 +479,117 @@ class TestBuildNeighborhoods:
             assert set(p_small.source_set) <= set(p_large.source_set)
             assert set(p_small.target_set) <= set(p_large.target_set)
 
-    def test_min_neighborhood_drops_small(self):
-        ks = np.array([[0.0, 0.0], [100.0, 100.0]])
-        kt = ks.copy()
-        m = RatioMatchSet([(0, 0), (1, 1)], [2.0, 2.0])
-        cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0, min_neighborhood=2)
-        assert build_neighborhoods(np.array([0, 1]), m, ks, kt, cfg) == []
-
     def test_unresolved_radii_rejected(self):
         m = RatioMatchSet([(0, 0)], [1.0])
         with pytest.raises(ValueError):
             build_neighborhoods(np.array([0]), m, np.zeros((1, 2)), np.zeros((1, 2)),
                                 NeighborhoodConfig())
+
+
+def loop_neighborhoods(seeds, m, source_keypoints, target_keypoints, cfg):
+    """Reference: scan every match per seed; a seed with no members gets no neighborhood."""
+    src_idx, tgt_idx = m.matches.T
+    sp = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
+    tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
+    rs2 = (cfg.lam * cfg.r_s) ** 2
+    rt2 = (cfg.lam * cfg.r_t) ** 2
+    out = []
+    for pos in seeds:
+        with np.errstate(invalid="ignore"):  # inf - inf
+            ds = ((sp - sp[pos]) ** 2).sum(axis=1)
+            dt = ((tp - tp[pos]) ** 2).sum(axis=1)
+        member = (ds <= rs2) & (dt <= rt2)
+        if member.any():
+            out.append(((int(src_idx[pos]), int(tgt_idx[pos])),
+                        np.sort(src_idx[member]), np.sort(tgt_idx[member])))
+    return out
+
+
+def assert_same_as_loop(seeds, m, ks, kt, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from non-finite points
+        got = build_neighborhoods(seeds, m, ks, kt, cfg)
+    want = loop_neighborhoods(seeds, m, ks, kt, cfg)
+    assert len(got) == len(want)
+    for p, (seed, src, tgt) in zip(got, want):
+        assert p.seed == seed
+        for have, expect in ((p.source_set, src), (p.target_set, tgt)):
+            assert have.dtype == expect.dtype
+            np.testing.assert_array_equal(have, expect)
+    return got
+
+
+class TestNeighborhoodOracle:
+    """build_neighborhoods against the per-seed scan it replaced."""
+
+    def test_bounds_are_inclusive_to_the_ulp(self):
+        # seed at (50, 50) on both sides; lambda*R_s = 10 and lambda*R_t = 5
+        cfg = NeighborhoodConfig(lam=2.0, r=5.0, r_s=5.0, r_t=2.5)
+        up = np.nextafter(58.0, np.inf)
+        src = [(50, 50), (56, 58), (56, up), (60, 50), (np.nextafter(60.0, np.inf), 50),
+               (40, 50), (50, 51), (50, 51), (44, 42)]
+        tgt = [(50, 50), (50, 51), (50, 51), (51, 50), (51, 50),
+               (50, 50), (53, 54), (53, np.nextafter(54.0, np.inf)), (50, 50)]
+        ks, kt = np.array(src, dtype=np.float64), np.array(tgt, dtype=np.float64)
+        d_s = ((ks - ks[0]) ** 2).sum(axis=1)
+        d_t = ((kt - kt[0]) ** 2).sum(axis=1)
+        # the construction: rows 1, 3, 5 and 8 sit exactly on the source bound, row 6
+        # on the target bound, and rows 2, 4 and 7 one ulp outside
+        assert (d_s[[1, 3, 5, 8]] == 100).all() and d_t[6] == 25
+        assert (d_s[[2, 4]] > 100).all() and d_t[7] > 25
+        m = RatioMatchSet([(i, i) for i in range(len(src))], np.ones(len(src)))
+        [p] = assert_same_as_loop(np.array([0]), m, ks, kt, cfg)
+        np.testing.assert_array_equal(p.source_set, [0, 1, 3, 5, 6, 8])
+
+    def test_overlapping_neighborhoods(self):
+        rng = np.random.default_rng(21)
+        ks, kt = rng.uniform(0, 60, size=(80, 2)), rng.uniform(0, 60, size=(80, 2))
+        m = RatioMatchSet([(i, i) for i in range(80)], rng.uniform(1, 4, size=80))
+        cfg = NeighborhoodConfig(lam=2.0, r=8.0, r_s=8.0, r_t=30.0)
+        seeds = select_seeds(m, ks, cfg.r)
+        got = assert_same_as_loop(seeds, m, ks, kt, cfg)
+        assert any(np.intersect1d(a.source_set, b.source_set).size
+                   for a, b in zip(got, got[1:]))
+
+    def test_unsorted_matches_and_seeds(self):
+        rng = np.random.default_rng(22)
+        ks, kt = rng.uniform(0, 100, size=(90, 2)), rng.uniform(0, 100, size=(70, 2))
+        m = RatioMatchSet(np.column_stack([rng.permutation(90)[:60], rng.permutation(70)[:60]]),
+                          rng.uniform(1, 4, size=60))
+        assert (np.diff(m.matches[:, 0]) < 0).any()
+        cfg = NeighborhoodConfig(lam=2.0, r=10.0, r_s=10.0, r_t=40.0)
+        seeds = rng.permutation(select_seeds(m, ks, cfg.r))
+        assert len(assert_same_as_loop(seeds, m, ks, kt, cfg)) == len(seeds)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_points(self, value):
+        ks = np.array([[0.0, 0.0], [1.0, 1.0], [value, 2.0], [3.0, 3.0], [2.0, 2.0]])
+        kt = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, value], [2.0, value]])
+        m = RatioMatchSet([(i, i) for i in range(5)], np.ones(5))
+        cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0)
+        got = assert_same_as_loop(np.array([2, 0, 3, 1]), m, ks, kt, cfg)
+        # seeds 2 and 3 have a non-finite point of their own, so no members
+        assert [p.seed for p in got] == [(0, 0), (1, 1)]
+        np.testing.assert_array_equal(got[0].source_set, [0, 1])
+        assert assert_same_as_loop(np.array([3, 2]), m, ks, kt, cfg) == []
+
+    def test_float32_scenes(self):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            ks = rng.uniform(0, 320, size=(400, 2)).astype(np.float32)
+            kt = rng.uniform(0, 240, size=(300, 2)).astype(np.float32)
+            m = ratio_match(rng.standard_normal((400, 8)), rng.standard_normal((300, 8)), 1.0)
+            cfg = NeighborhoodConfig().resolved_pair((320, 320), (240, 240))
+            seeds = select_seeds(m, ks, cfg.r)
+            assert len(assert_same_as_loop(seeds, m, ks, kt, cfg)) == len(seeds)
+
+    def test_no_seeds_or_no_matches(self):
+        cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0)
+        m = RatioMatchSet([(0, 0)], [1.0])
+        assert assert_same_as_loop(np.zeros(0, dtype=np.intp), m, np.zeros((1, 2)),
+                                   np.zeros((1, 2)), cfg) == []
+        assert build_neighborhoods([], RatioMatchSet([], []), np.zeros((0, 2)),
+                                   np.zeros((0, 2)), cfg) == []
 
 
 class TestConfig:
