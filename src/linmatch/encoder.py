@@ -23,9 +23,12 @@ x is exactly the row-normalized f.
 
 Weights are stored in the "LAWT" container: little-endian, magic + version +
 tensor count, then (version 2) a length-prefixed JSON config record, then
-named f32 tensors `layer{i}.{self|cross|pair}.{param}`.  For weights the
-record holds the head count, so a model cannot run silently with another;
-version 1 files (no record, head count unknown) are still read.
+named f32 tensors.  For weights the record holds the head count, so a model
+cannot run silently with another; version 1 files (no record, head count
+unknown) are still read.  `layer_prefixes` alone defines the tensor names
+(`layer{i}.self`, `layer{i}.cross`, then `layer{l1+i}.pair`, each followed by
+`.{param}`): `NetworkWeights.all_params` writes through it and
+`NetworkWeights.from_table` reads back only a table named exactly that way.
 """
 
 from __future__ import annotations
@@ -97,6 +100,12 @@ class NetworkConfig:
             raise ValueError("l2 must be non-negative")
 
 
+def layer_prefixes(l1: int, l2: int) -> list:
+    """Tensor name prefixes of the layers, in file order."""
+    return ([f"layer{i}.{kind}" for kind in ("self", "cross") for i in range(l1)]
+            + [f"layer{l1 + i}.pair" for i in range(l2)])
+
+
 @dataclass
 class NetworkWeights:
     self_layers: list  # L1 LayerWeights; index 0 is the rectangular reducer
@@ -106,10 +115,27 @@ class NetworkWeights:
 
     def all_params(self):
         """(name, value) pairs in the canonical file order."""
-        layers = [(i, "self", w) for i, w in enumerate(self.self_layers)]
-        layers += [(i, "cross", w) for i, w in enumerate(self.cross_layers)]
-        layers += [(len(self.self_layers) + i, "pair", w) for i, w in enumerate(self.pair_layers)]
-        return [(f"layer{i}.{kind}.{n}", v) for i, kind, w in layers for n, v in w.params()]
+        prefixes = layer_prefixes(len(self.self_layers), len(self.pair_layers))
+        layers = self.self_layers + self.cross_layers + self.pair_layers
+        return [(f"{prefix}.{n}", v) for prefix, w in zip(prefixes, layers, strict=True)
+                for n, v in w.params()]
+
+    @classmethod
+    def from_table(cls, table, heads: int | None = None) -> NetworkWeights:
+        """Layers from a name -> tensor mapping named exactly as `all_params` names them."""
+        l1 = sum(name.endswith(".self.wq") for name in table)
+        l2 = sum(name.endswith(".pair.wq") for name in table)
+        if l1 == 0:
+            raise ValueError("no self/cross layers in the weight file")
+        prefixes = layer_prefixes(l1, l2)
+        expected = {f"{prefix}.{n}" for prefix in prefixes for n in _PARAM_NAMES}
+        if expected != table.keys():
+            raise ValueError(f"tensor names differ from the layout of {l1} self/cross and "
+                             f"{l2} pairwise layers: missing {sorted(expected - table.keys())}, "
+                             f"unexpected {sorted(table.keys() - expected)}")
+        layers = [LayerWeights(*(table[f"{prefix}.{n}"] for n in _PARAM_NAMES))
+                  for prefix in prefixes]
+        return cls(layers[:l1], layers[l1:2 * l1], layers[2 * l1:], heads)
 
     def validate(self, cfg: NetworkConfig):
         if self.heads is not None and self.heads != cfg.heads:
@@ -293,6 +319,8 @@ def read_tensor_table(path):
             (ndim,) = struct.unpack("<B", read_exact(f, 1, f"{name} ndim"))
             shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, f"{name} dims"))
             raw = read_exact(f, math.prod(shape) * 4, f"{name} data")  # Python ints: no wrap
+            if name in tensors:
+                raise ValueError(f"repeated tensor name {name!r}")
             tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
         if f.read(1):
             raise ValueError("trailing bytes after last tensor")
@@ -305,53 +333,13 @@ def save_weights(path, weights: NetworkWeights) -> None:
 
 
 def load_weights(path) -> NetworkWeights:
-    """Read a LAWT file into a layer structure, checking every shape and value."""
+    """Read a LAWT file into a layer structure, checking every name, shape and value."""
     tensors, config = read_tensor_table(path)
-    weights = _assemble(tensors)
-    weights.heads, (in_dim, hidden) = config.get("heads"), np.shape(weights.self_layers[0].wq)
-    if weights.heads is not None and (type(weights.heads) is not int or weights.heads < 1
-                                      or hidden % weights.heads):
-        raise ValueError(f"config record: bad head count {weights.heads!r} for width {hidden}")
-    weights.validate(NetworkConfig(in_dim, hidden, weights.heads or 1, len(weights.self_layers),
-                                   len(weights.pair_layers)))
+    heads = config.get("heads")
+    if heads is not None and type(heads) is not int:
+        raise ValueError(f"config record: head count {heads!r} is not an integer")
+    weights = NetworkWeights.from_table(tensors, heads)
+    in_dim, hidden = np.shape(weights.self_layers[0].wq)
+    weights.validate(NetworkConfig(in_dim, hidden, 1 if heads is None else heads,
+                                   len(weights.self_layers), len(weights.pair_layers)))
     return weights
-
-
-def _assemble(tensors) -> NetworkWeights:
-    layers = {}
-    for name in tensors:
-        try:
-            layer_part, kind, param = name.split(".")
-            idx = int(layer_part.removeprefix("layer"))
-        except ValueError as e:
-            raise ValueError(f"malformed tensor name {name!r}") from e
-        if param not in _PARAM_NAMES:
-            raise ValueError(f"unknown parameter in tensor name {name!r}")
-        layers.setdefault((idx, kind), {})[param] = tensors[name]
-
-    def collect(kind, indices):
-        out = []
-        for idx in indices:
-            group = layers.get((idx, kind))
-            if group is None:
-                raise ValueError(f"missing layer{idx}.{kind}")
-            missing = set(_PARAM_NAMES) - set(group)
-            if missing:
-                raise ValueError(f"layer{idx}.{kind} missing {sorted(missing)}")
-            out.append(LayerWeights(**group))
-        return out
-
-    self_idx = sorted(i for (i, kind) in layers if kind == "self")
-    pair_idx = sorted(i for (i, kind) in layers if kind == "pair")
-    l1 = len(self_idx)
-    if l1 == 0:
-        raise ValueError("no self/cross layers in the weight file")
-    if self_idx != list(range(l1)):
-        raise ValueError("self layer indices are not contiguous from zero")
-    if pair_idx and pair_idx != list(range(l1, l1 + len(pair_idx))):
-        raise ValueError("pair layer indices must follow the self/cross block")
-    return NetworkWeights(
-        self_layers=collect("self", range(l1)),
-        cross_layers=collect("cross", range(l1)),
-        pair_layers=collect("pair", pair_idx),
-    )

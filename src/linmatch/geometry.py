@@ -89,6 +89,8 @@ class Homography:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64).reshape(3, 3)
+        if not np.isfinite(m).all():
+            raise ValueError("homography entries must be finite")
         if abs(np.linalg.det(m)) <= 1e-9:
             raise ValueError("homography is singular")
         if m[2, 2] == 0:
@@ -127,22 +129,19 @@ def apply_homography(h: Homography, points) -> tuple[np.ndarray, np.ndarray]:
 
 def _sample_homography(rng: np.random.Generator, width: int, height: int) -> Homography:
     """Rotation, anisotropic scale, shear, and translation about frame center."""
-    while True:
-        angle = rng.uniform(-np.pi / 6, np.pi / 6)
-        sx, sy = rng.uniform(0.7, 1.4, size=2)
-        shear = rng.uniform(-0.2, 0.2)
-        tx = rng.uniform(-0.15, 0.15) * width
-        ty = rng.uniform(-0.15, 0.15) * height
-        c, s = np.cos(angle), np.sin(angle)
-        rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
-        scale = np.diag([sx, sy, 1.0])
-        sh = np.array([[1, shear, 0], [0, 1, 0], [0, 0, 1]])
-        cx, cy = width / 2, height / 2
-        to_center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]])
-        back = np.array([[1, 0, cx + tx], [0, 1, cy + ty], [0, 0, 1]])
-        m = back @ rot @ sh @ scale @ to_center
-        if abs(np.linalg.det(m)) > 1e-9:
-            return Homography(m)
+    angle = rng.uniform(-np.pi / 6, np.pi / 6)
+    sx, sy = rng.uniform(0.7, 1.4, size=2)
+    shear = rng.uniform(-0.2, 0.2)
+    tx = rng.uniform(-0.15, 0.15) * width
+    ty = rng.uniform(-0.15, 0.15) * height
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
+    scale = np.diag([sx, sy, 1.0])
+    sh = np.array([[1, shear, 0], [0, 1, 0], [0, 0, 1]])
+    cx, cy = width / 2, height / 2
+    to_center = np.array([[1, 0, -cx], [0, 1, -cy], [0, 0, 1]])
+    back = np.array([[1, 0, cx + tx], [0, 1, cy + ty], [0, 0, 1]])
+    return Homography(back @ rot @ sh @ scale @ to_center)
 
 
 def _clip_to_frame(pts: np.ndarray, width: int, height: int) -> np.ndarray:

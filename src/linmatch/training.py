@@ -27,14 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .encoder import (
-    LayerWeights,
-    NetworkConfig,
-    NetworkWeights,
-    forward,
-    init_weights,
-    write_tensor_table,
-)
+from .encoder import NetworkConfig, NetworkWeights, forward, init_weights, write_tensor_table
 from .geometry import GroundTruth
 from .neighborhood import NeighborhoodConfig
 
@@ -69,6 +62,8 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     n, m = xs.data.shape[0], xt.data.shape[0]
     if n < 2 or m < 2:
         raise ValueError("hardest-negative mining needs at least 2 keypoints per side")
+    if ((gt.pairs < 0) | (gt.pairs >= (n, m))).any():
+        raise ValueError("ground-truth index out of range of the encodings")
 
     i_arr, j_arr = gt.pairs.T
 
@@ -108,11 +103,8 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
 
 def _map_params(weights: NetworkWeights, fn) -> NetworkWeights:
     """The same layers with every parameter replaced by `fn(parameter)`."""
-    def conv(layer: LayerWeights) -> LayerWeights:
-        return LayerWeights(**{name: fn(val) for name, val in layer.params()})
-    return NetworkWeights([conv(w) for w in weights.self_layers],
-                          [conv(w) for w in weights.cross_layers],
-                          [conv(w) for w in weights.pair_layers])
+    return NetworkWeights.from_table({name: fn(v) for name, v in weights.all_params()},
+                                     weights.heads)
 
 
 def loss_gradient(weights: NetworkWeights, batch, net_cfg: NetworkConfig,

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from linmatch.cli import main
-from linmatch.encoder import NetworkConfig, init_weights, load_weights, save_weights
+from linmatch.encoder import (
+    NetworkConfig,
+    init_weights,
+    load_weights,
+    save_weights,
+    write_tensor_table,
+)
 from linmatch.geometry import KeypointSet, read_ground_truth, read_kpds, write_kpds
 from linmatch.matcher import MatchSet, read_matches, write_matches
 
@@ -235,6 +241,56 @@ def test_match_overflowing_weight_exit_3(tmp_path, capsys):
     assert code == 3
     assert "non-finite encodings" in capsys.readouterr().err
     assert not (tmp_path / "r" / "matches.csv").exists()
+
+
+# each turns the entries of a small_weights_file (l1=1, l2=1) into names off its layout
+OFF_LAYOUT = {
+    "extra tensor": lambda e: e + [("layer2.cross.wq", e[-1][1])],
+    "unknown kind": lambda e: e + [("layer0.bogus.wq", e[0][1])],
+    "stray layer index": lambda e: [(n.replace("layer0.cross.", "layer5.cross."), v)
+                                    for n, v in e],
+    "pair layer at wrong index": lambda e: [(n.replace("layer1.pair.", "layer0.pair."), v)
+                                            for n, v in e],
+    "missing tensor": lambda e: [(n, v) for n, v in e if n != "layer0.cross.wk"],
+    "repeated name": lambda e: e + [e[0]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_LAYOUT))
+def test_match_weights_off_the_layout_exit_3(tmp_path, capsys, case):
+    data = synth_dataset(tmp_path / "data")
+    entries = load_weights(small_weights_file(tmp_path / "w.lawt")).all_params()
+    write_tensor_table(tmp_path / "bad.lawt", OFF_LAYOUT[case](entries), {"heads": 2})
+    with pytest.raises(ValueError):
+        load_weights(tmp_path / "bad.lawt")
+    capsys.readouterr()  # drop synth's output
+    assert run_cli(["match", data / "pair0000" / "source.kpds",
+                    data / "pair0000" / "target.kpds",
+                    "--weights", tmp_path / "bad.lawt", "-o", tmp_path / "r"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "r" / "matches.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_non_finite_homography_exit_3(tmp_path, capsys, value):
+    data = synth_dataset(tmp_path / "data")
+    pdir = data / "pair0000"
+    gt = read_ground_truth(pdir / "gt.csv")
+    write_matches(tmp_path / "matches.csv", MatchSet(
+        [(i, j, 1.0) for i, j in gt.pairs.tolist()], ["verified"] * len(gt.pairs)))
+    (tmp_path / "h.txt").write_text(f"1 0 {value}\n0 1 0\n0 0 1\n")
+    capsys.readouterr()  # drop synth's output
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a NumPy RuntimeWarning on the way fails the run
+        assert run_cli(["eval", "--matches", tmp_path / "matches.csv",
+                        "--source", pdir / "source.kpds",
+                        "--target", pdir / "target.kpds",
+                        "--gt", pdir / "gt.csv",
+                        "--homography", tmp_path / "h.txt", "-o", tmp_path / "m"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "finite" in err
+    assert not (tmp_path / "m" / "metrics.json").exists()
 
 
 @pytest.mark.parametrize("row", ["9999,0", "0,9999", "-1,0"])
@@ -480,7 +536,8 @@ def test_bad_weight_config_record_exit_3(tmp_path):
     pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds"]
     good = small_weights_file(tmp_path / "w.lawt").read_bytes()
     record_len = int.from_bytes(good[12:14], "little")
-    for record in (b'{"heads": 3}', b'{"heads": "2"}', b'[2]', b'{nope', b'\xff\xfe'):
+    for record in (b'{"heads": 3}', b'{"heads": "2"}', b'{"heads": 0}', b'{"heads": -2}',
+                   b'{"heads": true}', b'{"heads": 2.0}', b'[2]', b'{nope', b'\xff\xfe'):
         bad = tmp_path / "bad.lawt"
         bad.write_bytes(good[:12] + len(record).to_bytes(2, "little") + record
                         + good[14 + record_len:])

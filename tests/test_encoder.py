@@ -1,5 +1,7 @@
 """Layer wiring, full forward oracle, and weight-file round-trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from linmatch.encoder import (
     init_weights,
     load_weights,
     pairwise_layer_update,
+    read_tensor_table,
     save_weights,
     self_attention_update,
     write_tensor_table,
@@ -420,3 +423,68 @@ def test_weight_file_cut_anywhere_is_a_value_error(tmp_path):
         cut.write_bytes(whole[:end])
         with pytest.raises(ValueError):
             load_weights(cut)
+
+
+LAYOUT_CFG = NetworkConfig(input_dim=8, hidden_dim=4, heads=2, l1=2, l2=1)
+
+
+def test_weight_file_bytes_are_pinned(tmp_path):
+    # SHA-256 recorded before `layer_prefixes` became the one definition of the names
+    p = tmp_path / "w.lawt"
+    save_weights(p, init_weights(LAYOUT_CFG, seed=0))
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == \
+        "8e57b5d3cc3333f51f328367947c8c318b0a6fd05d6034acbc3609f52b077ba8"
+
+
+def test_save_load_save_byte_identical_with_pair_layers(tmp_path):
+    p1, p2 = tmp_path / "a.lawt", tmp_path / "b.lawt"
+    save_weights(p1, init_weights(LAYOUT_CFG, seed=4))
+    loaded = load_weights(p1)
+    assert (len(loaded.self_layers), len(loaded.pair_layers), loaded.heads) == (2, 1, 2)
+    save_weights(p2, loaded)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def _renamed(entries, old, new):
+    return [(name.replace(old, new), value) for name, value in entries]
+
+
+# each turns the entries of a valid l1=2, l2=1 file into names off that layout,
+# with the names the error must list
+OFF_LAYOUT = {
+    "extra tensor": (lambda e: e + [("layer3.cross.wq", e[-1][1])], ["layer3.cross.wq"]),
+    "unknown kind": (lambda e: e + [("layer0.bogus.wq", e[0][1])], ["layer0.bogus.wq"]),
+    "stray layer index": (lambda e: _renamed(e, "layer1.self.", "layer4.self."),
+                          ["layer1.self.wq", "layer4.self.wq"]),
+    "pair layer at wrong index": (lambda e: _renamed(e, "layer2.pair.", "layer3.pair."),
+                                  ["layer2.pair.mlp0", "layer3.pair.mlp0"]),
+    "missing tensor": (lambda e: [(n, v) for n, v in e if n != "layer1.cross.mlp1"],
+                       ["layer1.cross.mlp1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_LAYOUT))
+def test_names_off_the_layout_are_refused(tmp_path, case):
+    edit, listed = OFF_LAYOUT[case]
+    p = tmp_path / "w.lawt"
+    write_tensor_table(p, edit(init_weights(LAYOUT_CFG, seed=0).all_params()), {"heads": 2})
+    with pytest.raises(ValueError, match="differ from the layout") as err:
+        load_weights(p)
+    assert all(repr(name) in str(err.value) for name in listed)
+
+
+def test_from_table_rebuilds_the_layers():
+    w = init_weights(LAYOUT_CFG, seed=5)
+    rebuilt = NetworkWeights.from_table(dict(w.all_params()), w.heads)
+    assert rebuilt.heads == 2
+    assert all(a is b for (_, a), (_, b) in zip(rebuilt.all_params(), w.all_params(), strict=True))
+
+
+def test_repeated_tensor_name_is_refused(tmp_path):
+    entries = init_weights(LAYOUT_CFG, seed=0).all_params()
+    p = tmp_path / "w.lawt"
+    write_tensor_table(p, entries + [("layer0.self.wq", np.zeros((8, 4)))], {"heads": 2})
+    with pytest.raises(ValueError, match="repeated tensor name 'layer0.self.wq'"):
+        read_tensor_table(p)
+    with pytest.raises(ValueError, match="repeated"):
+        load_weights(p)

@@ -85,6 +85,13 @@ class TestHomography:
         with pytest.raises(ValueError):
             Homography(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        m = np.eye(3)
+        m[0, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            Homography(m)
+
     def test_vanishing_w_flagged(self):
         m = np.eye(3)
         m[2, :] = [1.0, 0.0, 0.0]  # w = x; goes through zero at x=0

@@ -96,6 +96,13 @@ def test_triplet_loss_requires_pairs_and_two_per_side():
         triplet_loss(small, GroundTruth(pairs=[(0, 0)]), cfg)
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (4, 0), (0, 4)])
+def test_triplet_loss_rejects_ground_truth_outside_the_encodings(pair):
+    enc = random_enc(np.random.default_rng(0), 4, 4, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        triplet_loss(enc, GroundTruth(pairs=[(1, 1), pair]), LossConfig())
+
+
 def test_zero_loss_has_zero_gradient():
     # orthonormal matched rows: positive distance 0, negatives at 2, so both
     # hinges are strictly inactive and nothing should receive gradient
