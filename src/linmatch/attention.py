@@ -12,11 +12,12 @@ K_v = phi(K)^T V (d x d) and K_m = sum_j phi(K_j), and gives query row i
 column of K_v once V gets a ones column, so one product yields numerator and
 denominator; phi > 0, so the denominator never vanishes.
 
-The restricted kernel applies the same ratio within matched neighborhoods,
-held by a `Membership` as CSR arrays: each side's member rows concatenated
-neighborhood by neighborhood (segments).  K_v is summed over a segment's key
-rows and applied to its query rows by one batched matmul per distinct
-segment size (never a d x d product per member), and the results are
+The restricted kernel applies the same ratio within the neighborhoods of a
+`Membership`, which `build_neighborhoods` returns and which checks every set
+once, when built.  It holds them as CSR arrays: each side's member rows
+concatenated neighborhood by neighborhood (segments).  K_v is summed over a
+segment's key rows and applied to its query rows by one batched matmul per
+distinct segment size (never a d x d product per member), and the results are
 sum-scattered into the output rows: rows outside every neighborhood stay
 exactly zero, rows in several get the plain sum.  The reverse direction
 (target rows querying source rows) swaps the two sides.  The linear kernel
@@ -31,6 +32,7 @@ numpy out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,23 +56,12 @@ class ProjectedTriplet:
             raise ValueError(f"column mismatch: q={qs[1]} k={ks[1]} v={vs[1]}")
 
 
-@dataclass
-class NeighborhoodPair:
+class NeighborhoodPair(NamedTuple):
     """A matched seed plus the per-side index sets attending to each other."""
 
     seed: tuple  # (source_index, target_index)
     source_set: np.ndarray
     target_set: np.ndarray
-
-    def __post_init__(self):
-        self.source_set = np.asarray(self.source_set, dtype=np.intp)
-        self.target_set = np.asarray(self.target_set, dtype=np.intp)
-        if self.source_set.size == 0 or self.target_set.size == 0:
-            raise ValueError("neighborhood sides must be non-empty")
-        if any(np.unique(s).size != s.size for s in (self.source_set, self.target_set)):
-            raise ValueError("a neighborhood side must not repeat an index")
-        if self.seed[0] not in self.source_set or self.seed[1] not in self.target_set:
-            raise ValueError("seed indices must belong to their own sets")
 
 
 class Segments:
@@ -85,14 +76,14 @@ class Segments:
         if sets is None:  # position None indexes x[None]: the whole array, as a view
             self.rows, self.count, self.groups = None, 1, [(np.zeros(1, dtype=np.intp), None)]
             return
-        sizes = np.array([len(s) for s in sets], dtype=np.intp)
-        self.rows = np.concatenate(sets) if sets else np.zeros(0, dtype=np.intp)
+        sizes = self.sizes = np.array([len(s) for s in sets], dtype=np.intp)
+        self.rows = np.concatenate(sets or [[]]).astype(np.intp, copy=False)
         self.count, starts = len(sets), np.cumsum(sizes) - sizes
         self.groups = [(segs, starts[segs][:, None] + np.arange(size))
                        for size in np.unique(sizes) for segs in [np.flatnonzero(sizes == size)]]
         # level L holds each row's (L+1)-th member, so a level repeats no row and
         # adding level by level sums in member order, exactly as np.add.at does
-        order = np.argsort(self.rows, kind="stable")
+        order = self.order = np.argsort(self.rows, kind="stable")  # equal rows keep set order
         rank = np.arange(order.size) - np.searchsorted(self.rows[order], self.rows[order])
         self.levels = [(self.rows[lv], lv) for r in range(rank.max(initial=-1) + 1)
                        for lv in [order[rank == r]]]
@@ -124,17 +115,29 @@ class Segments:
         return out
 
 
-class Membership(list):
-    """A list of `NeighborhoodPair` plus its per-side `Segments`.
+class Membership(tuple):
+    """An immutable tuple of `NeighborhoodPair` plus its per-side `Segments`.
 
-    Built once per forward pass and shared by every pairwise layer and both
-    directions; do not modify the list afterwards.
+    Construction checks all sets at once, over each side's concatenated rows:
+    every set is non-empty, repeats no index and holds its own seed.
     """
 
-    def __init__(self, pairs):
-        super().__init__(pairs)
+    def __new__(cls, pairs):
+        self = super().__new__(cls, pairs)
         self.source = Segments([p.source_set for p in self])
         self.target = Segments([p.target_set for p in self])
+        seeds = np.array([p.seed for p in self], dtype=np.intp).reshape(len(self), 2)
+        for side, seed in zip((self.source, self.target), seeds.T):
+            if not side.sizes.all():
+                raise ValueError("neighborhood sides must be non-empty")
+            # equal rows sit together in set order, so a repeat within a set is adjacent
+            rows, segs = side.rows[side.order], np.repeat(np.arange(side.count), side.sizes)
+            if ((rows[1:] == rows[:-1]) & (np.diff(segs[side.order]) == 0)).any():
+                raise ValueError("a neighborhood side must not repeat an index")
+            # with no repeats, a set holds its seed at most once
+            if np.count_nonzero(side.rows == seed[segs]) != side.count:
+                raise ValueError("seed indices must belong to their own sets")
+        return self
 
 
 def _shape(x):

@@ -199,7 +199,7 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
         ks, kt = scenes[n][0], scenes[n][1]
         enc = forward(ks, kt, weights, cfg, neigh_cfg)
         _, neighborhoods = _candidates(enc, ks, kt, neigh_cfg or NeighborhoodConfig())
-        n_max_note[n] = max((len(p.source_set) for p in neighborhoods), default=0)
+        n_max_note[n] = int(neighborhoods.source.sizes.max(initial=0))
     notes = {"n_max": n_max_note, "n_max_ratio": {n: v / n for n, v in n_max_note.items()}}
     rows = [BenchRow("pipeline", n, median * 1e3) for n, median in points]
     return BenchReport(rows, {"pipeline": slope}, reps, notes)

@@ -228,8 +228,7 @@ def cmd_match(args) -> int:
     if args.skip_pairwise:
         weights = dataclasses.replace(weights, pair_layers=[])
 
-    wq = np.asarray(weights.self_layers[0].wq)
-    in_dim, hidden = wq.shape
+    in_dim, hidden = np.shape(weights.self_layers[0].wq)
     for side, kset in (("source", ks), ("target", kt)):
         d = kset.descriptors.shape[1]
         if d != in_dim:

@@ -15,11 +15,11 @@ reduced dimension.  Both linear maps are bias-free; with mlp1 zeroed the
 layer is exactly the identity on its carrier.
 
 The full network runs L1 iterations of (self, cross) updates with linear
-attention, captures the raw descriptors f after the last cross layer, builds
-match neighborhoods from f (only when L2 > 0; keypoint coordinates enter the
-computation nowhere else) as one `Membership`, then runs L2 pairwise-attention
-iterations on it.  The final rows are L2-normalized to give x.  With L2 = 0,
-x is exactly the row-normalized f.
+attention, captures the raw descriptors f after the last cross layer, takes
+the checked `Membership` of f's neighborhoods from `build_neighborhoods`
+(only when L2 > 0; keypoint coordinates enter the computation nowhere else),
+then runs L2 pairwise-attention iterations on it.  The final rows are
+L2-normalized to give x.  With L2 = 0, x is exactly the row-normalized f.
 
 Weights are stored in the "LAWT" container: little-endian, magic + version +
 tensor count, then (version 2) a length-prefixed JSON config record, then
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .attention import Membership, ProjectedTriplet, linear_attention, pairwise_attention
+from .attention import ProjectedTriplet, linear_attention, pairwise_attention
 from .geometry import KeypointSet, read_exact
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
@@ -244,7 +244,7 @@ def _forward_impl(xs, xt, weights, cfg, neigh_cfg):
             (xs.width, xs.height), (xt.width, xt.height))
         m = ratio_match(fs.data, ft.data, ncfg.theta)
         seeds = select_seeds(m, xs.keypoints, ncfg.r)
-        pairs = Membership(build_neighborhoods(seeds, m, xs.keypoints, xt.keypoints, ncfg))
+        pairs = build_neighborhoods(seeds, m, xs.keypoints, xt.keypoints, ncfg)
         for i in range(cfg.l2):
             a, b = pairwise_layer_update(a, b, pairs, weights.pair_layers[i], cfg.heads)
     xs_hat, xt_hat = (ad.row_l2_normalize(x) if x.data.shape[0] else x for x in (a, b))
@@ -339,7 +339,9 @@ def load_weights(path) -> NetworkWeights:
     if heads is not None and type(heads) is not int:
         raise ValueError(f"config record: head count {heads!r} is not an integer")
     weights = NetworkWeights.from_table(tensors, heads)
-    in_dim, hidden = np.shape(weights.self_layers[0].wq)
-    weights.validate(NetworkConfig(in_dim, hidden, 1 if heads is None else heads,
+    shape = np.shape(weights.self_layers[0].wq)
+    if len(shape) != 2:
+        raise ValueError(f"layer0.self.wq: expected a 2-D tensor, got shape {shape}")
+    weights.validate(NetworkConfig(*shape, 1 if heads is None else heads,
                                    len(weights.self_layers), len(weights.pair_layers)))
     return weights

@@ -89,15 +89,14 @@ class Metrics:
 
 def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
                 cfg: NeighborhoodConfig):
-    """Shared body of distance_match: returns (MatchSet, neighborhoods)."""
+    """Shared body of distance_match: returns (MatchSet, the neighborhoods' Membership)."""
     cfg = cfg.resolved_pair((ks.width, ks.height), (kt.width, kt.height))
     m = ratio_match(enc.xs_hat, enc.xt_hat, cfg.theta)
     seeds = select_seeds(m, ks.keypoints, cfg.r)
     neighborhoods = build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)
 
     src = m.matches[:, 0]
-    members = [p.source_set for p in neighborhoods]
-    ordered = np.flatnonzero(np.isin(src, np.concatenate(members) if members else []))
+    ordered = np.flatnonzero(np.isin(src, neighborhoods.source.rows))
     i, j = m.matches[ordered].T.tolist()
     matches = list(zip(i, j, m.ratio_score[ordered].tolist()))
     stages = np.where(np.isin(src[ordered], src[seeds]), "seed", "candidate").tolist()
@@ -181,8 +180,7 @@ def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
     candidates, neighborhoods = _candidates(enc, ks, kt, neigh_cfg)
     if skip_filter:
         return candidates
-    resolved = neigh_cfg.resolved_pair((ks.width, ks.height), (kt.width, kt.height))
-    return filter_matches(candidates, ks, kt, neighborhoods, fcfg, r_t=resolved.r_t)
+    return filter_matches(candidates, ks, kt, neighborhoods, fcfg, r_t=neigh_cfg.r_t)
 
 
 def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,

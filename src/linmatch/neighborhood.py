@@ -19,7 +19,8 @@ query between the seeds' source points and the matches', with the radius
 padded.  Each pair either query reports is re-tested with the exact
 squared-distance comparison (on both sides, for members), so the radius
 boundary does not depend on the tree's arithmetic.  A seed whose own point is
-non-finite has no members and gets no neighborhood.
+non-finite has no members and gets no neighborhood.  The sorted member sets
+are returned as one `Membership`, whose constructor checks them all at once.
 
 One distance table per chunk of source rows serves both directions: rows
 give the nearest and second-nearest target, columns the nearest source.  The
@@ -46,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .attention import NeighborhoodPair
+from .attention import Membership, NeighborhoodPair
 from .geometry import index_pairs
 
 _CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
@@ -240,8 +241,6 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
     A match survives iff no other match within `radius` of its source keypoint
     has a strictly higher score, or an equal score with a lower source index.
     """
-    if len(m) == 0:
-        return np.zeros(0, dtype=np.intp)
     src_idx, scores = m.matches[:, 0], m.ratio_score
     pts = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     # a non-finite point is within radius of nothing, and the tree rejects it;
@@ -263,7 +262,7 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
 
 
 def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoints,
-                        cfg: NeighborhoodConfig) -> list:
+                        cfg: NeighborhoodConfig) -> Membership:
     """Matches within lambda*R_s of a seed's source AND lambda*R_t of its target.
 
     One neighborhood per seed, in the order of `seeds`, except that a seed
@@ -272,8 +271,6 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
     if cfg.r_s is None or cfg.r_t is None:
         raise ValueError("config radii must be resolved before building neighborhoods")
     seeds = np.asarray(seeds, dtype=np.intp)
-    if len(m) == 0 or len(seeds) == 0:
-        return []
     src_idx, tgt_idx = m.matches.T
     sp = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
@@ -293,5 +290,5 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
     source_sets = src_idx[pos[np.lexsort((src_idx[pos], row))]]
     target_sets = tgt_idx[pos[np.lexsort((tgt_idx[pos], row))]]
     cuts = np.cumsum(np.bincount(row, minlength=len(seeds)))[:-1]  # each seed is a member
-    return [NeighborhoodPair(seed=(int(src_idx[s]), int(tgt_idx[s])), source_set=a, target_set=b)
-            for s, a, b in zip(seeds, np.split(source_sets, cuts), np.split(target_sets, cuts))]
+    return Membership(NeighborhoodPair((int(src_idx[s]), int(tgt_idx[s])), a, b) for s, a, b
+                      in zip(seeds, np.split(source_sets, cuts), np.split(target_sets, cuts)))

@@ -244,9 +244,9 @@ class TestPairwiseAttention:
     def test_duplicate_indices_rejected(self):
         # a repeated row is added once forward but would be counted twice backward
         with pytest.raises(ValueError, match="repeat"):
-            NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))
+            Membership([NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))])
         with pytest.raises(ValueError, match="repeat"):
-            NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))
+            Membership([NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))])
 
     def test_fused_op_allocations_stay_linear(self):
         """Nothing above a constant times (N + M + membership) C': no N x M table,
@@ -267,9 +267,77 @@ class TestPairwiseAttention:
 
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
-            NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))
+            Membership([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
         with pytest.raises(ValueError):
-            NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))
+            Membership([NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))])
+
+
+class TestMembershipChecks:
+    """The invariants checked once over all neighborhoods' concatenated rows."""
+
+    def test_overlap_across_neighborhoods_accepted(self):
+        members = Membership(overlapping_pairs())
+        assert len(members) == 5 and np.bincount(members.source.rows).max() == 3
+        np.testing.assert_array_equal(members.source.sizes, [3, 2, 5, 1, 2])
+        assert members.source.rows.dtype == np.intp
+
+    def test_repeat_inside_fourth_of_five_refused(self):
+        pairs = overlapping_pairs()
+        pairs[3] = NeighborhoodPair((7, 0), np.array([7, 3, 7]), np.array([0]))
+        with pytest.raises(ValueError, match="must not repeat an index"):
+            Membership(pairs)
+        pairs[3] = NeighborhoodPair((7, 0), np.array([7]), np.array([0, 2, 0]))
+        with pytest.raises(ValueError, match="must not repeat an index"):
+            Membership(pairs)
+
+    def test_seed_only_in_another_set_refused(self):
+        pairs = overlapping_pairs()
+        pairs[1] = NeighborhoodPair((0, 1), pairs[1].source_set, pairs[1].target_set)
+        with pytest.raises(ValueError, match="seed indices must belong to their own sets"):
+            Membership(pairs)
+        pairs = overlapping_pairs()
+        pairs[4] = NeighborhoodPair((6, 0), pairs[4].source_set, pairs[4].target_set)
+        with pytest.raises(ValueError, match="seed indices must belong to their own sets"):
+            Membership(pairs)
+
+    @pytest.mark.parametrize("side", ["source_set", "target_set"])
+    def test_empty_side_refused(self, side):
+        pairs = overlapping_pairs()
+        pairs[2] = pairs[2]._replace(**{side: np.zeros(0, dtype=np.intp)})
+        with pytest.raises(ValueError, match="must be non-empty"):
+            Membership(pairs)
+
+    def test_agrees_with_per_pair_reference(self):
+        """Refused exactly when some pair fails a check made on that pair alone."""
+        rng = np.random.default_rng(26)
+
+        def pair_ok(p):
+            sides = (np.asarray(p.source_set), np.asarray(p.target_set))
+            return (all(s.size and np.unique(s).size == s.size for s in sides)
+                    and p.seed[0] in sides[0] and p.seed[1] in sides[1])
+
+        def draw():  # zero to three of six rows: empty sets, repeats and missing seeds all occur
+            return rng.integers(0, 6, rng.integers(0, 4))
+
+        refused = 0
+        for _ in range(300):
+            pairs = [NeighborhoodPair(tuple(rng.integers(0, 6, 2)), draw(), draw())
+                     for _ in range(rng.integers(0, 5))]
+            try:
+                Membership(pairs)
+            except ValueError:
+                refused += 1
+                assert not all(pair_ok(p) for p in pairs)
+            else:
+                assert all(pair_ok(p) for p in pairs)
+        assert 0 < refused < 300
+
+    def test_cannot_be_modified(self):
+        members = Membership(overlapping_pairs())
+        with pytest.raises((TypeError, AttributeError)):
+            members.append(members[0])
+        with pytest.raises(TypeError):
+            members[0] = members[1]
 
 
 def per_head(kernel, t, heads):

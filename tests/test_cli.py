@@ -272,6 +272,21 @@ def test_match_weights_off_the_layout_exit_3(tmp_path, capsys, case):
     assert not (tmp_path / "r" / "matches.csv").exists()
 
 
+@pytest.mark.parametrize("shape", [(64,), (8, 4, 2)])
+def test_match_first_projection_not_2d_exit_3(tmp_path, capsys, shape):
+    """The widths are read from layer0.self.wq, so its rank is checked before anything else."""
+    data = synth_dataset(tmp_path / "data")
+    entries = load_weights(small_weights_file(tmp_path / "w.lawt")).all_params()
+    entries = [(n, np.zeros(shape) if n == "layer0.self.wq" else v) for n, v in entries]
+    write_tensor_table(tmp_path / "bad.lawt", entries, {"heads": 2})
+    capsys.readouterr()  # drop synth's output
+    assert run_cli(["match", data / "pair0000" / "source.kpds",
+                    data / "pair0000" / "target.kpds",
+                    "--weights", tmp_path / "bad.lawt", "-o", tmp_path / "r"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "layer0.self.wq" in err and str(shape) in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_eval_non_finite_homography_exit_3(tmp_path, capsys, value):
     data = synth_dataset(tmp_path / "data")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linmatch import neighborhood
+from linmatch.attention import Membership
 from linmatch.neighborhood import (
     NeighborhoodConfig,
     RatioMatchSet,
@@ -510,7 +511,9 @@ def assert_same_as_loop(seeds, m, ks, kt, cfg):
         warnings.simplefilter("error")  # no RuntimeWarning from non-finite points
         got = build_neighborhoods(seeds, m, ks, kt, cfg)
     want = loop_neighborhoods(seeds, m, ks, kt, cfg)
-    assert len(got) == len(want)
+    assert isinstance(got, Membership) and len(got) == len(want)
+    for side, field in ((got.source, 1), (got.target, 2)):  # the CSR rows are the sets in order
+        np.testing.assert_array_equal(side.rows, np.concatenate([w[field] for w in want] or [[]]))
     for p, (seed, src, tgt) in zip(got, want):
         assert p.seed == seed
         for have, expect in ((p.source_set, src), (p.target_set, tgt)):
@@ -571,7 +574,7 @@ class TestNeighborhoodOracle:
         # seeds 2 and 3 have a non-finite point of their own, so no members
         assert [p.seed for p in got] == [(0, 0), (1, 1)]
         np.testing.assert_array_equal(got[0].source_set, [0, 1])
-        assert assert_same_as_loop(np.array([3, 2]), m, ks, kt, cfg) == []
+        assert len(assert_same_as_loop(np.array([3, 2]), m, ks, kt, cfg)) == 0
 
     def test_float32_scenes(self):
         for seed in range(4):
@@ -586,10 +589,10 @@ class TestNeighborhoodOracle:
     def test_no_seeds_or_no_matches(self):
         cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0)
         m = RatioMatchSet([(0, 0)], [1.0])
-        assert assert_same_as_loop(np.zeros(0, dtype=np.intp), m, np.zeros((1, 2)),
-                                   np.zeros((1, 2)), cfg) == []
-        assert build_neighborhoods([], RatioMatchSet([], []), np.zeros((0, 2)),
-                                   np.zeros((0, 2)), cfg) == []
+        assert len(assert_same_as_loop(np.zeros(0, dtype=np.intp), m, np.zeros((1, 2)),
+                                       np.zeros((1, 2)), cfg)) == 0
+        assert len(build_neighborhoods([], RatioMatchSet([], []), np.zeros((0, 2)),
+                                       np.zeros((0, 2)), cfg)) == 0
 
 
 class TestConfig:

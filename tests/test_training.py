@@ -230,7 +230,7 @@ def test_gradient_check_with_heads_and_pairwise_layer(monkeypatch):
                                              scene=scene, dtype=np.float64)
     pairs = built[0]
     assert len(pairs) >= 5
-    in_sets = np.bincount(np.concatenate([p.source_set for p in pairs]))
+    in_sets = np.bincount(pairs.source.rows)
     assert in_sets.max() >= 2, "neighborhoods must overlap"
     assert count == 96
     assert max_err < 1e-5
