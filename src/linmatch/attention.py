@@ -32,6 +32,7 @@ numpy out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -67,9 +68,10 @@ class NeighborhoodPair(NamedTuple):
 class Segments:
     """One side's member rows, concatenated segment by segment.
 
-    `sets=None` stands for every input row, in order, as one segment.
-    `groups` pairs each distinct segment size with the ids of the segments
-    of that size and their members' positions, a (segments, size) array.
+    `sets=None` stands for every input row, in order, as one segment.  `ids`
+    holds each member's segment.  `groups` pairs each distinct segment size
+    with the ids of the segments of that size and their members' positions,
+    a (segments, size) array; it and the scatter `levels` are built on first use.
     """
 
     def __init__(self, sets=None):
@@ -78,15 +80,23 @@ class Segments:
             return
         sizes = self.sizes = np.array([len(s) for s in sets], dtype=np.intp)
         self.rows = np.concatenate(sets or [[]]).astype(np.intp, copy=False)
-        self.count, starts = len(sets), np.cumsum(sizes) - sizes
-        self.groups = [(segs, starts[segs][:, None] + np.arange(size))
-                       for size in np.unique(sizes) for segs in [np.flatnonzero(sizes == size)]]
+        self.count, self.ids = len(sets), np.repeat(np.arange(len(sets)), sizes)
+        self.order = np.argsort(self.rows, kind="stable")  # equal rows keep set order
+
+    @cached_property
+    def groups(self):
+        starts = np.cumsum(self.sizes) - self.sizes
+        return [(segs, starts[segs][:, None] + np.arange(size))
+                for size in np.unique(self.sizes) for segs in [np.flatnonzero(self.sizes == size)]]
+
+    @cached_property
+    def levels(self):
         # level L holds each row's (L+1)-th member, so a level repeats no row and
         # adding level by level sums in member order, exactly as np.add.at does
-        order = self.order = np.argsort(self.rows, kind="stable")  # equal rows keep set order
-        rank = np.arange(order.size) - np.searchsorted(self.rows[order], self.rows[order])
-        self.levels = [(self.rows[lv], lv) for r in range(rank.max(initial=-1) + 1)
-                       for lv in [order[rank == r]]]
+        rows = self.rows[self.order]
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)
+        return [(self.rows[lv], lv) for r in range(rank.max(initial=-1) + 1)
+                for lv in [self.order[rank == r]]]
 
     def gather(self, x):
         return x if self.rows is None else x[self.rows]
@@ -131,11 +141,11 @@ class Membership(tuple):
             if not side.sizes.all():
                 raise ValueError("neighborhood sides must be non-empty")
             # equal rows sit together in set order, so a repeat within a set is adjacent
-            rows, segs = side.rows[side.order], np.repeat(np.arange(side.count), side.sizes)
-            if ((rows[1:] == rows[:-1]) & (np.diff(segs[side.order]) == 0)).any():
+            rows = side.rows[side.order]
+            if ((rows[1:] == rows[:-1]) & (np.diff(side.ids[side.order]) == 0)).any():
                 raise ValueError("a neighborhood side must not repeat an index")
             # with no repeats, a set holds its seed at most once
-            if np.count_nonzero(side.rows == seed[segs]) != side.count:
+            if np.count_nonzero(side.rows == seed[side.ids]) != side.count:
                 raise ValueError("seed indices must belong to their own sets")
         return self
 

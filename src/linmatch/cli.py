@@ -345,9 +345,13 @@ def cmd_train_toy(args) -> int:
     neigh = _section(run, "neighborhood", NeighborhoodConfig)
     dataset = []
     for k in range(args.pairs):
-        scene = generate_pair(_child_seed(run.seed, "scene", k), args.kpts,
-                              args.dims, net.input_dim, noise)
-        dataset.append(scene[:3])
+        ks, kt, gt, _ = generate_pair(_child_seed(run.seed, "scene", k), args.kpts,
+                                      args.dims, net.input_dim, noise)
+        if min(len(ks), len(kt)) >= 2 and len(gt.pairs):  # what the loss can train on
+            dataset.append((ks, kt, gt))
+    if len(dataset) < args.pairs:  # with none left, train_toy refuses the empty dataset
+        print(f"skipped {args.pairs - len(dataset)} of {args.pairs} generated scenes: the loss "
+              "needs at least 2 keypoints per side and a correspondence", file=sys.stderr)
     try:
         weights, trace, state = train_toy(dataset, net, loss, args.steps,
                                           seed=_child_seed(run.seed, "train"),

@@ -4,15 +4,19 @@
 locally best seeds, grows candidate neighborhoods around them, and returns
 the union of all neighborhood members (seeds keep their own tag).
 
-`filter_matches` then verifies each neighborhood independently: repeated
-3-correspondence minimal samples fit an exact affine transform, candidates
-within `inlier_threshold_factor * R_t` of their prediction count as inliers,
-and the best model's inliers survive when there are at least `min_inliers`
-of them.  There is no refitting step.  A match surviving in any neighborhood
-is kept.  Each neighborhood draws from its own RNG stream derived from
-(rng_seed, seed source index), so the result does not depend on the order in
-which neighborhoods are verified.  Each neighborhood draws, fits and scores
-all its hypotheses in one batch; verification runs single-threaded.
+`filter_matches` then verifies all neighborhoods in one batched pass:
+repeated 3-correspondence minimal samples fit an exact affine transform,
+candidates within `inlier_threshold_factor * R_t` of their prediction count
+as inliers, and the first best model in draw order keeps its inliers when
+there are at least `min_inliers`.  There is no refitting step; a match kept
+by any neighborhood survives.  Candidates are the matches whose (source,
+target) pair lies in a neighborhood's two sets, looked up for all at once in
+the `Membership` rows.  Each neighborhood draws from its own RNG stream,
+seeded by (rng_seed, seed source index), so neighborhood order does not
+matter.  A triple of match positions drawn again is the same LAPACK input,
+so each distinct hypothesis is solved once, and residuals come from the same
+(k, 3) @ (3, 2) products and arithmetic as one neighborhood at a time would
+use: survivors are bit-identical to that loop.  Runs single-threaded.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attention import Membership
 from .encoder import EncodedPair, NetworkConfig, NetworkWeights, forward
 from .geometry import GroundTruth, Homography, KeypointSet, apply_homography
 from .neighborhood import (
@@ -33,7 +38,7 @@ from .neighborhood import (
 )
 
 _STAGES = ("seed", "candidate", "verified")
-_SCORE_BLOCK = 256  # RANSAC hypotheses per (block, k) residual table; bounds its memory
+_SCORE_ENTRIES = 1 << 16  # residuals per scoring table (or one draw of a size group)
 _MMA_THRESHOLDS_PX = tuple(range(1, 11))
 
 
@@ -118,54 +123,65 @@ def _sample_triples(rng, k, count):
     return np.stack([a, b, c], axis=1)
 
 
-def _verify_neighborhood(pair, cand_pos, src_pts, tgt_pts, fcfg, threshold):
-    """One independent RANSAC; returns the surviving match positions."""
-    k = len(cand_pos)
-    if k < 3:  # fewer than min_inliers >= 3 candidates can never pass
-        return cand_pos[:0]
-    rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
-    samples = _sample_triples(rng, k, fcfg.ransac_iterations)
-    hom = np.concatenate([src_pts, np.ones((k, 1))], axis=1)
-    # a singular system makes the batched solve raise, so drop it first
-    fit = np.abs(np.linalg.det(hom[samples])) >= 1e-9
-    coef = np.linalg.solve(hom[samples[fit]], tgt_pts[samples[fit]])  # (g, 3, 2) affine maps
-    best_count, best_mask = 0, None
-    for start in range(0, len(coef), _SCORE_BLOCK):
-        residual = np.linalg.norm(hom @ coef[start:start + _SCORE_BLOCK] - tgt_pts, axis=2)
-        masks = residual <= threshold
-        counts = masks.sum(axis=1)
-        g = int(counts.argmax())  # the first best in draw order, as a sequential loop takes
-        if counts[g] > best_count:
-            best_count, best_mask = counts[g], masks[g]
-    if best_count >= fcfg.min_inliers:
-        return cand_pos[best_mask]
-    return cand_pos[:0]
+def _residual(h, c, t):
+    """|h @ c - t| over the last (x, y) axis, bit for bit as np.linalg.norm gives it."""
+    dx, dy = np.moveaxis(h @ c - t, -1, 0)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
                    fcfg: FilterConfig | None = None, r_t: float | None = None) -> MatchSet:
     """Keep matches that are affine-consistent inliers in any neighborhood.
 
-    A match is a candidate of a neighborhood when its source index is in the
-    neighborhood's source set and its target index in the target set.
+    `neighborhoods` is a `Membership` or a list of `NeighborhoodPair`.
     """
     fcfg = fcfg or FilterConfig()
     if r_t is None:
         r_t = default_radius(kt.width, kt.height)
     threshold = fcfg.inlier_threshold_factor * r_t
+    members = neighborhoods if isinstance(neighborhoods, Membership) else Membership(neighborhoods)
     idx = np.array([(i, j) for i, j, _ in m.matches], dtype=np.intp).reshape(-1, 2)
-    src_pts = np.asarray(ks.keypoints, dtype=np.float64)[idx[:, 0]]
-    tgt_pts = np.asarray(kt.keypoints, dtype=np.float64)[idx[:, 1]]
-    pos_of = np.full(len(ks.keypoints), -1, dtype=np.intp)  # source index -> match position
-    pos_of[idx[:, 0]] = np.arange(len(idx))
+    # every source member's matches, in set order, kept where (neighborhood, target) is a
+    # target member; the keys are raveled index pairs, which rejects an out-of-range index
+    by_src = np.argsort(idx[:, 0], kind="stable")
+    lo = np.searchsorted(idx[by_src, 0], members.source.rows, "left")
+    hits = np.searchsorted(idx[by_src, 0], members.source.rows, "right") - lo
+    cand = by_src[np.repeat(lo - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())]
+    seg = np.repeat(members.source.ids, hits)  # each candidate's neighborhood
+    key = lambda s, j: np.ravel_multi_index((s, j), (len(members), len(kt)))
+    inside = np.isin(key(seg, idx[cand, 1]), key(members.target.ids, members.target.rows))
+    cand, seg = cand[inside], seg[inside]  # match positions, grouped by neighborhood
+    sizes = np.bincount(seg, minlength=len(members))
+    starts = np.cumsum(sizes) - sizes
+    hom = np.column_stack([ks.keypoints[idx[cand, 0]], np.ones(len(cand))])  # float64
+    tgt = kt.keypoints[idx[cand, 1]].astype(np.float64)
+
+    live, iters = np.flatnonzero(sizes >= 3), fcfg.ransac_iterations  # others never reach 3 inliers
+    draws = np.concatenate([np.zeros((0, 3), dtype=np.intp)] + [
+        _sample_triples(np.random.default_rng([fcfg.rng_seed, members[s].seed[0]]), sizes[s], iters)
+        for s in live]) + np.repeat(starts[live], iters)[:, None]  # candidate rows
+    # a triple of match positions drawn again, in any neighborhood, is the same LAPACK input;
+    # its raveled key limits a call to 2**21 - 1 matches (ravel_multi_index refuses more)
+    _, once, inverse = np.unique(np.ravel_multi_index(cand[draws].T, (len(m),) * 3),
+                                 return_index=True, return_inverse=True)
+    # a singular system makes the batched solve raise, so it keeps NaN maps: never an inlier
+    fit = np.abs(np.linalg.det(hom[draws[once]])) >= 1e-9
+    coef = np.full((len(once), 3, 2), np.nan)
+    coef[fit] = np.linalg.solve(hom[draws[once[fit]]], tgt[draws[once[fit]]])
+    coef = coef[inverse].reshape(len(live), iters, 3, 2)  # each draw's affine map
 
     kept = np.zeros(len(m), dtype=bool)
-    for pair in neighborhoods:
-        cand = pos_of[pair.source_set]
-        cand = cand[cand >= 0]
-        cand = cand[np.isin(idx[cand, 1], pair.target_set)]
-        kept[_verify_neighborhood(pair, cand, src_pts[cand], tgt_pts[cand],
-                                  fcfg, threshold)] = True
+    for k in np.unique(sizes[live]):  # neighborhoods of k candidates score together
+        same = np.flatnonzero(sizes[live] == k)
+        rows = starts[live[same], None] + np.arange(k)
+        h, t, c = hom[rows], tgt[rows], coef[same]
+        step = max(1, _SCORE_ENTRIES // (len(same) * k))  # draws per residual table
+        count = np.concatenate([(_residual(h[:, None], c[:, d:d + step], t[:, None])
+                                 <= threshold).sum(axis=2)
+                                for d in range(0, iters, step)], axis=1)
+        g = count.argmax(axis=1)  # the first best in draw order, as a sequential loop takes
+        won = count[np.arange(len(same)), g] >= fcfg.min_inliers
+        kept[cand[rows[won][_residual(h[won], c[won, g[won]], t[won]) <= threshold]]] = True
     ordered = np.flatnonzero(kept)
     return MatchSet([m.matches[pos] for pos in ordered], ["verified"] * len(ordered))
 

@@ -332,6 +332,17 @@ class TestMembershipChecks:
                 assert all(pair_ok(p) for p in pairs)
         assert 0 < refused < 300
 
+    def test_groups_and_levels_are_built_on_first_use(self):
+        members = Membership(overlapping_pairs())
+        np.testing.assert_array_equal(members.source.ids, np.repeat(np.arange(5), [3, 2, 5, 1, 2]))
+        sides = (members.source, members.target)
+        assert not any({"groups", "levels"} & set(vars(s)) for s in sides)
+        rng = np.random.default_rng(3)
+        t = ProjectedTriplet(*(rng.standard_normal((10, 4)) for _ in range(3)))
+        for reverse in (False, True):  # the attention op is what reads them
+            pairwise_attention(t, members, reverse=reverse)
+        assert all({"groups", "levels"} <= set(vars(s)) for s in sides)
+
     def test_cannot_be_modified(self):
         members = Membership(overlapping_pairs())
         with pytest.raises((TypeError, AttributeError)):

@@ -445,12 +445,21 @@ def test_out_of_range_flag_is_usage_error(tmp_path, argv):
 @pytest.mark.parametrize("argv, message", [
     # 10 px jitter leaves few projections within the 3 px label cutoff
     (["synth", *SYNTH_ARGS, "--jitter-sigma", 10, "--min-matches", 40], "could not reach 40"),
-    # a scene of two keypoints keeps fewer than two on some side
-    (["train-toy", *TRAIN_ARGS, "--kpts", 2], "at least 2 keypoints per side"),
+    # with seed 8, both scenes of two keypoints keep fewer than two on some side
+    (["train-toy", *TRAIN_ARGS, "--kpts", 2, "--seed", 8], "at least 2 keypoints per side"),
 ], ids=["synth", "train-toy"])
 def test_unlucky_generated_scene_fails_the_check(tmp_path, capsys, argv, message):
     assert run_cli([*argv, "-o", tmp_path / "o"]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_train_toy_skips_scenes_the_loss_cannot_use(tmp_path, capsys):
+    # seed 0 draws three two-keypoint scenes, and only one of them keeps a pair
+    out = tmp_path / "o"
+    assert run_cli(["train-toy", *TRAIN_ARGS, "--kpts", 2, "--pairs", 3, "--seed", 0,
+                    "-o", out]) == 0
+    assert "skipped 2 of 3 generated scenes" in capsys.readouterr().err
+    assert len((out / "trace.csv").read_text().splitlines()) == 4
 
 
 def test_train_toy_outputs_and_config_precedence(tmp_path):

@@ -28,9 +28,9 @@ from linmatch.matcher import (
     write_matches,
     write_metrics,
     _candidates,
+    _residual,
     _sample_triples,
-    _verify_neighborhood,
-    _SCORE_BLOCK,
+    _SCORE_ENTRIES,
 )
 from linmatch.neighborhood import (
     NeighborhoodConfig,
@@ -120,11 +120,13 @@ def exhaustive_affine_check(src, tgt, threshold, min_inliers):
 
 
 def loop_verify(pair, src, tgt, fcfg, threshold):
-    """One hypothesis at a time: the plain reference for `_verify_neighborhood`.
+    """One neighborhood, one hypothesis at a time: the plain reference for `filter_matches`.
 
     Returns (surviving rows, degenerate samples skipped, hypotheses tying the best so far).
     """
     k = len(src)
+    if k < 3:  # no 3-sample to draw; fewer than min_inliers >= 3 anyway
+        return np.zeros(0, int), 0, 0
     rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
     hom = np.column_stack([src, np.ones(k)])
     best_count, best_mask = 0, None
@@ -170,29 +172,117 @@ def random_neighborhood(rng, case):
     return src, tgt
 
 
+def loop_filter(m, ks, kt, pairs, fcfg, threshold):
+    """Each neighborhood's candidates found one by one, then verified by `loop_verify`.
+
+    Returns (surviving match positions of each neighborhood, degenerate
+    samples skipped, hypotheses tying the best so far).
+    """
+    src, tgt = ks.keypoints.astype(np.float64), kt.keypoints.astype(np.float64)
+    survivors, degenerate, ties = [], 0, 0
+    for pair in pairs:
+        targets = set(pair.target_set.tolist())
+        cand = np.array([p for i in pair.source_set.tolist()
+                         for p, (a, b, _) in enumerate(m.matches) if a == i and b in targets],
+                        dtype=np.intp)
+        ij = np.array([m.matches[p][:2] for p in cand], dtype=np.intp).reshape(-1, 2)
+        rows, skipped, tied = loop_verify(pair, src[ij[:, 0]], tgt[ij[:, 1]], fcfg, threshold)
+        survivors.append(set(cand[rows].tolist()))
+        degenerate, ties = degenerate + skipped, ties + tied
+    return survivors, degenerate, ties
+
+
+def single_neighborhood_scene(rng, src, tgt, decoys):
+    """`src`/`tgt` rows as the candidates of one neighborhood, plus decoy matches.
+
+    Keypoint indices and match positions are shuffled, so neither equals the
+    candidate row, and the target set lists its members in another order.
+    """
+    k, n = len(src), len(src) + decoys
+    sidx, tidx = rng.permutation(n), rng.permutation(n)
+    ks_pts, kt_pts = np.full((n, 2), 1.0), np.full((n, 2), 2.0)
+    ks_pts[sidx[:k]], kt_pts[tidx[:k]] = src, tgt + 200.0  # a shift keeps the affine relation
+    ks = KeypointSet(ks_pts, np.eye(n), 1024, 1024)
+    kt = KeypointSet(kt_pts, np.eye(n), 1024, 1024)
+    m = MatchSet([(int(sidx[r]), int(tidx[r]), 1.0) for r in rng.permutation(n)],
+                 ["candidate"] * n)
+    seed = int(rng.integers(k))
+    pair = NeighborhoodPair((int(sidx[seed]), int(tidx[seed])), sidx[:k],
+                            rng.permutation(tidx[:k]))
+    return ks, kt, m, pair
+
+
 class TestBatchedVerifier:
-    @pytest.mark.parametrize("block", [1, 5, _SCORE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 5, 256, _SCORE_ENTRIES])
     def test_matches_loop_reference(self, block, monkeypatch):
-        monkeypatch.setattr(matcher, "_SCORE_BLOCK", block)
+        monkeypatch.setattr(matcher, "_SCORE_ENTRIES", block)
         rng = np.random.default_rng(2024)
         degenerate = ties = 0
         for case in range(200):
             src, tgt = random_neighborhood(rng, case)
-            k = len(src)
-            iters = int(rng.choice([1, 7, 64, 128, _SCORE_BLOCK + 1, 2 * _SCORE_BLOCK + 17],
+            iters = int(rng.choice([1, 7, 64, 128, 257, 529],
                                    p=[0.1, 0.2, 0.3, 0.3, 0.05, 0.05]))
             fcfg = FilterConfig(ransac_iterations=iters, min_inliers=int(rng.integers(3, 8)),
-                                rng_seed=case)
+                                rng_seed=case, inlier_threshold_factor=1.0)
             threshold = 1.0 if case % 2 else float(rng.uniform(0.5, 3.0))
-            seed = int(rng.integers(k))
-            pair = NeighborhoodPair((seed, seed), np.arange(k), np.arange(k))
-            cand_pos = np.arange(k) * 3 + 1  # positions need not be row numbers
-            got = _verify_neighborhood(pair, cand_pos, src, tgt, fcfg, threshold)
-            rows, skipped, tied = loop_verify(pair, src, tgt, fcfg, threshold)
-            assert got.tolist() == cand_pos[rows].tolist(), case
+            ks, kt, m, pair = single_neighborhood_scene(rng, src, tgt, decoys=case % 4)
+            got = filter_matches(m, ks, kt, [pair], fcfg, r_t=threshold)
+            (want,), skipped, tied = loop_filter(m, ks, kt, [pair], fcfg, threshold)
+            assert got.matches == [m.matches[p] for p in sorted(want)], case
             degenerate += skipped
             ties += tied
         assert degenerate > 0 and ties > 0  # both rules were exercised
+
+    @pytest.mark.parametrize("block", [1, 256, _SCORE_ENTRIES])
+    def test_many_neighborhoods_match_loop_reference(self, block, monkeypatch):
+        """One call over neighborhoods of unequal size that overlap and repeat triples."""
+        monkeypatch.setattr(matcher, "_SCORE_ENTRIES", block)
+        rng = np.random.default_rng(77)
+        n = 90
+        src = rng.integers(0, 40, size=(n, 2)).astype(np.float64)  # grid: exact ties occur
+        tgt = src @ np.array([[0.0, 1.0], [-1.0, 1.0]]).T + 60.0
+        tgt[rng.choice(n, size=30, replace=False)] += rng.integers(-6, 7, size=(30, 2))
+        ks = KeypointSet(src, np.eye(n), 256, 256)
+        kt = KeypointSet(tgt, np.eye(n), 256, 256)
+        m = MatchSet([(i, i, 1.0) for i in rng.permutation(n).tolist()], ["candidate"] * n)
+        pairs = []
+        for size in (2, 3, 3, 4, 5, 5, 5, 8, 12, 12, 30, 61, 90):
+            members = rng.choice(n, size=size, replace=False)
+            for _ in range(2):  # the same members under two seeds: shared triples
+                seed = int(rng.choice(members))
+                pairs.append(NeighborhoodPair((seed, seed), members, rng.permutation(members)))
+        # a target set that leaves out some of the source set's matches
+        pairs.append(NeighborhoodPair((0, 0), np.arange(20), np.arange(0, 40, 2)))
+        fcfg = FilterConfig(ransac_iterations=40, min_inliers=3, inlier_threshold_factor=1.0,
+                            rng_seed=5)
+        want, degenerate, ties = loop_filter(m, ks, kt, pairs, fcfg, 1.5)
+        got = filter_matches(m, ks, kt, pairs, fcfg, r_t=1.5)
+        assert got.matches == [m.matches[p] for p in sorted(set().union(*want))]
+        for pair, w in zip(pairs, want):  # and each neighborhood on its own
+            alone = filter_matches(m, ks, kt, [pair], fcfg, r_t=1.5)
+            assert alone.matches == [m.matches[p] for p in sorted(w)]
+        assert degenerate > 0 and ties > 0 and 0 < len(got) < n
+        # ordered triples repeat within a neighborhood and across neighborhoods
+        drawn = [_sample_triples(np.random.default_rng([5, p.seed[0]]), len(p.source_set), 40)
+                 for p in pairs[2:4]]
+        assert len({tuple(t) for t in drawn[0].tolist()}) < 40
+        assert {tuple(t) for t in drawn[0].tolist()} & {tuple(t) for t in drawn[1].tolist()}
+
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_residual_is_bitwise_norm(self, grid):
+        rng = np.random.default_rng(9)
+        for k in (3, 7, 64):
+            pts = rng.integers(0, 50, size=(k, 2)) if grid else rng.uniform(0, 500, size=(k, 2))
+            hom = np.column_stack([pts, np.ones(k)])
+            tgt = rng.integers(0, 50, size=(k, 2)) if grid else rng.uniform(0, 500, size=(k, 2))
+            coef = rng.integers(-3, 4, size=(20, 3, 2)).astype(float) if grid \
+                else rng.normal(size=(20, 3, 2))
+            want = np.linalg.norm(hom @ coef - tgt, axis=2)
+            assert np.array_equal(_residual(hom, coef, tgt), want)
+            # stacked per neighborhood as the filter does: (s, 1, k, 3) @ (s, d, 3, 2)
+            stacked = _residual(np.stack([hom] * 3)[:, None], np.stack([coef] * 3),
+                                np.stack([tgt] * 3)[:, None])
+            assert all(np.array_equal(s, want) for s in stacked)
 
     def test_sample_triples_are_distinct_and_in_range(self):
         rng = np.random.default_rng(4)
@@ -281,6 +371,9 @@ class TestFilterMatches:
         pair = NeighborhoodPair((0, 0), np.arange(n), np.arange(n))
         out = filter_matches(m, ks, kt, [pair], FilterConfig(min_inliers=3))
         assert len(out) == 0
+        # targets at the origin: a singular sample must not stand for the zero map
+        at_origin = KeypointSet(np.full((n, 2), 0.25), np.eye(n), 256, 256)
+        assert len(filter_matches(m, ks, at_origin, [pair], FilterConfig(min_inliers=3))) == 0
 
     def test_neighborhood_order_does_not_matter(self):
         rng = np.random.default_rng(8)
@@ -295,6 +388,19 @@ class TestFilterMatches:
         for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
             out = filter_matches(m, ks, kt, [neigh[p] for p in perm], fcfg)
             assert out.matches == base.matches and out.stage == base.stage
+
+    @pytest.mark.parametrize("extra_first", [True, False])
+    def test_matches_sharing_a_source_are_all_candidates(self, extra_first):
+        """Six identity matches plus (0, 6): (0, 0) survives wherever (0, 6) is listed."""
+        src = np.array([[10, 10], [60, 12], [20, 70], [80, 90], [45, 40], [90, 30]], float)
+        ks = KeypointSet(src, np.eye(6), 128, 128)
+        kt = KeypointSet(np.vstack([src, [[120, 5]]]), np.eye(7), 128, 128)
+        identity = [(i, i, 1.0) for i in range(6)]
+        matches = [(0, 6, 1.0)] + identity if extra_first else identity + [(0, 6, 1.0)]
+        m = MatchSet(matches, ["candidate"] * 7)
+        pair = NeighborhoodPair((0, 0), np.arange(6), np.arange(7))
+        out = filter_matches(m, ks, kt, [pair], FilterConfig(rng_seed=2))
+        assert out.pairs() == [(i, i) for i in range(6)]
 
     def test_determinism_same_seed(self):
         rng = np.random.default_rng(6)
