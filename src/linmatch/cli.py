@@ -4,10 +4,12 @@ Subcommands: `synth`, `match`, `eval`, `bench`, `train-toy`, `gradcheck`.
 Every subcommand accepts `--seed`, `--config <json>`, `--threads <n>` and
 `-o <dir>`; configuration precedence is dataclass defaults, then config-file
 sections, then explicit flags.  Unknown config sections or keys are rejected
-up front.  All randomness derives from the single seed through stable
-per-module streams, so any subcommand rerun with the same seed reproduces
-its outputs byte for byte.  Verification is single-threaded: `--threads` is
-validated and accepted for compatibility, and changes nothing.
+up front.  `match` takes its network from the weight file, which states it
+whole: a `network` section may only repeat it.  All randomness derives from
+the single seed through stable per-module streams, so any subcommand rerun
+with the same seed reproduces its outputs byte for byte.  Verification is
+single-threaded: `--threads` is validated and accepted for compatibility,
+and changes nothing.
 
 Exit codes: 0 success, 1 failed numeric check, 2 usage error, 3 data error.
 """
@@ -53,7 +55,6 @@ from .neighborhood import NeighborhoodConfig
 from .training import (
     LossConfig,
     gradient_check,
-    save_optimizer_state,
     train_toy,
     write_loss_trace,
 )
@@ -81,6 +82,10 @@ _CONFIG_SECTIONS = {
     "bench": None,
 }
 _BENCH_KEYS = {"sizes", "reps", "c_prime", "methods"}
+
+# the network flags' defaults of train-toy and gradcheck, below the config file
+_TOY_NETWORK = {"input_dim": 32, "hidden_dim": 16, "heads": 2, "l1": 2, "l2": 1}
+_GRADCHECK_NETWORK = {"input_dim": 8, "hidden_dim": 4, "heads": 1, "l1": 1, "l2": 0}
 
 # fixed stream tags so each module draws from its own child of --seed
 _STREAMS = {"synth": 1, "filter": 2, "train": 3, "scene": 4}
@@ -133,13 +138,14 @@ def _run_config(args) -> RunConfig:
     return RunConfig(args.seed, args.output, sections)
 
 
-def _section(run: RunConfig, name: str, cls, seeded=None, **flag_values):
+def _section(run: RunConfig, name: str, cls, defaults=None, **flag_values):
     """Instantiate a config dataclass: defaults < config file < flags.
 
-    `seeded` supplies values derived from --seed that sit below the config
-    file, so an explicit file entry still wins over the derived stream.
+    `defaults` supplies values that sit below the config file, such as a
+    subcommand's own defaults or values derived from --seed, so an explicit
+    file entry still wins over them.
     """
-    body = dict(seeded or {})
+    body = dict(defaults or {})
     body.update(run.sections.get(name, {}))
     body.update({k: v for k, v in flag_values.items() if v is not None})
     try:
@@ -225,25 +231,24 @@ def cmd_match(args) -> int:
     ks = _read_input(read_kpds, args.source, "source keypoint")
     kt = _read_input(read_kpds, args.target, "target keypoint")
     weights = _read_input(load_weights, args.weights, "weight")
+    recorded = weights.config()
+    for key, value in run.sections.get("network", {}).items():
+        if value != getattr(recorded, key):
+            raise UsageError(f"config network {key} is {value!r}, "
+                             f"{args.weights} records {getattr(recorded, key)!r}")
     if args.skip_pairwise:
         weights = dataclasses.replace(weights, pair_layers=[])
+    net = weights.config()
 
-    in_dim, hidden = np.shape(weights.self_layers[0].wq)
     for side, kset in (("source", ks), ("target", kt)):
         d = kset.descriptors.shape[1]
-        if d != in_dim:
+        if d != net.input_dim:
             raise DataError(f"{side} descriptor dim {d} does not match "
-                            f"weight input dim {in_dim}")
+                            f"weight input dim {net.input_dim}")
 
-    for value in (args.heads, run.sections.get("network", {}).get("heads")):
-        if weights.heads is not None and value not in (None, weights.heads):
-            raise UsageError(f"{value} heads requested, {args.weights} records {weights.heads}")
-    net = _section(run, "network", NetworkConfig, input_dim=in_dim,
-                   hidden_dim=hidden, heads=weights.heads or args.heads,
-                   l1=len(weights.self_layers), l2=len(weights.pair_layers))
     neigh = _section(run, "neighborhood", NeighborhoodConfig, theta=args.theta)
     fcfg = _section(run, "filter", FilterConfig,
-                    seeded={"rng_seed": _child_seed(run.seed, "filter")})
+                    defaults={"rng_seed": _child_seed(run.seed, "filter")})
 
     try:
         result = match_pipeline(ks, kt, weights, net, neigh, fcfg, skip_filter=args.no_filter)
@@ -335,9 +340,9 @@ def cmd_train_toy(args) -> int:
         raise UsageError("--steps must be positive")
     if args.kpts < 2:
         raise UsageError("--kpts must be at least 2: the loss mines a negative per side")
-    net = _section(run, "network", NetworkConfig, input_dim=args.desc_dim,
-                   hidden_dim=args.hidden, heads=args.heads, l1=args.l1,
-                   l2=args.l2)
+    net = _section(run, "network", NetworkConfig, _TOY_NETWORK,
+                   input_dim=args.desc_dim, hidden_dim=args.hidden, heads=args.heads,
+                   l1=args.l1, l2=args.l2)
     loss = _section(run, "loss", LossConfig, learning_rate=args.lr,
                     decay=args.decay)
     noise = _section(run, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
@@ -353,15 +358,13 @@ def cmd_train_toy(args) -> int:
         print(f"skipped {args.pairs - len(dataset)} of {args.pairs} generated scenes: the loss "
               "needs at least 2 keypoints per side and a correspondence", file=sys.stderr)
     try:
-        weights, trace, state = train_toy(dataset, net, loss, args.steps,
-                                          seed=_child_seed(run.seed, "train"),
-                                          neigh_cfg=neigh)
+        weights, trace = train_toy(dataset, net, loss, args.steps,
+                                   seed=_child_seed(run.seed, "train"), neigh_cfg=neigh)
     except (RuntimeError, ValueError) as e:  # non-finite loss, or a scene it cannot train on
         print(f"training aborted: {e}", file=sys.stderr)
         return EXIT_FAILED_CHECK
     out = _out_dir(run)
     save_weights(out / "weights.lawt", weights)
-    save_optimizer_state(out / "optimizer.lawt", state)
     write_loss_trace(out / "trace.csv", trace)
     print(f"loss {trace[0][1]:.6f} -> {trace[-1][1]:.6f} over {args.steps} steps; "
           f"weights -> {out / 'weights.lawt'}")
@@ -376,9 +379,9 @@ def cmd_gradcheck(args) -> int:
         raise UsageError("--samples must be at least 1")
     if not 0 < args.step < 1:
         raise UsageError("--step must lie in (0, 1)")
-    net = _section(run, "network", NetworkConfig, input_dim=args.input_dim,
-                   hidden_dim=args.hidden, heads=args.heads, l1=args.l1,
-                   l2=args.l2)
+    net = _section(run, "network", NetworkConfig, _GRADCHECK_NETWORK,
+                   input_dim=args.input_dim, hidden_dim=args.hidden, heads=args.heads,
+                   l1=args.l1, l2=args.l2)
     loss = _section(run, "loss", LossConfig)
     dtype = np.float64 if args.precision == "double" else np.float32
     max_err, frac_ok, count = gradient_check(net, loss, seed=run.seed,
@@ -446,9 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     ma.add_argument("source", help="source .kpds file")
     ma.add_argument("target", help="target .kpds file")
     ma.add_argument("--weights", required=True, help="weight .lawt file")
-    ma.add_argument("--heads", type=int, default=None,
-                    help="attention heads; must match the count a version 2 "
-                         "weight file records (default: that count, else 8)")
     ma.add_argument("--theta", type=float, default=None,
                     help="distance-ratio acceptance threshold")
     ma.add_argument("--no-filter", action="store_true",
@@ -481,11 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--pairs", type=int, default=200)
     tr.add_argument("--kpts", type=int, default=128)
     tr.add_argument("--dims", type=_parse_dims, default=(256, 256))
-    tr.add_argument("--desc-dim", type=int, default=32)
-    tr.add_argument("--hidden", type=int, default=16)
-    tr.add_argument("--heads", type=int, default=2)
-    tr.add_argument("--l1", type=int, default=2)
-    tr.add_argument("--l2", type=int, default=1)
+    tr.add_argument("--desc-dim", type=int)
+    tr.add_argument("--hidden", type=int)
+    tr.add_argument("--heads", type=int)
+    tr.add_argument("--l1", type=int)
+    tr.add_argument("--l2", type=int)
     tr.add_argument("--steps", type=int, default=300)
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--decay", type=float, default=None)
@@ -500,11 +500,11 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--samples", type=int, default=256)
     gc.add_argument("--step", type=float, default=1e-5)
     gc.add_argument("--tol", type=float, default=1e-4)
-    gc.add_argument("--input-dim", type=int, default=8)
-    gc.add_argument("--hidden", type=int, default=4)
-    gc.add_argument("--heads", type=int, default=1)
-    gc.add_argument("--l1", type=int, default=1)
-    gc.add_argument("--l2", type=int, default=0)
+    gc.add_argument("--input-dim", type=int)
+    gc.add_argument("--hidden", type=int)
+    gc.add_argument("--heads", type=int)
+    gc.add_argument("--l1", type=int)
+    gc.add_argument("--l2", type=int)
     gc.set_defaults(func=cmd_gradcheck)
     return parser
 

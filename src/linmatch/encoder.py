@@ -21,14 +21,15 @@ the checked `Membership` of f's neighborhoods from `build_neighborhoods`
 then runs L2 pairwise-attention iterations on it.  The final rows are
 L2-normalized to give x.  With L2 = 0, x is exactly the row-normalized f.
 
-Weights are stored in the "LAWT" container: little-endian, magic + version +
-tensor count, then (version 2) a length-prefixed JSON config record, then
-named f32 tensors.  For weights the record holds the head count, so a model
-cannot run silently with another; version 1 files (no record, head count
-unknown) are still read.  `layer_prefixes` alone defines the tensor names
-(`layer{i}.self`, `layer{i}.cross`, then `layer{l1+i}.pair`, each followed by
-`.{param}`): `NetworkWeights.all_params` writes through it and
-`NetworkWeights.from_table` reads back only a table named exactly that way.
+Weights are stored in the "LAWT" container: little-endian, magic + version 2 +
+tensor count, then a length-prefixed JSON config record, then named f32
+tensors.  For weights the record holds the head count and the tensors give
+every other size, so a file states its whole network (`NetworkWeights.config`)
+and a model cannot run with another head count.  `layer_prefixes` alone
+defines the tensor names (`layer{i}.self`, `layer{i}.cross`, then
+`layer{l1+i}.pair`, each followed by `.{param}`): `NetworkWeights.all_params`
+writes through it and `NetworkWeights.from_table` reads back only a table
+named exactly that way.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .geometry import KeypointSet, read_exact
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
 _LAWT_MAGIC = b"LAWT"
-_LAWT_VERSION = 2  # version 1 lacks the config record
+_LAWT_VERSION = 2
 
 _PARAM_NAMES = ("wq", "wk", "wv", "mlp0", "mlp1", "ln_g", "ln_b")
 
@@ -111,7 +112,7 @@ class NetworkWeights:
     self_layers: list  # L1 LayerWeights; index 0 is the rectangular reducer
     cross_layers: list  # L1 LayerWeights
     pair_layers: list  # L2 LayerWeights
-    heads: int | None = None  # the head count they were made for; None if unrecorded
+    heads: int  # the head count they were made for
 
     def all_params(self):
         """(name, value) pairs in the canonical file order."""
@@ -121,7 +122,7 @@ class NetworkWeights:
                 for n, v in w.params()]
 
     @classmethod
-    def from_table(cls, table, heads: int | None = None) -> NetworkWeights:
+    def from_table(cls, table, heads: int) -> NetworkWeights:
         """Layers from a name -> tensor mapping named exactly as `all_params` names them."""
         l1 = sum(name.endswith(".self.wq") for name in table)
         l2 = sum(name.endswith(".pair.wq") for name in table)
@@ -137,8 +138,15 @@ class NetworkWeights:
                   for prefix in prefixes]
         return cls(layers[:l1], layers[l1:2 * l1], layers[2 * l1:], heads)
 
+    def config(self) -> NetworkConfig:
+        """The network these weights make up; `ValueError` if no valid one."""
+        shape = np.shape(self.self_layers[0].wq)
+        if len(shape) != 2:
+            raise ValueError(f"layer0.self.wq: expected a 2-D tensor, got shape {shape}")
+        return NetworkConfig(*shape, self.heads, len(self.self_layers), len(self.pair_layers))
+
     def validate(self, cfg: NetworkConfig):
-        if self.heads is not None and self.heads != cfg.heads:
+        if self.heads != cfg.heads:
             raise ValueError(f"weights are for {self.heads} heads, config has {cfg.heads}")
         if len(self.self_layers) != cfg.l1 or len(self.cross_layers) != cfg.l1:
             raise ValueError(f"expected {cfg.l1} self/cross layers")
@@ -280,9 +288,9 @@ def init_weights(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkWeig
     return NetworkWeights(selfs, crosses, pairs, cfg.heads)
 
 
-def write_tensor_table(path, entries, config=None) -> None:
+def write_tensor_table(path, entries, config) -> None:
     """Serialize named f32 tensors, and the `config` dict, in the LAWT layout."""
-    record = json.dumps(config or {}, sort_keys=True).encode("utf-8")
+    record = json.dumps(config, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_LAWT_MAGIC)
         f.write(struct.pack("<IIH", _LAWT_VERSION, len(entries), len(record)))
@@ -305,14 +313,12 @@ def read_tensor_table(path):
         if read_exact(f, 4, "magic") != _LAWT_MAGIC:
             raise ValueError("bad magic: not a weight file")
         version, count = struct.unpack("<II", read_exact(f, 8, "header"))
-        if version not in (1, _LAWT_VERSION):
+        if version != _LAWT_VERSION:
             raise ValueError(f"unsupported version {version}")
-        config = {}
-        if version >= 2:
-            (size,) = struct.unpack("<H", read_exact(f, 2, "config length"))
-            config = json.loads(read_exact(f, size, "config record").decode("utf-8"))
-            if not isinstance(config, dict):
-                raise ValueError("config record is not a JSON object")
+        (size,) = struct.unpack("<H", read_exact(f, 2, "config length"))
+        config = json.loads(read_exact(f, size, "config record").decode("utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError("config record is not a JSON object")
         for _ in range(count):
             (name_len,) = struct.unpack("<H", read_exact(f, 2, "name length"))
             name = read_exact(f, name_len, "tensor name").decode("utf-8")
@@ -328,20 +334,15 @@ def read_tensor_table(path):
 
 
 def save_weights(path, weights: NetworkWeights) -> None:
-    config = {} if weights.heads is None else {"heads": weights.heads}
-    write_tensor_table(path, weights.all_params(), config)
+    write_tensor_table(path, weights.all_params(), {"heads": weights.heads})
 
 
 def load_weights(path) -> NetworkWeights:
-    """Read a LAWT file into a layer structure, checking every name, shape and value."""
+    """Read a LAWT file into a layer structure, checking its head count and every tensor."""
     tensors, config = read_tensor_table(path)
     heads = config.get("heads")
-    if heads is not None and type(heads) is not int:
+    if type(heads) is not int:
         raise ValueError(f"config record: head count {heads!r} is not an integer")
     weights = NetworkWeights.from_table(tensors, heads)
-    shape = np.shape(weights.self_layers[0].wq)
-    if len(shape) != 2:
-        raise ValueError(f"layer0.self.wq: expected a 2-D tensor, got shape {shape}")
-    weights.validate(NetworkConfig(*shape, 1 if heads is None else heads,
-                                   len(weights.self_layers), len(weights.pair_layers)))
+    weights.validate(weights.config())
     return weights

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .encoder import NetworkConfig, NetworkWeights, forward, init_weights, write_tensor_table
+from .encoder import NetworkConfig, NetworkWeights, forward, init_weights
 from .geometry import GroundTruth
 from .neighborhood import NeighborhoodConfig
 
@@ -199,11 +199,10 @@ class AdamState:
 
 def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,
               seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None):
-    """Single-pair-per-step Adam training; returns (weights, trace, state).
+    """Single-pair-per-step Adam training; returns (weights, trace).
 
-    The trace lists (step, loss, lr) tuples and the final optimizer moments
-    come back for checkpointing.  Deterministic for a fixed seed.  Aborts on
-    a non-finite loss, naming the step.
+    The trace lists (step, loss, lr) tuples.  Deterministic for a fixed
+    seed.  Aborts on a non-finite loss, naming the step.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -219,7 +218,7 @@ def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,
             raise RuntimeError(f"non-finite loss at step {k}")
         state.step(weights, grads, lr)
         trace.append((k, loss, lr))
-    return weights, trace, state
+    return weights, trace
 
 
 def write_loss_trace(path, trace) -> None:
@@ -227,9 +226,3 @@ def write_loss_trace(path, trace) -> None:
         f.write("step,loss,lr\n")
         for step, loss, lr in trace:
             f.write(f"{step},{repr(float(loss))},{repr(float(lr))}\n")
-
-
-def save_optimizer_state(path, state: AdamState) -> None:
-    entries = [(f"{name}.m", arr) for name, arr in state.m.items()]
-    entries += [(f"{name}.v", arr) for name, arr in state.v.items()]
-    write_tensor_table(path, entries)

@@ -311,7 +311,7 @@ def test_criterion_05_toy_training_halves_loss_and_lifts_precision():
     p0 = _c5_precision(w0, net_cfg, neigh_cfg, held)
     l0 = _c5_dataset_loss(w0, train, net_cfg, loss_cfg)
 
-    weights, trace, _ = train_toy(train, net_cfg, loss_cfg, C5_STEPS, seed=0)
+    weights, trace = train_toy(train, net_cfg, loss_cfg, C5_STEPS, seed=0)
     assert len(trace) == C5_STEPS
 
     p1 = _c5_precision(weights, net_cfg, neigh_cfg, held)

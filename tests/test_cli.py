@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, file outputs, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -466,7 +467,7 @@ def test_train_toy_outputs_and_config_precedence(tmp_path):
     out = tmp_path / "run1"
     assert run_cli(["train-toy", *TRAIN_ARGS, "-o", out]) == 0
     assert load_weights(out / "weights.lawt") is not None
-    assert (out / "optimizer.lawt").is_file()
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv", "weights.lawt"]
     trace = (out / "trace.csv").read_text().splitlines()
     assert trace[0] == "step,loss,lr"
     assert len(trace) == 4
@@ -482,6 +483,23 @@ def test_train_toy_outputs_and_config_precedence(tmp_path):
     assert run_cli(["train-toy", *TRAIN_ARGS, "--config", cfg, "--lr", "2e-3",
                     "-o", out3]) == 0
     assert np.isclose(first_lr(out3 / "trace.csv"), 2e-3)  # flag beats file
+
+
+def test_network_section_sits_between_built_in_defaults_and_flags(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"heads": 4, "hidden_dim": 8}}))
+    train = ["train-toy", "--pairs", 2, "--kpts", 12, "--dims", "96x96", "--steps", 1,
+             "--config", cfg]
+    assert run_cli([*train, "-o", tmp_path / "file"]) == 0  # file beats built-in 2 and 16
+    w = load_weights(tmp_path / "file" / "weights.lawt")
+    assert (w.heads, w.self_layers[0].wq.shape, len(w.pair_layers)) == (4, (32, 8), 1)
+    assert run_cli([*train, "--heads", 2, "-o", tmp_path / "flag"]) == 0  # flag beats file
+    assert load_weights(tmp_path / "flag" / "weights.lawt").heads == 2
+    # gradcheck's built-in hidden 4 cannot split into the file's 3 heads; --heads 2 can
+    cfg.write_text(json.dumps({"network": {"heads": 3}}))
+    gradcheck = ["gradcheck", "--samples", 4, "--config", cfg, "-o", tmp_path / "g"]
+    assert run_cli(gradcheck) == 2
+    assert run_cli([*gradcheck, "--heads", 2]) == 0
 
 
 def test_gradcheck_passes_in_double_precision(tmp_path, capsys):
@@ -519,6 +537,15 @@ def write_v1_weights(path, weights):
     path.write_bytes(b"LAWT" + (1).to_bytes(4, "little") + raw[8:12] + raw[14 + record_len:])
 
 
+def with_record(path, record, dst):
+    """A copy of the weight file at `path` whose config record is the bytes `record`."""
+    raw = path.read_bytes()
+    record_len = int.from_bytes(raw[12:14], "little")
+    dst.write_bytes(raw[:12] + len(record).to_bytes(2, "little") + record
+                    + raw[14 + record_len:])
+    return dst
+
+
 def test_train_toy_then_match_uses_recorded_heads(tmp_path):
     train = tmp_path / "train"
     assert run_cli(["train-toy", *TRAIN_ARGS[:-2], "--l2", 1, "--steps", 2, "-o", train]) == 0
@@ -529,40 +556,69 @@ def test_train_toy_then_match_uses_recorded_heads(tmp_path):
                     "-o", data]) == 0
     # unfiltered, so the 40-point scene keeps candidates whose scores show the head count
     pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds", "--no-filter"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"heads": 2}}))
     outputs = {}
-    for name, extra in (("recorded", []), ("explicit", ["--heads", 2])):
+    for name, extra in (("recorded", []), ("explicit", ["--config", cfg])):
         assert run_cli(["match", *pair, "--weights", weights, *extra, "-o", tmp_path / name]) == 0
         outputs[name] = (tmp_path / name / "matches.csv").read_bytes()
     assert outputs["recorded"] == outputs["explicit"]
-    # the same weights run under another head count give another result
-    v1 = tmp_path / "v1.lawt"
-    write_v1_weights(v1, load_weights(weights))
-    assert load_weights(v1).heads is None
-    assert run_cli(["match", *pair, "--weights", v1, "--heads", 8, "-o", tmp_path / "v1"]) == 0
-    assert (tmp_path / "v1" / "matches.csv").read_bytes() != outputs["recorded"]
+    # the same tensors recorded for another head count give another result
+    four = with_record(weights, b'{"heads": 4}', tmp_path / "four.lawt")
+    assert load_weights(four).heads == 4
+    assert run_cli(["match", *pair, "--weights", four, "-o", tmp_path / "four"]) == 0
+    assert (tmp_path / "four" / "matches.csv").read_bytes() != outputs["recorded"]
 
 
 def test_match_heads_conflicting_with_weight_file_exit_2(tmp_path, capsys):
     data = synth_dataset(tmp_path / "data")
     weights = small_weights_file(tmp_path / "w.lawt")  # records 2 heads
     pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds"]
-    assert run_cli(["match", *pair, "--weights", weights, "--heads", 4, "-o", tmp_path / "a"]) == 2
-    assert "records 2" in capsys.readouterr().err
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"network": {"heads": 8}}))
+    capsys.readouterr()  # drop synth's output
     assert run_cli(["match", *pair, "--weights", weights, "--config", cfg,
                     "-o", tmp_path / "b"]) == 2
+    assert "heads is 8" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "matches.csv").exists()
+    with pytest.raises(SystemExit):  # the file alone sets the count: no flag for it
+        main(["match", "--help"])
+    assert "--heads" not in capsys.readouterr().out
+
+
+def test_match_network_section_must_repeat_the_weight_file(tmp_path, capsys):
+    data = synth_dataset(tmp_path / "data")
+    weights = small_weights_file(tmp_path / "w.lawt")  # 8 -> 8, 2 heads, l1=1, l2=1
+    pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"hidden_dim": 3, "l1": 7}}))
+    capsys.readouterr()  # drop synth's output
+    assert run_cli(["match", *pair, "--weights", weights, "--config", cfg,
+                    "-o", tmp_path / "a"]) == 2
+    assert "hidden_dim is 3" in capsys.readouterr().err
     assert not (tmp_path / "a" / "matches.csv").exists()
+    # the whole recorded network, l2 included, passes with the pair layers skipped
+    cfg.write_text(json.dumps({"network": dataclasses.asdict(load_weights(weights).config())}))
+    assert run_cli(["match", *pair, "--weights", weights, "--config", cfg, "--skip-pairwise",
+                    "-o", tmp_path / "b"]) == 0
+
+
+def test_version_1_weight_file_exit_3(tmp_path, capsys):
+    data = synth_dataset(tmp_path / "data")
+    v1 = tmp_path / "v1.lawt"
+    write_v1_weights(v1, load_weights(small_weights_file(tmp_path / "w.lawt")))
+    capsys.readouterr()  # drop synth's output
+    assert run_cli(["match", data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds",
+                    "--weights", v1, "-o", tmp_path / "o"]) == 3
+    assert "unsupported version 1" in capsys.readouterr().err
 
 
 def test_bad_weight_config_record_exit_3(tmp_path):
     data = synth_dataset(tmp_path / "data")
     pair = [data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds"]
-    good = small_weights_file(tmp_path / "w.lawt").read_bytes()
-    record_len = int.from_bytes(good[12:14], "little")
+    good = small_weights_file(tmp_path / "w.lawt")
     for record in (b'{"heads": 3}', b'{"heads": "2"}', b'{"heads": 0}', b'{"heads": -2}',
-                   b'{"heads": true}', b'{"heads": 2.0}', b'[2]', b'{nope', b'\xff\xfe'):
-        bad = tmp_path / "bad.lawt"
-        bad.write_bytes(good[:12] + len(record).to_bytes(2, "little") + record
-                        + good[14 + record_len:])
+                   b'{"heads": true}', b'{"heads": 2.0}', b'[2]', b'{nope', b'\xff\xfe',
+                   b'{}', b'{"heads": null}'):
+        bad = with_record(good, record, tmp_path / "bad.lawt")
         assert run_cli(["match", *pair, "--weights", bad, "-o", tmp_path / "o"]) == 3, record

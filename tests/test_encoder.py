@@ -404,7 +404,7 @@ def test_weights_record_their_head_count(tmp_path):
     assert w.heads == 2
     p = tmp_path / "w.lawt"
     save_weights(p, w)
-    assert load_weights(p).heads == 2
+    assert load_weights(p).config() == cfg
     ks, kt, _, _ = tiny_scene()
     with pytest.raises(ValueError, match="heads"):
         forward(ks, kt, w, NetworkConfig(input_dim=8, hidden_dim=4, heads=4, l1=1, l2=1))

@@ -83,8 +83,7 @@ def expected_match_code(files, source=None, weights=None):
     try:
         ks, kt = read_kpds(source or files / "source.kpds"), read_kpds(files / "target.kpds")
         w = load_weights(weights or files / "w.lawt")
-        cfg = NetworkConfig(*w.self_layers[0].wq.shape, w.heads or 8, len(w.self_layers),
-                            len(w.pair_layers))
+        cfg = w.config()
         w.self_layers[0].wq = Tensor(w.self_layers[0].wq)
         with np.errstate(all="ignore"):
             enc = forward(ks, kt, w, cfg)

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from linmatch.autodiff import Tensor
-from linmatch.encoder import EncodedPair, NetworkConfig, init_weights, read_tensor_table
+from linmatch.encoder import EncodedPair, NetworkConfig, init_weights
 from linmatch.geometry import GenNoiseConfig, GroundTruth, generate_pair
 from linmatch.training import (
     AdamState,
     LossConfig,
     gradient_check,
     loss_gradient,
-    save_optimizer_state,
     train_toy,
     triplet_loss,
     write_loss_trace,
@@ -245,8 +244,8 @@ def test_train_toy_trace_schedule_and_determinism():
     cfg = NetworkConfig(input_dim=8, hidden_dim=8, heads=2, l1=1, l2=0)
     lcfg = LossConfig(learning_rate=5e-3, decay=0.99)
     data = toy_dataset(3, 8)
-    w1, t1, _ = train_toy(data, cfg, lcfg, steps=12, seed=4)
-    w2, t2, _ = train_toy(data, cfg, lcfg, steps=12, seed=4)
+    w1, t1 = train_toy(data, cfg, lcfg, steps=12, seed=4)
+    w2, t2 = train_toy(data, cfg, lcfg, steps=12, seed=4)
     assert t1 == t2
     for (na, a), (nb, b) in zip(w1.all_params(), w2.all_params()):
         assert na == nb
@@ -261,7 +260,7 @@ def test_train_toy_reduces_loss():
     cfg = NetworkConfig(input_dim=8, hidden_dim=8, heads=1, l1=1, l2=0)
     lcfg = LossConfig(learning_rate=2e-3)
     data = toy_dataset(4, 8, seed0=40)
-    _, trace, _ = train_toy(data, cfg, lcfg, steps=60, seed=0)
+    _, trace = train_toy(data, cfg, lcfg, steps=60, seed=0)
     first = np.mean([l for _, l, _ in trace[:8]])
     last = np.mean([l for _, l, _ in trace[-8:]])
     assert last < first
@@ -302,24 +301,6 @@ def test_loss_trace_round_trip(tmp_path):
         assert int(row[0]) == step
         assert float(row[1]) == loss
         assert float(row[2]) == lr
-
-
-def test_optimizer_state_round_trip(tmp_path):
-    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=1)
-    lcfg = LossConfig()
-    weights = init_weights(cfg, seed=0, dtype=np.float64)
-    state = AdamState(weights)
-    data = toy_dataset(1, 8)
-    for _ in range(2):
-        _, grads = loss_gradient(weights, data[0], cfg, lcfg)
-        state.step(weights, grads, 1e-3)
-    path = tmp_path / "opt.lawt"
-    save_optimizer_state(path, state)
-    table, _ = read_tensor_table(path)
-    assert set(table) == {f"{name}.{moment}" for name in state.m for moment in "mv"}
-    for name in state.m:
-        np.testing.assert_allclose(table[f"{name}.m"], state.m[name], rtol=1e-6, atol=1e-12)
-        np.testing.assert_allclose(table[f"{name}.v"], state.v[name], rtol=1e-6, atol=1e-12)
 
 
 def test_adam_matches_reference_formula():
