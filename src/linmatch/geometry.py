@@ -9,8 +9,9 @@ Gaussian noise; distractor descriptors are independent draws.
 Ground truth follows a mutual-nearest-neighbor rule under exact reprojection:
 a source/target pair is labeled a correspondence iff each is the other's
 nearest neighbor and the reprojection distance is below 3 pixels (absolute,
-regardless of image size).  The pairs are one (k, 2) index array; an index
-that appears in no row is unmatchable.
+regardless of image size); an exact distance tie goes to the lower index.
+The pairs are one (k, 2) index array; an index that appears in no row is
+unmatchable.  `near_pairs` is the package's one radius search.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 LABEL_DISTANCE_PX = 3.0
 
 _KPDS_MAGIC = b"KPDS"
 _KPDS_VERSION = 1
+_ROW_LIMIT = 1 << 24  # positions clip here, in rows, so a key fits int64
+_ROW_STRIDE = 1 << 34  # key distance between rows: more than 512 * (_ROW_LIMIT + 4)
+_ALL_PAIRS = 1 << 12  # up to this many pairs, near_pairs returns them all
 
 
 @dataclass
@@ -152,17 +155,73 @@ def _clip_to_frame(pts: np.ndarray, width: int, height: int) -> np.ndarray:
     return out
 
 
+def near_pairs(p, q, radius: float, upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) intp arrays of every pair of p[i] and q[j] within `radius`, plus some farther.
+
+    Callers re-test the pairs exactly; non-finite points pair with nothing.  With
+    `upper`, q must be p and each unordered pair of distinct rows comes once.  Up
+    to 4096 pairs, all are returned.  Otherwise q is binned into rows half the
+    (padded) radius high and sorted by x, and a point meets, in the five rows
+    around its own, the points within reach along x.  Positions clip at 2**24
+    rows, which only brings far points closer: scratch is linear in points plus
+    pairs.
+    """
+    if upper and q is not p:
+        raise ValueError("upper pairs need q to be p")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
+    p = np.asarray(p, dtype=np.float64).reshape(-1, 2)
+    q = p if upper else np.asarray(q, dtype=np.float64).reshape(-1, 2)
+    fp = np.flatnonzero(np.isfinite(p[:, 0]) & np.isfinite(p[:, 1]))
+    fq = fp if upper else np.flatnonzero(np.isfinite(q[:, 0]) & np.isfinite(q[:, 1]))
+    if (len(fp) * (len(fp) - 1) // 2 if upper else len(fp) * len(fq)) <= _ALL_PAIRS:
+        pt = np.arange(len(fp))  # each point pt of fp meets the positions lo..hi-1 of fq
+        lo, hi = (pt + 1 if upper else np.zeros_like(pt)), len(fq)
+    else:
+        side = radius * (1 + 1e-6) / 2  # so that in rows, the reach is 2
+        bound = side * _ROW_LIMIT  # clipped before dividing, so the division stays finite
+
+        def key(base, x):  # x quantized to 1/256 of a row; floor keeps the order
+            return base + np.floor(x * 256).astype(np.int64)
+
+        def rows(pts, idx):  # idx in key order, and x, height in row, row start and key
+            x, y = (np.clip(c[idx], -bound, bound) / side for c in pts.T)
+            row = np.floor(y)
+            base = row.astype(np.int64) * _ROW_STRIDE
+            keys = key(base, x)
+            order = np.argsort(keys, kind="stable")
+            return idx[order], x[order], (y - row)[order], base[order], keys[order]
+
+        fp, x, fy, base, keys = rows(p, fp)
+        fq, *_, keys = (fp, keys) if upper else rows(q, fq)
+        dy = np.arange(0 if upper else -2, 3)  # upper: the own row only after the own point
+        # queries row by row, each in key order, so that the searches run in order
+        gap = np.maximum(np.abs(dy[:, None] + 0.5 - fy) - 0.5, 0)  # to each row, in rows
+        at = np.flatnonzero(gap < 2)
+        k, pt = np.divmod(at, len(fp))
+        half = np.sqrt(4 - gap.ravel()[at] ** 2)  # half the x extent within reach in the row
+        ends = key(base[pt] + dy[k] * _ROW_STRIDE, x[pt] + np.multiply.outer((-1, 1), half))
+        lo, hi = np.searchsorted(keys, ends + ((0,), (1,)))  # hi: the first key past the end
+        lo = np.maximum(lo, pt + 1) if upper else lo
+    count = hi - lo
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return fp[np.repeat(pt, count)], fq[at]
+
+
 def label_correspondences(h: Homography, ks: KeypointSet, kt: KeypointSet) -> GroundTruth:
     """Mutual-NN labeling under exact reprojection with the 3 px cutoff."""
-    proj, valid = apply_homography(h, ks.keypoints)
-    vidx = np.flatnonzero(valid)
-    if vidx.size == 0 or len(kt) == 0:
-        return GroundTruth([])
-    tpts = kt.keypoints.astype(np.float64)
-    d_st, nn_st = cKDTree(tpts).query(proj[vidx])  # nearest target for each projection
-    _, nn_ts = cKDTree(proj[vidx]).query(tpts)  # nearest projection for each target
-    mutual = (nn_ts[nn_st] == np.arange(vidx.size)) & (d_st < LABEL_DISTANCE_PX)
-    return GroundTruth(np.column_stack([vidx[mutual], nn_st[mutual]]))
+    proj, _ = apply_homography(h, ks.keypoints)  # a collapsed projection is inf
+    i, j = near_pairs(proj, kt.keypoints, LABEL_DISTANCE_PX)
+    dx, dy = proj[i, 0] - kt.keypoints[j, 0], proj[i, 1] - kt.keypoints[j, 1]  # in float64
+    d = np.sqrt(dx * dx + dy * dy)
+
+    def nearest(a, b):  # positions of each a's candidate at the least distance, then lowest b
+        by = np.lexsort((b, d, a))
+        return by[np.diff(a[by], prepend=-1) != 0]
+
+    mutual = nearest(i, j)  # in source order
+    mutual = mutual[np.isin(mutual, nearest(j, i)) & (d[mutual] < LABEL_DISTANCE_PX)]
+    return GroundTruth(np.column_stack([i[mutual], j[mutual]]))
 
 
 def generate_pair(seed: int, n_keypoints: int, dims: tuple, descriptor_dim: int,

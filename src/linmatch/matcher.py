@@ -117,7 +117,12 @@ def distance_match(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
 
 def _sample_triples(rng, k, count):
     """`count` uniform 3-subsets of range(k) in one draw (Floyd's algorithm)."""
-    a, b, c = rng.integers(0, [k - 2, k - 1, k], size=(count, 3)).T
+    return _distinct(rng.integers(0, [k - 2, k - 1, k], size=(count, 3)), k)
+
+
+def _distinct(draws, k):
+    """Floyd's fix-ups: rows drawn below (k - 2, k - 1, k) as distinct triples; k may be per row."""
+    a, b, c = draws.T
     b = np.where(b == a, k - 2, b)
     c = np.where((c == a) | (c == b), k - 1, c)
     return np.stack([a, b, c], axis=1)
@@ -157,9 +162,11 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
     tgt = kt.keypoints[idx[cand, 1]].astype(np.float64)
 
     live, iters = np.flatnonzero(sizes >= 3), fcfg.ransac_iterations  # others never reach 3 inliers
-    draws = np.concatenate([np.zeros((0, 3), dtype=np.intp)] + [
-        _sample_triples(np.random.default_rng([fcfg.rng_seed, members[s].seed[0]]), sizes[s], iters)
-        for s in live]) + np.repeat(starts[live], iters)[:, None]  # candidate rows
+    draws = np.concatenate([np.zeros((0, 3), dtype=np.intp)] + [  # one stream per neighborhood
+        np.random.default_rng([fcfg.rng_seed, members[s].seed[0]]).integers(
+            0, [sizes[s] - 2, sizes[s] - 1, sizes[s]], size=(iters, 3)) for s in live])
+    owner = np.repeat(live, iters)  # each draw's neighborhood
+    draws = _distinct(draws, sizes[owner]) + starts[owner, None]  # candidate rows
     # a triple of match positions drawn again, in any neighborhood, is the same LAPACK input;
     # its raveled key limits a call to 2**21 - 1 matches (ravel_multi_index refuses more)
     _, once, inverse = np.unique(np.ravel_multi_index(cand[draws].T, (len(m),) * 3),
@@ -212,10 +219,13 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     if n == 0:
         mma = {t: 0.0 for t in _MMA_THRESHOLDS_PX}
         return Metrics(mma, 0.0, 0.0 if truth else 1.0, 0, 0.0)
-    pairs = m.pairs()
-    if not all(0 <= i < len(ks) and 0 <= j < len(kt) for i, j in pairs):
+    try:
+        idx = np.array(m.pairs(), dtype=np.intp)
+    except OverflowError:  # an index beyond intp is out of range too
+        idx = np.full((1, 2), -1)
+    if ((idx < 0) | (idx >= (len(ks), len(kt)))).any():
         raise ValueError("match index out of range of the keypoint sets")
-    src_idx, tgt_idx = np.array(pairs, dtype=np.intp).T
+    src_idx, tgt_idx = idx.T
     proj, valid = apply_homography(h, ks.keypoints[src_idx])
     tgt_pts = kt.keypoints[tgt_idx].astype(np.float64)
     err = np.where(valid, np.linalg.norm(proj - tgt_pts, axis=1), np.inf)

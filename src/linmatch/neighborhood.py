@@ -13,13 +13,13 @@ the neighborhood collects the matches lying within lambda * R_s of the seed
 on the source side and lambda * R_t on the target side simultaneously.
 
 Matches are kept as a (k, 2) index array of (source, target) rows, and every
-stage indexes it directly.  Seed candidates come from a k-d tree radius
-query between the matches' source points; neighborhood members from one
-query between the seeds' source points and the matches', with the radius
-padded.  Each pair either query reports is re-tested with the exact
-squared-distance comparison (on both sides, for members), so the radius
-boundary does not depend on the tree's arithmetic.  A seed whose own point is
-non-finite has no members and gets no neighborhood.  The sorted member sets
+stage indexes it directly.  Seed candidates come from one radius search
+(`geometry.near_pairs`) among the matches' source points; neighborhood
+members from one search between the seeds' source points and the matches'.
+The search returns some pairs beyond the radius, so each pair is re-tested
+with the exact squared distance, dx*dx + dy*dy <= r*r (on both sides, for
+members).  A non-finite point is within the radius of nothing, and a seed
+whose own point is non-finite gets no neighborhood.  The sorted member sets
 are returned as one `Membership`, whose constructor checks them all at once.
 
 One distance table per chunk of source rows serves both directions: rows
@@ -45,10 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .attention import Membership, NeighborhoodPair
-from .geometry import index_pairs
+from .geometry import index_pairs, near_pairs
 
 _CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
 
@@ -243,12 +242,10 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
     """
     src_idx, scores = m.matches[:, 0], m.ratio_score
     pts = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
-    # a non-finite point is within radius of nothing, and the tree rejects it;
-    # the query radius is padded so the exact re-test below sees every pair
-    finite = np.flatnonzero(np.isfinite(pts).all(axis=1))
-    pairs = cKDTree(pts[finite]).query_pairs(radius * (1 + 1e-9), output_type="ndarray")
-    a, b = finite[pairs[:, 0]], finite[pairs[:, 1]]
-    near = ((pts[a] - pts[b]) ** 2).sum(axis=1) <= radius * radius
+    a, b = near_pairs(pts, pts, radius, upper=True)  # a non-finite point is near nothing
+    x, y = pts.T  # ((pts[a] - pts[b]) ** 2).sum(axis=1) below, bit for bit
+    dx, dy = x[a] - x[b], y[a] - y[b]
+    near = np.flatnonzero(dx * dx + dy * dy <= radius * radius)
     a, b = a[near], b[near]
 
     def outranks(x, y):
@@ -274,19 +271,13 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
     src_idx, tgt_idx = m.matches.T
     sp = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
-    rs2 = (cfg.lam * cfg.r_s) ** 2
-    rt2 = (cfg.lam * cfg.r_t) ** 2
-    # a non-finite point is within radius of nothing, and the tree rejects it;
-    # the query radius is padded so the exact tests below see every member
-    seeds = seeds[np.isfinite(sp[seeds]).all(axis=1) & np.isfinite(tp[seeds]).all(axis=1)]
-    finite = np.flatnonzero(np.isfinite(sp).all(axis=1))
-    near = cKDTree(sp[seeds]).sparse_distance_matrix(
-        cKDTree(sp[finite]), cfg.lam * cfg.r_s * (1 + 1e-9), output_type="ndarray")
-    row, pos = near["i"], finite[near["j"]]
-    ds = ((sp[pos] - sp[seeds[row]]) ** 2).sum(axis=1)
-    dt = ((tp[pos] - tp[seeds[row]]) ** 2).sum(axis=1)
-    member = (ds <= rs2) & (dt <= rt2)
-    row, pos = row[member], pos[member]
+    seeds = seeds[(np.isfinite(sp[seeds]) & np.isfinite(tp[seeds])).all(axis=1)]
+    row, pos = near_pairs(sp[seeds], sp, cfg.lam * cfg.r_s)  # a non-finite point is near nothing
+    for pts, r in ((sp, cfg.r_s), (tp, cfg.r_t)):  # the source side drops most pairs first
+        (x, y), at = pts.T, seeds[row]  # ((pts[pos] - pts[at]) ** 2).sum(axis=1), bit for bit
+        dx, dy = x[pos] - x[at], y[pos] - y[at]
+        member = np.flatnonzero(dx * dx + dy * dy <= (cfg.lam * r) ** 2)
+        row, pos = row[member], pos[member]
     source_sets = src_idx[pos[np.lexsort((src_idx[pos], row))]]
     target_sets = tgt_idx[pos[np.lexsort((tgt_idx[pos], row))]]
     cuts = np.cumsum(np.bincount(row, minlength=len(seeds)))[:-1]  # each seed is a member

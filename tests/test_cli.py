@@ -309,7 +309,7 @@ def test_eval_non_finite_homography_exit_3(tmp_path, capsys, value):
     assert not (tmp_path / "m" / "metrics.json").exists()
 
 
-@pytest.mark.parametrize("row", ["9999,0", "0,9999", "-1,0"])
+@pytest.mark.parametrize("row", ["9999,0", "0,9999", "-1,0", "0,99999999999999999999"])
 def test_eval_out_of_range_index_exit_3(tmp_path, row):
     data = synth_dataset(tmp_path / "data")
     pdir = data / "pair0000"

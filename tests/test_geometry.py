@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from linmatch import geometry
 from linmatch.geometry import (
     GenNoiseConfig,
     GroundTruth,
@@ -11,6 +12,7 @@ from linmatch.geometry import (
     apply_homography,
     generate_pair,
     label_correspondences,
+    near_pairs,
     read_ground_truth,
     read_homography,
     read_kpds,
@@ -220,6 +222,109 @@ class TestLabelCorrespondences:
         kt = KeypointSet(np.zeros((0, 2)), np.zeros((0, 4)), 10, 10)
         gt = label_correspondences(Homography(np.eye(3)), ks, kt)
         assert gt.pairs.shape == (0, 2) and gt.pairs.dtype == np.intp
+
+    def test_exact_ties_go_to_the_lower_index(self):
+        eye = Homography(np.eye(3))
+        # source 0 is 1 px from targets 0 and 1, so target 0 is its nearest
+        ks = KeypointSet(np.array([[5.0, 5.0]]), np.zeros((1, 4)), 10, 10)
+        kt = KeypointSet(np.array([[4.0, 5.0], [6.0, 5.0]]), np.zeros((2, 4)), 10, 10)
+        assert as_tuples(label_correspondences(eye, ks, kt)) == [(0, 0)]
+        assert as_tuples(label_correspondences(eye, kt, ks)) == [(0, 0)]  # and source 0, seen back
+        # target 1 sits between sources 1 and 2 and takes source 1; source 0 keeps target 0
+        ks = KeypointSet(np.array([[1.0, 1.0], [4.0, 5.0], [6.0, 5.0]]), np.zeros((3, 4)), 10, 10)
+        kt = KeypointSet(np.array([[1.0, 2.0], [5.0, 5.0]]), np.zeros((2, 4)), 10, 10)
+        gt = label_correspondences(eye, ks, kt)
+        assert as_tuples(gt) == [(0, 0), (1, 1)] == sorted(brute_force_labels(eye, ks, kt))
+
+    def test_projections_far_outside_the_frame(self):
+        # a strong perspective term throws part of the source far away, or behind the camera
+        h = Homography(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-0.004, 0.0, 0.6]]))
+        for seed in range(3):
+            ks, kt, gt, _ = generate_pair(seed, 200, (320, 240), 4, homography=h,
+                                          noise=GenNoiseConfig(jitter_sigma=1.0, distractors=30))
+            proj, _ = apply_homography(h, ks.keypoints)
+            assert (np.abs(proj) > 1e3).any() and len(gt.pairs) > 0
+            assert as_tuples(gt) == sorted(brute_force_labels(h, ks, kt))
+
+
+def brute_force_near(p, q, radius, upper):
+    """Every (i, j) with |p[i] - q[j]|^2 <= radius^2, as the callers' re-test computes it."""
+    with np.errstate(all="ignore"):  # inf - inf, and far-but-finite points overflowing
+        d = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
+    near = d <= radius * radius
+    return set(zip(*np.nonzero(np.triu(near, 1) if upper else near)))
+
+
+def near_cases():
+    """(p, q, radius): uniform, clustered, integer grids with pairs at exactly the
+    radius, far-but-finite outliers with non-finite points, empty and one-point sets."""
+    rng = np.random.default_rng(31)
+    for case in range(60):
+        n, m = int(rng.integers(1, 90)), int(rng.integers(1, 90))
+        kind = case % 4
+        if kind == 0:
+            p, q, r = rng.uniform(0, 200, (n, 2)), rng.uniform(0, 200, (m, 2)), rng.uniform(1, 40)
+        elif kind == 1:
+            centers = rng.uniform(0, 500, (3, 2))
+            p = centers[rng.integers(3, size=n)] + rng.normal(0, 2, (n, 2))
+            q = centers[rng.integers(3, size=m)] + rng.normal(0, 2, (m, 2))
+            r = rng.uniform(0.5, 8)
+        elif kind == 2:  # 3-4-5 triangles put pairs exactly at radius 5
+            p, q, r = rng.integers(0, 16, (n, 2)) * 1.0, rng.integers(0, 16, (m, 2)) * 1.0, 5.0
+        else:
+            p, q, r = rng.uniform(-50, 50, (n, 2)), rng.uniform(-50, 50, (m, 2)), rng.uniform(2, 20)
+            p[: n // 4] = rng.choice([1e9, -3e15, 1.5e308, 1e300], size=(n // 4, 2))
+            q[: m // 4] = rng.choice([1e9, -3e15, 1.5e308, 1e300], size=(m // 4, 2))
+            p[n // 4: n // 3, 0], q[m // 4: m // 3, 1] = np.nan, np.inf
+        yield p, q, float(r)
+    yield np.zeros((0, 2)), np.ones((3, 2)), 1.0
+    yield np.ones((3, 2)), np.zeros((0, 2)), 1.0
+    yield np.zeros((1, 2)), np.zeros((1, 2)), 1.0
+    yield np.array([[1e300, 1e300], [1e300, 1e300], [-1e300, -1e300]]), np.zeros((1, 2)), 1.0
+
+
+class TestNearPairs:
+    @pytest.mark.parametrize("all_pairs", [0, geometry._ALL_PAIRS])  # the search, and small inputs
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_superset_of_pairs_within_radius(self, monkeypatch, all_pairs, upper):
+        monkeypatch.setattr(geometry, "_ALL_PAIRS", all_pairs)
+        for p, q, r in near_cases():
+            q = p if upper else q
+            i, j = near_pairs(p, q, r, upper=upper)
+            assert i.dtype == j.dtype == np.intp
+            got = list(zip(i.tolist(), j.tolist()))
+            if upper:  # each unordered pair once, never a point with itself
+                assert (i != j).all()
+                got = [(min(a, b), max(a, b)) for a, b in got]
+            assert len(set(got)) == len(got)
+            assert brute_force_near(p, q, r, upper) <= set(got)
+            # a non-finite point pairs with nothing
+            assert np.isfinite(p[i]).all() and np.isfinite(q[j]).all()
+
+    def test_search_keeps_candidates_near_the_radius(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_ALL_PAIRS", 0)
+        pts = np.random.default_rng(5).uniform(0, 600, (3000, 2))
+        i, j = near_pairs(pts, pts, 35.0, upper=True)
+        within = len(brute_force_near(pts, pts, 35.0, True))
+        assert within <= len(i) < 1.5 * within  # about 1.3 here; every pair would be 80 times
+
+    def test_small_inputs_return_every_pair(self):
+        p = np.array([[0.0, 0.0], [100.0, 0.0], [np.nan, 0.0], [0.0, 100.0]])
+        i, j = near_pairs(p, p, 1.0, upper=True)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 3), (1, 3)]
+        i, j = near_pairs(p[:2], p, 1.0)
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 1), (0, 3),
+                                                      (1, 0), (1, 1), (1, 3)]
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
+    def test_radius_must_be_positive(self, radius):
+        with pytest.raises(ValueError):
+            near_pairs(np.zeros((2, 2)), np.zeros((2, 2)), radius)
+
+    def test_upper_needs_one_point_set(self):
+        p = np.zeros((2, 2))
+        with pytest.raises(ValueError):
+            near_pairs(p, p.copy(), 1.0, upper=True)
 
 
 class TestFileFormats:
