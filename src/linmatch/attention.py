@@ -14,8 +14,8 @@ denominator; phi > 0, so the denominator never vanishes.
 
 The restricted kernel applies the same ratio within the neighborhoods of a
 `Membership`, which `build_neighborhoods` returns and which checks every set
-once, when built.  It holds them as CSR arrays: each side's member rows
-concatenated neighborhood by neighborhood (segments).  K_v is summed over a
+once, when built.  It holds them as arrays, with no per-neighborhood records:
+each side's member rows, set after set (CSR segments).  K_v is summed over a
 segment's key rows and applied to its query rows by one batched matmul per
 distinct segment size (never a d x d product per member), and the results are
 sum-scattered into the output rows: rows outside every neighborhood stay
@@ -66,27 +66,27 @@ class NeighborhoodPair(NamedTuple):
 
 
 class Segments:
-    """One side's member rows, concatenated segment by segment.
+    """One side's member rows, concatenated segment by segment, and the segments' sizes.
 
-    `sets=None` stands for every input row, in order, as one segment.  `ids`
+    `rows=None` stands for every input row, in order, as one segment.  `ids`
     holds each member's segment.  `groups` pairs each distinct segment size
     with the ids of the segments of that size and their members' positions,
     a (segments, size) array; it and the scatter `levels` are built on first use.
     """
 
-    def __init__(self, sets=None):
-        if sets is None:  # position None indexes x[None]: the whole array, as a view
+    def __init__(self, rows=None, sizes=None):
+        if rows is None:  # position None indexes x[None]: the whole array, as a view
             self.rows, self.count, self.groups = None, 1, [(np.zeros(1, dtype=np.intp), None)]
             return
-        sizes = self.sizes = np.array([len(s) for s in sets], dtype=np.intp)
-        self.rows = np.concatenate(sets or [[]]).astype(np.intp, copy=False)
-        self.count, self.ids = len(sets), np.repeat(np.arange(len(sets)), sizes)
+        self.rows = np.asarray(rows).astype(np.intp, copy=False)
+        sizes = self.sizes = np.asarray(sizes).astype(np.intp, copy=False)
+        self.count, self.ids = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
+        self.starts = np.cumsum(sizes) - sizes
         self.order = np.argsort(self.rows, kind="stable")  # equal rows keep set order
 
     @cached_property
     def groups(self):
-        starts = np.cumsum(self.sizes) - self.sizes
-        return [(segs, starts[segs][:, None] + np.arange(size))
+        return [(segs, self.starts[segs][:, None] + np.arange(size))
                 for size in np.unique(self.sizes) for segs in [np.flatnonzero(self.sizes == size)]]
 
     @cached_property
@@ -125,19 +125,19 @@ class Segments:
         return out
 
 
-class Membership(tuple):
-    """An immutable tuple of `NeighborhoodPair` plus its per-side `Segments`.
+class Membership:
+    """Neighborhood s is seed row s with segment s of each side; indexing gives pair views.
 
     Construction checks all sets at once, over each side's concatenated rows:
-    every set is non-empty, repeats no index and holds its own seed.
+    one set per seed, each non-empty, repeating no index and holding its seed.
     """
 
-    def __new__(cls, pairs):
-        self = super().__new__(cls, pairs)
-        self.source = Segments([p.source_set for p in self])
-        self.target = Segments([p.target_set for p in self])
-        seeds = np.array([p.seed for p in self], dtype=np.intp).reshape(len(self), 2)
-        for side, seed in zip((self.source, self.target), seeds.T):
+    def __init__(self, seeds, source: Segments, target: Segments):
+        self.seeds = np.asarray(seeds, dtype=np.intp).reshape(len(seeds), 2)
+        self.source, self.target = source, target
+        for side, seed in zip((source, target), self.seeds.T):
+            if side.count != len(seed):
+                raise ValueError("each neighborhood side needs one set per seed")
             if not side.sizes.all():
                 raise ValueError("neighborhood sides must be non-empty")
             # equal rows sit together in set order, so a repeat within a set is adjacent
@@ -147,7 +147,19 @@ class Membership(tuple):
             # with no repeats, a set holds its seed at most once
             if np.count_nonzero(side.rows == seed[side.ids]) != side.count:
                 raise ValueError("seed indices must belong to their own sets")
-        return self
+
+    @classmethod
+    def of(cls, pairs) -> "Membership":
+        """The `Membership` of a list of `NeighborhoodPair`, as arrays."""
+        seeds, *sides = list(zip(*pairs)) or [(), (), ()]  # seeds, source sets, target sets
+        return cls(seeds, *(Segments(np.concatenate(s or [[]]), list(map(len, s))) for s in sides))
+
+    def __len__(self):
+        return len(self.seeds)
+
+    def __getitem__(self, s):
+        a, b = (side.rows[side.starts[s]:][:side.sizes[s]] for side in (self.source, self.target))
+        return NeighborhoodPair(tuple(self.seeds[s].tolist()), a, b)
 
 
 def _shape(x):
@@ -214,7 +226,7 @@ def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool
     query target rows, or the other way round with `reverse`.  Rows outside
     every query-side set are exactly zero.
     """
-    members = pairs if isinstance(pairs, Membership) else Membership(pairs)
+    members = pairs if isinstance(pairs, Membership) else Membership.of(pairs)
     sides = (members.target, members.source) if reverse else (members.source, members.target)
     for side, n in zip(sides, (_shape(t.q)[0], _shape(t.k)[0])):
         if side.rows.size and (side.rows.min() < 0 or side.rows.max() >= n):

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (
-    NeighborhoodPair,
+    Membership,
     ProjectedTriplet,
+    Segments,
     linear_attention,
     pairwise_attention,
     softmax_attention_reference,
@@ -205,9 +206,9 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
     return BenchReport(rows, {"pipeline": slope}, reps, notes)
 
 
-def _disjoint_blocks(count: int, block: int):
-    sets = [np.arange(b * block, (b + 1) * block, dtype=np.intp) for b in range(count)]
-    return [NeighborhoodPair((int(s[0]), int(s[0])), s, s) for s in sets]
+def _disjoint_blocks(count: int, block: int) -> Membership:
+    side = Segments(np.arange(count * block), np.full(count, block))
+    return Membership(np.repeat(side.starts[:, None], 2, axis=1), side, side)
 
 
 def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,

@@ -73,15 +73,27 @@ class DataError(Exception):
     """Missing or malformed input data; maps to exit code 3."""
 
 
+@dataclass
+class BenchConfig:
+    sizes: tuple = (1024, 2048, 4096, 8192)
+    reps: int = 5
+    c_prime: int = 64
+    methods: tuple = ("linear", "softmax")
+
+    def __post_init__(self):
+        self.sizes = tuple(int(n) for n in self.sizes)
+        self.reps, self.c_prime = int(self.reps), int(self.c_prime)
+        self.methods = tuple(map(str, self.methods))
+
+
 _CONFIG_SECTIONS = {
     "network": NetworkConfig,
     "neighborhood": NeighborhoodConfig,
     "filter": FilterConfig,
     "loss": LossConfig,
     "noise": GenNoiseConfig,
-    "bench": None,
+    "bench": BenchConfig,
 }
-_BENCH_KEYS = {"sizes", "reps", "c_prime", "methods"}
 
 # the network flags' defaults of train-toy and gradcheck, below the config file
 _TOY_NETWORK = {"input_dim": 32, "hidden_dim": 16, "heads": 2, "l1": 2, "l2": 1}
@@ -121,11 +133,7 @@ def _load_file_sections(path) -> dict:
     for name, body in raw.items():
         if not isinstance(body, dict):
             raise UsageError(f"config section {name!r} must be an object")
-        if name == "bench":
-            allowed = _BENCH_KEYS
-        else:
-            allowed = {f.name for f in dataclasses.fields(_CONFIG_SECTIONS[name])}
-        bad = sorted(set(body) - allowed)
+        bad = sorted(set(body) - {f.name for f in dataclasses.fields(_CONFIG_SECTIONS[name])})
         if bad:
             raise UsageError(f"unknown keys in config section {name!r}: {bad}")
     return raw
@@ -284,13 +292,6 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def _bench_value(run, args, key, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return run.sections.get("bench", {}).get(key, default)
-
-
 def cmd_bench(args) -> int:
     run = _run_config(args)
     out = _out_dir(run)
@@ -307,19 +308,15 @@ def cmd_bench(args) -> int:
               f"(bound {counts['linear_bound']}) -> {out / 'audit.json'}")
         return EXIT_OK
 
-    sizes = _bench_value(run, args, "sizes", (1024, 2048, 4096, 8192))
-    reps = int(_bench_value(run, args, "reps", 5))
-    c_prime = int(_bench_value(run, args, "c_prime", 64))
-    methods = _bench_value(run, args, "methods", ("linear", "softmax"))
+    cfg = _section(run, "bench", BenchConfig, sizes=args.sizes, reps=args.reps,
+                   c_prime=args.c_prime, methods=args.methods)
     try:
         if args.mode == "attention":
-            report = bench_attention(tuple(methods), tuple(int(s) for s in sizes),
-                                     c_prime=c_prime, reps=reps, seed=run.seed)
+            report = bench_attention(**vars(cfg), seed=run.seed)
         else:
             net = _section(run, "network", NetworkConfig)
             neigh = _section(run, "neighborhood", NeighborhoodConfig)
-            report = bench_pipeline(tuple(int(s) for s in sizes), net, reps,
-                                    seed=run.seed, neigh_cfg=neigh)
+            report = bench_pipeline(cfg.sizes, net, cfg.reps, seed=run.seed, neigh_cfg=neigh)
     except ValueError as e:
         raise UsageError(str(e))
     write_bench_csv(out / "bench.csv", report)

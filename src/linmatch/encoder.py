@@ -204,9 +204,9 @@ def cross_attention_update(xs, xt, w: LayerWeights, heads: int = 1):
 def pairwise_layer_update(xs, xt, pairs, w: LayerWeights, heads: int = 1):
     """Neighborhood-restricted update in both directions.
 
-    `pairs` is a `Membership` or a list of `NeighborhoodPair`.  Rows outside
-    every neighborhood get a zero message and are changed only by the
-    feed-forward path of the layer.
+    `pairs` is a `Membership`, or a list of `NeighborhoodPair` that each
+    direction converts with `Membership.of`.  Rows outside every neighborhood
+    get a zero message and are changed only by the layer's feed-forward path.
     """
     return (encoder_layer(xs, xt, w, lambda t, h: pairwise_attention(t, pairs, h), heads),
             encoder_layer(xt, xs, w, lambda t, h: pairwise_attention(t, pairs, h, True), heads))

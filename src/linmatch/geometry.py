@@ -110,7 +110,7 @@ class GenNoiseConfig:
     distractors: int = 0  # extra unmatched target keypoints
 
     def __post_init__(self):
-        if self.desc_sigma < 0 or self.jitter_sigma < 0 or self.distractors < 0:
+        if not (self.desc_sigma >= 0 and self.jitter_sigma >= 0 and self.distractors >= 0):
             raise ValueError("noise magnitudes must be non-negative")
 
 

@@ -75,11 +75,11 @@ class FilterConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.ransac_iterations < 1:
+        if not self.ransac_iterations >= 1:  # written so that NaN fails too
             raise ValueError("need at least one iteration")
-        if self.inlier_threshold_factor <= 0:
+        if not self.inlier_threshold_factor > 0:
             raise ValueError("threshold factor must be positive")
-        if self.min_inliers < 3:
+        if not self.min_inliers >= 3:
             raise ValueError("min_inliers must be at least 3")
 
 
@@ -144,7 +144,7 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
     if r_t is None:
         r_t = default_radius(kt.width, kt.height)
     threshold = fcfg.inlier_threshold_factor * r_t
-    members = neighborhoods if isinstance(neighborhoods, Membership) else Membership(neighborhoods)
+    members = neighborhoods if isinstance(neighborhoods, Membership) else Membership.of(neighborhoods)
     idx = np.array([(i, j) for i, j, _ in m.matches], dtype=np.intp).reshape(-1, 2)
     # every source member's matches, in set order, kept where (neighborhood, target) is a
     # target member; the keys are raveled index pairs, which rejects an out-of-range index
@@ -163,7 +163,7 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
 
     live, iters = np.flatnonzero(sizes >= 3), fcfg.ransac_iterations  # others never reach 3 inliers
     draws = np.concatenate([np.zeros((0, 3), dtype=np.intp)] + [  # one stream per neighborhood
-        np.random.default_rng([fcfg.rng_seed, members[s].seed[0]]).integers(
+        np.random.default_rng([fcfg.rng_seed, members.seeds[s, 0]]).integers(
             0, [sizes[s] - 2, sizes[s] - 1, sizes[s]], size=(iters, 3)) for s in live])
     owner = np.repeat(live, iters)  # each draw's neighborhood
     draws = _distinct(draws, sizes[owner]) + starts[owner, None]  # candidate rows

@@ -19,8 +19,8 @@ members from one search between the seeds' source points and the matches'.
 The search returns some pairs beyond the radius, so each pair is re-tested
 with the exact squared distance, dx*dx + dy*dy <= r*r (on both sides, for
 members).  A non-finite point is within the radius of nothing, and a seed
-whose own point is non-finite gets no neighborhood.  The sorted member sets
-are returned as one `Membership`, whose constructor checks them all at once.
+whose own point is non-finite gets no neighborhood.  The sorted sets and
+their sizes go straight into one `Membership`, which checks them all at once.
 
 One distance table per chunk of source rows serves both directions: rows
 give the nearest and second-nearest target, columns the nearest source.  The
@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import Membership, NeighborhoodPair
+from .attention import Membership, Segments
 from .geometry import index_pairs, near_pairs
 
 _CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
@@ -63,11 +63,11 @@ class NeighborhoodConfig:
     def __post_init__(self):
         if not (0 < self.theta <= 1):
             raise ValueError("theta must lie in (0, 1]")
-        if self.lam <= 0:
+        if not self.lam > 0:  # written so that NaN fails too
             raise ValueError("lambda must be positive")
         for name in ("r", "r_s", "r_t"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive when set")
 
     def resolved_pair(self, source_dims: tuple, target_dims: tuple) -> "NeighborhoodConfig":
@@ -278,8 +278,6 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
         dx, dy = x[pos] - x[at], y[pos] - y[at]
         member = np.flatnonzero(dx * dx + dy * dy <= (cfg.lam * r) ** 2)
         row, pos = row[member], pos[member]
-    source_sets = src_idx[pos[np.lexsort((src_idx[pos], row))]]
-    target_sets = tgt_idx[pos[np.lexsort((tgt_idx[pos], row))]]
-    cuts = np.cumsum(np.bincount(row, minlength=len(seeds)))[:-1]  # each seed is a member
-    return Membership(NeighborhoodPair((int(src_idx[s]), int(tgt_idx[s])), a, b) for s, a, b
-                      in zip(seeds, np.split(source_sets, cuts), np.split(target_sets, cuts)))
+    sizes = np.bincount(row, minlength=len(seeds))  # each seed is a member
+    return Membership(m.matches[seeds], *(Segments(idx[pos[np.lexsort((idx[pos], row))]], sizes)
+                                          for idx in (src_idx, tgt_idx)))

@@ -43,7 +43,7 @@ class LossConfig:
     def __post_init__(self):
         if not (self.m_n > self.m_p >= 0):
             raise ValueError("margins must satisfy m_n > m_p >= 0")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # written so that NaN fails too
             raise ValueError("learning rate must be positive")
         if not (0 < self.decay <= 1):
             raise ValueError("decay must lie in (0, 1]")

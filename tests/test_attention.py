@@ -244,9 +244,9 @@ class TestPairwiseAttention:
     def test_duplicate_indices_rejected(self):
         # a repeated row is added once forward but would be counted twice backward
         with pytest.raises(ValueError, match="repeat"):
-            Membership([NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))])
+            Membership.of([NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))])
         with pytest.raises(ValueError, match="repeat"):
-            Membership([NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))])
+            Membership.of([NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))])
 
     def test_fused_op_allocations_stay_linear(self):
         """Nothing above a constant times (N + M + membership) C': no N x M table,
@@ -267,16 +267,16 @@ class TestPairwiseAttention:
 
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Membership([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
+            Membership.of([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
         with pytest.raises(ValueError):
-            Membership([NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))])
+            Membership.of([NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))])
 
 
 class TestMembershipChecks:
     """The invariants checked once over all neighborhoods' concatenated rows."""
 
     def test_overlap_across_neighborhoods_accepted(self):
-        members = Membership(overlapping_pairs())
+        members = Membership.of(overlapping_pairs())
         assert len(members) == 5 and np.bincount(members.source.rows).max() == 3
         np.testing.assert_array_equal(members.source.sizes, [3, 2, 5, 1, 2])
         assert members.source.rows.dtype == np.intp
@@ -285,27 +285,27 @@ class TestMembershipChecks:
         pairs = overlapping_pairs()
         pairs[3] = NeighborhoodPair((7, 0), np.array([7, 3, 7]), np.array([0]))
         with pytest.raises(ValueError, match="must not repeat an index"):
-            Membership(pairs)
+            Membership.of(pairs)
         pairs[3] = NeighborhoodPair((7, 0), np.array([7]), np.array([0, 2, 0]))
         with pytest.raises(ValueError, match="must not repeat an index"):
-            Membership(pairs)
+            Membership.of(pairs)
 
     def test_seed_only_in_another_set_refused(self):
         pairs = overlapping_pairs()
         pairs[1] = NeighborhoodPair((0, 1), pairs[1].source_set, pairs[1].target_set)
         with pytest.raises(ValueError, match="seed indices must belong to their own sets"):
-            Membership(pairs)
+            Membership.of(pairs)
         pairs = overlapping_pairs()
         pairs[4] = NeighborhoodPair((6, 0), pairs[4].source_set, pairs[4].target_set)
         with pytest.raises(ValueError, match="seed indices must belong to their own sets"):
-            Membership(pairs)
+            Membership.of(pairs)
 
     @pytest.mark.parametrize("side", ["source_set", "target_set"])
     def test_empty_side_refused(self, side):
         pairs = overlapping_pairs()
         pairs[2] = pairs[2]._replace(**{side: np.zeros(0, dtype=np.intp)})
         with pytest.raises(ValueError, match="must be non-empty"):
-            Membership(pairs)
+            Membership.of(pairs)
 
     def test_agrees_with_per_pair_reference(self):
         """Refused exactly when some pair fails a check made on that pair alone."""
@@ -324,7 +324,7 @@ class TestMembershipChecks:
             pairs = [NeighborhoodPair(tuple(rng.integers(0, 6, 2)), draw(), draw())
                      for _ in range(rng.integers(0, 5))]
             try:
-                Membership(pairs)
+                Membership.of(pairs)
             except ValueError:
                 refused += 1
                 assert not all(pair_ok(p) for p in pairs)
@@ -333,7 +333,7 @@ class TestMembershipChecks:
         assert 0 < refused < 300
 
     def test_groups_and_levels_are_built_on_first_use(self):
-        members = Membership(overlapping_pairs())
+        members = Membership.of(overlapping_pairs())
         np.testing.assert_array_equal(members.source.ids, np.repeat(np.arange(5), [3, 2, 5, 1, 2]))
         sides = (members.source, members.target)
         assert not any({"groups", "levels"} & set(vars(s)) for s in sides)
@@ -344,11 +344,36 @@ class TestMembershipChecks:
         assert all({"groups", "levels"} <= set(vars(s)) for s in sides)
 
     def test_cannot_be_modified(self):
-        members = Membership(overlapping_pairs())
+        members = Membership.of(overlapping_pairs())
         with pytest.raises((TypeError, AttributeError)):
             members.append(members[0])
         with pytest.raises(TypeError):
             members[0] = members[1]
+
+    def test_of_round_trips_through_the_views(self):
+        pairs = overlapping_pairs()
+        members = Membership.of(pairs)
+        assert members.seeds.dtype == np.intp and members.seeds.shape == (5, 2)
+        back = list(members)
+        assert len(back) == len(pairs)
+        for have, want in zip(back, pairs):
+            assert have.seed == want.seed and all(type(i) is int for i in have.seed)
+            for a, b in ((have.source_set, want.source_set), (have.target_set, want.target_set)):
+                assert a.dtype == np.intp
+                np.testing.assert_array_equal(a, b)
+        assert list(Membership.of([])) == [] and Membership.of([]).seeds.shape == (0, 2)
+
+    def test_one_set_per_seed_required(self):
+        members = Membership.of(overlapping_pairs())  # its last sets hold two rows each
+        source, target = members.source, members.target
+        short = Segments(source.rows[:-2], source.sizes[:-1])
+        with pytest.raises(ValueError, match="one set per seed"):
+            Membership(members.seeds, short, target)
+        with pytest.raises(ValueError, match="one set per seed"):
+            Membership(members.seeds, source, Segments(target.rows[:-2], target.sizes[:-1]))
+        with pytest.raises(ValueError, match="one set per seed"):
+            Membership(members.seeds[:-1], source, target)
+        assert len(Membership(members.seeds, source, target)) == 5
 
 
 def per_head(kernel, t, heads):
@@ -415,7 +440,7 @@ class TestMultiHead:
         t = random_triplet(rng, 10, 9, 4)
         pairs = overlapping_pairs()
         swapped = [NeighborhoodPair(p.seed[::-1], p.target_set, p.source_set) for p in pairs]
-        np.testing.assert_allclose(pairwise_attention(t, Membership(pairs), 2, reverse=True),
+        np.testing.assert_allclose(pairwise_attention(t, Membership.of(pairs), 2, reverse=True),
                                    per_head(lambda s: scattered_blocks(s, swapped), t, 2),
                                    rtol=1e-12, atol=1e-14)
 
@@ -460,7 +485,7 @@ class TestFusedGradients:
     def test_pairwise_overlapping_pairs_two_heads(self):
         rng = np.random.default_rng(40)
         t = random_triplet(rng, 9, 10, 4)
-        pairs = Membership(overlapping_pairs())
+        pairs = Membership.of(overlapping_pairs())
         for reverse in (False, True):
             q = t.k if reverse else t.q
             k = t.q if reverse else t.k
@@ -503,7 +528,7 @@ class TestLevelScatter:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_add_at(self, dtype):
         rng = np.random.default_rng(50)
-        members = Membership(hub_pairs(rng, 30, 25, 40))
+        members = Membership.of(hub_pairs(rng, 30, 25, 40))
         for side, n in ((members.source, 30), (members.target, 25)):
             assert np.bincount(side.rows).max() == 40  # row 0 is in every segment
             x = (rng.standard_normal((side.rows.size, 2, 3)) * 1e3).astype(dtype)
@@ -511,7 +536,7 @@ class TestLevelScatter:
             assert side.scatter(x, n).dtype == dtype
 
     def test_empty_membership(self):
-        side = Segments([])
+        side = Segments([], [])
         assert np.array_equal(side.scatter(np.zeros((0, 2, 3)), 4), np.zeros((4, 2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -521,7 +546,7 @@ class TestLevelScatter:
         t = random_triplet(rng, 30, 25, 6, dtype)
         if reverse:
             t = ProjectedTriplet(t.k, t.q, rng.standard_normal(t.q.shape).astype(dtype))
-        members = Membership(hub_pairs(rng, 30, 25, 40))
+        members = Membership.of(hub_pairs(rng, 30, 25, 40))
         g = rng.standard_normal(t.q.shape).astype(dtype)
 
         def run():

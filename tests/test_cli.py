@@ -419,6 +419,52 @@ TRAIN_ARGS = ["--pairs", 2, "--kpts", 12, "--dims", "96x96", "--desc-dim", 8,
               "--hidden", 8, "--heads", 2, "--l1", 1, "--l2", 0, "--steps", 3]
 
 
+@pytest.mark.parametrize("body", [{"reps": "x"}, {"sizes": 5}, {"c_prime": [1]}, {"methods": 3}],
+                         ids=lambda body: next(iter(body)))
+def test_malformed_bench_section_is_usage_error(tmp_path, capsys, body):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": body}))
+    assert run_cli(["bench", "--config", cfg, "-o", tmp_path / "o"]) == 2
+    assert "invalid bench config" in capsys.readouterr().err
+
+
+def test_bench_section_sits_below_flags(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": {"sizes": [64, 256], "reps": 4, "c_prime": 8,
+                                         "methods": ["linear"]}}))
+    for flags, reps in (([], 4), (["--reps", 3], 3)):
+        out = tmp_path / f"o{reps}"
+        assert run_cli(["bench", "--config", cfg, *flags, "-o", out]) == 0
+        payload = json.loads((out / "bench.json").read_text())
+        assert payload["reps"] == reps and list(payload["methods"]) == ["linear"]
+
+
+@pytest.fixture(scope="module")
+def match_argv(tmp_path_factory):
+    data = synth_dataset(tmp_path_factory.mktemp("match"))
+    return ["match", data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds",
+            "--weights", small_weights_file(data / "w.lawt")]
+
+
+# every numeric key of the sections whose checks a NaN once slipped through, with the
+# command that reads the section
+NAN_KEYS = [("match", "neighborhood", k) for k in ("theta", "lam", "r", "r_s", "r_t")] + [
+    ("match", "filter", k) for k in ("ransac_iterations", "inlier_threshold_factor",
+                                     "min_inliers")] + [
+    ("synth", "noise", k) for k in ("desc_sigma", "jitter_sigma", "distractors")] + [
+    ("train-toy", "loss", k) for k in ("m_p", "m_n", "learning_rate", "decay")]
+
+
+@pytest.mark.parametrize("command, section, key", NAN_KEYS, ids=lambda v: v)
+def test_nan_config_value_is_usage_error(tmp_path, capsys, match_argv, command, section, key):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({section: {key: float("nan")}}))  # written as NaN
+    argv = {"match": match_argv, "synth": ["synth", *SYNTH_ARGS],
+            "train-toy": ["train-toy", *TRAIN_ARGS]}[command]
+    assert run_cli([*argv, "--config", cfg, "-o", tmp_path / "o"]) == 2
+    assert f"invalid {section} config" in capsys.readouterr().err
+
+
 def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import linmatch.matcher as matcher
-from linmatch.attention import NeighborhoodPair
+from linmatch.attention import Membership, NeighborhoodPair
+from linmatch.bench import _pipeline_scene
 from linmatch.encoder import NetworkConfig, forward, init_weights
 from linmatch.geometry import (
     GenNoiseConfig,
@@ -38,6 +39,7 @@ from linmatch.neighborhood import (
     ratio_match,
     select_seeds,
 )
+from linmatch.training import LossConfig, loss_gradient
 
 
 def sparse_orthogonal_scene(n=6, spacing=60.0):
@@ -467,6 +469,33 @@ class TestMatchPipeline:
         filt = match_pipeline(ks, kt, weights, cfg,
                               fcfg=FilterConfig(min_inliers=3))
         assert set(filt.pairs()) <= set(dm.pairs())
+
+    def test_production_path_builds_no_neighborhood_records(self, monkeypatch):
+        """From the build through the pairwise layers and the filter, only the
+        `Membership` arrays are read: no `NeighborhoodPair` view is made."""
+        cfg = NetworkConfig(input_dim=32, hidden_dim=16, heads=2, l1=1, l2=1)
+        weights = init_weights(cfg, seed=0)
+        ks, kt, gt, _ = _pipeline_scene(256, cfg.input_dim, seed=0)
+
+        def run():
+            out = match_pipeline(ks, kt, weights, cfg)
+            w64 = init_weights(cfg, seed=0, dtype=np.float64)
+            loss, grads = loss_gradient(w64, (ks, kt, gt), cfg, LossConfig())
+            return out, loss, [np.asarray(g) for _, g in grads.all_params()]
+
+        want = run()
+
+        def refuse(*args):
+            raise AssertionError("a per-neighborhood record was made")
+
+        monkeypatch.setattr(Membership, "__iter__", refuse, raising=False)
+        monkeypatch.setattr(Membership, "__getitem__", refuse)
+        with pytest.raises(AssertionError, match="record was made"):
+            list(Membership.of([NeighborhoodPair((0, 0), [0], [0])]))
+        out, loss, grads = run()
+        assert want[0].stage.count("verified") > 10  # the filter kept matches
+        assert (out.matches, out.stage, loss) == (want[0].matches, want[0].stage, want[1])
+        assert all(np.array_equal(a, b) for a, b in zip(grads, want[2], strict=True))
 
 
 class TestEvaluate:

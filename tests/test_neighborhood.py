@@ -519,6 +519,11 @@ def assert_same_as_loop(seeds, m, ks, kt, cfg):
         for have, expect in ((p.source_set, src), (p.target_set, tgt)):
             assert have.dtype == expect.dtype
             np.testing.assert_array_equal(have, expect)
+    again = Membership.of(list(got))  # the views convert back to the same arrays
+    np.testing.assert_array_equal(again.seeds, got.seeds)
+    for have, built in ((again.source, got.source), (again.target, got.target)):
+        np.testing.assert_array_equal(have.rows, built.rows)
+        np.testing.assert_array_equal(have.sizes, built.sizes)
     return got
 
 
@@ -550,7 +555,7 @@ class TestNeighborhoodOracle:
         m = RatioMatchSet([(i, i) for i in range(80)], rng.uniform(1, 4, size=80))
         cfg = NeighborhoodConfig(lam=2.0, r=8.0, r_s=8.0, r_t=30.0)
         seeds = select_seeds(m, ks, cfg.r)
-        got = assert_same_as_loop(seeds, m, ks, kt, cfg)
+        got = list(assert_same_as_loop(seeds, m, ks, kt, cfg))
         assert any(np.intersect1d(a.source_set, b.source_set).size
                    for a, b in zip(got, got[1:]))
 

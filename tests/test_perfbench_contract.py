@@ -52,3 +52,32 @@ def test_every_patched_span_records_with_numeric_counts(case):
         got = [s.counts for s in tracer.spans if s.name == name]
         assert got and all(isinstance(c, dict) and c for c in got), name
         assert all(isinstance(v, Real) for c in got for v in c.values()), name
+
+
+def test_pipeline_view_counts_equal_the_membership_arrays(monkeypatch):
+    """The tracer counts neighborhoods through per-item views; they must agree
+    with the CSR arrays of the `Membership` they view."""
+    import linmatch.encoder as encoder
+    import linmatch.matcher as matcher
+
+    built, passed = [], []  # every Membership built, and the one each pairwise layer got
+    for module in (encoder, matcher):
+        real = module.build_neighborhoods
+        monkeypatch.setattr(module, "build_neighborhoods",
+                            lambda *a, real=real: built.append(real(*a)) or built[-1])
+    real_layer = encoder.pairwise_layer_update
+    monkeypatch.setattr(encoder, "pairwise_layer_update",
+                        lambda *a: passed.append(a[2]) or real_layer(*a))
+    work, tracer = CASES["pipeline"](), spans.Tracer()
+    work.setup(0, tracer)
+    with tracer.installed(work.patches):
+        work.call(0)
+    counts = {name: [s.counts for s in tracer.spans if s.name == name]
+              for name in ("neighborhood.build", "encoder.pairwise")}
+    assert len(built) == len(counts["neighborhood.build"]) == 2
+    assert len(passed) == len(counts["encoder.pairwise"]) > 0
+    for members, c in zip(built, counts["neighborhood.build"]):
+        assert c["size_max"] == members.source.sizes.max() > 1
+    for members, c in zip(passed, counts["encoder.pairwise"]):
+        assert c["pair_members"] == members.source.sizes.sum() > 0
+        assert c["pairs"] == len(members.seeds)
