@@ -1,0 +1,101 @@
+"""Pinned outputs: the benchmark's pipeline matches and the first training losses.
+
+The scenes are built exactly as `perfbench/workloads.py` builds them (seeds
+101-103 of `match-1k-outliers` and `match-4k-clean`: 27 scenes), and the
+training steps are the first 64 of the `train-step` workload at seed 101.
+For every scene, a SHA-256 over the match index pairs and stage tags pins
+the match set exactly, and the scores are pinned to a relative tolerance of
+1e-6 (they are stored as float32).  The losses are pinned to 1e-12 relative.
+A refactor that claims bit-identical outputs must pass this file unchanged.
+
+Regenerate the data only when an output change is intended:
+
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_DATA = _ROOT / "tests" / "data" / "golden.npz"
+_PIPELINES = [(name, seed) for name in ("match-1k-outliers", "match-4k-clean")
+              for seed in (101, 102, 103)]
+_TRAIN_SEED, _TRAIN_STEPS = 101, 64
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _NoTrace:
+    @staticmethod
+    def span(name):
+        return contextlib.nullcontext()
+
+
+def _match_digest(out):
+    pairs = np.array([(i, j) for i, j, _ in out.matches], dtype=np.int64).reshape(-1, 2)
+    h = hashlib.sha256(pairs.tobytes())
+    h.update("\n".join(out.stage).encode())
+    return h.hexdigest()
+
+
+def _pipeline_outputs():
+    """(digest, scores) of every scene, in workload, seed and scene order."""
+    workloads, got = _workloads(), []
+    for name, seed in _PIPELINES:
+        work = workloads.make(name)
+        work.setup(seed, _NoTrace())
+        for i in range(work.count):
+            out = work.call(i)
+            got.append((_match_digest(out), np.array([s for _, _, s in out.matches])))
+    return got
+
+
+def _train_losses():
+    work = _workloads().make("train-step")
+    work.setup(_TRAIN_SEED, _NoTrace())
+    losses = []
+    for i in range(_TRAIN_STEPS):
+        work.prepare(i)
+        losses.append(work.call(i)[0])
+    return np.array(losses)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with np.load(_DATA) as data:
+        return dict(data)
+
+
+def test_pipeline_matches_stages_and_scores_are_pinned(golden):
+    got = _pipeline_outputs()
+    assert len(got) == len(golden["digests"]) == 27
+    scores = np.split(golden["scores"], np.cumsum(golden["counts"])[:-1])
+    for k, ((digest, s), want_digest, want) in enumerate(zip(got, golden["digests"], scores)):
+        assert digest == want_digest, f"scene {k}: match pairs or stages changed"
+        np.testing.assert_allclose(s, want.astype(np.float64), rtol=1e-6,
+                                   err_msg=f"scene {k}")
+
+
+def test_first_training_losses_are_pinned(golden):
+    np.testing.assert_allclose(_train_losses(), golden["losses"], rtol=1e-12, atol=0)
+
+
+if __name__ == "__main__":
+    outputs = _pipeline_outputs()
+    _DATA.parent.mkdir(exist_ok=True)
+    np.savez_compressed(_DATA, digests=np.array([d for d, _ in outputs]),
+                        counts=np.array([len(s) for _, s in outputs]),
+                        scores=np.concatenate([s for _, s in outputs]).astype(np.float32),
+                        losses=_train_losses())
+    print(f"wrote {_DATA}")
