@@ -23,10 +23,11 @@ exactly zero, rows in several get the plain sum.  The reverse direction
 (target rows querying source rows) swaps the two sides.  The linear kernel
 is the same op with one segment holding every row.
 
-The softmax kernel is a single-head numpy reference (correctness oracle and
-complexity baseline) that deliberately materializes the N-by-M weight
-matrix.  The other kernels take numpy arrays or autodiff Tensors; numpy in,
-numpy out.
+The linear and restricted kernels take a `ProjectedTriplet` of numpy arrays
+(numpy out) or autodiff Tensors; `projected_attention`, which encoder layers
+call, forms q, k and v inside the same op.  The softmax kernel is a
+single-head numpy reference (correctness oracle and complexity baseline)
+that deliberately materializes the N-by-M weight matrix.
 """
 
 from __future__ import annotations
@@ -166,26 +167,27 @@ def _shape(x):
     return x.data.shape if isinstance(x, Tensor) else np.shape(x)
 
 
-def _dispatch(kernel_core, t: ProjectedTriplet, *args):
-    """Run a Tensor-level core; unwrap to numpy when inputs are plain arrays."""
-    if any(isinstance(x, Tensor) for x in (t.q, t.k, t.v)):
-        return kernel_core(as_tensor(t.q), as_tensor(t.k), as_tensor(t.v), *args)
-    with ad.no_grad():
-        out = kernel_core(as_tensor(np.asarray(t.q)), as_tensor(np.asarray(t.k)),
-                          as_tensor(np.asarray(t.v)), *args)
-    return out.data
-
-
-def _segment_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-                       qside: Segments, kside: Segments) -> Tensor:
-    """Per segment and head, phi(Q) K_v / phi(Q).K_m, summed into the query rows."""
-    (n, c), m = q.data.shape, k.data.shape[0]
+def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
+    """Per segment and head, phi(Q) K_v / phi(Q).K_m, summed into the query rows: the
+    (n, C') output for arrays q, k and v, and `grads`, which maps its gradient to theirs."""
+    (n, c), m = q.shape, k.shape[0]
+    if pairs is None:
+        if m < 1:
+            raise ValueError("linear_attention requires at least one key row")
+        qside = kside = Segments()
+    else:
+        members = pairs if isinstance(pairs, Membership) else Membership.of(pairs)
+        sides = (members.source, members.target)
+        qside, kside = sides[::-1] if reverse else sides
+        for side, rows in ((qside, n), (kside, m)):
+            if side.rows.size and (side.rows.min() < 0 or side.rows.max() >= rows):
+                raise ValueError("neighborhood index out of range")
     if heads < 1 or c % heads:
         raise ValueError(f"column count {c} not divisible by {heads} heads")
     d = c // heads
-    pq = ad.phi_array(qside.gather(q.data.reshape(n, heads, d)))
-    pk = ad.phi_array(kside.gather(k.data.reshape(m, heads, d)))
-    v1 = kside.gather(v.data.reshape(m, heads, d))
+    pq = ad.phi_array(qside.gather(q.reshape(n, heads, d)))
+    pk = ad.phi_array(kside.gather(k.reshape(m, heads, d)))
+    v1 = kside.gather(v.reshape(m, heads, d))
     v1 = np.concatenate([v1, np.ones_like(v1[..., :1])], axis=-1)
     kv = kside.seg_outer(pk, v1)  # (S, H, d, d + 1): [K_v | K_m]
     nd = qside.seg_apply(pq, kv)  # per query member: [numerator | denominator]
@@ -195,28 +197,35 @@ def _segment_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     for a in (pq, pk, v1, kv, nd):
         ad.note_alloc(a)
 
-    def backward(g):
+    def grads(g):
         dnum = qside.gather(g.reshape(n, heads, d)) / den
         dnd = np.concatenate([dnum, -(dnum * o).sum(axis=-1, keepdims=True)], axis=-1)
         dkv = qside.seg_outer(pq, dnd)
         # phi'(x) is 1 where phi(x) = x + 1 >= 1, and phi(x) = exp(x) below
-        if q.requires_grad:
-            dpq = qside.seg_apply(dnd, kv.swapaxes(-1, -2)) * np.minimum(pq, 1.0)
-            q._accumulate(qside.scatter(dpq, n).reshape(n, c))
-        if k.requires_grad:
-            dpk = kside.seg_apply(v1, dkv.swapaxes(-1, -2)) * np.minimum(pk, 1.0)
-            k._accumulate(kside.scatter(dpk, m).reshape(m, c))
-        if v.requires_grad:
-            v._accumulate(kside.scatter(kside.seg_apply(pk, dkv)[..., :d], m).reshape(m, c))
+        dpq = qside.seg_apply(dnd, kv.swapaxes(-1, -2)) * np.minimum(pq, 1.0)
+        dpk = kside.seg_apply(v1, dkv.swapaxes(-1, -2)) * np.minimum(pk, 1.0)
+        return (qside.scatter(dpq, n).reshape(n, c), kside.scatter(dpk, m).reshape(m, c),
+                kside.scatter(kside.seg_apply(pk, dkv)[..., :d], m).reshape(m, c))
 
-    return ad.node(qside.scatter(o, n).reshape(n, c), (q, k, v), backward)
+    return qside.scatter(o, n).reshape(n, c), grads
+
+
+def _triplet_attention(t: ProjectedTriplet, heads: int, pairs, reverse: bool):
+    q, k, v = (as_tensor(x) for x in (t.q, t.k, t.v))
+    out, grads = _segment_attention(q.data, k.data, v.data, heads, pairs, reverse)
+
+    def backward(g):
+        for x, dx in zip((q, k, v), grads(g)):
+            if x.requires_grad:
+                x._accumulate(dx)
+
+    res = ad.node(out, (q, k, v), backward)
+    return res if any(isinstance(x, Tensor) for x in (t.q, t.k, t.v)) else res.data
 
 
 def linear_attention(t: ProjectedTriplet, heads: int = 1):
     """Attention via streamed accumulators; never forms an N x M matrix."""
-    if _shape(t.k)[0] < 1:
-        raise ValueError("linear_attention requires at least one key row")
-    return _dispatch(_segment_attention, t, heads, Segments(), Segments())
+    return _triplet_attention(t, heads, None, False)
 
 
 def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool = False):
@@ -226,12 +235,37 @@ def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool
     query target rows, or the other way round with `reverse`.  Rows outside
     every query-side set are exactly zero.
     """
-    members = pairs if isinstance(pairs, Membership) else Membership.of(pairs)
-    sides = (members.target, members.source) if reverse else (members.source, members.target)
-    for side, n in zip(sides, (_shape(t.q)[0], _shape(t.k)[0])):
-        if side.rows.size and (side.rows.min() < 0 or side.rows.max() >= n):
-            raise ValueError("neighborhood index out of range")
-    return _dispatch(_segment_attention, t, heads, *sides)
+    return _triplet_attention(t, heads, pairs, reverse)
+
+
+def projected_attention(xq: Tensor, xs: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                        heads: int = 1, pairs=None, reverse: bool = False) -> Tensor:
+    """`linear_attention`, or `pairwise_attention` with `pairs`, of q = xq wq to k = xs wk
+    and v = xs wv as one op.  A self layer (xq and xs one array) makes one product with
+    [wq | wk | wv], others one with [wk | wv]: the column blocks equal separate products."""
+    cq, ck = wq.data.shape[1], wk.data.shape[1]
+    if xq.data is xs.data:
+        qkv = xs.data @ np.concatenate([wq.data, wk.data, wv.data], axis=1)
+        q, k, v = qkv[:, :cq], qkv[:, cq:cq + ck], qkv[:, cq + ck:]
+    else:
+        q, kv = xq.data @ wq.data, xs.data @ np.concatenate([wk.data, wv.data], axis=1)
+        k, v = kv[:, :ck], kv[:, ck:]
+    ProjectedTriplet(q, k, v)  # its shape checks
+    ad.note_mul(xq.data.size * q.shape[1] + xs.data.size * (k.shape[1] + v.shape[1]))
+    for a in (q, k, v):
+        ad.note_alloc(a)
+    out, grads = _segment_attention(q, k, v, heads, pairs, reverse)
+
+    def backward(g):
+        # v, k, then q, each input before its weight: the order of the matmul ops replaced
+        dq, dk, dv = grads(g)
+        for x, w, dx in ((xs, wv, dv), (xs, wk, dk), (xq, wq, dq)):
+            if x.requires_grad:
+                x._accumulate(dx @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ dx)
+
+    return ad.node(out, (xq, xs, wq, wk, wv), backward)
 
 
 def softmax_attention_reference(t: ProjectedTriplet):

@@ -7,12 +7,12 @@ mode, in which no tape is recorded and the op functions reduce to plain numpy
 calls plus a constant-time dispatch.
 
 The op set is deliberately small, and ops are plain functions (`Tensor` has
-no operator overloads): `add`, `sub`, `mul` and `div` with broadcasting,
-`matmul`, `tsum`, `relu`, `sqrt`, a row gather, two-way column concatenation
-and a fused layer norm; gradients of broadcast ops are reduced back to the
-operand shape by `_unbroadcast`.  The attention kernels apply the feature map
-`phi_array`, split heads and scatter neighborhood rows inside their own fused
-ops, built through `node` with a hand-written backward.
+no operator overloads): `add`, `sub` and `mul` with broadcasting, `matmul`,
+`tsum`, `relu`, a row gather and row L2 normalization; gradients of broadcast
+ops are reduced back to the operand shape by `_unbroadcast`.  Encoder layers
+are fused ops built elsewhere through `node` with a hand-written backward:
+projected attention (it applies the feature map `phi_array`, splits heads
+and scatters neighborhood rows) and the feed-forward block.
 
 A thread-local operation counter can be enabled with `count_ops()`; it records
 multiply counts and every allocated result shape (fused ops report their
@@ -200,20 +200,6 @@ def mul(a, b):
     return node(out_data, (a, b), backward)
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data / b.data
-    note_mul(out_data.size)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return node(out_data, (a, b), backward)
-
-
 def matmul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     out_data = a.data @ b.data
@@ -260,31 +246,6 @@ def relu(a):
     return node(out_data, (a,), backward)
 
 
-def sqrt(a):
-    a = as_tensor(a)
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accumulate(g * 0.5 / out_data)
-
-    return node(out_data, (a,), backward)
-
-
-def concat_cols(a, b):
-    """Concatenate two 2-D tensors along axis 1."""
-    a, b = as_tensor(a), as_tensor(b)
-    na = a.data.shape[1]
-    out_data = np.concatenate([a.data, b.data], axis=1)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g[:, :na])
-        if b.requires_grad:
-            b._accumulate(g[:, na:])
-
-    return node(out_data, (a, b), backward)
-
-
 def gather_rows(a, idx):
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
@@ -298,32 +259,17 @@ def gather_rows(a, idx):
     return node(out_data, (a,), backward)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each row to zero mean / unit variance, then affine."""
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    nf = x.data.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xn = xc * inv
-    out_data = xn * gamma.data + beta.data
-    note_mul(out_data.size)
-
-    def backward(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * xn).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            dxn = g * gamma.data
-            term = nf * dxn - dxn.sum(axis=1, keepdims=True) - xn * (dxn * xn).sum(axis=1, keepdims=True)
-            x._accumulate(inv / nf * term)
-
-    return node(out_data, (x, gamma, beta), backward)
-
-
 def row_l2_normalize(x):
     """Divide each row by its Euclidean norm (rows must be nonzero)."""
-    norms = sqrt(tsum(mul(x, x), axis=1, keepdims=True))
-    return div(x, norms)
+    x = as_tensor(x)
+    norms = np.sqrt((x.data * x.data).sum(axis=1, keepdims=True))
+    note_mul(2 * x.data.size)
+
+    def backward(g):
+        # g / norm, then the two shares of x * x: the separate ops' formulas and order
+        x._accumulate(g / norms)
+        gs = (-g * x.data / (norms * norms)).sum(axis=1, keepdims=True) * 0.5 / norms
+        x._accumulate(gs * x.data)
+        x._accumulate(gs * x.data)
+
+    return node(x.data / norms, (x,), backward)

@@ -2,9 +2,9 @@
 
 Layer wiring
 ------------
-Each encoder layer projects its query rows and source rows to q/k/v, runs a
-multi-head attention kernel `kernel(triplet, heads)` (all heads in one call)
-to get a message m, and combines:
+Each encoder layer projects its query rows and source rows to q/k/v and
+runs multi-head attention (linear, or restricted to neighborhoods; all heads
+at once) to get a message m, and combines:
 
     out = carrier + mlp1(relu(layer_norm(mlp0(concat(carrier, m)))))
 
@@ -12,7 +12,9 @@ where `carrier` is the query input itself, except in the very first layer
 whose projection matrices are rectangular (D -> C'): there the carrier is
 the v-projection of the query input so that the residual path lives in the
 reduced dimension.  Both linear maps are bias-free; with mlp1 zeroed the
-layer is exactly the identity on its carrier.
+layer is exactly the identity on its carrier.  A layer is two autodiff nodes,
+`attention.projected_attention` and `feed_forward` (plus layer 0's carrier
+product), whose backwards use the separate ops' formulas and input order.
 
 The full network runs L1 iterations of (self, cross) updates with linear
 attention, captures the raw descriptors f after the last cross layer, takes
@@ -43,8 +45,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
-from .attention import ProjectedTriplet, linear_attention, pairwise_attention
-from .geometry import KeypointSet, read_exact
+from .attention import projected_attention
+from .geometry import KeypointSet, read_exact, require_int
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
 _LAWT_MAGIC = b"LAWT"
@@ -91,14 +93,10 @@ class NetworkConfig:
     l2: int = 2  # pairwise loop count
 
     def __post_init__(self):
-        if min(self.input_dim, self.hidden_dim, self.heads) < 1:
-            raise ValueError("input_dim, hidden_dim and heads must be at least 1")
+        for name, low in (("input_dim", 1), ("hidden_dim", 1), ("heads", 1), ("l1", 1), ("l2", 0)):
+            require_int(name, getattr(self, name), low)
         if self.hidden_dim % self.heads != 0:
             raise ValueError("hidden_dim must be divisible by heads")
-        if self.l1 < 1:
-            raise ValueError("l1 must be at least 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
 
 
 def layer_prefixes(l1: int, l2: int) -> list:
@@ -167,9 +165,48 @@ class EncodedPair:
     ft_hat: object  # M x C'
 
 
-def encoder_layer(x_query, x_source, w: LayerWeights, kernel=linear_attention,
-                  heads: int = 1):
-    """One residual attention block; see the module docstring for wiring."""
+def feed_forward(carrier, m, w: LayerWeights, eps: float = 1e-5) -> Tensor:
+    """carrier + mlp1(relu(layer_norm(mlp0(concat(carrier, m))))) as one autodiff op; with
+    no gradient to record, it works in place and keeps none of its intermediates."""
+    c, m = as_tensor(carrier), as_tensor(m)
+    w0, gamma, beta, w1 = (as_tensor(x) for x in (w.mlp0, w.ln_g, w.ln_b, w.mlp1))
+    parents = (c, m, w0, gamma, beta, w1)
+    keep = any(p.requires_grad for p in parents)
+    cat = np.concatenate([c.data, m.data], axis=1)
+    h = cat @ w0.data
+    (n, nf), width = h.shape, c.data.shape[1]
+    ad.note_mul(cat.size * nf + h.size + n * w1.data.size)  # mlp0, layer norm, mlp1
+    for a in (cat, h):
+        ad.note_alloc(a)
+    cat = cat if keep else None
+    h -= h.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
+    h *= inv  # the normalized rows
+    r = h * gamma.data if keep else np.multiply(h, gamma.data, out=h)
+    r += beta.data
+    np.maximum(r, 0.0, out=r)
+
+    def backward(g):
+        dn = (g @ w1.data.T) * (r > 0)
+        dx = dn * gamma.data
+        dh = inv / nf * (nf * dx - dx.sum(axis=1, keepdims=True)
+                         - h * (dx * h).sum(axis=1, keepdims=True))
+        dcat = dh @ w0.data.T
+        # the separate ops' formulas and order: the carrier gets the residual's
+        # share first and the concat's second, as the add and concat ops gave them
+        for t, dt in ((c, g), (w1, r.T @ g), (gamma, (dn * h).sum(axis=0)),
+                      (beta, dn.sum(axis=0)), (w0, cat.T @ dh), (c, dcat[:, :width]),
+                      (m, dcat[:, width:])):
+            if t.requires_grad:
+                t._accumulate(dt)
+
+    return ad.node(c.data + r @ w1.data, parents, backward)
+
+
+def encoder_layer(x_query, x_source, w: LayerWeights, heads: int = 1, pairs=None,
+                  reverse: bool = False):
+    """One residual attention block (see the module docstring); its attention is linear,
+    or with `pairs` that of `pairwise_attention(..., pairs, heads, reverse)`."""
     xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
     (n, width), hidden = xq.data.shape, wv.data.shape[1]
     carrier = xq if width == hidden else ad.matmul(xq, wv)
@@ -178,27 +215,19 @@ def encoder_layer(x_query, x_source, w: LayerWeights, kernel=linear_attention,
     if xs.data.shape[0] == 0:
         m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
     else:
-        t = ProjectedTriplet(ad.matmul(xq, as_tensor(w.wq)), ad.matmul(xs, as_tensor(w.wk)),
-                             ad.matmul(xs, wv))
-        m = as_tensor(kernel(t, heads))
-    h = ad.concat_cols(carrier, m)
-    h = ad.matmul(h, as_tensor(w.mlp0))
-    h = ad.layer_norm(h, as_tensor(w.ln_g), as_tensor(w.ln_b))
-    h = ad.relu(h)
-    h = ad.matmul(h, as_tensor(w.mlp1))
-    return ad.add(carrier, h)
+        m = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs,
+                                reverse)
+    return feed_forward(carrier, m, w)
 
 
 def self_attention_update(xs, xt, w: LayerWeights, heads: int = 1):
     """Each side attends to itself with shared layer weights."""
-    return (encoder_layer(xs, xs, w, linear_attention, heads),
-            encoder_layer(xt, xt, w, linear_attention, heads))
+    return encoder_layer(xs, xs, w, heads), encoder_layer(xt, xt, w, heads)
 
 
 def cross_attention_update(xs, xt, w: LayerWeights, heads: int = 1):
     """Each side attends to the other; both directions share weights."""
-    return (encoder_layer(xs, xt, w, linear_attention, heads),
-            encoder_layer(xt, xs, w, linear_attention, heads))
+    return encoder_layer(xs, xt, w, heads), encoder_layer(xt, xs, w, heads)
 
 
 def pairwise_layer_update(xs, xt, pairs, w: LayerWeights, heads: int = 1):
@@ -208,8 +237,8 @@ def pairwise_layer_update(xs, xt, pairs, w: LayerWeights, heads: int = 1):
     direction converts with `Membership.of`.  Rows outside every neighborhood
     get a zero message and are changed only by the layer's feed-forward path.
     """
-    return (encoder_layer(xs, xt, w, lambda t, h: pairwise_attention(t, pairs, h), heads),
-            encoder_layer(xt, xs, w, lambda t, h: pairwise_attention(t, pairs, h, True), heads))
+    return (encoder_layer(xs, xt, w, heads, pairs),
+            encoder_layer(xt, xs, w, heads, pairs, reverse=True))
 
 
 def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,

@@ -16,6 +16,7 @@ unmatchable.  `near_pairs` is the package's one radius search.
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -59,6 +60,12 @@ class KeypointSet:
 
     def __len__(self):
         return self.keypoints.shape[0]
+
+
+def require_int(name: str, value, low: int) -> None:
+    """ValueError unless `value` is an integer (not a bool, float or string) of at least `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def index_pairs(rows) -> np.ndarray:

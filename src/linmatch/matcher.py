@@ -28,7 +28,7 @@ import numpy as np
 
 from .attention import Membership
 from .encoder import EncodedPair, NetworkConfig, NetworkWeights, forward
-from .geometry import GroundTruth, Homography, KeypointSet, apply_homography
+from .geometry import GroundTruth, Homography, KeypointSet, apply_homography, require_int
 from .neighborhood import (
     NeighborhoodConfig,
     build_neighborhoods,
@@ -75,12 +75,10 @@ class FilterConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not self.ransac_iterations >= 1:  # written so that NaN fails too
-            raise ValueError("need at least one iteration")
-        if not self.inlier_threshold_factor > 0:
+        for name, low in (("ransac_iterations", 1), ("min_inliers", 3), ("rng_seed", 0)):
+            require_int(name, getattr(self, name), low)
+        if not self.inlier_threshold_factor > 0:  # written so that NaN fails too
             raise ValueError("threshold factor must be positive")
-        if not self.min_inliers >= 3:
-            raise ValueError("min_inliers must be at least 3")
 
 
 @dataclass

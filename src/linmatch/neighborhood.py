@@ -231,7 +231,9 @@ def ratio_match(xs_enc, xt_enc, theta: float) -> RatioMatchSet:
     d1, d2 = d1[src], d2[src]
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(d1 == 0, np.inf, d2 / d1)
-    return RatioMatchSet(np.column_stack([src, nn_st[src]]), scores)
+    out = object.__new__(RatioMatchSet)  # mutual matches are one-to-one: skip the check
+    out.matches, out.ratio_score = np.column_stack([src, nn_st[src]]), scores
+    return out
 
 
 def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarray:

@@ -174,27 +174,26 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
 
 
 class AdamState:
-    """First/second moment buffers keyed by canonical tensor name."""
+    """First/second moments of every parameter, flat float64 vectors in `all_params` order:
+    one vectorized update of both per step, then the parameters, tensor by tensor."""
 
     def __init__(self, weights: NetworkWeights):
-        self.m = {name: np.zeros_like(np.asarray(v), dtype=np.float64)
-                  for name, v in weights.all_params()}
-        self.v = {name: np.zeros_like(np.asarray(v), dtype=np.float64)
-                  for name, v in weights.all_params()}
+        size = sum(np.size(v) for _, v in weights.all_params())
+        self.m, self.v = np.zeros(size), np.zeros(size)
         self.t = 0
 
     def step(self, weights: NetworkWeights, grads: NetworkWeights, lr: float,
              beta1=0.9, beta2=0.999, eps=1e-8):
         self.t += 1
-        gmap = dict(grads.all_params())
-        for name, w in weights.all_params():
-            g = np.asarray(gmap[name], dtype=np.float64)
-            self.m[name] = beta1 * self.m[name] + (1 - beta1) * g
-            self.v[name] = beta2 * self.v[name] + (1 - beta2) * g * g
-            m_hat = self.m[name] / (1 - beta1 ** self.t)
-            v_hat = self.v[name] / (1 - beta2 ** self.t)
-            upd = lr * m_hat / (np.sqrt(v_hat) + eps)
-            np.asarray(w)[...] -= upd.astype(np.asarray(w).dtype)
+        g = np.concatenate([np.ravel(v) for _, v in grads.all_params()], dtype=np.float64)
+        self.m = beta1 * self.m + (1 - beta1) * g
+        self.v = beta2 * self.v + (1 - beta2) * g * g
+        m_hat = self.m / (1 - beta1 ** self.t)
+        v_hat = self.v / (1 - beta2 ** self.t)
+        upd = lr * m_hat / (np.sqrt(v_hat) + eps)
+        params = [np.asarray(w) for _, w in weights.all_params()]
+        for w, end in zip(params, np.cumsum([w.size for w in params])):
+            w -= upd[end - w.size:end].reshape(w.shape).astype(w.dtype)
 
 
 def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,

@@ -465,6 +465,25 @@ def test_nan_config_value_is_usage_error(tmp_path, capsys, match_argv, command, 
     assert f"invalid {section} config" in capsys.readouterr().err
 
 
+# every integer key of the sections whose checks once let a non-integer through (a negative
+# rng_seed ended in exit 3), with the command that reads the section
+INT_KEYS = [("match", "filter", k) for k in ("ransac_iterations", "min_inliers", "rng_seed")] + [
+    ("train-toy", "network", k) for k in ("input_dim", "hidden_dim", "heads", "l1", "l2")]
+
+
+@pytest.mark.parametrize("command, section, key", INT_KEYS, ids=lambda v: v)
+def test_non_integer_config_value_is_usage_error(tmp_path, capsys, match_argv, command, section,
+                                                 key):
+    # train-toy without the network flags, which sit above the config file
+    argv = {"match": match_argv,
+            "train-toy": ["train-toy", "--pairs", 1, "--kpts", 12, "--steps", 1]}[command]
+    for value in (6.5, float("nan"), True, "6", -1):
+        cfg = tmp_path / "int.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        assert run_cli([*argv, "--config", cfg, "-o", tmp_path / "o"]) == 2, value
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
+
 def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 

@@ -629,7 +629,15 @@ def test_ratio_match_is_partial_bijection(n, seed):
     a = rng.standard_normal((n, 4))
     b = rng.standard_normal((max(1, n // 2), 4))
     m = ratio_match(a, b, 1.0)
+    assert m.matches.dtype == np.intp and m.matches.shape == (len(m), 2)
+    assert m.ratio_score.dtype == np.float64 and m.ratio_score.shape == (len(m),)
     src, tgt = m.matches.T.tolist()
     assert len(set(src)) == len(src)
     assert len(set(tgt)) == len(tgt)
     assert all(0 <= i < n for i in src)
+
+
+def test_ratio_match_set_built_from_outside_refuses_repeats():
+    for rows in ([(0, 0), (1, 0)], [(2, 0), (2, 1)]):
+        with pytest.raises(ValueError, match="one-to-one"):
+            RatioMatchSet(rows, [1.0, 2.0])
