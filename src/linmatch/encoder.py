@@ -165,7 +165,7 @@ class EncodedPair:
     ft_hat: object  # M x C'
 
 
-def feed_forward(carrier, m, w: LayerWeights, eps: float = 1e-5) -> Tensor:
+def feed_forward(carrier, m, w: LayerWeights) -> Tensor:
     """carrier + mlp1(relu(layer_norm(mlp0(concat(carrier, m))))) as one autodiff op; with
     no gradient to record, it works in place and keeps none of its intermediates."""
     c, m = as_tensor(carrier), as_tensor(m)
@@ -180,7 +180,7 @@ def feed_forward(carrier, m, w: LayerWeights, eps: float = 1e-5) -> Tensor:
         ad.note_alloc(a)
     cat = cat if keep else None
     h -= h.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + 1e-5)
     h *= inv  # the normalized rows
     r = h * gamma.data if keep else np.multiply(h, gamma.data, out=h)
     r += beta.data
@@ -215,8 +215,7 @@ def encoder_layer(x_query, x_source, w: LayerWeights, heads: int = 1, pairs=None
     if xs.data.shape[0] == 0:
         m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
     else:
-        m = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs,
-                                reverse)
+        m = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs, reverse)
     return feed_forward(carrier, m, w)
 
 

@@ -117,7 +117,8 @@ class GenNoiseConfig:
     distractors: int = 0  # extra unmatched target keypoints
 
     def __post_init__(self):
-        if not (self.desc_sigma >= 0 and self.jitter_sigma >= 0 and self.distractors >= 0):
+        require_int("distractors", self.distractors, 0)
+        if not (self.desc_sigma >= 0 and self.jitter_sigma >= 0):
             raise ValueError("noise magnitudes must be non-negative")
 
 

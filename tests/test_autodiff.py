@@ -6,6 +6,7 @@ import pytest
 import reference_ops as ref
 
 from linmatch import autodiff as ad
+from linmatch.encoder import LayerWeights, feed_forward
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -187,6 +188,32 @@ class TestLayerNorm:
         out = ref.layer_norm(ad.Tensor(x), ad.Tensor(np.ones(16)), ad.Tensor(np.zeros(16))).data
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=1), 1.0, atol=1e-4)
+
+
+class TestFeedForward:
+    def test_numeric_grads(self):
+        """Every input of the fused concat -> mlp0 -> layer norm -> relu -> mlp1 -> residual op."""
+        rng = np.random.default_rng(3)
+        unused = np.zeros((4, 4))
+        inputs = {"carrier": rng.standard_normal((5, 4)), "m": rng.standard_normal((5, 4)),
+                  "mlp0": rng.standard_normal((8, 8)), "mlp1": rng.standard_normal((8, 4)),
+                  "ln_g": rng.standard_normal(8), "ln_b": rng.standard_normal(8)}
+        w = rng.standard_normal((5, 4))
+
+        def run(values, cls=ad.Tensor):
+            t = {k: cls(v) for k, v in values.items()}
+            lw = LayerWeights(unused, unused, unused, t["mlp0"], t["mlp1"], t["ln_g"], t["ln_b"])
+            return t, feed_forward(t["carrier"], t["m"], lw)
+
+        tensors, out = run({k: v.copy() for k, v in inputs.items()},
+                           lambda v: ad.Tensor(v, requires_grad=True))
+        ad.tsum(ad.mul(out, ad.Tensor(w))).backward()
+        for name, value in inputs.items():
+            def f(v):
+                return float((run({**inputs, name: v})[1].data * w).sum())
+
+            num = numeric_grad(f, value.copy())
+            np.testing.assert_allclose(tensors[name].grad, num, atol=1e-6, err_msg=name)
 
 
 class TestRowNormalize:

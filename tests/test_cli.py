@@ -468,14 +468,15 @@ def test_nan_config_value_is_usage_error(tmp_path, capsys, match_argv, command, 
 # every integer key of the sections whose checks once let a non-integer through (a negative
 # rng_seed ended in exit 3), with the command that reads the section
 INT_KEYS = [("match", "filter", k) for k in ("ransac_iterations", "min_inliers", "rng_seed")] + [
-    ("train-toy", "network", k) for k in ("input_dim", "hidden_dim", "heads", "l1", "l2")]
+    ("train-toy", "network", k) for k in ("input_dim", "hidden_dim", "heads", "l1", "l2")] + [
+    ("synth", "noise", "distractors")]
 
 
 @pytest.mark.parametrize("command, section, key", INT_KEYS, ids=lambda v: v)
 def test_non_integer_config_value_is_usage_error(tmp_path, capsys, match_argv, command, section,
                                                  key):
     # train-toy without the network flags, which sit above the config file
-    argv = {"match": match_argv,
+    argv = {"match": match_argv, "synth": ["synth", *SYNTH_ARGS],
             "train-toy": ["train-toy", "--pairs", 1, "--kpts", 12, "--steps", 1]}[command]
     for value in (6.5, float("nan"), True, "6", -1):
         cfg = tmp_path / "int.json"
