@@ -58,7 +58,7 @@ class ProjectedTriplet:
             raise ValueError(f"column mismatch: q={qs[1]} k={ks[1]} v={vs[1]}")
 
 
-class NeighborhoodPair(NamedTuple):
+class NeighborhoodPair(NamedTuple):  # kept for `Membership.__getitem__`, below
     """A matched seed plus the per-side index sets attending to each other."""
 
     seed: tuple  # (source_index, target_index)
@@ -149,15 +149,10 @@ class Membership:
             if np.count_nonzero(side.rows == seed[side.ids]) != side.count:
                 raise ValueError("seed indices must belong to their own sets")
 
-    @classmethod
-    def of(cls, pairs) -> "Membership":
-        """The `Membership` of a list of `NeighborhoodPair`, as arrays."""
-        seeds, *sides = list(zip(*pairs)) or [(), (), ()]  # seeds, source sets, target sets
-        return cls(seeds, *(Segments(np.concatenate(s or [[]]), list(map(len, s))) for s in sides))
-
     def __len__(self):
         return len(self.seeds)
 
+    # no caller in src/: the benchmark's tracer counts members through these views
     def __getitem__(self, s):
         a, b = (side.rows[side.starts[s]:][:side.sizes[s]] for side in (self.source, self.target))
         return NeighborhoodPair(tuple(self.seeds[s].tolist()), a, b)
@@ -176,8 +171,7 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
             raise ValueError("linear_attention requires at least one key row")
         qside = kside = Segments()
     else:
-        members = pairs if isinstance(pairs, Membership) else Membership.of(pairs)
-        sides = (members.source, members.target)
+        sides = (pairs.source, pairs.target)
         qside, kside = sides[::-1] if reverse else sides
         for side, rows in ((qside, n), (kside, m)):
             if side.rows.size and (side.rows.min() < 0 or side.rows.max() >= rows):
@@ -231,9 +225,9 @@ def linear_attention(t: ProjectedTriplet, heads: int = 1):
 def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool = False):
     """Linear attention restricted to neighborhood pairs, summed on overlap.
 
-    `pairs` is a `Membership` or a list of `NeighborhoodPair`; source rows
-    query target rows, or the other way round with `reverse`.  Rows outside
-    every query-side set are exactly zero.
+    `pairs` is a `Membership`; source rows query target rows, or the other
+    way round with `reverse`.  Rows outside every query-side set are exactly
+    zero.
     """
     return _triplet_attention(t, heads, pairs, reverse)
 

@@ -10,17 +10,14 @@ Times are the calling thread's CPU time (`time.thread_time`), not wall
 time, so time spent waiting for a busy CPU does not count.  Work that BLAS
 hands to other threads does not count either: pin BLAS to one thread
 before NumPy loads (as tests/conftest.py does), or the times leave work out.
-Medians are taken over >= 3 repetitions after 2 discarded warm-up runs.
-When a median falls under the 1 ms timer floor the problem size doubles
-until it does not (with a warning), keeping per-method sizes strictly
-increasing so the fit stays well-posed.
+Medians are taken over >= 3 repetitions after 2 discarded warm-up runs,
+at exactly the sizes asked for.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +36,6 @@ from .geometry import GenNoiseConfig, generate_pair
 from .matcher import _candidates, match_pipeline
 from .neighborhood import NeighborhoodConfig
 
-_TIMER_FLOOR_S = 1e-3
-_MAX_SIZE_DOUBLINGS = 8
 # constant keypoint density: frame area grows with n so neighborhood
 # sizes stay bounded and the largest one remains far below n
 _PX_PER_KEYPOINT = 96.0
@@ -88,13 +83,8 @@ def _measure(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def _scaling(make_fn, sizes, reps: int, min_median_s: float, label: str):
-    """Median seconds of `make_fn(n)()` per size, and their log-log slope.
-
-    A size doubles while it would not exceed the previous one or its median
-    sits under `min_median_s` (with a warning); returns ([(n, median)], slope)
-    with the sizes actually used.
-    """
+def _scaling(make_fn, sizes, reps: int):
+    """Median seconds of `make_fn(n)()` per size: ([(n, median)], their log-log slope)."""
     sizes = [int(n) for n in sizes]
     if len(sizes) < 2:
         raise ValueError("need at least 2 size points; slope is undefined for one")
@@ -106,23 +96,7 @@ def _scaling(make_fn, sizes, reps: int, min_median_s: float, label: str):
         raise ValueError("sizes must span at least a 4x range")
     if reps < 3:
         raise ValueError("need at least 3 repetitions")
-    points = []
-    for requested in sizes:
-        n = requested
-        while points and n <= points[-1][0]:
-            n *= 2
-        if n != requested:
-            warnings.warn(f"{label}: size {requested} raised to {n} to keep sizes increasing")
-        for _ in range(_MAX_SIZE_DOUBLINGS):
-            median = _measure(make_fn(n), reps)
-            if median >= min_median_s:
-                break
-            n *= 2
-            warnings.warn(f"{label}: median under {min_median_s * 1e3:.1f} ms timer floor, "
-                          f"raising size to {n}")
-        else:
-            median = _measure(make_fn(n), reps)
-        points.append((n, median))
+    points = [(n, _measure(make_fn(n), reps)) for n in sizes]
     return points, loglog_slope(points)
 
 
@@ -142,8 +116,7 @@ def _random_triplet(n: int, c_prime: int, seed: int) -> ProjectedTriplet:
 
 
 def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192),
-                    c_prime: int = 64, reps: int = 5, seed: int = 0,
-                    min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
+                    c_prime: int = 64, reps: int = 5, seed: int = 0) -> BenchReport:
     """Time each attention kernel on random N x C' inputs (M = N)."""
     unknown = sorted(set(methods) - set(_KERNELS))
     if unknown:
@@ -160,7 +133,7 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
             t = _random_triplet(n, c_prime, seed)
             return lambda: kernel(t)
 
-        points, slopes[method] = _scaling(make_fn, sizes, reps, min_median_s, method)
+        points, slopes[method] = _scaling(make_fn, sizes, reps)
         for n, median in points:
             with count_ops() as ops:
                 kernel(_random_triplet(n, c_prime, seed))
@@ -175,8 +148,7 @@ def _pipeline_scene(n: int, descriptor_dim: int, seed: int):
 
 
 def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
-                   seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None,
-                   min_median_s: float = _TIMER_FLOOR_S) -> BenchReport:
+                   seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None) -> BenchReport:
     """Time encode + match + filter end-to-end on synthetic scenes.
 
     With BLAS threads pinned, the slope reflects algorithmic cost.  Also records
@@ -194,7 +166,7 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
         ks, kt = scenes[n][0], scenes[n][1]
         return lambda: match_pipeline(ks, kt, weights, cfg, neigh_cfg)
 
-    points, slope = _scaling(make_fn, sizes, reps, min_median_s, "pipeline")
+    points, slope = _scaling(make_fn, sizes, reps)
     n_max_note = {}
     for n, _ in points:
         ks, kt = scenes[n][0], scenes[n][1]

@@ -1,15 +1,14 @@
 """Command-line entry point: synthesis, matching, evaluation, training, benchmarks.
 
 Subcommands: `synth`, `match`, `eval`, `bench`, `train-toy`, `gradcheck`.
-Every subcommand accepts `--seed`, `--config <json>`, `--threads <n>` and
-`-o <dir>`; configuration precedence is dataclass defaults, then config-file
+Every subcommand accepts `--seed`, `--config <json>` and `-o <dir>`;
+configuration precedence is dataclass defaults, then config-file
 sections, then explicit flags.  Unknown config sections or keys are rejected
 up front.  `match` takes its network from the weight file, which states it
 whole: a `network` section may only repeat it.  All randomness derives from
 the single seed through stable per-module streams, so any subcommand rerun
-with the same seed reproduces its outputs byte for byte.  Verification is
-single-threaded: `--threads` is validated and accepted for compatibility,
-and changes nothing.
+with the same seed and the same BLAS thread count reproduces its outputs
+byte for byte.
 
 Exit codes: 0 success, 1 failed numeric check, 2 usage error, 3 data error.
 """
@@ -39,6 +38,7 @@ from .geometry import (
     read_ground_truth,
     read_homography,
     read_kpds,
+    require_int,
     write_ground_truth,
     write_homography,
     write_kpds,
@@ -81,8 +81,11 @@ class BenchConfig:
     methods: tuple = ("linear", "softmax")
 
     def __post_init__(self):
-        self.sizes = tuple(int(n) for n in self.sizes)
-        self.reps, self.c_prime = int(self.reps), int(self.c_prime)
+        for name, low in (("reps", 3), ("c_prime", 1)):
+            require_int(name, getattr(self, name), low)
+        self.sizes = tuple(self.sizes)
+        for n in self.sizes:
+            require_int("each size", n, 1)
         self.methods = tuple(map(str, self.methods))
 
 
@@ -140,8 +143,6 @@ def _load_file_sections(path) -> dict:
 
 
 def _run_config(args) -> RunConfig:
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     sections = _load_file_sections(args.config)
     return RunConfig(args.seed, args.output, sections)
 
@@ -422,9 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="global random seed (default 0)")
     common.add_argument("--config", type=Path, default=None,
                         help="JSON config file with per-module sections")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; verification is "
-                             "single-threaded and this changes nothing (default 1)")
     common.add_argument("-o", "--output", type=Path, default=None,
                         help="output directory (default current directory)")
     sub = parser.add_subparsers(dest="command", required=True)

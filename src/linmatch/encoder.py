@@ -47,6 +47,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .attention import projected_attention
 from .geometry import KeypointSet, read_exact, require_int
+# the benchmark's tracer patches ratio_match, select_seeds and build_neighborhoods here
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
 _LAWT_MAGIC = b"LAWT"
@@ -232,9 +233,8 @@ def cross_attention_update(xs, xt, w: LayerWeights, heads: int = 1):
 def pairwise_layer_update(xs, xt, pairs, w: LayerWeights, heads: int = 1):
     """Neighborhood-restricted update in both directions.
 
-    `pairs` is a `Membership`, or a list of `NeighborhoodPair` that each
-    direction converts with `Membership.of`.  Rows outside every neighborhood
-    get a zero message and are changed only by the layer's feed-forward path.
+    `pairs` is a `Membership`.  Rows outside every neighborhood get a zero
+    message and are changed only by the layer's feed-forward path.
     """
     return (encoder_layer(xs, xt, w, heads, pairs),
             encoder_layer(xt, xs, w, heads, pairs, reverse=True))

@@ -1,8 +1,9 @@
 """Feature-distance matching and local-affine verification.
 
-`distance_match` runs the ratio matcher on the final descriptors, picks
-locally best seeds, grows candidate neighborhoods around them, and returns
-the union of all neighborhood members (seeds keep their own tag).
+`match_pipeline` encodes a pair, then runs the ratio matcher on the final
+descriptors, picks locally best seeds, grows candidate neighborhoods around
+them, and takes the union of all neighborhood members as candidates (seeds
+keep their own tag).
 
 `filter_matches` then verifies all neighborhoods in one batched pass:
 repeated 3-correspondence minimal samples fit an exact affine transform,
@@ -29,6 +30,7 @@ import numpy as np
 from .attention import Membership
 from .encoder import EncodedPair, NetworkConfig, NetworkWeights, forward
 from .geometry import GroundTruth, Homography, KeypointSet, apply_homography, require_int
+# the benchmark's tracer patches ratio_match, select_seeds and build_neighborhoods here
 from .neighborhood import (
     NeighborhoodConfig,
     build_neighborhoods,
@@ -46,6 +48,7 @@ _MMA_THRESHOLDS_PX = tuple(range(1, 11))
 class MatchSet:
     """Scored index pairs, each tagged with the pipeline stage that produced it."""
 
+    # lists, not arrays: the benchmark's determinism check compares `matches` with !=
     matches: list  # of (source_index, target_index, score)
     stage: list  # of str, aligned with matches
 
@@ -90,9 +93,10 @@ class Metrics:
     inlier_ratio: float  # convention: the 3 px entry of mma
 
 
+# the benchmark's tracer times this stage under this name
 def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
                 cfg: NeighborhoodConfig):
-    """Shared body of distance_match: returns (MatchSet, the neighborhoods' Membership)."""
+    """Candidate matches from final descriptors: (MatchSet, the neighborhoods' Membership)."""
     cfg = cfg.resolved_pair((ks.width, ks.height), (kt.width, kt.height))
     m = ratio_match(enc.xs_hat, enc.xt_hat, cfg.theta)
     seeds = select_seeds(m, ks.keypoints, cfg.r)
@@ -104,13 +108,6 @@ def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
     matches = list(zip(i, j, m.ratio_score[ordered].tolist()))
     stages = np.where(np.isin(src[ordered], src[seeds]), "seed", "candidate").tolist()
     return MatchSet(matches, stages), neighborhoods
-
-
-def distance_match(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
-                   cfg: NeighborhoodConfig | None = None) -> MatchSet:
-    """Candidate matches from final descriptors: ratio, seeds, neighborhoods."""
-    out, _ = _candidates(enc, ks, kt, cfg or NeighborhoodConfig())
-    return out
 
 
 def _sample_triples(rng, k, count):
@@ -132,17 +129,13 @@ def _residual(h, c, t):
     return np.sqrt(dx * dx + dy * dy)
 
 
-def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, neighborhoods,
+def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, members: Membership,
                    fcfg: FilterConfig | None = None, r_t: float | None = None) -> MatchSet:
-    """Keep matches that are affine-consistent inliers in any neighborhood.
-
-    `neighborhoods` is a `Membership` or a list of `NeighborhoodPair`.
-    """
+    """Keep matches that are affine-consistent inliers in any of the `members` neighborhoods."""
     fcfg = fcfg or FilterConfig()
     if r_t is None:
         r_t = default_radius(kt.width, kt.height)
     threshold = fcfg.inlier_threshold_factor * r_t
-    members = neighborhoods if isinstance(neighborhoods, Membership) else Membership.of(neighborhoods)
     idx = np.array([(i, j) for i, j, _ in m.matches], dtype=np.intp).reshape(-1, 2)
     # every source member's matches, in set order, kept where (neighborhood, target) is a
     # target member; the keys are raveled index pairs, which rejects an out-of-range index
@@ -195,7 +188,7 @@ def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
                    cfg: NetworkConfig, neigh_cfg: NeighborhoodConfig | None = None,
                    fcfg: FilterConfig | None = None,
                    skip_filter: bool = False) -> MatchSet:
-    """forward -> distance_match -> filter_matches (optionally skipping the filter)."""
+    """forward -> candidates -> filter_matches (optionally skipping the filter)."""
     neigh_cfg = neigh_cfg or NeighborhoodConfig()
     enc = forward(ks, kt, weights, cfg, neigh_cfg)
     candidates, neighborhoods = _candidates(enc, ks, kt, neigh_cfg)

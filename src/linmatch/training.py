@@ -31,6 +31,8 @@ from .encoder import NetworkConfig, NetworkWeights, forward, init_weights
 from .geometry import GroundTruth
 from .neighborhood import NeighborhoodConfig
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
+
 
 @dataclass
 class LossConfig:
@@ -123,9 +125,7 @@ def loss_gradient(weights: NetworkWeights, batch, net_cfg: NetworkConfig,
 
 
 def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
-                   samples: int = 256, step: float = 1e-5,
-                   neigh_cfg: NeighborhoodConfig | None = None, scene=None,
-                   dtype=np.float64):
+                   samples: int = 256, step: float = 1e-5, scene=None, dtype=np.float64):
     """Compare reverse-mode gradients against central finite differences.
 
     Samples `samples` parameter entries uniformly across all tensors and
@@ -138,7 +138,7 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
                               GenNoiseConfig(desc_sigma=0.1, distractors=4))
     ks, kt, gt, _ = scene
     weights = init_weights(net_cfg, seed=seed, dtype=dtype)
-    _, grads = loss_gradient(weights, (ks, kt, gt), net_cfg, loss_cfg, neigh_cfg)
+    _, grads = loss_gradient(weights, (ks, kt, gt), net_cfg, loss_cfg)
 
     names = [name for name, _ in weights.all_params()]
     flat_grads = {name: g for (name, g) in grads.all_params()}
@@ -149,7 +149,7 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
     chosen = rng.choice(total, size=min(samples, total), replace=False)
 
     def loss_at():
-        enc = forward(ks, kt, weights, net_cfg, neigh_cfg)
+        enc = forward(ks, kt, weights, net_cfg)
         with ad.no_grad():
             return float(triplet_loss(enc, gt, loss_cfg).data)
 
@@ -182,15 +182,14 @@ class AdamState:
         self.m, self.v = np.zeros(size), np.zeros(size)
         self.t = 0
 
-    def step(self, weights: NetworkWeights, grads: NetworkWeights, lr: float,
-             beta1=0.9, beta2=0.999, eps=1e-8):
+    def step(self, weights: NetworkWeights, grads: NetworkWeights, lr: float):
         self.t += 1
         g = np.concatenate([np.ravel(v) for _, v in grads.all_params()], dtype=np.float64)
-        self.m = beta1 * self.m + (1 - beta1) * g
-        self.v = beta2 * self.v + (1 - beta2) * g * g
-        m_hat = self.m / (1 - beta1 ** self.t)
-        v_hat = self.v / (1 - beta2 ** self.t)
-        upd = lr * m_hat / (np.sqrt(v_hat) + eps)
+        self.m = _BETA1 * self.m + (1 - _BETA1) * g
+        self.v = _BETA2 * self.v + (1 - _BETA2) * g * g
+        m_hat = self.m / (1 - _BETA1 ** self.t)
+        v_hat = self.v / (1 - _BETA2 ** self.t)
+        upd = lr * m_hat / (np.sqrt(v_hat) + _EPS)
         params = [np.asarray(w) for _, w in weights.all_params()]
         for w, end in zip(params, np.cumsum([w.size for w in params])):
             w -= upd[end - w.size:end].reshape(w.shape).astype(w.dtype)

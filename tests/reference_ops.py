@@ -5,14 +5,28 @@
 compositions below.  Each fused op uses these ops' formulas and feeds shared
 inputs in their order, so the tests require equal outputs and gradients, bit
 for bit.  The ops here are checked against finite differences in
-`test_autodiff.py`.
+`test_autodiff.py`.  `membership` builds the arrays that the attention ops
+and the filter take from a readable list of `NeighborhoodPair`.
 """
 
 import numpy as np
 
 from linmatch import autodiff as ad
-from linmatch.attention import ProjectedTriplet, linear_attention, pairwise_attention
+from linmatch.attention import (
+    Membership,
+    ProjectedTriplet,
+    Segments,
+    linear_attention,
+    pairwise_attention,
+)
 from linmatch.autodiff import Tensor, as_tensor
+
+
+def membership(pairs) -> Membership:
+    """The checked `Membership` of a list of `NeighborhoodPair`, set after set."""
+    seeds, *sides = list(zip(*pairs)) or [(), (), ()]  # seeds, source sets, target sets
+    return Membership(seeds, *(Segments(np.concatenate(s or [[]]), list(map(len, s)))
+                               for s in sides))
 
 
 def div(a, b):

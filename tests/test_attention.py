@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference_ops import membership
 
 from linmatch import autodiff as ad
 from linmatch.attention import (
@@ -191,13 +192,13 @@ class TestPairwiseAttention:
     def test_empty_pairs_all_zero(self):
         rng = np.random.default_rng(20)
         t = random_triplet(rng, 6, 6, 4)
-        np.testing.assert_array_equal(pairwise_attention(t, []), np.zeros((6, 4)))
+        np.testing.assert_array_equal(pairwise_attention(t, membership([])), np.zeros((6, 4)))
 
     def test_single_target_restriction(self):
         rng = np.random.default_rng(21)
         t = random_triplet(rng, 8, 8, 4)
         pair = NeighborhoodPair((2, 5), np.array([1, 2, 4]), np.array([5]))
-        out = pairwise_attention(t, [pair])
+        out = pairwise_attention(t, membership([pair]))
         for i in (1, 2, 4):
             np.testing.assert_allclose(out[i], t.v[5], rtol=1e-12)
         untouched = np.setdiff1d(np.arange(8), [1, 2, 4])
@@ -208,7 +209,7 @@ class TestPairwiseAttention:
         t = random_triplet(rng, 16, 16, 4)
         p1 = NeighborhoodPair((0, 1), np.array([0, 3, 5]), np.array([1, 2]))
         p2 = NeighborhoodPair((7, 9), np.array([7, 8]), np.array([9, 10, 11]))
-        out = pairwise_attention(t, [p1, p2])
+        out = pairwise_attention(t, membership([p1, p2]))
 
         expect = np.zeros((16, 4))
         for p in (p1, p2):
@@ -221,8 +222,8 @@ class TestPairwiseAttention:
         t = random_triplet(rng, 10, 10, 4)
         p1 = NeighborhoodPair((1, 0), np.array([1, 2, 3]), np.array([0, 1]))
         p2 = NeighborhoodPair((3, 4), np.array([3, 4]), np.array([4, 5]))
-        combined = pairwise_attention(t, [p1, p2])
-        solo = pairwise_attention(t, [p1]) + pairwise_attention(t, [p2])
+        combined = pairwise_attention(t, membership([p1, p2]))
+        solo = pairwise_attention(t, membership([p1])) + pairwise_attention(t, membership([p2]))
         np.testing.assert_allclose(combined, solo, rtol=1e-12, atol=1e-14)
         # row 3 belongs to both neighborhoods: strictly a sum, not an average
         assert not np.allclose(combined[3], solo[3] / 2)
@@ -231,7 +232,7 @@ class TestPairwiseAttention:
         rng = np.random.default_rng(24)
         t = random_triplet(rng, 12, 12, 4)
         pair = NeighborhoodPair((0, 0), np.array([0, 5]), np.array([0, 3, 7]))
-        out = pairwise_attention(t, [pair])
+        out = pairwise_attention(t, membership([pair]))
         outside = np.setdiff1d(np.arange(12), [0, 5])
         assert (out[outside] == 0.0).all()
 
@@ -239,14 +240,14 @@ class TestPairwiseAttention:
         t = ProjectedTriplet(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)))
         bad = NeighborhoodPair((0, 0), np.array([0, 9]), np.array([0]))
         with pytest.raises(ValueError):
-            pairwise_attention(t, [bad])
+            pairwise_attention(t, membership([bad]))
 
     def test_duplicate_indices_rejected(self):
         # a repeated row is added once forward but would be counted twice backward
         with pytest.raises(ValueError, match="repeat"):
-            Membership.of([NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))])
+            membership([NeighborhoodPair((1, 0), np.array([1, 1, 2]), np.array([0]))])
         with pytest.raises(ValueError, match="repeat"):
-            Membership.of([NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))])
+            membership([NeighborhoodPair((1, 0), np.array([1, 2]), np.array([0, 3, 0]))])
 
     def test_fused_op_allocations_stay_linear(self):
         """Nothing above a constant times (N + M + membership) C': no N x M table,
@@ -258,7 +259,7 @@ class TestPairwiseAttention:
                  for s in range(0, 48, 4)]
         members = sum(len(p.source_set) + len(p.target_set) for p in pairs)
         with ad.count_ops() as counter:
-            pairwise_attention(t, pairs, heads)
+            pairwise_attention(t, membership(pairs), heads)
         assert counter.multiplies > 0
         assert not counter.has_allocation((n, m))
         per_member_outer = len(pairs) * 10 * c * (c // heads)
@@ -267,16 +268,16 @@ class TestPairwiseAttention:
 
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
-            Membership.of([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
+            membership([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
         with pytest.raises(ValueError):
-            Membership.of([NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))])
+            membership([NeighborhoodPair((5, 0), np.array([1, 2]), np.array([0]))])
 
 
 class TestMembershipChecks:
     """The invariants checked once over all neighborhoods' concatenated rows."""
 
     def test_overlap_across_neighborhoods_accepted(self):
-        members = Membership.of(overlapping_pairs())
+        members = membership(overlapping_pairs())
         assert len(members) == 5 and np.bincount(members.source.rows).max() == 3
         np.testing.assert_array_equal(members.source.sizes, [3, 2, 5, 1, 2])
         assert members.source.rows.dtype == np.intp
@@ -285,27 +286,27 @@ class TestMembershipChecks:
         pairs = overlapping_pairs()
         pairs[3] = NeighborhoodPair((7, 0), np.array([7, 3, 7]), np.array([0]))
         with pytest.raises(ValueError, match="must not repeat an index"):
-            Membership.of(pairs)
+            membership(pairs)
         pairs[3] = NeighborhoodPair((7, 0), np.array([7]), np.array([0, 2, 0]))
         with pytest.raises(ValueError, match="must not repeat an index"):
-            Membership.of(pairs)
+            membership(pairs)
 
     def test_seed_only_in_another_set_refused(self):
         pairs = overlapping_pairs()
         pairs[1] = NeighborhoodPair((0, 1), pairs[1].source_set, pairs[1].target_set)
         with pytest.raises(ValueError, match="seed indices must belong to their own sets"):
-            Membership.of(pairs)
+            membership(pairs)
         pairs = overlapping_pairs()
         pairs[4] = NeighborhoodPair((6, 0), pairs[4].source_set, pairs[4].target_set)
         with pytest.raises(ValueError, match="seed indices must belong to their own sets"):
-            Membership.of(pairs)
+            membership(pairs)
 
     @pytest.mark.parametrize("side", ["source_set", "target_set"])
     def test_empty_side_refused(self, side):
         pairs = overlapping_pairs()
         pairs[2] = pairs[2]._replace(**{side: np.zeros(0, dtype=np.intp)})
         with pytest.raises(ValueError, match="must be non-empty"):
-            Membership.of(pairs)
+            membership(pairs)
 
     def test_agrees_with_per_pair_reference(self):
         """Refused exactly when some pair fails a check made on that pair alone."""
@@ -324,7 +325,7 @@ class TestMembershipChecks:
             pairs = [NeighborhoodPair(tuple(rng.integers(0, 6, 2)), draw(), draw())
                      for _ in range(rng.integers(0, 5))]
             try:
-                Membership.of(pairs)
+                membership(pairs)
             except ValueError:
                 refused += 1
                 assert not all(pair_ok(p) for p in pairs)
@@ -333,7 +334,7 @@ class TestMembershipChecks:
         assert 0 < refused < 300
 
     def test_groups_and_levels_are_built_on_first_use(self):
-        members = Membership.of(overlapping_pairs())
+        members = membership(overlapping_pairs())
         np.testing.assert_array_equal(members.source.ids, np.repeat(np.arange(5), [3, 2, 5, 1, 2]))
         sides = (members.source, members.target)
         assert not any({"groups", "levels"} & set(vars(s)) for s in sides)
@@ -344,7 +345,7 @@ class TestMembershipChecks:
         assert all({"groups", "levels"} <= set(vars(s)) for s in sides)
 
     def test_cannot_be_modified(self):
-        members = Membership.of(overlapping_pairs())
+        members = membership(overlapping_pairs())
         with pytest.raises((TypeError, AttributeError)):
             members.append(members[0])
         with pytest.raises(TypeError):
@@ -352,7 +353,7 @@ class TestMembershipChecks:
 
     def test_of_round_trips_through_the_views(self):
         pairs = overlapping_pairs()
-        members = Membership.of(pairs)
+        members = membership(pairs)
         assert members.seeds.dtype == np.intp and members.seeds.shape == (5, 2)
         back = list(members)
         assert len(back) == len(pairs)
@@ -361,10 +362,10 @@ class TestMembershipChecks:
             for a, b in ((have.source_set, want.source_set), (have.target_set, want.target_set)):
                 assert a.dtype == np.intp
                 np.testing.assert_array_equal(a, b)
-        assert list(Membership.of([])) == [] and Membership.of([]).seeds.shape == (0, 2)
+        assert list(membership([])) == [] and membership([]).seeds.shape == (0, 2)
 
     def test_one_set_per_seed_required(self):
-        members = Membership.of(overlapping_pairs())  # its last sets hold two rows each
+        members = membership(overlapping_pairs())  # its last sets hold two rows each
         source, target = members.source, members.target
         short = Segments(source.rows[:-2], source.sizes[:-1])
         with pytest.raises(ValueError, match="one set per seed"):
@@ -432,7 +433,7 @@ class TestMultiHead:
         pairs = overlapping_pairs()
         for heads in (1, 2, 3, 6):
             expect = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
-            np.testing.assert_allclose(pairwise_attention(t, pairs, heads), expect,
+            np.testing.assert_allclose(pairwise_attention(t, membership(pairs), heads), expect,
                                        rtol=1e-12, atol=1e-14)
 
     def test_reverse_swaps_the_sides(self):
@@ -440,17 +441,18 @@ class TestMultiHead:
         t = random_triplet(rng, 10, 9, 4)
         pairs = overlapping_pairs()
         swapped = [NeighborhoodPair(p.seed[::-1], p.target_set, p.source_set) for p in pairs]
-        np.testing.assert_allclose(pairwise_attention(t, Membership.of(pairs), 2, reverse=True),
+        np.testing.assert_allclose(pairwise_attention(t, membership(pairs), 2, reverse=True),
                                    per_head(lambda s: scattered_blocks(s, swapped), t, 2),
                                    rtol=1e-12, atol=1e-14)
 
     def test_float32_stays_float32(self):
         rng = np.random.default_rng(36)
         t = random_triplet(rng, 9, 10, 8, dtype=np.float32)
-        out = pairwise_attention(t, overlapping_pairs(), 4)
+        members = membership(overlapping_pairs())
+        out = pairwise_attention(t, members, 4)
         assert out.dtype == np.float32
         t64 = ProjectedTriplet(*(x.astype(np.float64) for x in (t.q, t.k, t.v)))
-        np.testing.assert_allclose(out, pairwise_attention(t64, overlapping_pairs(), 4),
+        np.testing.assert_allclose(out, pairwise_attention(t64, members, 4),
                                    rtol=1e-5, atol=1e-6)
 
     def test_indivisible_heads_rejected(self):
@@ -459,7 +461,7 @@ class TestMultiHead:
         with pytest.raises(ValueError):
             linear_attention(t, 4)
         with pytest.raises(ValueError):
-            pairwise_attention(t, [NeighborhoodPair((0, 0), [0], [0])], 4)
+            pairwise_attention(t, membership([NeighborhoodPair((0, 0), [0], [0])]), 4)
 
 
 def finite_difference_check(kernel, q, k, v, eps=1e-6):
@@ -485,7 +487,7 @@ class TestFusedGradients:
     def test_pairwise_overlapping_pairs_two_heads(self):
         rng = np.random.default_rng(40)
         t = random_triplet(rng, 9, 10, 4)
-        pairs = Membership.of(overlapping_pairs())
+        pairs = membership(overlapping_pairs())
         for reverse in (False, True):
             q = t.k if reverse else t.q
             k = t.q if reverse else t.k
@@ -501,7 +503,8 @@ class TestFusedGradients:
         rng = np.random.default_rng(42)
         t = random_triplet(rng, 12, 11, 4)
         q, k, v = (ad.Tensor(x, requires_grad=True) for x in (t.q, t.k, t.v))
-        ad.tsum(pairwise_attention(ProjectedTriplet(q, k, v), overlapping_pairs(), 2)).backward()
+        members = membership(overlapping_pairs())
+        ad.tsum(pairwise_attention(ProjectedTriplet(q, k, v), members, 2)).backward()
         assert (q.grad[9:] == 0).all() and (k.grad[10:] == 0).all() and (v.grad[10:] == 0).all()
 
 
@@ -528,7 +531,7 @@ class TestLevelScatter:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_add_at(self, dtype):
         rng = np.random.default_rng(50)
-        members = Membership.of(hub_pairs(rng, 30, 25, 40))
+        members = membership(hub_pairs(rng, 30, 25, 40))
         for side, n in ((members.source, 30), (members.target, 25)):
             assert np.bincount(side.rows).max() == 40  # row 0 is in every segment
             x = (rng.standard_normal((side.rows.size, 2, 3)) * 1e3).astype(dtype)
@@ -546,7 +549,7 @@ class TestLevelScatter:
         t = random_triplet(rng, 30, 25, 6, dtype)
         if reverse:
             t = ProjectedTriplet(t.k, t.q, rng.standard_normal(t.q.shape).astype(dtype))
-        members = Membership.of(hub_pairs(rng, 30, 25, 40))
+        members = membership(hub_pairs(rng, 30, 25, 40))
         g = rng.standard_normal(t.q.shape).astype(dtype)
 
         def run():

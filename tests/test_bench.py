@@ -49,8 +49,7 @@ def test_size_preconditions():
 
 
 def test_bench_attention_smoke():
-    report = bench_attention(("linear",), sizes=(64, 256), c_prime=16, reps=3,
-                             seed=1, min_median_s=0.0)
+    report = bench_attention(("linear",), sizes=(64, 256), c_prime=16, reps=3, seed=1)
     assert [r.n for r in report.rows] == [64, 256]
     assert all(r.method == "linear" for r in report.rows)
     assert all(r.median_ms > 0 for r in report.rows)
@@ -68,9 +67,9 @@ def test_bench_attention_is_monotone_within_noise():
 
 
 def test_doubling_reps_keeps_medians_stable():
-    # min_median_s=0 pins the sizes so both runs measure identical problems; the 5- and
-    # 10-rep runs alternate, three of each, so a drift in machine speed reaches both alike
-    kw = dict(sizes=(2048, 8192), c_prime=64, seed=0, min_median_s=0.0)
+    # the 5- and 10-rep runs alternate, three of each, so a drift in machine speed
+    # reaches both alike
+    kw = dict(sizes=(2048, 8192), c_prime=64, seed=0)
     runs = {5: [], 10: []}
     for _ in range(3):
         for reps in runs:
@@ -81,18 +80,9 @@ def test_doubling_reps_keeps_medians_stable():
         assert abs(m10[n] - m5[n]) <= 0.2 * m5[n]
 
 
-def test_timer_floor_raises_sizes_with_warning():
-    with pytest.warns(UserWarning, match="timer floor"):
-        report = bench_attention(("linear",), sizes=(4, 16), c_prime=8, reps=3,
-                                 seed=0, min_median_s=5e-4)
-    ns = [r.n for r in report.rows]
-    assert ns[0] > 4  # bumped past the requested size
-    assert ns[1] > ns[0]  # monotonicity preserved after the bump
-
-
 def test_bench_pipeline_smoke():
     cfg = NetworkConfig(input_dim=16, hidden_dim=8, heads=2, l1=1, l2=1)
-    report = bench_pipeline((64, 256), cfg=cfg, reps=3, seed=3, min_median_s=0.0)
+    report = bench_pipeline((64, 256), cfg=cfg, reps=3, seed=3)
     assert [r.n for r in report.rows] == [64, 256]
     assert "pipeline" in report.slopes
     assert set(report.notes["n_max"]) == {64, 256}
@@ -128,8 +118,7 @@ def test_op_counter_audit_rectangular():
 
 
 def test_bench_csv_and_json_outputs(tmp_path):
-    report = bench_attention(("linear",), sizes=(64, 256), c_prime=8, reps=3,
-                             seed=0, min_median_s=0.0)
+    report = bench_attention(("linear",), sizes=(64, 256), c_prime=8, reps=3, seed=0)
     csv_path = tmp_path / "bench.csv"
     write_bench_csv(csv_path, report)
     lines = csv_path.read_text().splitlines()

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from reference_ops import membership
 
 from linmatch.attention import NeighborhoodPair, linear_attention, ProjectedTriplet
 from linmatch.encoder import (
@@ -173,7 +174,7 @@ class TestUpdates:
         xs = rng.standard_normal((5, 6))
         xt = rng.standard_normal((4, 6))
         full = NeighborhoodPair((0, 0), np.arange(5), np.arange(4))
-        pa, pb = pairwise_layer_update(xs, xt, [full], w)
+        pa, pb = pairwise_layer_update(xs, xt, membership([full]), w)
         ca, cb = cross_attention_update(xs, xt, w)
         np.testing.assert_allclose(pa.data, ca.data, rtol=1e-12)
         np.testing.assert_allclose(pb.data, cb.data, rtol=1e-12)
@@ -183,7 +184,7 @@ class TestUpdates:
         w = random_layer(rng, 4, 4)
         xs = rng.standard_normal((3, 4))
         xt = rng.standard_normal((3, 4))
-        pa, pb = pairwise_layer_update(xs, xt, [], w)
+        pa, pb = pairwise_layer_update(xs, xt, membership([]), w)
         za = encoder_layer(xs, np.zeros((0, 4)), w)
         zb = encoder_layer(xt, np.zeros((0, 4)), w)
         np.testing.assert_allclose(pa.data, za.data, rtol=1e-14)
@@ -196,7 +197,7 @@ class TestUpdates:
         xt = rng.standard_normal((8, 6))
         p1 = NeighborhoodPair((0, 0), np.array([0, 1, 2]), np.array([0, 1]))
         p2 = NeighborhoodPair((5, 5), np.array([5, 6]), np.array([5, 6, 7]))
-        pa, _ = pairwise_layer_update(xs, xt, [p1, p2], w)
+        pa, _ = pairwise_layer_update(xs, xt, membership([p1, p2]), w)
         # message rows for each block equal cross-attention on the sub-problem
         for p in (p1, p2):
             sub_q = xs[p.source_set] @ w.wq

@@ -11,10 +11,11 @@ and note the same multiplies with the op counter.
 import numpy as np
 import pytest
 import reference_ops as ref
+from reference_ops import membership
 
 import linmatch.autodiff as ad
 import linmatch.encoder as encoder
-from linmatch.attention import Membership, NeighborhoodPair
+from linmatch.attention import NeighborhoodPair
 from linmatch.autodiff import Tensor
 from linmatch.encoder import LayerWeights, NetworkConfig, encoder_layer, forward, init_weights
 from linmatch.geometry import GenNoiseConfig, generate_pair
@@ -45,7 +46,7 @@ def _run(update, kind, in_dim, dtype, heads):
                        rng.standard_normal((33, in_dim)).astype(dtype)])
     w = _layer(rng, in_dim, dtype)
     tw = LayerWeights(*_tensors([a for _, a in w.params()]))
-    args = (xs, xt, Membership.of(PAIRS)) if kind == "pairwise" else (xs, xt)
+    args = (xs, xt, membership(PAIRS)) if kind == "pairwise" else (xs, xt)
     a, b = update(*args, tw, heads)
     loss = ad.add(ad.tsum(ad.mul(a, Tensor(rng.standard_normal(a.data.shape).astype(dtype)))),
                   ad.tsum(ad.mul(b, Tensor(rng.standard_normal(b.data.shape).astype(dtype)))))

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from reference_ops import membership
 
 import linmatch.matcher as matcher
 from linmatch.attention import Membership, NeighborhoodPair
@@ -21,7 +22,6 @@ from linmatch.matcher import (
     FilterConfig,
     MatchSet,
     Metrics,
-    distance_match,
     evaluate,
     filter_matches,
     match_pipeline,
@@ -63,17 +63,19 @@ class FakeEnc:
 
 
 class TestDistanceMatch:
+    """`_candidates`: ratio matches, seeds and their neighborhoods' members, tagged."""
+
     def test_orthogonal_sparse_all_seeds(self):
         ks, kt = sparse_orthogonal_scene(n=4, spacing=200.0)
         cfg = NeighborhoodConfig(r=10.0, r_s=10.0, r_t=10.0)
-        out = distance_match(FakeEnc(ks.descriptors, kt.descriptors), ks, kt, cfg)
+        out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt, cfg)[0]
         assert out.pairs() == [(i, i) for i in range(4)]
         assert all(s == "seed" for s in out.stage)
 
     def test_no_mutual_nn_empty(self):
         ks = KeypointSet(np.array([[5.0, 5.0]]), np.array([[1.0, 0.0]]), 10, 10)
         kt = KeypointSet(np.zeros((0, 2)), np.zeros((0, 2)), 10, 10)
-        out = distance_match(FakeEnc(ks.descriptors, kt.descriptors), ks, kt)
+        out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt, NeighborhoodConfig())[0]
         assert len(out) == 0
 
     def test_matches_scripted_composition(self):
@@ -83,7 +85,7 @@ class TestDistanceMatch:
         xs_enc = ks.descriptors + 0.0
         xt_enc = kt.descriptors + 0.0
         cfg = NeighborhoodConfig().resolved_pair((256, 256), (256, 256))
-        out = distance_match(FakeEnc(xs_enc, xt_enc), ks, kt, cfg)
+        out = _candidates(FakeEnc(xs_enc, xt_enc), ks, kt, cfg)[0]
 
         m = ratio_match(xs_enc, xt_enc, cfg.theta)
         seeds = select_seeds(m, ks.keypoints, cfg.r)
@@ -100,8 +102,8 @@ class TestDistanceMatch:
 
     def test_candidate_scores_are_ratio_scores(self):
         ks, kt = sparse_orthogonal_scene(n=4, spacing=30.0)
-        out = distance_match(FakeEnc(ks.descriptors, kt.descriptors), ks, kt,
-                             NeighborhoodConfig(r=10.0, r_s=10.0, r_t=10.0))
+        out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt,
+                          NeighborhoodConfig(r=10.0, r_s=10.0, r_t=10.0))[0]
         assert all(np.isinf(s) for _, _, s in out.matches)
 
 
@@ -228,7 +230,7 @@ class TestBatchedVerifier:
                                 rng_seed=case, inlier_threshold_factor=1.0)
             threshold = 1.0 if case % 2 else float(rng.uniform(0.5, 3.0))
             ks, kt, m, pair = single_neighborhood_scene(rng, src, tgt, decoys=case % 4)
-            got = filter_matches(m, ks, kt, [pair], fcfg, r_t=threshold)
+            got = filter_matches(m, ks, kt, membership([pair]), fcfg, r_t=threshold)
             (want,), skipped, tied = loop_filter(m, ks, kt, [pair], fcfg, threshold)
             assert got.matches == [m.matches[p] for p in sorted(want)], case
             degenerate += skipped
@@ -258,10 +260,10 @@ class TestBatchedVerifier:
         fcfg = FilterConfig(ransac_iterations=40, min_inliers=3, inlier_threshold_factor=1.0,
                             rng_seed=5)
         want, degenerate, ties = loop_filter(m, ks, kt, pairs, fcfg, 1.5)
-        got = filter_matches(m, ks, kt, pairs, fcfg, r_t=1.5)
+        got = filter_matches(m, ks, kt, membership(pairs), fcfg, r_t=1.5)
         assert got.matches == [m.matches[p] for p in sorted(set().union(*want))]
         for pair, w in zip(pairs, want):  # and each neighborhood on its own
-            alone = filter_matches(m, ks, kt, [pair], fcfg, r_t=1.5)
+            alone = filter_matches(m, ks, kt, membership([pair]), fcfg, r_t=1.5)
             assert alone.matches == [m.matches[p] for p in sorted(w)]
         assert degenerate > 0 and ties > 0 and 0 < len(got) < n
         # ordered triples repeat within a neighborhood and across neighborhoods
@@ -315,7 +317,7 @@ class TestFilterMatches:
         matches = [(i, i, 2.0) for i in range(n)]
         stages = ["candidate"] * n
         pair = NeighborhoodPair((0, 0), np.arange(n), np.arange(n))
-        return ks, kt, MatchSet(matches, stages), [pair]
+        return ks, kt, MatchSet(matches, stages), membership([pair])
 
     def test_exact_affine_all_survive(self):
         rng = np.random.default_rng(1)
@@ -345,7 +347,7 @@ class TestFilterMatches:
         kt = KeypointSet(ks.keypoints.copy(), np.eye(2, dtype=np.float32), 10, 10)
         m = MatchSet([(0, 0, 1.0), (1, 1, 1.0)], ["candidate"] * 2)
         pair = NeighborhoodPair((0, 0), np.array([0, 1]), np.array([0, 1]))
-        out = filter_matches(m, ks, kt, [pair], FilterConfig(min_inliers=6))
+        out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(min_inliers=6))
         assert len(out) == 0
 
     def test_output_subset_of_input(self):
@@ -371,11 +373,12 @@ class TestFilterMatches:
         kt = KeypointSet(src + 3.0, np.eye(n), 256, 256)
         m = MatchSet([(i, i, 1.0) for i in range(n)], ["candidate"] * n)
         pair = NeighborhoodPair((0, 0), np.arange(n), np.arange(n))
-        out = filter_matches(m, ks, kt, [pair], FilterConfig(min_inliers=3))
+        out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(min_inliers=3))
         assert len(out) == 0
         # targets at the origin: a singular sample must not stand for the zero map
         at_origin = KeypointSet(np.full((n, 2), 0.25), np.eye(n), 256, 256)
-        assert len(filter_matches(m, ks, at_origin, [pair], FilterConfig(min_inliers=3))) == 0
+        assert len(filter_matches(m, ks, at_origin, membership([pair]),
+                                  FilterConfig(min_inliers=3))) == 0
 
     def test_neighborhood_order_does_not_matter(self):
         rng = np.random.default_rng(8)
@@ -385,10 +388,10 @@ class TestFilterMatches:
             members = np.union1d(rng.choice(30, size=12, replace=False), [seed])
             neigh.append(NeighborhoodPair((seed, seed), members, members))
         fcfg = FilterConfig(ransac_iterations=6, min_inliers=4, rng_seed=1)
-        base = filter_matches(m, ks, kt, neigh, fcfg)
+        base = filter_matches(m, ks, kt, membership(neigh), fcfg)
         assert 0 < len(base) < len(m)
         for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
-            out = filter_matches(m, ks, kt, [neigh[p] for p in perm], fcfg)
+            out = filter_matches(m, ks, kt, membership([neigh[p] for p in perm]), fcfg)
             assert out.matches == base.matches and out.stage == base.stage
 
     @pytest.mark.parametrize("extra_first", [True, False])
@@ -401,7 +404,7 @@ class TestFilterMatches:
         matches = [(0, 6, 1.0)] + identity if extra_first else identity + [(0, 6, 1.0)]
         m = MatchSet(matches, ["candidate"] * 7)
         pair = NeighborhoodPair((0, 0), np.arange(6), np.arange(7))
-        out = filter_matches(m, ks, kt, [pair], FilterConfig(rng_seed=2))
+        out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(rng_seed=2))
         assert out.pairs() == [(i, i) for i in range(6)]
 
     def test_determinism_same_seed(self):
@@ -491,7 +494,7 @@ class TestMatchPipeline:
         monkeypatch.setattr(Membership, "__iter__", refuse, raising=False)
         monkeypatch.setattr(Membership, "__getitem__", refuse)
         with pytest.raises(AssertionError, match="record was made"):
-            list(Membership.of([NeighborhoodPair((0, 0), [0], [0])]))
+            list(membership([NeighborhoodPair((0, 0), [0], [0])]))
         out, loss, grads = run()
         assert want[0].stage.count("verified") > 10  # the filter kept matches
         assert (out.matches, out.stage, loss) == (want[0].matches, want[0].stage, want[1])

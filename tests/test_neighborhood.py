@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_ops import membership
 
 from linmatch import neighborhood
 from linmatch.attention import Membership
@@ -519,7 +520,7 @@ def assert_same_as_loop(seeds, m, ks, kt, cfg):
         for have, expect in ((p.source_set, src), (p.target_set, tgt)):
             assert have.dtype == expect.dtype
             np.testing.assert_array_equal(have, expect)
-    again = Membership.of(list(got))  # the views convert back to the same arrays
+    again = membership(list(got))  # the views convert back to the same arrays
     np.testing.assert_array_equal(again.seeds, got.seeds)
     for have, built in ((again.source, got.source), (again.target, got.target)):
         np.testing.assert_array_equal(have.rows, built.rows)
