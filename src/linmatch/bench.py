@@ -32,7 +32,7 @@ from .attention import (
 )
 from .autodiff import count_ops
 from .encoder import NetworkConfig, forward, init_weights
-from .geometry import GenNoiseConfig, generate_pair
+from .geometry import GenNoiseConfig, generate_pair, require_int
 from .matcher import _candidates, match_pipeline
 from .neighborhood import NeighborhoodConfig
 
@@ -58,19 +58,6 @@ class BenchReport:
     reps: int
     notes: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.reps < 3:
-            raise ValueError("need at least 3 repetitions")
-        last = {}
-        for row in self.rows:
-            prev = last.get(row.method)
-            if prev is not None and row.n <= prev:
-                raise ValueError(f"{row.method}: sizes must be strictly increasing")
-            last[row.method] = row.n
-        for method in self.slopes:
-            if method not in last:
-                raise ValueError(f"{method}: slope without measurements")
-
 
 def _measure(fn, reps: int) -> float:
     fn()
@@ -85,17 +72,16 @@ def _measure(fn, reps: int) -> float:
 
 def _scaling(make_fn, sizes, reps: int):
     """Median seconds of `make_fn(n)()` per size: ([(n, median)], their log-log slope)."""
-    sizes = [int(n) for n in sizes]
+    sizes = list(sizes)
+    for n in sizes:
+        require_int("each size", n, 1)
+    require_int("reps", reps, 3)
     if len(sizes) < 2:
         raise ValueError("need at least 2 size points; slope is undefined for one")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
-    if sizes[0] < 1:
-        raise ValueError("sizes must be at least 1")
     if sizes[-1] < 4 * sizes[0]:
         raise ValueError("sizes must span at least a 4x range")
-    if reps < 3:
-        raise ValueError("need at least 3 repetitions")
     points = [(n, _measure(make_fn(n), reps)) for n in sizes]
     return points, loglog_slope(points)
 
@@ -121,8 +107,7 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     unknown = sorted(set(methods) - set(_KERNELS))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
-    if c_prime < 1:
-        raise ValueError("c_prime must be at least 1")
+    require_int("c_prime", c_prime, 1)
 
     rows = []
     slopes = {}
@@ -170,9 +155,10 @@ def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
     n_max_note = {}
     for n, _ in points:
         ks, kt = scenes[n][0], scenes[n][1]
-        enc = forward(ks, kt, weights, cfg, neigh_cfg)
-        _, neighborhoods = _candidates(enc, ks, kt, neigh_cfg or NeighborhoodConfig())
-        n_max_note[n] = int(neighborhoods.source.sizes.max(initial=0))
+        ncfg = (neigh_cfg or NeighborhoodConfig()).resolved_pair((ks.width, ks.height),
+                                                                 (kt.width, kt.height))
+        members = _candidates(forward(ks, kt, weights, cfg, ncfg), ks, kt, ncfg)[1]
+        n_max_note[n] = int(members.source.sizes.max(initial=0))
     notes = {"n_max": n_max_note, "n_max_ratio": {n: v / n for n, v in n_max_note.items()}}
     rows = [BenchRow("pipeline", n, median * 1e3) for n, median in points]
     return BenchReport(rows, {"pipeline": slope}, reps, notes)

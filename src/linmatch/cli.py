@@ -265,8 +265,7 @@ def cmd_match(args) -> int:
         raise DataError(str(e))
     out = _out_dir(run)
     write_matches(out / "matches.csv", result)
-    verified = sum(1 for s in result.stage if s == "verified")
-    print(f"{len(result)} matches ({verified} verified) written to "
+    print(f"{len(result)} matches ({result.stage.count('verified')} verified) written to "
           f"{out / 'matches.csv'}")
     return EXIT_OK
 

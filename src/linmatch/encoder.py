@@ -18,7 +18,7 @@ product), whose backwards use the separate ops' formulas and input order.
 
 The full network runs L1 iterations of (self, cross) updates with linear
 attention, captures the raw descriptors f after the last cross layer, takes
-the checked `Membership` of f's neighborhoods from `build_neighborhoods`
+the checked `Membership` of f's neighborhoods from `neighborhoods`
 (only when L2 > 0; keypoint coordinates enter the computation nowhere else),
 then runs L2 pairwise-attention iterations on it.  The final rows are
 L2-normalized to give x.  With L2 = 0, x is exactly the row-normalized f.
@@ -47,7 +47,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .attention import projected_attention
 from .geometry import KeypointSet, read_exact, require_int
-# the benchmark's tracer patches ratio_match, select_seeds and build_neighborhoods here
+# `neighborhoods` looks these up here, where the benchmark's tracer patches them
 from .neighborhood import NeighborhoodConfig, build_neighborhoods, ratio_match, select_seeds
 
 _LAWT_MAGIC = b"LAWT"
@@ -278,13 +278,20 @@ def _forward_impl(xs, xt, weights, cfg, neigh_cfg):
     if cfg.l2 > 0:
         ncfg = (neigh_cfg or NeighborhoodConfig()).resolved_pair(
             (xs.width, xs.height), (xt.width, xt.height))
-        m = ratio_match(fs.data, ft.data, ncfg.theta)
-        seeds = select_seeds(m, xs.keypoints, ncfg.r)
-        pairs = build_neighborhoods(seeds, m, xs.keypoints, xt.keypoints, ncfg)
+        pairs = neighborhoods(fs.data, ft.data, xs, xt, ncfg)[2]
         for i in range(cfg.l2):
             a, b = pairwise_layer_update(a, b, pairs, weights.pair_layers[i], cfg.heads)
     xs_hat, xt_hat = (ad.row_l2_normalize(x) if x.data.shape[0] else x for x in (a, b))
     return EncodedPair(xs_hat, xt_hat, fs, ft)
+
+
+def neighborhoods(xs_enc, xt_enc, ks: KeypointSet, kt: KeypointSet, cfg: NeighborhoodConfig):
+    """Ratio matches of the encodings, their seed positions and the seeds' `Membership`,
+    under a config resolved for this pair: the chain both `forward` (on f) and the
+    matcher (on x) run."""
+    m = ratio_match(xs_enc, xt_enc, cfg.theta)
+    seeds = select_seeds(m, ks.keypoints, cfg.r)
+    return m, seeds, build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)
 
 
 def _xavier(rng, fan_in, fan_out, dtype):

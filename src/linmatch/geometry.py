@@ -118,8 +118,8 @@ class GenNoiseConfig:
 
     def __post_init__(self):
         require_int("distractors", self.distractors, 0)
-        if not (self.desc_sigma >= 0 and self.jitter_sigma >= 0):
-            raise ValueError("noise magnitudes must be non-negative")
+        if not (0 <= self.desc_sigma < np.inf and 0 <= self.jitter_sigma < np.inf):
+            raise ValueError("noise magnitudes must be finite and non-negative")
 
 
 def apply_homography(h: Homography, points) -> tuple[np.ndarray, np.ndarray]:

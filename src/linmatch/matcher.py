@@ -1,9 +1,13 @@
 """Feature-distance matching and local-affine verification.
 
-`match_pipeline` encodes a pair, then runs the ratio matcher on the final
-descriptors, picks locally best seeds, grows candidate neighborhoods around
-them, and takes the union of all neighborhood members as candidates (seeds
-keep their own tag).
+A `MatchSet` is a (k, 2) index array of (source, target) rows, a score array
+and one stage tag per row; every stage slices the arrays.
+
+`match_pipeline` resolves its neighborhood config once, encodes a pair, then
+runs the neighborhood chain (`encoder.neighborhoods`: ratio matches, locally
+best seeds, their neighborhoods) on the final descriptors and takes the
+ratio matches of all neighborhood members as candidates (seeds keep their
+own tag).
 
 `filter_matches` then verifies all neighborhoods in one batched pass:
 repeated 3-correspondence minimal samples fit an exact affine transform,
@@ -28,16 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import Membership
-from .encoder import EncodedPair, NetworkConfig, NetworkWeights, forward
+from .encoder import EncodedPair, NetworkConfig, NetworkWeights, forward, neighborhoods
 from .geometry import GroundTruth, Homography, KeypointSet, apply_homography, require_int
-# the benchmark's tracer patches ratio_match, select_seeds and build_neighborhoods here
-from .neighborhood import (
-    NeighborhoodConfig,
-    build_neighborhoods,
-    default_radius,
-    ratio_match,
-    select_seeds,
-)
+from .neighborhood import NeighborhoodConfig, default_radius
+# no caller here: the benchmark's tracer patches these names on this module
+from .neighborhood import build_neighborhoods, ratio_match, select_seeds  # noqa: F401
 
 _STAGES = ("seed", "candidate", "verified")
 _SCORE_ENTRIES = 1 << 16  # residuals per scoring table (or one draw of a size group)
@@ -48,26 +47,35 @@ _MMA_THRESHOLDS_PX = tuple(range(1, 11))
 class MatchSet:
     """Scored index pairs, each tagged with the pipeline stage that produced it."""
 
-    # lists, not arrays: the benchmark's determinism check compares `matches` with !=
-    matches: list  # of (source_index, target_index, score)
-    stage: list  # of str, aligned with matches
+    pairs: np.ndarray  # (k, 2) intp rows of (source_index, target_index)
+    score: np.ndarray  # (k,) float64
+    stage: list  # of str, one per row; a list: the benchmark compares it with !=
 
     def __post_init__(self):
-        if len(self.matches) != len(self.stage):
-            raise ValueError("one stage tag per match required")
-        seen = set()
-        for (i, j, _), s in zip(self.matches, self.stage):
-            if s not in _STAGES:
-                raise ValueError(f"unknown stage {s!r}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate match ({i}, {j})")
-            seen.add((i, j))
+        self.pairs = np.asarray(self.pairs, dtype=np.intp)
+        if self.pairs.shape == (0,):
+            self.pairs = self.pairs.reshape(0, 2)
+        self.score = np.asarray(self.score, dtype=np.float64)
+        if self.pairs.ndim != 2 or self.pairs.shape[1] != 2:
+            raise ValueError("pairs must be (k, 2) rows of (source, target) indices")
+        if self.score.shape != (len(self.pairs),) or len(self.stage) != len(self.pairs):
+            raise ValueError("one score and one stage tag per match required")
+        unknown = set(self.stage) - set(_STAGES)
+        if unknown:
+            raise ValueError(f"unknown stage {min(unknown)!r}")
+        rows = self.pairs[np.lexsort(self.pairs.T)]
+        same = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if len(same):
+            raise ValueError(f"duplicate match {tuple(rows[same[0]].tolist())}")
 
     def __len__(self):
-        return len(self.matches)
+        return len(self.pairs)
 
-    def pairs(self):
-        return [(i, j) for i, j, _ in self.matches]
+    # no caller in src/: the benchmark's determinism check and tests/test_golden.py read
+    # these (i, j, score) tuples
+    @property
+    def matches(self):
+        return list(zip(*self.pairs.T.tolist(), self.score.tolist()))
 
 
 @dataclass
@@ -96,23 +104,13 @@ class Metrics:
 # the benchmark's tracer times this stage under this name
 def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
                 cfg: NeighborhoodConfig):
-    """Candidate matches from final descriptors: (MatchSet, the neighborhoods' Membership)."""
-    cfg = cfg.resolved_pair((ks.width, ks.height), (kt.width, kt.height))
-    m = ratio_match(enc.xs_hat, enc.xt_hat, cfg.theta)
-    seeds = select_seeds(m, ks.keypoints, cfg.r)
-    neighborhoods = build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)
-
+    """Candidate matches from final descriptors, under a config resolved for this pair:
+    (MatchSet, the neighborhoods' Membership)."""
+    m, seeds, members = neighborhoods(enc.xs_hat, enc.xt_hat, ks, kt, cfg)
     src = m.matches[:, 0]
-    ordered = np.flatnonzero(np.isin(src, neighborhoods.source.rows))
-    i, j = m.matches[ordered].T.tolist()
-    matches = list(zip(i, j, m.ratio_score[ordered].tolist()))
+    ordered = np.flatnonzero(np.isin(src, members.source.rows))
     stages = np.where(np.isin(src[ordered], src[seeds]), "seed", "candidate").tolist()
-    return MatchSet(matches, stages), neighborhoods
-
-
-def _sample_triples(rng, k, count):
-    """`count` uniform 3-subsets of range(k) in one draw (Floyd's algorithm)."""
-    return _distinct(rng.integers(0, [k - 2, k - 1, k], size=(count, 3)), k)
+    return MatchSet(m.matches[ordered], m.ratio_score[ordered], stages), members
 
 
 def _distinct(draws, k):
@@ -136,7 +134,7 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, members: Membe
     if r_t is None:
         r_t = default_radius(kt.width, kt.height)
     threshold = fcfg.inlier_threshold_factor * r_t
-    idx = np.array([(i, j) for i, j, _ in m.matches], dtype=np.intp).reshape(-1, 2)
+    idx = m.pairs
     # every source member's matches, in set order, kept where (neighborhood, target) is a
     # target member; the keys are raveled index pairs, which rejects an out-of-range index
     by_src = np.argsort(idx[:, 0], kind="stable")
@@ -180,8 +178,7 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, members: Membe
         g = count.argmax(axis=1)  # the first best in draw order, as a sequential loop takes
         won = count[np.arange(len(same)), g] >= fcfg.min_inliers
         kept[cand[rows[won][_residual(h[won], c[won, g[won]], t[won]) <= threshold]]] = True
-    ordered = np.flatnonzero(kept)
-    return MatchSet([m.matches[pos] for pos in ordered], ["verified"] * len(ordered))
+    return MatchSet(idx[kept], m.score[kept], ["verified"] * int(kept.sum()))
 
 
 def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
@@ -189,7 +186,8 @@ def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
                    fcfg: FilterConfig | None = None,
                    skip_filter: bool = False) -> MatchSet:
     """forward -> candidates -> filter_matches (optionally skipping the filter)."""
-    neigh_cfg = neigh_cfg or NeighborhoodConfig()
+    neigh_cfg = (neigh_cfg or NeighborhoodConfig()).resolved_pair((ks.width, ks.height),
+                                                                  (kt.width, kt.height))
     enc = forward(ks, kt, weights, cfg, neigh_cfg)
     candidates, neighborhoods = _candidates(enc, ks, kt, neigh_cfg)
     if skip_filter:
@@ -210,10 +208,7 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     if n == 0:
         mma = {t: 0.0 for t in _MMA_THRESHOLDS_PX}
         return Metrics(mma, 0.0, 0.0 if truth else 1.0, 0, 0.0)
-    try:
-        idx = np.array(m.pairs(), dtype=np.intp)
-    except OverflowError:  # an index beyond intp is out of range too
-        idx = np.full((1, 2), -1)
+    idx = m.pairs
     if ((idx < 0) | (idx >= (len(ks), len(kt)))).any():
         raise ValueError("match index out of range of the keypoint sets")
     src_idx, tgt_idx = idx.T
@@ -232,12 +227,12 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
 def write_matches(path, m: MatchSet) -> None:
     with open(path, "w") as f:
         f.write("i,j,score,stage\n")
-        for (i, j, score), stage in zip(m.matches, m.stage):
-            f.write(f"{i},{j},{repr(float(score))},{stage}\n")
+        for (i, j), score, stage in zip(m.pairs.tolist(), m.score.tolist(), m.stage):
+            f.write(f"{i},{j},{score!r},{stage}\n")
 
 
 def read_matches(path) -> MatchSet:
-    matches, stages = [], []
+    pairs, scores, stages = [], [], []
     with open(path) as f:
         header = f.readline().strip()
         if header != "i,j,score,stage":
@@ -247,9 +242,10 @@ def read_matches(path) -> MatchSet:
             if not line:
                 continue
             i, j, score, stage = line.split(",")
-            matches.append((int(i), int(j), float(score)))
+            pairs.append((int(i), int(j)))
+            scores.append(float(score))
             stages.append(stage)
-    return MatchSet(matches, stages)
+    return MatchSet(pairs, scores, stages)
 
 
 def write_metrics(path, metrics: Metrics) -> None:

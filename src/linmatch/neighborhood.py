@@ -9,7 +9,7 @@ A match is a *seed* when its score is strictly the best among all matches
 whose source keypoints lie within radius R of its own; equal scores break
 toward the lower source index.  Seeds therefore end up spread out: no two
 survive within R of each other unless tied-and-ranked.  Around every seed,
-the neighborhood collects the matches lying within lambda * R_s of the seed
+the neighborhood collects the matches lying within lambda * R of the seed
 on the source side and lambda * R_t on the target side simultaneously.
 
 Matches are kept as a (k, 2) index array of (source, target) rows, and every
@@ -56,8 +56,7 @@ _CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in 
 class NeighborhoodConfig:
     theta: float = 1.0  # ratio-test threshold, (0, 1]
     lam: float = 2.0  # neighborhood overlap factor
-    r: float | None = None  # seed separation radius (px)
-    r_s: float | None = None  # source-side neighborhood radius (px)
+    r: float | None = None  # seed separation and source-side neighborhood radius (px)
     r_t: float | None = None  # target-side neighborhood radius (px)
 
     def __post_init__(self):
@@ -65,19 +64,16 @@ class NeighborhoodConfig:
             raise ValueError("theta must lie in (0, 1]")
         if not self.lam > 0:  # written so that NaN fails too
             raise ValueError("lambda must be positive")
-        for name in ("r", "r_s", "r_t"):
+        for name in ("r", "r_t"):
             val = getattr(self, name)
             if val is not None and not val > 0:
                 raise ValueError(f"{name} must be positive when set")
 
     def resolved_pair(self, source_dims: tuple, target_dims: tuple) -> "NeighborhoodConfig":
-        """Fill unset radii per side: r and r_s from the source frame, r_t from the target."""
-        base_s = default_radius(*source_dims)
-        base_t = default_radius(*target_dims)
+        """Fill unset radii per side: r from the source frame, r_t from the target."""
         return replace(self,
-                       r=self.r if self.r is not None else base_s,
-                       r_s=self.r_s if self.r_s is not None else base_s,
-                       r_t=self.r_t if self.r_t is not None else base_t)
+                       r=self.r if self.r is not None else default_radius(*source_dims),
+                       r_t=self.r_t if self.r_t is not None else default_radius(*target_dims))
 
 
 @dataclass
@@ -262,20 +258,20 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
 
 def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoints,
                         cfg: NeighborhoodConfig) -> Membership:
-    """Matches within lambda*R_s of a seed's source AND lambda*R_t of its target.
+    """Matches within lambda*R of a seed's source AND lambda*R_t of its target.
 
     One neighborhood per seed, in the order of `seeds`, except that a seed
     with a non-finite point of its own has no members and gets none.
     """
-    if cfg.r_s is None or cfg.r_t is None:
+    if cfg.r is None or cfg.r_t is None:
         raise ValueError("config radii must be resolved before building neighborhoods")
     seeds = np.asarray(seeds, dtype=np.intp)
     src_idx, tgt_idx = m.matches.T
     sp = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
     seeds = seeds[(np.isfinite(sp[seeds]) & np.isfinite(tp[seeds])).all(axis=1)]
-    row, pos = near_pairs(sp[seeds], sp, cfg.lam * cfg.r_s)  # a non-finite point is near nothing
-    for pts, r in ((sp, cfg.r_s), (tp, cfg.r_t)):  # the source side drops most pairs first
+    row, pos = near_pairs(sp[seeds], sp, cfg.lam * cfg.r)  # a non-finite point is near nothing
+    for pts, r in ((sp, cfg.r), (tp, cfg.r_t)):  # the source side drops most pairs first
         (x, y), at = pts.T, seeds[row]  # ((pts[pos] - pts[at]) ** 2).sum(axis=1), bit for bit
         dx, dy = x[pos] - x[at], y[pos] - y[at]
         member = np.flatnonzero(dx * dx + dy * dy <= (cfg.lam * r) ** 2)

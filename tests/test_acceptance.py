@@ -344,18 +344,19 @@ def test_criterion_06_clean_scene_perfect_and_deterministic():
 
     cfg = NetworkConfig(input_dim=dim, hidden_dim=8, heads=2, l1=1, l2=1)
     weights = init_weights(cfg, seed=0, dtype=np.float64)
-    ncfg = NeighborhoodConfig(r=radius, r_s=radius, r_t=radius)
+    ncfg = NeighborhoodConfig(r=radius, r_t=radius)
     fcfg = FilterConfig(min_inliers=3)
 
     runs = [match_pipeline(ks, kt, weights, cfg, ncfg, fcfg=fcfg)
             for _ in range(2)]
     res = evaluate(runs[0], gt, Homography(np.eye(3)), ks, kt)
+    identical = (np.array_equal(runs[0].pairs, runs[1].pairs)
+                 and np.array_equal(runs[0].score, runs[1].score))
     print(f"criterion 6: recall={res.recall:.3f} precision={res.precision:.3f} "
-          f"({res.num_matches} matches, repeated run identical="
-          f"{runs[0].matches == runs[1].matches})")
+          f"({res.num_matches} matches, repeated run identical={identical})")
     assert res.recall == 1.0
     assert res.precision == 1.0
-    assert runs[0].matches == runs[1].matches
+    assert identical
     assert runs[0].stage == runs[1].stage
 
 
@@ -395,12 +396,9 @@ def _c7_instance(seed):
     m = ratio_match(ks.descriptors, kt.descriptors, theta=1.0)
     seeds = select_seeds(m, ks.keypoints, cfg.r)
     neigh = build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)
-    cand = MatchSet([(i, j, 1.0) for i, j in m.matches],
-                    ["candidate"] * len(m))
-    kept_src = {i for i, _, _ in
-                filter_matches(cand, ks, kt, neigh,
-                               FilterConfig(rng_seed=1000 + seed),
-                               r_t=cfg.r_t).matches}
+    cand = MatchSet(m.matches, np.ones(len(m)), ["candidate"] * len(m))
+    kept = filter_matches(cand, ks, kt, neigh, FilterConfig(rng_seed=1000 + seed), r_t=cfg.r_t)
+    kept_src = set(kept.pairs[:, 0].tolist())
 
     member = {int(i) for p in neigh for i in p.source_set}
     out_member = outliers & member

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from linmatch.bench import (
-    BenchReport,
-    BenchRow,
     bench_attention,
     bench_pipeline,
     loglog_slope,
@@ -25,16 +23,6 @@ def test_loglog_slope_recovers_exact_powers():
         loglog_slope([(100, 1e-3)])
 
 
-def test_report_validation():
-    with pytest.raises(ValueError):
-        BenchReport([BenchRow("a", 10, 1.0)], {"a": 1.0}, reps=2)
-    with pytest.raises(ValueError):
-        BenchReport([BenchRow("a", 10, 1.0), BenchRow("a", 10, 1.0)], {"a": 1.0}, reps=3)
-    with pytest.raises(ValueError):
-        BenchReport([BenchRow("a", 10, 1.0), BenchRow("a", 20, 1.0)],
-                    {"a": 1.0, "ghost": 2.0}, reps=3)
-
-
 def test_size_preconditions():
     with pytest.raises(ValueError):
         bench_attention(("linear",), sizes=(1024,))
@@ -46,6 +34,25 @@ def test_size_preconditions():
         bench_attention(("warp",), sizes=(64, 256))
     with pytest.raises(ValueError):
         bench_attention(("linear",), sizes=(64, 256), reps=2)
+
+
+# each value was once truncated (a size of 64.9 timed n = 64) or ended in a TypeError
+@pytest.mark.parametrize("bad", [{"sizes": (64.9, 256)}, {"sizes": (64, 256.0)},
+                                 {"reps": 3.5}, {"reps": True}, {"c_prime": 8.5}],
+                         ids=lambda v: repr(v))
+def test_non_integer_size_reps_or_c_prime_is_refused(bad):
+    args = {"sizes": (64, 256), "reps": 3, "c_prime": 8, **bad}
+    name = "each size" if "sizes" in bad else next(iter(bad))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        bench_attention(("linear",), **args)
+
+
+@pytest.mark.parametrize("bad", [{"sizes": (64.9, 256)}, {"reps": 3.5}], ids=lambda v: repr(v))
+def test_pipeline_refuses_non_integer_size_or_reps(bad):
+    args = {"sizes": (64, 256), "reps": 3, **bad}
+    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        bench_pipeline(cfg=cfg, **args)
 
 
 def test_bench_attention_smoke():

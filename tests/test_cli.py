@@ -132,8 +132,8 @@ def test_match_no_filter_is_superset(tmp_path):
                     "-o", a]) == 0
     assert run_cli(["match", src, tgt, "--weights", weights, "--seed", 5,
                     "--no-filter", "-o", b]) == 0
-    filtered = set(read_matches(a / "matches.csv").pairs())
-    unfiltered = set(read_matches(b / "matches.csv").pairs())
+    filtered = set(map(tuple, read_matches(a / "matches.csv").pairs.tolist()))
+    unfiltered = set(map(tuple, read_matches(b / "matches.csv").pairs.tolist()))
     assert filtered <= unfiltered
 
 
@@ -146,7 +146,7 @@ def test_match_self_pair_is_diagonal(tmp_path):
                     "-o", out]) == 0
     m = read_matches(out / "matches.csv")
     assert len(m) > 0
-    assert all(i == j for i, j in m.pairs())
+    assert (m.pairs[:, 0] == m.pairs[:, 1]).all()
 
 
 def test_match_skip_pairwise(tmp_path):
@@ -166,8 +166,7 @@ def test_eval_perfect_matches(tmp_path):
     kt = read_kpds(pdir / "target.kpds")
     gt = read_ground_truth(pdir / "gt.csv")
     assert gt.pairs.max(axis=0).tolist() < [len(ks), len(kt)]
-    perfect = MatchSet([(i, j, 1.0) for i, j in gt.pairs.tolist()],
-                       ["verified"] * len(gt.pairs))
+    perfect = MatchSet(gt.pairs, np.ones(len(gt.pairs)), ["verified"] * len(gt.pairs))
     write_matches(tmp_path / "matches.csv", perfect)
     out = tmp_path / "metrics"
     code = run_cli(["eval", "--matches", tmp_path / "matches.csv",
@@ -282,7 +281,7 @@ def test_eval_non_finite_homography_exit_3(tmp_path, capsys, value):
     pdir = data / "pair0000"
     gt = read_ground_truth(pdir / "gt.csv")
     write_matches(tmp_path / "matches.csv", MatchSet(
-        [(i, j, 1.0) for i, j in gt.pairs.tolist()], ["verified"] * len(gt.pairs)))
+        gt.pairs, np.ones(len(gt.pairs)), ["verified"] * len(gt.pairs)))
     (tmp_path / "h.txt").write_text(f"1 0 {value}\n0 1 0\n0 0 1\n")
     capsys.readouterr()  # drop synth's output
     with warnings.catch_warnings():
@@ -318,7 +317,7 @@ def test_eval_ground_truth_out_of_range_exit_3(tmp_path, capsys, row):
     pdir = data / "pair0000"
     gt = read_ground_truth(pdir / "gt.csv")
     write_matches(tmp_path / "matches.csv", MatchSet(
-        [(i, j, 1.0) for i, j in gt.pairs.tolist()], ["verified"] * len(gt.pairs)))
+        gt.pairs, np.ones(len(gt.pairs)), ["verified"] * len(gt.pairs)))
     (tmp_path / "gt.csv").write_text((pdir / "gt.csv").read_text() + row + "\n")
     capsys.readouterr()  # drop synth's output
     assert run_cli(["eval", "--matches", tmp_path / "matches.csv",
@@ -449,7 +448,7 @@ def match_argv(tmp_path_factory):
 
 # every numeric key of the sections whose checks a NaN once slipped through, with the
 # command that reads the section
-NAN_KEYS = [("match", "neighborhood", k) for k in ("theta", "lam", "r", "r_s", "r_t")] + [
+NAN_KEYS = [("match", "neighborhood", k) for k in ("theta", "lam", "r", "r_t")] + [
     ("match", "filter", k) for k in ("ransac_iterations", "inlier_threshold_factor",
                                      "min_inliers")] + [
     ("synth", "noise", k) for k in ("desc_sigma", "jitter_sigma", "distractors")] + [
@@ -464,6 +463,31 @@ def test_nan_config_value_is_usage_error(tmp_path, capsys, match_argv, command, 
             "train-toy": ["train-toy", *TRAIN_ARGS]}[command]
     assert run_cli([*argv, "--config", cfg, "-o", tmp_path / "o"]) == 2
     assert f"invalid {section} config" in capsys.readouterr().err
+
+
+# an infinite noise magnitude once ended in a traceback (desc_sigma) or wrote a target
+# frame with no keypoint (jitter_sigma); as a flag or as a config key it is a usage error
+@pytest.mark.parametrize("command", ["synth", "train-toy"])
+@pytest.mark.parametrize("key", ["desc_sigma", "jitter_sigma"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_infinite_noise_magnitude_is_usage_error(tmp_path, capsys, command, key, source):
+    argv = [command, *{"synth": SYNTH_ARGS, "train-toy": TRAIN_ARGS}[command]]
+    if source == "flag":
+        argv += [f"--{key.replace('_', '-')}", "inf"]
+    else:
+        cfg = tmp_path / "inf.json"
+        cfg.write_text(json.dumps({"noise": {key: float("inf")}}))  # written as Infinity
+        argv += ["--config", cfg]
+    assert run_cli([*argv, "-o", tmp_path / "o"]) == 2
+    assert "invalid noise config" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/*"))  # nothing written
+
+
+def test_source_radius_has_one_key(tmp_path, capsys, match_argv):
+    cfg = tmp_path / "r_s.json"
+    cfg.write_text(json.dumps({"neighborhood": {"r_s": 5.0}}))
+    assert run_cli([*match_argv, "--config", cfg, "-o", tmp_path / "o"]) == 2
+    assert "unknown keys in config section 'neighborhood': ['r_s']" in capsys.readouterr().err
 
 
 # every integer key of the sections whose checks once let a non-integer through (a negative

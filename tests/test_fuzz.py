@@ -47,7 +47,7 @@ def files(tmp_path_factory):
     cfg = NetworkConfig(input_dim=8, hidden_dim=8, heads=2, l1=1, l2=1)
     save_weights(root / "w.lawt", init_weights(cfg, seed=3))
     pairs = read_ground_truth(root / "gt.csv").pairs.tolist()
-    write_matches(root / "matches.csv", MatchSet([(i, j, 1.5 + i) for i, j in pairs],
+    write_matches(root / "matches.csv", MatchSet(pairs, [1.5 + i for i, _ in pairs],
                                                  ["verified"] * len(pairs)))
     assert pairs and run_cli(match_args(root))[0] == 0
     return root

@@ -29,8 +29,8 @@ from linmatch.matcher import (
     write_matches,
     write_metrics,
     _candidates,
+    _distinct,
     _residual,
-    _sample_triples,
     _SCORE_ENTRIES,
 )
 from linmatch.neighborhood import (
@@ -54,6 +54,33 @@ def sparse_orthogonal_scene(n=6, spacing=60.0):
     return ks, kt
 
 
+def diagonal(idx, score=1.0, stage="candidate"):
+    """(i, i) matches in the order of `idx`, all with one score and one stage."""
+    idx = np.asarray(idx, dtype=np.intp)
+    return MatchSet(np.column_stack([idx, idx]), np.full(len(idx), score), [stage] * len(idx))
+
+
+def pair_set(m):
+    return set(map(tuple, m.pairs.tolist()))
+
+
+def same(a, b):
+    """Equal match sets: the same rows, scores and stages in the same order."""
+    return (np.array_equal(a.pairs, b.pairs) and np.array_equal(a.score, b.score)
+            and a.stage == b.stage)
+
+
+def taken(got, m, positions):
+    """`got` holds exactly the matches of `m` at `positions`, in match order."""
+    keep = np.array(sorted(positions), dtype=np.intp)
+    return np.array_equal(got.pairs, m.pairs[keep]) and np.array_equal(got.score, m.score[keep])
+
+
+def triples(rng, k, count):
+    """`count` uniform 3-subsets of range(k): the draw `filter_matches` makes per neighborhood."""
+    return _distinct(rng.integers(0, [k - 2, k - 1, k], size=(count, 3)), k)
+
+
 class FakeEnc:
     """Stand-in encoded pair: descriptors already matchable."""
 
@@ -67,15 +94,16 @@ class TestDistanceMatch:
 
     def test_orthogonal_sparse_all_seeds(self):
         ks, kt = sparse_orthogonal_scene(n=4, spacing=200.0)
-        cfg = NeighborhoodConfig(r=10.0, r_s=10.0, r_t=10.0)
+        cfg = NeighborhoodConfig(r=10.0, r_t=10.0)
         out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt, cfg)[0]
-        assert out.pairs() == [(i, i) for i in range(4)]
+        assert out.pairs.tolist() == [[i, i] for i in range(4)]
         assert all(s == "seed" for s in out.stage)
 
     def test_no_mutual_nn_empty(self):
         ks = KeypointSet(np.array([[5.0, 5.0]]), np.array([[1.0, 0.0]]), 10, 10)
         kt = KeypointSet(np.zeros((0, 2)), np.zeros((0, 2)), 10, 10)
-        out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt, NeighborhoodConfig())[0]
+        cfg = NeighborhoodConfig().resolved_pair((10, 10), (10, 10))
+        out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt, cfg)[0]
         assert len(out) == 0
 
     def test_matches_scripted_composition(self):
@@ -95,16 +123,16 @@ class TestDistanceMatch:
         for p in neigh:
             for i in p.source_set:
                 expect.add((int(i), tgt_of[int(i)]))
-        assert set(out.pairs()) == expect
+        assert pair_set(out) == expect
         seed_sources = set(m.matches[seeds, 0].tolist())
-        for (i, _, _), st in zip(out.matches, out.stage):
+        for i, st in zip(out.pairs[:, 0].tolist(), out.stage):
             assert st == ("seed" if i in seed_sources else "candidate")
 
     def test_candidate_scores_are_ratio_scores(self):
         ks, kt = sparse_orthogonal_scene(n=4, spacing=30.0)
         out = _candidates(FakeEnc(ks.descriptors, kt.descriptors), ks, kt,
-                          NeighborhoodConfig(r=10.0, r_s=10.0, r_t=10.0))[0]
-        assert all(np.isinf(s) for _, _, s in out.matches)
+                          NeighborhoodConfig(r=10.0, r_t=10.0))[0]
+        assert np.isinf(out.score).all()
 
 
 def exhaustive_affine_check(src, tgt, threshold, min_inliers):
@@ -135,7 +163,7 @@ def loop_verify(pair, src, tgt, fcfg, threshold):
     hom = np.column_stack([src, np.ones(k)])
     best_count, best_mask = 0, None
     degenerate = ties = 0
-    for sample in _sample_triples(rng, k, fcfg.ransac_iterations):
+    for sample in triples(rng, k, fcfg.ransac_iterations):
         m = hom[sample]
         if abs(np.linalg.det(m)) < 1e-9:
             degenerate += 1
@@ -187,9 +215,9 @@ def loop_filter(m, ks, kt, pairs, fcfg, threshold):
     for pair in pairs:
         targets = set(pair.target_set.tolist())
         cand = np.array([p for i in pair.source_set.tolist()
-                         for p, (a, b, _) in enumerate(m.matches) if a == i and b in targets],
+                         for p, (a, b) in enumerate(m.pairs.tolist()) if a == i and b in targets],
                         dtype=np.intp)
-        ij = np.array([m.matches[p][:2] for p in cand], dtype=np.intp).reshape(-1, 2)
+        ij = m.pairs[cand]
         rows, skipped, tied = loop_verify(pair, src[ij[:, 0]], tgt[ij[:, 1]], fcfg, threshold)
         survivors.append(set(cand[rows].tolist()))
         degenerate, ties = degenerate + skipped, ties + tied
@@ -208,8 +236,8 @@ def single_neighborhood_scene(rng, src, tgt, decoys):
     ks_pts[sidx[:k]], kt_pts[tidx[:k]] = src, tgt + 200.0  # a shift keeps the affine relation
     ks = KeypointSet(ks_pts, np.eye(n), 1024, 1024)
     kt = KeypointSet(kt_pts, np.eye(n), 1024, 1024)
-    m = MatchSet([(int(sidx[r]), int(tidx[r]), 1.0) for r in rng.permutation(n)],
-                 ["candidate"] * n)
+    order = rng.permutation(n)
+    m = MatchSet(np.column_stack([sidx[order], tidx[order]]), np.ones(n), ["candidate"] * n)
     seed = int(rng.integers(k))
     pair = NeighborhoodPair((int(sidx[seed]), int(tidx[seed])), sidx[:k],
                             rng.permutation(tidx[:k]))
@@ -232,7 +260,7 @@ class TestBatchedVerifier:
             ks, kt, m, pair = single_neighborhood_scene(rng, src, tgt, decoys=case % 4)
             got = filter_matches(m, ks, kt, membership([pair]), fcfg, r_t=threshold)
             (want,), skipped, tied = loop_filter(m, ks, kt, [pair], fcfg, threshold)
-            assert got.matches == [m.matches[p] for p in sorted(want)], case
+            assert taken(got, m, want), case
             degenerate += skipped
             ties += tied
         assert degenerate > 0 and ties > 0  # both rules were exercised
@@ -248,7 +276,7 @@ class TestBatchedVerifier:
         tgt[rng.choice(n, size=30, replace=False)] += rng.integers(-6, 7, size=(30, 2))
         ks = KeypointSet(src, np.eye(n), 256, 256)
         kt = KeypointSet(tgt, np.eye(n), 256, 256)
-        m = MatchSet([(i, i, 1.0) for i in rng.permutation(n).tolist()], ["candidate"] * n)
+        m = diagonal(rng.permutation(n))
         pairs = []
         for size in (2, 3, 3, 4, 5, 5, 5, 8, 12, 12, 30, 61, 90):
             members = rng.choice(n, size=size, replace=False)
@@ -261,13 +289,13 @@ class TestBatchedVerifier:
                             rng_seed=5)
         want, degenerate, ties = loop_filter(m, ks, kt, pairs, fcfg, 1.5)
         got = filter_matches(m, ks, kt, membership(pairs), fcfg, r_t=1.5)
-        assert got.matches == [m.matches[p] for p in sorted(set().union(*want))]
+        assert taken(got, m, set().union(*want))
         for pair, w in zip(pairs, want):  # and each neighborhood on its own
             alone = filter_matches(m, ks, kt, membership([pair]), fcfg, r_t=1.5)
-            assert alone.matches == [m.matches[p] for p in sorted(w)]
+            assert taken(alone, m, w)
         assert degenerate > 0 and ties > 0 and 0 < len(got) < n
         # ordered triples repeat within a neighborhood and across neighborhoods
-        drawn = [_sample_triples(np.random.default_rng([5, p.seed[0]]), len(p.source_set), 40)
+        drawn = [triples(np.random.default_rng([5, p.seed[0]]), len(p.source_set), 40)
                  for p in pairs[2:4]]
         assert len({tuple(t) for t in drawn[0].tolist()}) < 40
         assert {tuple(t) for t in drawn[0].tolist()} & {tuple(t) for t in drawn[1].tolist()}
@@ -291,13 +319,13 @@ class TestBatchedVerifier:
     def test_sample_triples_are_distinct_and_in_range(self):
         rng = np.random.default_rng(4)
         for k in (3, 4, 5, 17, 60):
-            t = _sample_triples(rng, k, 2000)
+            t = triples(rng, k, 2000)
             assert t.shape == (2000, 3)
             assert ((t >= 0) & (t < k)).all()
             assert ((t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])).all()
 
     def test_sample_triples_are_uniform_over_subsets(self):
-        t = _sample_triples(np.random.default_rng(11), 5, 20000)
+        t = triples(np.random.default_rng(11), 5, 20000)
         counts = collections.Counter(map(tuple, np.sort(t, axis=1).tolist()))
         assert set(counts) == set(itertools.combinations(range(5), 3))
         assert all(1800 <= c <= 2200 for c in counts.values())
@@ -314,10 +342,8 @@ class TestFilterMatches:
             tgt[row] += 40.0  # huge displacement
         ks = KeypointSet(src.astype(np.float32), np.eye(n, dtype=np.float32), 256, 256)
         kt = KeypointSet(tgt.astype(np.float32), np.eye(n, dtype=np.float32), 256, 256)
-        matches = [(i, i, 2.0) for i in range(n)]
-        stages = ["candidate"] * n
         pair = NeighborhoodPair((0, 0), np.arange(n), np.arange(n))
-        return ks, kt, MatchSet(matches, stages), membership([pair])
+        return ks, kt, diagonal(np.arange(n), score=2.0), membership([pair])
 
     def test_exact_affine_all_survive(self):
         rng = np.random.default_rng(1)
@@ -331,7 +357,7 @@ class TestFilterMatches:
         ks, kt, m, neigh = self._affine_scene(rng, n=20, outlier_rows=(7,))
         fcfg = FilterConfig(rng_seed=5)
         out = filter_matches(m, ks, kt, neigh, fcfg)
-        assert (7, 7) not in [(i, j) for i, j, _ in out.matches]
+        assert (7, 7) not in pair_set(out)
         assert len(out) == 19
         # agreement with the exhaustive all-3-subsets oracle
         src = ks.keypoints.astype(np.float64)
@@ -339,13 +365,13 @@ class TestFilterMatches:
         from linmatch.neighborhood import default_radius
         thr = fcfg.inlier_threshold_factor * default_radius(256, 256)
         oracle = exhaustive_affine_check(src, tgt, thr, fcfg.min_inliers)
-        assert {i for i, _, _ in out.matches} == oracle
+        assert set(out.pairs[:, 0].tolist()) == oracle
 
     def test_subminimal_neighborhood_dropped(self):
         ks = KeypointSet(np.array([[1.0, 1.0], [5.0, 5.0]]), np.eye(2, dtype=np.float32),
                          10, 10)
         kt = KeypointSet(ks.keypoints.copy(), np.eye(2, dtype=np.float32), 10, 10)
-        m = MatchSet([(0, 0, 1.0), (1, 1, 1.0)], ["candidate"] * 2)
+        m = diagonal([0, 1])
         pair = NeighborhoodPair((0, 0), np.array([0, 1]), np.array([0, 1]))
         out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(min_inliers=6))
         assert len(out) == 0
@@ -354,7 +380,7 @@ class TestFilterMatches:
         rng = np.random.default_rng(3)
         ks, kt, m, neigh = self._affine_scene(rng, n=15, outlier_rows=(2, 9))
         out = filter_matches(m, ks, kt, neigh)
-        assert set(out.pairs()) <= set(m.pairs())
+        assert pair_set(out) <= pair_set(m)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(5)
@@ -363,7 +389,7 @@ class TestFilterMatches:
                                FilterConfig(inlier_threshold_factor=0.05, rng_seed=7))
         large = filter_matches(m, ks, kt, neigh,
                                FilterConfig(inlier_threshold_factor=0.5, rng_seed=7))
-        assert set(small.pairs()) <= set(large.pairs())
+        assert pair_set(small) <= pair_set(large)
 
     def test_collinear_neighborhood_has_no_survivors(self):
         n = 12
@@ -371,7 +397,7 @@ class TestFilterMatches:
         src[3] = src[2]  # a duplicate too
         ks = KeypointSet(src, np.eye(n), 256, 256)
         kt = KeypointSet(src + 3.0, np.eye(n), 256, 256)
-        m = MatchSet([(i, i, 1.0) for i in range(n)], ["candidate"] * n)
+        m = diagonal(np.arange(n))
         pair = NeighborhoodPair((0, 0), np.arange(n), np.arange(n))
         out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(min_inliers=3))
         assert len(out) == 0
@@ -392,7 +418,7 @@ class TestFilterMatches:
         assert 0 < len(base) < len(m)
         for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
             out = filter_matches(m, ks, kt, membership([neigh[p] for p in perm]), fcfg)
-            assert out.matches == base.matches and out.stage == base.stage
+            assert same(out, base)
 
     @pytest.mark.parametrize("extra_first", [True, False])
     def test_matches_sharing_a_source_are_all_candidates(self, extra_first):
@@ -400,19 +426,19 @@ class TestFilterMatches:
         src = np.array([[10, 10], [60, 12], [20, 70], [80, 90], [45, 40], [90, 30]], float)
         ks = KeypointSet(src, np.eye(6), 128, 128)
         kt = KeypointSet(np.vstack([src, [[120, 5]]]), np.eye(7), 128, 128)
-        identity = [(i, i, 1.0) for i in range(6)]
-        matches = [(0, 6, 1.0)] + identity if extra_first else identity + [(0, 6, 1.0)]
-        m = MatchSet(matches, ["candidate"] * 7)
+        identity = [(i, i) for i in range(6)]
+        pairs = [(0, 6)] + identity if extra_first else identity + [(0, 6)]
+        m = MatchSet(pairs, np.ones(7), ["candidate"] * 7)
         pair = NeighborhoodPair((0, 0), np.arange(6), np.arange(7))
         out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(rng_seed=2))
-        assert out.pairs() == [(i, i) for i in range(6)]
+        assert out.pairs.tolist() == [[i, i] for i in range(6)]
 
     def test_determinism_same_seed(self):
         rng = np.random.default_rng(6)
         ks, kt, m, neigh = self._affine_scene(rng, n=25, outlier_rows=(3, 11, 20))
         a = filter_matches(m, ks, kt, neigh, FilterConfig(rng_seed=9))
         b = filter_matches(m, ks, kt, neigh, FilterConfig(rng_seed=9))
-        assert a.matches == b.matches
+        assert same(a, b)
 
 
 class TestMatchPipeline:
@@ -437,7 +463,7 @@ class TestMatchPipeline:
 
         cfg = NetworkConfig(input_dim=dim, hidden_dim=8, heads=2, l1=1, l2=1)
         weights = init_weights(cfg, seed=0, dtype=np.float64)
-        ncfg = NeighborhoodConfig(r=radius, r_s=radius, r_t=radius)
+        ncfg = NeighborhoodConfig(r=radius, r_t=radius)
         out = match_pipeline(ks, kt, weights, cfg, ncfg,
                              fcfg=FilterConfig(min_inliers=3))
         res = evaluate(out, gt, Homography(np.eye(3)), ks, kt)
@@ -471,7 +497,7 @@ class TestMatchPipeline:
         dm = match_pipeline(ks, kt, weights, cfg, skip_filter=True)
         filt = match_pipeline(ks, kt, weights, cfg,
                               fcfg=FilterConfig(min_inliers=3))
-        assert set(filt.pairs()) <= set(dm.pairs())
+        assert pair_set(filt) <= pair_set(dm)
 
     def test_production_path_builds_no_neighborhood_records(self, monkeypatch):
         """From the build through the pairwise layers and the filter, only the
@@ -497,7 +523,7 @@ class TestMatchPipeline:
             list(membership([NeighborhoodPair((0, 0), [0], [0])]))
         out, loss, grads = run()
         assert want[0].stage.count("verified") > 10  # the filter kept matches
-        assert (out.matches, out.stage, loss) == (want[0].matches, want[0].stage, want[1])
+        assert same(out, want[0]) and loss == want[1]
         assert all(np.array_equal(a, b) for a, b in zip(grads, want[2], strict=True))
 
 
@@ -514,7 +540,7 @@ class TestEvaluate:
 
     def test_constructed_errors(self):
         ks, kt = self._scene()
-        m = MatchSet([(i, i, 1.0) for i in range(4)], ["verified"] * 4)
+        m = diagonal(range(4), stage="verified")
         gt = GroundTruth([(0, 0), (1, 1)])
         res = evaluate(m, gt, Homography(np.eye(3)), ks, kt)
         assert res.mma[3] == 0.5  # errors 0.5 and 2 within 3 px; 4 and 20 beyond
@@ -527,7 +553,7 @@ class TestEvaluate:
 
     def test_all_correct(self):
         ks, _ = self._scene()
-        m = MatchSet([(i, i, 1.0) for i in range(4)], ["verified"] * 4)
+        m = diagonal(range(4), stage="verified")
         gt = GroundTruth([(i, i) for i in range(4)])
         res = evaluate(m, gt, Homography(np.eye(3)), ks, ks)
         assert all(v == 1.0 for v in res.mma.values())
@@ -535,7 +561,7 @@ class TestEvaluate:
 
     def test_empty_matchset(self):
         ks, kt = self._scene()
-        res = evaluate(MatchSet([], []), GroundTruth([(0, 0)]), Homography(np.eye(3)),
+        res = evaluate(MatchSet([], [], []), GroundTruth([(0, 0)]), Homography(np.eye(3)),
                        ks, kt)
         assert res.num_matches == 0
         assert res.precision == 0.0
@@ -544,12 +570,26 @@ class TestEvaluate:
 
 class TestMatchSetType:
     def test_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            MatchSet([(0, 1, 1.0), (0, 1, 2.0)], ["seed", "seed"])
+        with pytest.raises(ValueError, match=r"duplicate match \(0, 1\)"):
+            MatchSet([(0, 1), (0, 1)], [1.0, 2.0], ["seed", "seed"])
+
+    def test_duplicate_row_of_an_array_rejected(self):
+        pairs = np.array([[0, 1], [1, 0], [2, 1], [0, 2], [1, 0]])  # rows 1 and 4 repeat
+        with pytest.raises(ValueError, match=r"duplicate match \(1, 0\)"):
+            MatchSet(pairs, np.ones(5), ["candidate"] * 5)
+        assert len(MatchSet(pairs[:4], np.ones(4), ["candidate"] * 4)) == 4
+
+    def test_other_shapes_rejected(self):
+        with pytest.raises(ValueError, match="rows of"):
+            MatchSet(np.zeros((2, 3), dtype=np.intp), np.ones(2), ["seed"] * 2)
+        with pytest.raises(ValueError, match="one score"):
+            MatchSet([(0, 1), (1, 2)], np.ones(3), ["seed"] * 2)
+        with pytest.raises(ValueError, match="one score"):
+            MatchSet([(0, 1), (1, 2)], np.ones(2), ["seed"])
 
     def test_unknown_stage_rejected(self):
         with pytest.raises(ValueError):
-            MatchSet([(0, 1, 1.0)], ["wild"])
+            MatchSet([(0, 1)], [1.0], ["wild"])
 
     def test_filter_config_validation(self):
         with pytest.raises(ValueError):
@@ -562,13 +602,14 @@ class TestMatchSetType:
 
 class TestMatchFiles:
     def test_round_trip(self, tmp_path):
-        m = MatchSet([(0, 3, 1.5), (2, 1, np.inf), (4, 4, 0.25)],
+        m = MatchSet([(0, 3), (2, 1), (4, 4)], [1.5, np.inf, 0.25],
                      ["seed", "candidate", "verified"])
         p = tmp_path / "m.csv"
         write_matches(p, m)
+        assert p.read_text().splitlines() == ["i,j,score,stage", "0,3,1.5,seed",
+                                              "2,1,inf,candidate", "4,4,0.25,verified"]
         loaded = read_matches(p)
-        assert loaded.matches == [(0, 3, 1.5), (2, 1, np.inf), (4, 4, 0.25)]
-        assert loaded.stage == m.stage
+        assert loaded.pairs.dtype == np.intp and same(loaded, m)
 
     def test_header_enforced(self, tmp_path):
         p = tmp_path / "bad.csv"

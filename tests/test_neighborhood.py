@@ -426,7 +426,7 @@ class TestBuildNeighborhoods:
         ks = np.array([[10.0, 10.0]])
         kt = np.array([[20.0, 20.0]])
         m = RatioMatchSet([(0, 0)], [2.0])
-        cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0)
+        cfg = NeighborhoodConfig(r=5.0, r_t=5.0)
         pairs = build_neighborhoods(np.array([0]), m, ks, kt, cfg)
         assert len(pairs) == 1
         assert pairs[0].seed == (0, 0)
@@ -436,7 +436,7 @@ class TestBuildNeighborhoods:
     def test_huge_lambda_covers_everything(self):
         rng = np.random.default_rng(6)
         ks, kt, m = self._scene(rng, 30)
-        cfg = NeighborhoodConfig(lam=1e9, r=10.0, r_s=10.0, r_t=10.0)
+        cfg = NeighborhoodConfig(lam=1e9, r=10.0, r_t=10.0)
         pairs = build_neighborhoods(np.array([0, 5]), m, ks, kt, cfg)
         for p in pairs:
             assert len(p.source_set) == 30
@@ -445,7 +445,7 @@ class TestBuildNeighborhoods:
     def test_matches_brute_force_double_filter(self):
         rng = np.random.default_rng(7)
         ks, kt, m = self._scene(rng, 60)
-        cfg = NeighborhoodConfig(lam=2.0, r=15.0, r_s=15.0, r_t=15.0)
+        cfg = NeighborhoodConfig(lam=2.0, r=15.0, r_t=15.0)
         seeds = select_seeds(m, ks, cfg.r)
         pairs = build_neighborhoods(seeds, m, ks, kt, cfg)
         assert len(pairs) == len(seeds)
@@ -453,7 +453,7 @@ class TestBuildNeighborhoods:
             p1, p2 = m.matches[pos]
             expect_src, expect_tgt = [], []
             for (q1, q2) in m.matches:
-                if np.linalg.norm(ks[q1] - ks[p1]) <= cfg.lam * cfg.r_s and \
+                if np.linalg.norm(ks[q1] - ks[p1]) <= cfg.lam * cfg.r and \
                         np.linalg.norm(kt[q2] - kt[p2]) <= cfg.lam * cfg.r_t:
                     expect_src.append(q1)
                     expect_tgt.append(q2)
@@ -463,7 +463,7 @@ class TestBuildNeighborhoods:
     def test_seed_always_member(self):
         rng = np.random.default_rng(8)
         ks, kt, m = self._scene(rng, 40)
-        cfg = NeighborhoodConfig(r=10.0, r_s=10.0, r_t=10.0)
+        cfg = NeighborhoodConfig(r=10.0, r_t=10.0)
         seeds = select_seeds(m, ks, cfg.r)
         for pos, p in zip(seeds, build_neighborhoods(seeds, m, ks, kt, cfg)):
             assert p.seed[0] in p.source_set
@@ -474,9 +474,9 @@ class TestBuildNeighborhoods:
         ks, kt, m = self._scene(rng, 50)
         seeds = select_seeds(m, ks, 12.0)
         small = build_neighborhoods(seeds, m, ks, kt,
-                                    NeighborhoodConfig(lam=1.0, r=12.0, r_s=12.0, r_t=12.0))
+                                    NeighborhoodConfig(lam=1.0, r=12.0, r_t=12.0))
         large = build_neighborhoods(seeds, m, ks, kt,
-                                    NeighborhoodConfig(lam=3.0, r=12.0, r_s=12.0, r_t=12.0))
+                                    NeighborhoodConfig(lam=3.0, r=12.0, r_t=12.0))
         for p_small, p_large in zip(small, large):
             assert set(p_small.source_set) <= set(p_large.source_set)
             assert set(p_small.target_set) <= set(p_large.target_set)
@@ -493,7 +493,7 @@ def loop_neighborhoods(seeds, m, source_keypoints, target_keypoints, cfg):
     src_idx, tgt_idx = m.matches.T
     sp = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
-    rs2 = (cfg.lam * cfg.r_s) ** 2
+    rs2 = (cfg.lam * cfg.r) ** 2
     rt2 = (cfg.lam * cfg.r_t) ** 2
     out = []
     for pos in seeds:
@@ -533,7 +533,7 @@ class TestNeighborhoodOracle:
 
     def test_bounds_are_inclusive_to_the_ulp(self):
         # seed at (50, 50) on both sides; lambda*R_s = 10 and lambda*R_t = 5
-        cfg = NeighborhoodConfig(lam=2.0, r=5.0, r_s=5.0, r_t=2.5)
+        cfg = NeighborhoodConfig(lam=2.0, r=5.0, r_t=2.5)
         up = np.nextafter(58.0, np.inf)
         src = [(50, 50), (56, 58), (56, up), (60, 50), (np.nextafter(60.0, np.inf), 50),
                (40, 50), (50, 51), (50, 51), (44, 42)]
@@ -554,7 +554,7 @@ class TestNeighborhoodOracle:
         rng = np.random.default_rng(21)
         ks, kt = rng.uniform(0, 60, size=(80, 2)), rng.uniform(0, 60, size=(80, 2))
         m = RatioMatchSet([(i, i) for i in range(80)], rng.uniform(1, 4, size=80))
-        cfg = NeighborhoodConfig(lam=2.0, r=8.0, r_s=8.0, r_t=30.0)
+        cfg = NeighborhoodConfig(lam=2.0, r=8.0, r_t=30.0)
         seeds = select_seeds(m, ks, cfg.r)
         got = list(assert_same_as_loop(seeds, m, ks, kt, cfg))
         assert any(np.intersect1d(a.source_set, b.source_set).size
@@ -566,7 +566,7 @@ class TestNeighborhoodOracle:
         m = RatioMatchSet(np.column_stack([rng.permutation(90)[:60], rng.permutation(70)[:60]]),
                           rng.uniform(1, 4, size=60))
         assert (np.diff(m.matches[:, 0]) < 0).any()
-        cfg = NeighborhoodConfig(lam=2.0, r=10.0, r_s=10.0, r_t=40.0)
+        cfg = NeighborhoodConfig(lam=2.0, r=10.0, r_t=40.0)
         seeds = rng.permutation(select_seeds(m, ks, cfg.r))
         assert len(assert_same_as_loop(seeds, m, ks, kt, cfg)) == len(seeds)
 
@@ -575,7 +575,7 @@ class TestNeighborhoodOracle:
         ks = np.array([[0.0, 0.0], [1.0, 1.0], [value, 2.0], [3.0, 3.0], [2.0, 2.0]])
         kt = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, value], [2.0, value]])
         m = RatioMatchSet([(i, i) for i in range(5)], np.ones(5))
-        cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0)
+        cfg = NeighborhoodConfig(r=5.0, r_t=5.0)
         got = assert_same_as_loop(np.array([2, 0, 3, 1]), m, ks, kt, cfg)
         # seeds 2 and 3 have a non-finite point of their own, so no members
         assert [p.seed for p in got] == [(0, 0), (1, 1)]
@@ -593,7 +593,7 @@ class TestNeighborhoodOracle:
             assert len(assert_same_as_loop(seeds, m, ks, kt, cfg)) == len(seeds)
 
     def test_no_seeds_or_no_matches(self):
-        cfg = NeighborhoodConfig(r=5.0, r_s=5.0, r_t=5.0)
+        cfg = NeighborhoodConfig(r=5.0, r_t=5.0)
         m = RatioMatchSet([(0, 0)], [1.0])
         assert len(assert_same_as_loop(np.zeros(0, dtype=np.intp), m, np.zeros((1, 2)),
                                        np.zeros((1, 2)), cfg)) == 0
@@ -615,12 +615,12 @@ class TestConfig:
     def test_resolved_fills_radii(self):
         cfg = NeighborhoodConfig().resolved_pair((100, 100), (100, 100))
         np.testing.assert_allclose(cfg.r, default_radius(100, 100))
-        assert cfg.r_s == cfg.r_t == cfg.r
+        assert cfg.r_t == cfg.r
 
     def test_resolved_respects_explicit(self):
-        cfg = NeighborhoodConfig(r=7.0).resolved_pair((100, 100), (100, 100))
+        cfg = NeighborhoodConfig(r=7.0).resolved_pair((100, 100), (300, 200))
         assert cfg.r == 7.0
-        np.testing.assert_allclose(cfg.r_s, default_radius(100, 100))
+        np.testing.assert_allclose(cfg.r_t, default_radius(300, 200))
 
 
 @settings(max_examples=25, deadline=None)

@@ -40,10 +40,10 @@ CASES = {
 def test_every_patched_span_records_with_numeric_counts(case):
     work, tracer = CASES[case](), spans.Tracer()
     work.setup(0, tracer)
-    work.prepare(0)
     with tracer.installed(work.patches):
-        out = work.call(0)
-    assert work.check(0, out) is None
+        for _ in range(2):  # the first check stores the output, the second compares with it
+            work.prepare(0)
+            assert work.check(0, work.call(0)) is None
     recorded = {s.name for s in tracer.spans}
     assert {name for _, _, name, _ in work.patches} <= recorded
     for _, _, name, count in work.patches:

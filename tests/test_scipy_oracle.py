@@ -72,11 +72,11 @@ def kdtree_neighborhoods(seeds, m, source_keypoints, target_keypoints, cfg):
     seeds = seeds[np.isfinite(sp[seeds]).all(axis=1) & np.isfinite(tp[seeds]).all(axis=1)]
     finite = np.flatnonzero(np.isfinite(sp).all(axis=1))
     near = cKDTree(sp[seeds]).sparse_distance_matrix(
-        cKDTree(sp[finite]), cfg.lam * cfg.r_s * (1 + 1e-9), output_type="ndarray")
+        cKDTree(sp[finite]), cfg.lam * cfg.r * (1 + 1e-9), output_type="ndarray")
     row, pos = near["i"], finite[near["j"]]
     ds = ((sp[pos] - sp[seeds[row]]) ** 2).sum(axis=1)
     dt = ((tp[pos] - tp[seeds[row]]) ** 2).sum(axis=1)
-    member = (ds <= (cfg.lam * cfg.r_s) ** 2) & (dt <= (cfg.lam * cfg.r_t) ** 2)
+    member = (ds <= (cfg.lam * cfg.r) ** 2) & (dt <= (cfg.lam * cfg.r_t) ** 2)
     return [((int(src_idx[s]), int(tgt_idx[s])), np.sort(src_idx[pos[member & (row == k)]]),
              np.sort(tgt_idx[pos[member & (row == k)]])) for k, s in enumerate(seeds)]
 
@@ -104,7 +104,7 @@ def test_seeds_and_neighborhoods_match_kdtree():
     for case in range(250):
         ks, kt, m = random_matches(rng)
         r = float(rng.choice([1.0, 5.0, rng.uniform(2, 60)]))
-        cfg = NeighborhoodConfig(lam=float(rng.uniform(0.5, 3)), r=r, r_s=r,
+        cfg = NeighborhoodConfig(lam=float(rng.uniform(0.5, 3)), r=r,
                                  r_t=float(rng.uniform(2, 60)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning from non-finite points
