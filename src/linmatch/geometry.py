@@ -30,6 +30,8 @@ _KPDS_VERSION = 1
 _ROW_LIMIT = 1 << 24  # positions clip here, in rows, so a key fits int64
 _ROW_STRIDE = 1 << 34  # key distance between rows: more than 512 * (_ROW_LIMIT + 4)
 _ALL_PAIRS = 1 << 12  # up to this many pairs, near_pairs returns them all
+# NumPy's normal draws lie within 14 standard deviations, so base + noise stays a finite float32
+_DESC_SIGMA_MAX = float(np.finfo(np.float32).max) / 64
 
 
 @dataclass
@@ -120,6 +122,8 @@ class GenNoiseConfig:
         require_int("distractors", self.distractors, 0)
         if not (0 <= self.desc_sigma < np.inf and 0 <= self.jitter_sigma < np.inf):
             raise ValueError("noise magnitudes must be finite and non-negative")
+        if self.desc_sigma > _DESC_SIGMA_MAX:
+            raise ValueError(f"desc_sigma above {_DESC_SIGMA_MAX:.3g} overflows float32 descriptors")
 
 
 def apply_homography(h: Homography, points) -> tuple[np.ndarray, np.ndarray]:

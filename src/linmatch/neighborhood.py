@@ -26,18 +26,20 @@ One distance table per chunk of source rows serves both directions: rows
 give the nearest and second-nearest target, columns the nearest source.  The
 table is one product in the encodings' own dtype (float32 in the pipeline,
 float64 in training), [-2a | aa | 1] @ [b | 1 | bb]^T, and it only picks
-candidates.  Each entry lies within E of the squared distance, where
-E = (gamma_{C+6} + gamma_{3C+6} of float64) * (max|a| + max|b|)^2 and
-gamma_k = k*u / (1 - k*u) is the dot-product error bound (Higham, Accuracy
-and Stability of Numerical Algorithms, section 3.1); the slack over
-gamma_{C+2} covers rounding the squared norms and the window's threshold,
-and the float64 term the exact distances themselves.  So a row's two nearest
+candidates.  Each entry lies within E of the squared distance recomputed by
+direct subtraction in dtype d, where E = (gamma_{C+6} of the table's dtype +
+gamma_{3C+6} of d) * (max|a| + max|b|)^2 and gamma_k = k*u / (1 - k*u) is the
+dot-product error bound (Higham, Accuracy and Stability of Numerical
+Algorithms, section 3.1); the slack over gamma_{C+2} covers rounding the
+squared norms and the window's threshold, and the d term the recomputed
+distances.  `_augmented` builds the product and the window 2E for both its
+callers, `_mutual_nearest` (d = float64) and `training.triplet_loss`'s
+hardest-negative search (d = the encodings' dtype).  Here a row's two nearest
 targets lie within 2E of its second-smallest entry, and a column's nearest
 source within 2E of its smallest.  Every entry inside those windows is
-recomputed by direct subtraction in float64, as np.linalg.norm(a_i - b_j),
-and the exact distances decide: the lower index wins an exact tie, and a
-later chunk takes a column only when strictly closer.  NaN or inf encodings
-are rejected.
+recomputed as np.linalg.norm(a_i - b_j) in float64, and the exact distances
+decide: the lower index wins an exact tie, and a later chunk takes a column
+only when strictly closer.  NaN or inf encodings are rejected.
 """
 
 from __future__ import annotations
@@ -106,13 +108,34 @@ def _gamma(k: int, dtype) -> float:
     return ku / (1 - ku)
 
 
-def _exact(a, b, rows, cols, batch):
-    """Distances from a[rows] to b[cols] by direct subtraction in f64, `batch` pairs at a time."""
-    out = np.empty(len(rows))
+def _exact(a, b, rows, cols, batch, dtype=np.float64):
+    """Squared distances from a[rows] to b[cols] by direct subtraction in `dtype`,
+    ((a - b) ** 2).sum(axis=-1) bit for bit, `batch` pairs at a time."""
+    out = np.empty(len(rows), dtype)
     for s in range(0, len(rows), batch):
-        diff = np.subtract(a[rows[s:s + batch]], b[cols[s:s + batch]], dtype=np.float64)
-        out[s:s + batch] = np.sqrt((diff * diff).sum(axis=1))  # np.linalg.norm(diff, axis=1)
+        diff = np.subtract(a[rows[s:s + batch]], b[cols[s:s + batch]], dtype=dtype)
+        out[s:s + batch] = (diff * diff).sum(axis=1)
     return out
+
+
+def _augmented(a: np.ndarray, b: np.ndarray, exact):
+    """(lhs, rhs, window): lhs @ rhs.T = [-2a | aa | 1] @ [b | 1 | bb]^T in a and b's dtype
+    (float64 if its squares could overflow), and twice its error bound against `_exact` in
+    dtype `exact`; inf when no bound holds (a non-finite row, or squares overflowing `exact`)."""
+    c = a.shape[1]
+    aa = np.einsum("ij,ij->i", a, a, dtype=np.float64)
+    bb = np.einsum("ij,ij->i", b, b, dtype=np.float64)
+    # (max|a| + max|b|)^2 bounds every |x|.|y| of the augmented product
+    reach = (np.sqrt(aa.max()) + np.sqrt(bb.max())) ** 2
+    dt = np.result_type(a, b)
+    if not reach < np.finfo(dt).max / 4:
+        dt = np.dtype(np.float64)
+    lhs = np.column_stack([-2 * a, aa.astype(dt), np.ones(len(a), dt)])
+    rhs = np.column_stack([b, np.ones(len(b), dt), bb.astype(dt)])
+    if not reach < np.finfo(exact).max / 4:
+        return lhs, rhs, dt.type(np.inf)
+    g = _gamma(c + 6, dt) + _gamma(3 * c + 6, exact)  # see the module docstring
+    return lhs, rhs, dt.type(2 * (g * reach + (c + 3) * np.finfo(dt).smallest_subnormal))
 
 
 def _mutual_nearest(a: np.ndarray, b: np.ndarray):
@@ -125,35 +148,18 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
     window of the second is crowded, and all its entries within the window
     are recomputed.  Masks, candidate lists and exact batches are cut to
     O((n + m) * C) entries, so the scratch stays one table plus that, even
-    when every distance ties.  The table falls back to float64 when float32
-    squares could overflow.
+    when every distance ties.
     """
     n, m, c = a.shape[0], b.shape[0], a.shape[1]
-    aa = np.einsum("ij,ij->i", a, a, dtype=np.float64)
-    bb = np.einsum("ij,ij->i", b, b, dtype=np.float64)
-    # (max|a| + max|b|)^2 bounds every |x|.|y| of the augmented product below
-    reach = (np.sqrt(aa.max()) + np.sqrt(bb.max())) ** 2
-    dt = np.result_type(a, b)
-    if not reach < np.finfo(dt).max / 4:
-        dt = np.dtype(np.float64)
-        if not reach < np.finfo(dt).max / 4:
-            raise ValueError("non-finite distances: encodings too large to compare")
-    # one product gives aa - 2ab + bb: [-2a | aa | 1] @ [b | 1 | bb]^T
-    lhs = np.empty((n, c + 2), dt)
-    np.multiply(a, -2, out=lhs[:, :c])
-    lhs[:, c], lhs[:, c + 1] = aa, 1
-    rhs = np.empty((m, c + 2), dt)
-    rhs[:, :c], rhs[:, c], rhs[:, c + 1] = b, 1, bb
-    # twice the bound on |table - exact| (see the module docstring)
-    g = _gamma(c + 6, dt) + _gamma(3 * c + 6, np.float64)
-    window = dt.type(2 * (g * reach + (c + 3) * np.finfo(dt).smallest_subnormal))
-
+    lhs, rhs, window = _augmented(a, b, np.float64)
+    if window == np.inf:
+        raise ValueError("non-finite distances: encodings too large to compare")
     span = max(1 << 16, (n + m) * c)  # scratch entries: masks, candidate lists, exact batches
     batch, cap, step = max(1, span // max(8 * c, 1)), span // 8, max(1, span // m)
     j1, d1, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.full(n, np.inf)
-    col_t, col_d, col_i = np.full(m, np.inf, dt), np.full(m, np.inf), np.zeros(m, dtype=np.intp)
+    col_t, col_d, col_i = np.full(m, np.inf, lhs.dtype), np.full(m, np.inf), np.zeros(m, dtype=np.intp)
     chunk = min(n, max(1, _CHUNK_ENTRIES // m))
-    table = np.empty((chunk, m), dt)  # reused: a fresh one faults every page
+    table = np.empty((chunk, m), lhs.dtype)  # reused: a fresh one faults every page
     for s in range(0, n, chunk):
         e = min(n, s + chunk)
         block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
@@ -168,7 +174,7 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
                 groups = ((np.full(k.sum(), i), np.flatnonzero(k)) for i, k in enumerate(keep))
             for rows, cols in groups:
                 rows += s + p
-                dist = _exact(a, b, rows, cols, batch)
+                dist = np.sqrt(_exact(a, b, rows, cols, batch))
                 closer = dist < col_d[cols]  # a later row must be strictly closer
                 rows, cols, dist = rows[closer], cols[closer], dist[closer]
                 np.minimum.at(col_d, cols, dist)
@@ -179,7 +185,7 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
         ar = np.arange(e - s)
         i1 = block.argmin(axis=1)
         if m == 1:
-            j1[s:e], d1[s:e] = i1, _exact(a, b, s + ar, i1, batch)
+            j1[s:e], d1[s:e] = i1, np.sqrt(_exact(a, b, s + ar, i1, batch))
             continue
         v1 = block[ar, i1]
         block[ar, i1] = np.inf
@@ -188,14 +194,14 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
         block[ar, i2] = np.inf
         crowded = np.flatnonzero(block.min(axis=1) <= v2 + window)
         block[ar, i1], block[ar, i2] = v1, v2
-        dist = _exact(a, b, np.concatenate([ar, ar]) + s, np.concatenate([i1, i2]), batch)
+        dist = np.sqrt(_exact(a, b, np.concatenate([ar, ar]) + s, np.concatenate([i1, i2]), batch))
         r1, r2 = dist[:e - s], dist[e - s:]
         swap = (r2 < r1) | ((r2 == r1) & (i2 < i1))
         j1[s:e] = np.where(swap, i2, i1)
         d1[s:e], d2[s:e] = np.minimum(r1, r2), np.maximum(r1, r2)
         for i in crowded:
             cols = np.flatnonzero(block[i] <= v2[i] + window)
-            dist = _exact(a, b, np.full(len(cols), s + i), cols, batch)
+            dist = np.sqrt(_exact(a, b, np.full(len(cols), s + i), cols, batch))
             k1 = dist.argmin()  # cols ascend, so argmin keeps the lower index of a tie
             j1[s + i], d1[s + i] = cols[k1], dist[k1]
             dist[k1] = np.inf

@@ -14,9 +14,15 @@ are never rewarded).  Gradients flow through s_c by default; a config flag
 detaches it.
 
 Subgradient conventions: hinges contribute zero gradient at the kink; the
-hardest-negative argmin is selected on detached values with ties broken
-toward the lowest index (and toward the target side between the two
-directional minima), so gradients flow through exactly one negative.
+hardest negative is np.argmin of a row of detached squared distances, so ties
+go to the lowest index (and to the target side between the two directional
+minima), and gradients flow through exactly one negative.  As in HardNet
+(arXiv:1705.10872), the rows come from one distance table, built a chunk of
+ground-truth rows at a time by the product of `neighborhood._augmented`, whose
+window bounds its error: every entry within the window of its row's minimum is
+recomputed as the loss ranks it, ((a - b) ** 2).sum(axis=-1) in the
+encodings' dtype, so the true minimum is among them and the choice is exact.
+A NaN or inf row voids the window, and then every entry is recomputed.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import neighborhood as nb
 from .autodiff import Tensor, as_tensor
 from .encoder import NetworkConfig, NetworkWeights, forward, init_weights
 from .geometry import GroundTruth
@@ -51,11 +58,35 @@ class LossConfig:
             raise ValueError("decay must lie in (0, 1]")
 
 
+def _hardest_negatives(a: np.ndarray, b: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Per row i of a, np.argmin of ((a_i - b) ** 2).sum(axis=-1) with entry partner[i]
+    set to inf, computed a chunk of rows at a time, never as a (len(a), len(b), C) table."""
+    dt = np.result_type(a, b)
+    lhs, rhs, window = nb._augmented(a, b, dt)
+    chunk = min(len(a), max(1, nb._CHUNK_ENTRIES // len(b)))
+    table = np.empty((chunk, len(b)), lhs.dtype)  # the search's largest buffer
+    ad.note_alloc(table)
+    out = np.empty(len(a), dtype=np.intp)
+    for s in range(0, len(a), chunk):
+        e = min(len(a), s + chunk)
+        ar, skip = np.arange(e - s), partner[s:e]
+        with np.errstate(invalid="ignore", over="ignore"):  # from non-finite or huge rows
+            block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
+            block[ar, skip] = np.inf
+            keep = ~(block > (block.min(axis=1) + window)[:, None])  # NaN keeps its whole row
+        rows, cols = np.nonzero(keep)  # any other entry exceeds the row's least exact value
+        block[rows, cols] = nb._exact(a, b, rows + s, cols, max(1, table.size // a.shape[1]), dt)
+        block[ar, skip] = np.inf  # a void window recomputed the partner too
+        out[s:e] = block.argmin(axis=1)
+    return out
+
+
 def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     """Mean of confidence-weighted ranking losses over all GT correspondences.
 
     Vectorized over correspondences: negatives are located on detached
-    descriptor values, then only the selected rows enter the graph.
+    descriptor values by `_hardest_negatives` (exact; see the module
+    docstring), then only the selected rows enter the graph.
     """
     if len(gt.pairs) == 0:
         raise ValueError("need at least one ground-truth correspondence")
@@ -70,13 +101,8 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     i_arr, j_arr = gt.pairs.T
 
     xsd, xtd = xs.data, xt.data
-    # squared-distance tables on detached data, GT partner masked out
-    d_st = ((xsd[i_arr][:, None, :] - xtd[None, :, :]) ** 2).sum(axis=2)
-    d_st[np.arange(len(i_arr)), j_arr] = np.inf
-    k_t = d_st.argmin(axis=1)
-    d_ts = ((xtd[j_arr][:, None, :] - xsd[None, :, :]) ** 2).sum(axis=2)
-    d_ts[np.arange(len(j_arr)), i_arr] = np.inf
-    k_s = d_ts.argmin(axis=1)
+    k_t = _hardest_negatives(xsd[i_arr], xtd, j_arr)
+    k_s = _hardest_negatives(xtd[j_arr], xsd, i_arr)
 
     a = ad.gather_rows(xs, i_arr)
     b = ad.gather_rows(xt, j_arr)

@@ -7,6 +7,8 @@ inputs in their order, so the tests require equal outputs and gradients, bit
 for bit.  The ops here are checked against finite differences in
 `test_autodiff.py`.  `membership` builds the arrays that the attention ops
 and the filter take from a readable list of `NeighborhoodPair`.
+`hardest_negatives` searches the loss's negatives on one full difference
+table per direction: the oracle of `training._hardest_negatives`.
 """
 
 import numpy as np
@@ -27,6 +29,14 @@ def membership(pairs) -> Membership:
     seeds, *sides = list(zip(*pairs)) or [(), (), ()]  # seeds, source sets, target sets
     return Membership(seeds, *(Segments(np.concatenate(s or [[]]), list(map(len, s)))
                                for s in sides))
+
+
+def hardest_negatives(a, b, partner):
+    """Per row i of a, np.argmin over the (len(a), len(b), C) difference table's squared
+    distances, with entry partner[i] set to inf."""
+    d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    d[np.arange(len(a)), partner] = np.inf
+    return d.argmin(axis=1)
 
 
 def div(a, b):

@@ -483,6 +483,26 @@ def test_infinite_noise_magnitude_is_usage_error(tmp_path, capsys, command, key,
     assert not list(tmp_path.glob("o/*"))  # nothing written
 
 
+# a finite descriptor noise so large that the float32 target descriptors overflow once
+# ended in a `descriptors must be finite` traceback; as a flag or a config key it is a
+# usage error of one line
+@pytest.mark.parametrize("command", ["synth", "train-toy"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_overflowing_descriptor_noise_is_usage_error(tmp_path, capsys, command, source):
+    argv = [command, *{"synth": SYNTH_ARGS, "train-toy": TRAIN_ARGS}[command]]
+    if source == "flag":
+        argv += ["--desc-sigma", "1e308"]
+    else:
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"noise": {"desc_sigma": 1e308}}))
+        argv += ["--config", cfg]
+    assert run_cli([*argv, "-o", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid noise config: desc_sigma")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("o/*"))
+
+
 def test_source_radius_has_one_key(tmp_path, capsys, match_argv):
     cfg = tmp_path / "r_s.json"
     cfg.write_text(json.dumps({"neighborhood": {"r_s": 5.0}}))

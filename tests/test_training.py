@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+import reference_ops as ref
 
+import linmatch.autodiff as ad
+import linmatch.neighborhood as neighborhood
+import linmatch.training as training
 from linmatch.autodiff import Tensor
 from linmatch.encoder import EncodedPair, NetworkConfig, init_weights
 from linmatch.geometry import GenNoiseConfig, GroundTruth, generate_pair
@@ -83,6 +87,121 @@ def test_triplet_loss_matches_exhaustive_oracle():
         want = oracle_triplet(enc.xs_hat, enc.xt_hat, enc.fs_hat, enc.ft_hat,
                               gt.pairs, cfg)
         assert np.isclose(got, want, rtol=1e-10), f"trial {trial}"
+
+
+def tie_heavy_encodings(kind, dtype, rng, n=13, m=11, c=5):
+    """(xs, xt) of one of five kinds; correspondences are the pairs (k, k)."""
+    if kind == "integer":  # few distinct distances, so exact ties everywhere
+        xs, xt = rng.integers(-2, 3, size=(n, c)), rng.integers(-2, 3, size=(m, c))
+    elif kind == "near-tie":  # far from the origin, xt rows but the partner of xs[0]
+        xs = 100 + rng.normal(size=(n, c)) * 1e-3  # within rounding of distance 3 from it
+        u = rng.normal(size=(m, c))
+        xt = xs[0] + 3 * u / np.linalg.norm(u, axis=1, keepdims=True)
+        xt[0] = xs[0]
+    else:
+        xs, xt = rng.normal(size=(n, c)), rng.normal(size=(m, c))
+    if kind == "duplicated":  # every row has copies
+        xs, xt = xs[rng.integers(0, 3, n)], xt[rng.integers(0, 4, m)]
+    if kind == "partner-tie":  # pair (0, 0) has distance 0, and so has a copy on each side
+        xs[1] = xt[0] = xt[1] = xs[0]
+    return xs.astype(dtype), xt.astype(dtype)
+
+
+def loss_and_grads(xs, xt, fs, ft, gt):
+    tensors = [Tensor(x.copy(), requires_grad=True) for x in (xs, xt, fs, ft)]
+    loss = triplet_loss(EncodedPair(*tensors), gt, LossConfig(m_p=0.2, m_n=5.0))
+    loss.backward()
+    return loss.data, [t.grad for t in tensors]
+
+
+KINDS = ["random", "integer", "near-tie", "duplicated", "partner-tie"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pairs", [1, 9])
+@pytest.mark.parametrize("rows_per_chunk", [None, 2])
+def test_hardest_negatives_equal_the_difference_table_argmin(monkeypatch, kind, dtype, pairs,
+                                                              rows_per_chunk):
+    rng = np.random.default_rng([KINDS.index(kind), pairs])
+    xs, xt = tie_heavy_encodings(kind, dtype, rng)
+    fs, ft = (np.abs(rng.normal(size=(len(x), 3))).astype(dtype) for x in (xs, xt))
+    i_arr = j_arr = np.arange(pairs)
+    gt = GroundTruth(pairs=np.column_stack([i_arr, j_arr]))
+    if rows_per_chunk is not None:  # ground-truth rows span several chunks per direction
+        monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", rows_per_chunk * len(xs))
+    k_t = training._hardest_negatives(xs[i_arr], xt, j_arr)
+    k_s = training._hardest_negatives(xt[j_arr], xs, i_arr)
+    np.testing.assert_array_equal(k_t, ref.hardest_negatives(xs[i_arr], xt, j_arr))
+    np.testing.assert_array_equal(k_s, ref.hardest_negatives(xt[j_arr], xs, i_arr))
+    if kind == "partner-tie":
+        assert k_t[0] == 1 and k_s[0] == 1
+    got = loss_and_grads(xs, xt, fs, ft, gt)
+    monkeypatch.setattr(training, "_hardest_negatives", ref.hardest_negatives)
+    want = loss_and_grads(xs, xt, fs, ft, gt)
+    assert got[0].dtype == dtype and got[0] == want[0]
+    for g, w in zip(got[1], want[1]):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_non_finite_row_keeps_the_difference_table_negatives(bad, dtype):
+    """Each row of the search keeps a candidate: a NaN or inf row voids the error bound,
+    and the negatives stay np.argmin's on the full table (the first NaN wins)."""
+    rng = np.random.default_rng(5)
+    xs, xt = tie_heavy_encodings("random", dtype, rng)
+    pairs = np.array([[0, 0], [3, 4], [5, 2], [7, 9]])
+    for row in (3, 8):  # a ground-truth source, and a row outside the ground truth
+        bad_xs = xs.copy()
+        bad_xs[row, 1] = bad
+        i_arr, j_arr = pairs.T
+        for a, b, partner in ((bad_xs[i_arr], xt, j_arr), (xt[j_arr], bad_xs, i_arr)):
+            want = ref.hardest_negatives(a, b, partner)
+            np.testing.assert_array_equal(training._hardest_negatives(a, b, partner), want)
+        unit = np.ones((len(xs), 2), dtype), np.ones((len(xt), 2), dtype)
+        with np.errstate(invalid="ignore"):  # the loss's blend of the two sides takes 0 * inf
+            loss = triplet_loss(EncodedPair(bad_xs, xt, *unit), GroundTruth(pairs), LossConfig())
+        # a NaN column is every row's negative; an inf row outside the ground truth is none's
+        assert np.isfinite(loss.data) == (row == 8 and np.isinf(bad))
+
+
+def test_train_toy_reports_a_non_finite_encoding_row(monkeypatch):
+    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=0)
+    data = toy_dataset(1, 8)
+    row = data[0][2].pairs[0, 0]
+    real, calls = training.forward, []
+
+    def poisoned(*args, **kwargs):
+        enc = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            enc.xs_hat.data[row] = np.nan
+        return enc
+
+    monkeypatch.setattr(training, "forward", poisoned)
+    with pytest.raises(RuntimeError, match="non-finite loss at step 1"):
+        train_toy(data, cfg, LossConfig(), steps=3, seed=0)
+
+
+def test_loss_allocates_no_difference_table(monkeypatch):
+    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=0)
+    ks, kt, gt, _ = tiny_scene(3, 8, n=40)
+    g, n, m = len(gt.pairs), len(ks), len(kt)
+    with ad.count_ops() as ops:
+        loss_gradient(init_weights(cfg, seed=0), (ks, kt, gt), cfg, LossConfig())
+    assert not ops.has_allocation((g, m, 4)) and not ops.has_allocation((g, n, 4))
+    assert ops.has_allocation((g, m)) and ops.has_allocation((g, n))  # the audit sees the tables
+
+    # with 120 entries per chunk (3 rows of 40 targets, 4 of 30 sources), the loss's
+    # largest buffer is one chunk of a table
+    enc = random_enc(np.random.default_rng(2), 30, 40, 3)
+    pairs = GroundTruth(pairs=[(k, k) for k in range(20)])
+    monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", 3 * 40)
+    with ad.count_ops() as ops:
+        triplet_loss(enc, pairs, LossConfig()).backward()
+    assert ops.has_allocation((3, 40)) and ops.has_allocation((4, 30))
+    assert ops.max_allocation() <= 3 * 40
 
 
 def test_triplet_loss_requires_pairs_and_two_per_side():
