@@ -15,13 +15,11 @@ candidates within `inlier_threshold_factor * R_t` of their prediction count
 as inliers, and the first best model in draw order keeps its inliers when
 there are at least `min_inliers`.  There is no refitting step; a match kept
 by any neighborhood survives.  Candidates are the matches whose (source,
-target) pair lies in a neighborhood's two sets, looked up for all at once in
-the `Membership` rows.  Each neighborhood draws from its own RNG stream,
-seeded by (rng_seed, seed source index), so neighborhood order does not
-matter.  A triple of match positions drawn again is the same LAPACK input,
-so each distinct hypothesis is solved once, and residuals come from the same
-(k, 3) @ (3, 2) products and arithmetic as one neighborhood at a time would
-use: survivors are bit-identical to that loop.  Runs single-threaded.
+target) pair lies in a neighborhood's two sets.  A neighborhood's samples are
+a counter hash of (rng_seed, its seed source index, draw), so they do not
+depend on neighborhood order, and all are solved at once in closed form.
+Survivors equal those of verifying one neighborhood and one sample at a time
+with the same draws and arithmetic.  Runs single-threaded.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from .neighborhood import NeighborhoodConfig, default_radius
 from .neighborhood import build_neighborhoods, ratio_match, select_seeds  # noqa: F401
 
 _STAGES = ("seed", "candidate", "verified")
-_SCORE_ENTRIES = 1 << 16  # residuals per scoring table (or one draw of a size group)
+_SCORE_ENTRIES = 1 << 16  # residuals per scoring table (or one draw); survivors ignore it
 _MMA_THRESHOLDS_PX = tuple(range(1, 11))
 
 
@@ -71,8 +69,7 @@ class MatchSet:
     def __len__(self):
         return len(self.pairs)
 
-    # no caller in src/: the benchmark's determinism check and tests/test_golden.py read
-    # these (i, j, score) tuples
+    # (i, j, score) tuples for the benchmark's determinism check and tests/test_golden.py
     @property
     def matches(self):
         return list(zip(*self.pairs.T.tolist(), self.score.tolist()))
@@ -102,8 +99,7 @@ class Metrics:
 
 
 # the benchmark's tracer times this stage under this name
-def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
-                cfg: NeighborhoodConfig):
+def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet, cfg: NeighborhoodConfig):
     """Candidate matches from final descriptors, under a config resolved for this pair:
     (MatchSet, the neighborhoods' Membership)."""
     m, seeds, members = neighborhoods(enc.xs_hat, enc.xt_hat, ks, kt, cfg)
@@ -113,12 +109,39 @@ def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet,
     return MatchSet(m.matches[ordered], m.ratio_score[ordered], stages), members
 
 
-def _distinct(draws, k):
-    """Floyd's fix-ups: rows drawn below (k - 2, k - 1, k) as distinct triples; k may be per row."""
-    a, b, c = draws.T
+def _mix(z):
+    """SplitMix64's finalizer on a uint64 array (array arithmetic wraps without a warning)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _triples(rng_seed, seeds, sizes, iters):
+    """`iters` uniform 3-subsets of range(k) per (seed source index, k), as (3, seeds, iters):
+    draw d, column c is a SplitMix64 hash of (a 64-bit key of `rng_seed`, the seed source
+    index, d, c) below (k - 2, k - 1, k), made distinct by Floyd's fix-ups."""
+    gamma = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment
+    key = np.random.SeedSequence(rng_seed).generate_state(1, np.uint64)  # any size of seed
+    stream = _mix(key + gamma * np.asarray(seeds, dtype=np.uint64))
+    draws = _mix(stream[:, None] + gamma * np.arange(1, 3 * iters + 1, dtype=np.uint64))
+    k = np.asarray(sizes, dtype=np.intp)[:, None]
+    below = (k[:, None] - [2, 1, 0]).astype(np.uint64)
+    a, b, c = np.moveaxis(draws.reshape(-1, iters, 3) % below, -1, 0).astype(np.intp)
     b = np.where(b == a, k - 2, b)
-    c = np.where((c == a) | (c == b), k - 1, c)
-    return np.stack([a, b, c], axis=1)
+    return np.stack([a, b, np.where((c == a) | (c == b), k - 1, c)])
+
+
+def _affine(p, t):
+    """Exact affine maps through triples p -> t of (axis, point, ...) arrays, as (..., 3, 2)
+    `coef` with [p, 1] @ coef = t, NaN where |det| < 1e-9: never an inlier.  Closed form on
+    the triple moved to p0: A = adj(D) E / det(D), D = [p1 - p0; p2 - p0], E likewise of t."""
+    (dx, dy), e = p[:, 1:] - p[:, :1], t[:, 1:] - t[:, :1]  # e[:, i]: row i of E
+    det = dx[0] * dy[1] - dy[0] * dx[1]
+    det = np.where(np.abs(det) >= 1e-9, det, np.nan)
+    a0 = (dy[1] * e[:, 0] - dy[0] * e[:, 1]) / det
+    a1 = (dx[0] * e[:, 1] - dx[1] * e[:, 0]) / det
+    coef = np.stack([a0, a1, t[:, 0] - (p[0, 0] * a0 + p[1, 0] * a1)])
+    return np.moveaxis(coef, (0, 1), (-2, -1))
 
 
 def _residual(h, c, t):
@@ -131,9 +154,8 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, members: Membe
                    fcfg: FilterConfig | None = None, r_t: float | None = None) -> MatchSet:
     """Keep matches that are affine-consistent inliers in any of the `members` neighborhoods."""
     fcfg = fcfg or FilterConfig()
-    if r_t is None:
-        r_t = default_radius(kt.width, kt.height)
-    threshold = fcfg.inlier_threshold_factor * r_t
+    threshold = fcfg.inlier_threshold_factor * (default_radius(kt.width, kt.height)
+                                                 if r_t is None else r_t)
     idx = m.pairs
     # every source member's matches, in set order, kept where (neighborhood, target) is a
     # target member; the keys are raveled index pairs, which rejects an out-of-range index
@@ -151,20 +173,9 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, members: Membe
     tgt = kt.keypoints[idx[cand, 1]].astype(np.float64)
 
     live, iters = np.flatnonzero(sizes >= 3), fcfg.ransac_iterations  # others never reach 3 inliers
-    draws = np.concatenate([np.zeros((0, 3), dtype=np.intp)] + [  # one stream per neighborhood
-        np.random.default_rng([fcfg.rng_seed, members.seeds[s, 0]]).integers(
-            0, [sizes[s] - 2, sizes[s] - 1, sizes[s]], size=(iters, 3)) for s in live])
-    owner = np.repeat(live, iters)  # each draw's neighborhood
-    draws = _distinct(draws, sizes[owner]) + starts[owner, None]  # candidate rows
-    # a triple of match positions drawn again, in any neighborhood, is the same LAPACK input;
-    # its raveled key limits a call to 2**21 - 1 matches (ravel_multi_index refuses more)
-    _, once, inverse = np.unique(np.ravel_multi_index(cand[draws].T, (len(m),) * 3),
-                                 return_index=True, return_inverse=True)
-    # a singular system makes the batched solve raise, so it keeps NaN maps: never an inlier
-    fit = np.abs(np.linalg.det(hom[draws[once]])) >= 1e-9
-    coef = np.full((len(once), 3, 2), np.nan)
-    coef[fit] = np.linalg.solve(hom[draws[once[fit]]], tgt[draws[once[fit]]])
-    coef = coef[inverse].reshape(len(live), iters, 3, 2)  # each draw's affine map
+    draws = _triples(fcfg.rng_seed, members.seeds[live, 0], sizes[live], iters) \
+        + starts[live, None]  # candidate rows
+    coef = _affine(*(np.take(pts.T, draws, axis=1) for pts in (hom[:, :2], tgt)))  # per draw
 
     kept = np.zeros(len(m), dtype=bool)
     for k in np.unique(sizes[live]):  # neighborhoods of k candidates score together
@@ -202,15 +213,13 @@ def evaluate(m: MatchSet, gt: GroundTruth, h: Homography, ks: KeypointSet,
     Conventions: an empty match set reports 0 for every accuracy number;
     an empty ground truth makes recall vacuously 1.
     """
-    if ((gt.pairs < 0) | (gt.pairs >= (len(ks), len(kt)))).any():
-        raise ValueError("ground-truth index out of range of the keypoint sets")
+    for what, rows in (("ground-truth", gt.pairs), ("match", m.pairs)):
+        if ((rows < 0) | (rows >= (len(ks), len(kt)))).any():
+            raise ValueError(f"{what} index out of range of the keypoint sets")
     n, truth = len(m), len(gt.pairs)
     if n == 0:
-        mma = {t: 0.0 for t in _MMA_THRESHOLDS_PX}
-        return Metrics(mma, 0.0, 0.0 if truth else 1.0, 0, 0.0)
+        return Metrics(dict.fromkeys(_MMA_THRESHOLDS_PX, 0.0), 0.0, 0.0 if truth else 1.0, 0, 0.0)
     idx = m.pairs
-    if ((idx < 0) | (idx >= (len(ks), len(kt)))).any():
-        raise ValueError("match index out of range of the keypoint sets")
     src_idx, tgt_idx = idx.T
     proj, valid = apply_homography(h, ks.keypoints[src_idx])
     tgt_pts = kt.keypoints[tgt_idx].astype(np.float64)
@@ -237,10 +246,7 @@ def read_matches(path) -> MatchSet:
         header = f.readline().strip()
         if header != "i,j,score,stage":
             raise ValueError(f"unexpected header {header!r}")
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
+        for line in filter(None, map(str.strip, f)):  # blank lines skipped
             i, j, score, stage = line.split(",")
             pairs.append((int(i), int(j)))
             scores.append(float(score))
@@ -249,13 +255,7 @@ def read_matches(path) -> MatchSet:
 
 
 def write_metrics(path, metrics: Metrics) -> None:
-    payload = {
-        "mma": {str(t): v for t, v in sorted(metrics.mma.items())},
-        "precision": metrics.precision,
-        "recall": metrics.recall,
-        "num_matches": metrics.num_matches,
-        "inlier_ratio": metrics.inlier_ratio,
-    }
+    payload = {**vars(metrics), "mma": {str(t): v for t, v in metrics.mma.items()}}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

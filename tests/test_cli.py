@@ -530,6 +530,13 @@ def test_non_integer_config_value_is_usage_error(tmp_path, capsys, match_argv, c
         assert f"{key} must be an integer" in capsys.readouterr().err
 
 
+def test_rng_seed_beyond_64_bits_runs(tmp_path, match_argv):
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"filter": {"rng_seed": 2**70}}))
+    assert run_cli([*match_argv, "--config", cfg, "-o", tmp_path / "o"]) == 0
+    assert (tmp_path / "o" / "matches.csv").is_file()
+
+
 def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 

@@ -28,9 +28,10 @@ from linmatch.matcher import (
     read_matches,
     write_matches,
     write_metrics,
+    _affine,
     _candidates,
-    _distinct,
     _residual,
+    _triples,
     _SCORE_ENTRIES,
 )
 from linmatch.neighborhood import (
@@ -76,9 +77,26 @@ def taken(got, m, positions):
     return np.array_equal(got.pairs, m.pairs[keep]) and np.array_equal(got.score, m.score[keep])
 
 
-def triples(rng, k, count):
-    """`count` uniform 3-subsets of range(k): the draw `filter_matches` makes per neighborhood."""
-    return _distinct(rng.integers(0, [k - 2, k - 1, k], size=(count, 3)), k)
+def triples(rng_seed, seed, k, count):
+    """`count` uniform 3-subsets of range(k): the draw `filter_matches` makes for the
+    neighborhood seeded at source index `seed`."""
+    return _triples(rng_seed, [seed], [k], count)[:, 0].T
+
+
+def affine_map(p, t):
+    """The exact affine map through one triple p -> t as a (3, 2) `coef`, or None when
+    |det| < 1e-9: the filter's closed form, one scalar at a time."""
+    (x0, y0), (x1, y1), (x2, y2) = p.tolist()
+    dx1, dy1, dx2, dy2 = x1 - x0, y1 - y0, x2 - x0, y2 - y0
+    det = dx1 * dy2 - dy1 * dx2
+    if abs(det) < 1e-9:
+        return None
+    coef = []
+    for (t0, t1, t2) in t.T.tolist():  # the x column, then the y column
+        a0 = (dy2 * (t1 - t0) - dy1 * (t2 - t0)) / det
+        a1 = (dx1 * (t2 - t0) - dx2 * (t1 - t0)) / det
+        coef.append([a0, a1, t0 - (x0 * a0 + y0 * a1)])
+    return np.array(coef).T
 
 
 class FakeEnc:
@@ -159,16 +177,14 @@ def loop_verify(pair, src, tgt, fcfg, threshold):
     k = len(src)
     if k < 3:  # no 3-sample to draw; fewer than min_inliers >= 3 anyway
         return np.zeros(0, int), 0, 0
-    rng = np.random.default_rng([fcfg.rng_seed, pair.seed[0]])
     hom = np.column_stack([src, np.ones(k)])
     best_count, best_mask = 0, None
     degenerate = ties = 0
-    for sample in triples(rng, k, fcfg.ransac_iterations):
-        m = hom[sample]
-        if abs(np.linalg.det(m)) < 1e-9:
+    for sample in triples(fcfg.rng_seed, pair.seed[0], k, fcfg.ransac_iterations):
+        coef = affine_map(src[sample], tgt[sample])
+        if coef is None:
             degenerate += 1
             continue
-        coef = np.linalg.solve(m, tgt[sample])
         mask = np.linalg.norm(hom @ coef - tgt, axis=1) <= threshold
         count = int(mask.sum())
         ties += count == best_count
@@ -295,8 +311,7 @@ class TestBatchedVerifier:
             assert taken(alone, m, w)
         assert degenerate > 0 and ties > 0 and 0 < len(got) < n
         # ordered triples repeat within a neighborhood and across neighborhoods
-        drawn = [triples(np.random.default_rng([5, p.seed[0]]), len(p.source_set), 40)
-                 for p in pairs[2:4]]
+        drawn = [triples(5, p.seed[0], len(p.source_set), 40) for p in pairs[2:4]]
         assert len({tuple(t) for t in drawn[0].tolist()}) < 40
         assert {tuple(t) for t in drawn[0].tolist()} & {tuple(t) for t in drawn[1].tolist()}
 
@@ -316,16 +331,45 @@ class TestBatchedVerifier:
                                 np.stack([tgt] * 3)[:, None])
             assert all(np.array_equal(s, want) for s in stacked)
 
+    @pytest.mark.parametrize("kind", ["random", "grid", "near_degenerate"])
+    def test_closed_form_agrees_with_lapack(self, kind):
+        """Every fitted map's residuals at 64 points of the frame agree with those of
+        np.linalg.solve's map to within 8 * eps * cond([p, 1]) * (1 + residual): the size of
+        the error a stable solve of either kind may make."""
+        rng = np.random.default_rng(12)
+        n = 2000
+        if kind == "random":
+            p, t = rng.uniform(0, 1024, size=(2, n, 3, 2))
+        elif kind == "grid":  # some exactly degenerate triples among them
+            p, t = rng.integers(0, 1024, size=(2, n, 3, 2)).astype(np.float64)
+        else:  # p2 off the line through p0 and p1 by det(D) / |p1 - p0|, det(D) just over 1e-9
+            p0, u = rng.uniform(0, 1024, size=(n, 2)), rng.uniform(-50, 50, size=(n, 2))
+            length = np.linalg.norm(u, axis=1, keepdims=True)
+            off = u[:, ::-1] * [-1.0, 1.0] * rng.uniform(1.05e-9, 2e-9, size=(n, 1)) / length ** 2
+            p = np.stack([p0, p0 + u, p0 + rng.uniform(-3, 3, size=(n, 1)) * u + off], axis=1)
+            t = p @ np.array([[1.1, 0.1], [-0.05, 0.95]]) + rng.uniform(-1, 1, size=(n, 3, 2))
+            d = p[:, 1:] - p[:, :1]
+            assert (np.abs(d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) < 4e-9).all()
+        hom = np.concatenate([p, np.ones((n, 3, 1))], axis=2)
+        coef = _affine(p.transpose(2, 1, 0), t.transpose(2, 1, 0))
+        fit = np.isfinite(coef).all(axis=(1, 2))
+        assert fit.mean() > 0.95 and (np.isnan(coef[~fit])).all()
+        query = np.column_stack([rng.uniform(0, 1024, size=(64, 2)), np.ones(64)])
+        tq = rng.uniform(0, 1024, size=(64, 2))
+        got = np.linalg.norm(query @ coef[fit] - tq, axis=2)
+        want = np.linalg.norm(query @ np.linalg.solve(hom[fit], t[fit]) - tq, axis=2)
+        cond = np.linalg.cond(hom[fit])[:, None]
+        assert (np.abs(got - want) <= 8 * np.finfo(np.float64).eps * cond * (1 + want)).all()
+
     def test_sample_triples_are_distinct_and_in_range(self):
-        rng = np.random.default_rng(4)
         for k in (3, 4, 5, 17, 60):
-            t = triples(rng, k, 2000)
+            t = triples(4, k, k, 2000)
             assert t.shape == (2000, 3)
             assert ((t >= 0) & (t < k)).all()
             assert ((t[:, 0] != t[:, 1]) & (t[:, 0] != t[:, 2]) & (t[:, 1] != t[:, 2])).all()
 
     def test_sample_triples_are_uniform_over_subsets(self):
-        t = triples(np.random.default_rng(11), 5, 20000)
+        t = triples(11, 0, 5, 20000)
         counts = collections.Counter(map(tuple, np.sort(t, axis=1).tolist()))
         assert set(counts) == set(itertools.combinations(range(5), 3))
         assert all(1800 <= c <= 2200 for c in counts.values())
@@ -432,6 +476,32 @@ class TestFilterMatches:
         pair = NeighborhoodPair((0, 0), np.arange(6), np.arange(7))
         out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(rng_seed=2))
         assert out.pairs.tolist() == [[i, i] for i in range(6)]
+
+    def test_more_than_two_to_the_21_matches(self):
+        """The match count has no cap; a raveled key of drawn triples once refused 2**21."""
+        n = 2**21 + 1
+        rng = np.random.default_rng(10)
+        last = np.arange(n - 10, n)  # the neighborhood: indices past 2**21
+        src = np.zeros((n, 2), dtype=np.float32)
+        src[last] = rng.uniform(20, 200, size=(10, 2))
+        tgt = src.copy()
+        tgt[last] = src[last] @ np.array([[1.1, 0.1], [-0.05, 0.95]]).T + [7.0, 3.0]
+        tgt[last[4]] += 40.0  # an outlier
+        desc = np.zeros((n, 1), dtype=np.float32)
+        ks, kt = KeypointSet(src, desc, 256, 256), KeypointSet(tgt, desc, 256, 256)
+        pair = NeighborhoodPair((int(last[0]), int(last[0])), last, last)
+        out = filter_matches(diagonal(np.arange(n)), ks, kt, membership([pair]),
+                             FilterConfig(min_inliers=3))
+        assert out.pairs[:, 0].tolist() == np.delete(last, 4).tolist()
+
+    def test_rng_seed_beyond_64_bits(self):
+        rng = np.random.default_rng(6)
+        ks, kt, m, neigh = self._affine_scene(rng, n=25, outlier_rows=(3, 11, 20))
+        for seed in (2**64 - 1, 2**64, 2**70):
+            out = filter_matches(m, ks, kt, neigh, FilterConfig(rng_seed=seed))
+            assert set(out.pairs[:, 0].tolist()) == set(range(25)) - {3, 11, 20}
+        # the draws read the whole seed, not its low 64 bits
+        assert not np.array_equal(_triples(2**70, [0], [25], 64), _triples(0, [0], [25], 64))
 
     def test_determinism_same_seed(self):
         rng = np.random.default_rng(6)
