@@ -25,9 +25,9 @@ is the same op with one segment holding every row.
 
 The linear and restricted kernels take a `ProjectedTriplet` of numpy arrays
 (numpy out) or autodiff Tensors; `projected_attention`, which encoder layers
-call, forms q, k and v inside the same op.  The softmax kernel is a
-single-head numpy reference (correctness oracle and complexity baseline)
-that deliberately materializes the N-by-M weight matrix.
+call, forms q, k and v inside the same op and returns v too.  The softmax
+kernel is a single-head numpy reference (correctness oracle and complexity
+baseline) that deliberately materializes the N-by-M weight matrix.
 """
 
 from __future__ import annotations
@@ -233,10 +233,11 @@ def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool
 
 
 def projected_attention(xq: Tensor, xs: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                        heads: int = 1, pairs=None, reverse: bool = False) -> Tensor:
+                        heads: int = 1, pairs=None, reverse: bool = False):
     """`linear_attention`, or `pairwise_attention` with `pairs`, of q = xq wq to k = xs wk
-    and v = xs wv as one op.  A self layer (xq and xs one array) makes one product with
-    [wq | wk | wv], others one with [wk | wv]: the column blocks equal separate products."""
+    and v = xs wv as one op, and the array v.  A self layer (xq and xs one array) makes one
+    product with [wq | wk | wv], others one with [wk | wv]: the column blocks equal separate
+    products."""
     cq, ck = wq.data.shape[1], wk.data.shape[1]
     if xq.data is xs.data:
         qkv = xs.data @ np.concatenate([wq.data, wk.data, wv.data], axis=1)
@@ -259,7 +260,7 @@ def projected_attention(xq: Tensor, xs: Tensor, wq: Tensor, wk: Tensor, wv: Tens
             if w.requires_grad:
                 w._accumulate(x.data.T @ dx)
 
-    return ad.node(out, (xq, xs, wq, wk, wv), backward)
+    return ad.node(out, (xq, xs, wq, wk, wv), backward), v
 
 
 def softmax_attention_reference(t: ProjectedTriplet):

@@ -1,18 +1,23 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-All network math in this package (attention kernels, encoder layers, losses)
-is written against the `Tensor` type defined here, so a single implementation
-serves both inference and training.  Inference wraps arrays in `no_grad()`
-mode, in which no tape is recorded and the op functions reduce to plain numpy
+All network math in this package (attention kernels, encoder layers, the
+loss) is written against the `Tensor` type defined here, so a single
+implementation serves both inference and training.  Inference wraps arrays in
+`no_grad()` mode, in which no tape is recorded and ops reduce to plain numpy
 calls plus a constant-time dispatch.
 
-The op set is deliberately small, and ops are plain functions (`Tensor` has
-no operator overloads): `add`, `sub` and `mul` with broadcasting, `matmul`,
-`tsum`, `relu`, a row gather and row L2 normalization; gradients of broadcast
-ops are reduced back to the operand shape by `_unbroadcast`.  Encoder layers
-are fused ops built elsewhere through `node` with a hand-written backward:
-projected attention (it applies the feature map `phi_array`, splits heads
-and scatters neighborhood rows) and the feed-forward block.
+There is no generic op set: every op is fused, built through `node` with a
+hand-written backward, and `Tensor` has no operator overloads.  This module
+holds row L2 normalization; the others are projected attention (it applies
+the feature map `phi_array`, splits heads and scatters neighborhood rows),
+the feed-forward block and layer 0's carrier in `encoder`, and the triplet
+loss in `training`.  Each backward uses the formulas of the separate ops it
+replaced (add, sub, mul, matmul, sum, relu, row gather; `tests/reference_ops`
+keeps them) and feeds shared inputs in their order, so gradients keep their
+bits.  A backward adds a share with `_accumulate` at once, or with
+`_accumulate_last` after every other consumer's share, just before the
+parent's own backward runs: where a row gather that was the first op traced
+from the parent added it.
 
 A thread-local operation counter can be enabled with `count_ops()`; it records
 multiply counts and every allocated result shape (fused ops report their
@@ -28,11 +33,19 @@ from contextlib import contextmanager
 
 import numpy as np
 
-_state = threading.local()
+
+class _State(threading.local):
+    # per-thread defaults as class attributes: every op reads both, and reading a
+    # thread-local attribute never set is a failed lookup, about six times slower
+    grad_enabled = True
+    op_counter = None
+
+
+_state = _State()
 
 
 def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+    return _state.grad_enabled
 
 
 @contextmanager
@@ -64,7 +77,7 @@ class OpCounter:
 
 
 def _counter() -> OpCounter | None:
-    return getattr(_state, "op_counter", None)
+    return _state.op_counter
 
 
 @contextmanager
@@ -96,7 +109,7 @@ def note_mul(size):
 class Tensor:
     """Array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_last")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data)
@@ -104,6 +117,7 @@ class Tensor:
         self.requires_grad = requires_grad and _grad_enabled()
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
+        self._last = ()  # shares to add after every other one (`_accumulate_last`)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -113,6 +127,10 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
+
+    def _accumulate_last(self, g):
+        """Add g after every other consumer's share, just before this node's backward runs."""
+        self._last += (g,)
 
     def backward(self, grad=None):
         """Reverse-mode sweep from this node (typically a scalar loss)."""
@@ -132,6 +150,10 @@ class Tensor:
         visit = None  # drop the closure's self-reference: the graph is freed on return, not by gc
         self._accumulate(grad)
         for t in reversed(topo):
+            if t._last:
+                for g in t._last:
+                    t._accumulate(g)
+                t._last = ()
             if t._backward is not None:
                 t._backward(t.grad)
 
@@ -143,87 +165,11 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(g, shape):
-    """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
-    return g.reshape(shape)
-
-
 def node(data, parents, backward):
     """Result Tensor of an op (here or fused elsewhere); `backward(g)` feeds the parents."""
     note_alloc(data)
     need = _grad_enabled() and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=need, _parents=parents, _backward=backward if need else None)
-
-
-def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return node(out_data, (a, b), backward)
-
-
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return node(out_data, (a, b), backward)
-
-
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data * b.data
-    note_mul(out_data.size)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return node(out_data, (a, b), backward)
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data @ b.data
-    note_mul(a.data.size * (b.data.shape[1] if b.data.ndim == 2 else 1))  # n * k * m
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T if b.data.ndim == 2 else np.outer(g, b.data))
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return node(out_data, (a, b), backward)
-
-
-def tsum(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return node(out_data, (a,), backward)
 
 
 def phi_array(x):
@@ -233,30 +179,6 @@ def phi_array(x):
     np.exp(out, out=out)
     out += np.maximum(x, 0.0)
     return out
-
-
-def relu(a):
-    a = as_tensor(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        # subgradient 0 at the kink
-        a._accumulate(g * (a.data > 0))
-
-    return node(out_data, (a,), backward)
-
-
-def gather_rows(a, idx):
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out_data = a.data[idx]
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        a._accumulate(full)
-
-    return node(out_data, (a,), backward)
 
 
 def row_l2_normalize(x):

@@ -13,8 +13,10 @@ whose projection matrices are rectangular (D -> C'): there the carrier is
 the v-projection of the query input so that the residual path lives in the
 reduced dimension.  Both linear maps are bias-free; with mlp1 zeroed the
 layer is exactly the identity on its carrier.  A layer is two autodiff nodes,
-`attention.projected_attention` and `feed_forward` (plus layer 0's carrier
-product), whose backwards use the separate ops' formulas and input order.
+`attention.projected_attention` and `feed_forward`, whose backwards use the
+separate ops' formulas and input order.  Layer 0 adds a third, its carrier,
+whose value is the v block of the [wq | wk | wv] product that the attention
+op already made.
 
 The full network runs L1 iterations of (self, cross) updates with linear
 attention, captures the raw descriptors f after the last cross layer, takes
@@ -120,6 +122,14 @@ class NetworkWeights:
         return [(f"{prefix}.{n}", v) for prefix, w in zip(prefixes, layers, strict=True)
                 for n, v in w.params()]
 
+    def map_params(self, fn) -> NetworkWeights:
+        """The same layers with every parameter replaced by `fn(parameter)`."""
+        def layers(ws):
+            return [LayerWeights(*(fn(getattr(w, n)) for n in _PARAM_NAMES)) for w in ws]
+
+        return NetworkWeights(layers(self.self_layers), layers(self.cross_layers),
+                              layers(self.pair_layers), self.heads)
+
     @classmethod
     def from_table(cls, table, heads: int) -> NetworkWeights:
         """Layers from a name -> tensor mapping named exactly as `all_params` names them."""
@@ -204,19 +214,39 @@ def feed_forward(carrier, m, w: LayerWeights) -> Tensor:
     return ad.node(c.data + r @ w1.data, parents, backward)
 
 
+def _carrier(xq, wv, v=None) -> Tensor:
+    """Layer 0's carrier xq @ wv as an op with the matmul op's backward; `v` is that product
+    when the caller already has it (a self layer's v block), and then none is made here."""
+    if v is None:
+        v = xq.data @ wv.data
+        ad.note_mul(xq.data.size * wv.data.shape[1])
+
+    def backward(g):
+        if xq.requires_grad:
+            xq._accumulate(g @ wv.data.T)
+        if wv.requires_grad:
+            wv._accumulate(xq.data.T @ g)
+
+    return ad.node(v, (xq, wv), backward)
+
+
 def encoder_layer(x_query, x_source, w: LayerWeights, heads: int = 1, pairs=None,
                   reverse: bool = False):
     """One residual attention block (see the module docstring); its attention is linear,
     or with `pairs` that of `pairwise_attention(..., pairs, heads, reverse)`."""
     xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
     (n, width), hidden = xq.data.shape, wv.data.shape[1]
-    carrier = xq if width == hidden else ad.matmul(xq, wv)
+    m = v = None
+    if n and xs.data.shape[0]:
+        m, v = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs,
+                                   reverse)
+    carrier = xq
+    if width != hidden:
+        carrier = _carrier(xq, wv, v if xq.data is xs.data else None)
     if n == 0:
         return carrier
-    if xs.data.shape[0] == 0:
+    if m is None:
         m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
-    else:
-        m = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs, reverse)
     return feed_forward(carrier, m, w)
 
 

@@ -14,15 +14,27 @@ are never rewarded).  Gradients flow through s_c by default; a config flag
 detaches it.
 
 Subgradient conventions: hinges contribute zero gradient at the kink; the
-hardest negative is np.argmin of a row of detached squared distances, so ties
-go to the lowest index (and to the target side between the two directional
-minima), and gradients flow through exactly one negative.  As in HardNet
-(arXiv:1705.10872), the rows come from one distance table, built a chunk of
-ground-truth rows at a time by the product of `neighborhood._augmented`, whose
-window bounds its error: every entry within the window of its row's minimum is
-recomputed as the loss ranks it, ((a - b) ** 2).sum(axis=-1) in the
-encodings' dtype, so the true minimum is among them and the choice is exact.
-A NaN or inf row voids the window, and then every entry is recomputed.
+hardest negative is the first minimum of a row of detached squared distances
+over every index but the partner (np.argmin, and never the partner, even when
+all others are inf), so ties go to the lowest index (and to the target side
+between the two directional minima), and gradients flow through exactly one
+negative, the picked side's, and only while its hinge is active.  As in
+HardNet (arXiv:1705.10872), the rows come from one distance table, built a
+chunk of ground-truth rows at a time by the product of
+`neighborhood._augmented`, whose window bounds its error: every entry within
+the window of its row's minimum is recomputed as the loss ranks it,
+((a - b) ** 2).sum(axis=-1) in the encodings' dtype, so the true minimum is
+among them and the choice is exact.  A NaN or inf row voids the window, and
+then every entry is recomputed.
+
+The loss is one autodiff op.  Its backward replays the formulas and the
+accumulation order of the op-by-op graph it replaced
+(`tests/reference_ops.triplet_loss`), so gradients keep their bits: a
+gathered row's gradient is summed into zeros with np.add.at, and the
+confidence's shares reach fs and ft after every other consumer's, as its row
+gathers added them (`Tensor._accumulate_last`).  The picked side's distance
+replaces the blend sel * d_nt + (1 - sel) * d_ns: the same bits on finite
+values, and no 0 * inf when the other side is at inf.
 """
 
 from __future__ import annotations
@@ -59,8 +71,8 @@ class LossConfig:
 
 
 def _hardest_negatives(a: np.ndarray, b: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """Per row i of a, np.argmin of ((a_i - b) ** 2).sum(axis=-1) with entry partner[i]
-    set to inf, computed a chunk of rows at a time, never as a (len(a), len(b), C) table."""
+    """Per row i of a, the first index of the least ((a_i - b) ** 2).sum(axis=-1) among all
+    but partner[i], computed a chunk of rows at a time, never as a (len(a), len(b), C) table."""
     dt = np.result_type(a, b)
     lhs, rhs, window = nb._augmented(a, b, dt)
     chunk = min(len(a), max(1, nb._CHUNK_ENTRIES // len(b)))
@@ -74,10 +86,20 @@ def _hardest_negatives(a: np.ndarray, b: np.ndarray, partner: np.ndarray) -> np.
             block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
             block[ar, skip] = np.inf
             keep = ~(block > (block.min(axis=1) + window)[:, None])  # NaN keeps its whole row
-        rows, cols = np.nonzero(keep)  # any other entry exceeds the row's least exact value
+        # any other entry exceeds the row's least exact value
+        rows, cols = np.divmod(np.flatnonzero(keep), len(b))
         block[rows, cols] = nb._exact(a, b, rows + s, cols, max(1, table.size // a.shape[1]), dt)
         block[ar, skip] = np.inf  # a void window recomputed the partner too
         out[s:e] = block.argmin(axis=1)
+    # np.argmin returns the partner only as index 0 of a row whose other entries are all inf
+    out[out == partner] = 1
+    return out
+
+
+def _scatter(like, rows, g):
+    """A row gather's backward: g's rows summed into zeros shaped like `like`, in order."""
+    out = np.zeros_like(like)
+    np.add.at(out, rows, g)
     return out
 
 
@@ -86,7 +108,7 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
 
     Vectorized over correspondences: negatives are located on detached
     descriptor values by `_hardest_negatives` (exact; see the module
-    docstring), then only the selected rows enter the graph.
+    docstring), then only the selected rows enter the loss, one autodiff op.
     """
     if len(gt.pairs) == 0:
         raise ValueError("need at least one ground-truth correspondence")
@@ -99,40 +121,52 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
         raise ValueError("ground-truth index out of range of the encodings")
 
     i_arr, j_arr = gt.pairs.T
+    xsd, xtd, dt = xs.data, xt.data, xs.data.dtype
+    a, b = xsd[i_arr], xtd[j_arr]
+    k_t = _hardest_negatives(a, xtd, j_arr)
+    k_s = _hardest_negatives(b, xsd, i_arr)
+    u, nt, ns = a - b, a - xtd[k_t], xsd[k_s] - b
+    d_pos, d_nt, d_ns = ((x * x).sum(axis=1, keepdims=True) for x in (u, nt, ns))
+    pick = d_nt <= d_ns  # tie prefers target side
+    hp = d_pos - np.asarray(cfg.m_p, dtype=dt)
+    hn = np.asarray(cfg.m_n, dtype=dt) - np.where(pick, d_nt, d_ns)
+    rank = np.maximum(hp, 0.0) + np.maximum(hn, 0.0)
+    fa, fb = fs.data[i_arr], ft.data[j_arr]
+    s0 = (fa * fb).sum(axis=1, keepdims=True)
+    s = np.maximum(s0, 0.0)  # negative confidence must not reward wrong matches
+    inv = np.asarray(1.0 / len(gt.pairs), dtype=dt)
+    ad.note_mul(u.size + nt.size + ns.size + fa.size + s.size + 1)
+    for x in (u, nt, ns, fa):
+        ad.note_alloc(x)
 
-    xsd, xtd = xs.data, xt.data
-    k_t = _hardest_negatives(xsd[i_arr], xtd, j_arr)
-    k_s = _hardest_negatives(xtd[j_arr], xsd, i_arr)
+    def backward(g):
+        gm = g * inv  # the sum's gradient
+        grank = gm * s
+        gu = grank * (hp > 0) * u  # each of d_pos's two differences a - b
+        # only rows whose negative hinge is active get a share, so no 0 * inf: an inactive
+        # row's tape share is a signed zero, which adding into zeros below leaves out
+        act = (hn > 0)[:, 0]
+        rt, rs = np.flatnonzero(act & pick[:, 0]), np.flatnonzero(act & ~pick[:, 0])
+        gnt, gns = -grank[rt] * nt[rt], -grank[rs] * ns[rs]
+        gnt += gnt  # the two shares of nt * nt
+        gns += gns
+        # a gets nt's share, then those of d_pos's two differences; b likewise, from ns
+        ga, gb = gu + gu, -gu - gu
+        ga[rt] = (gnt + gu[rt]) + gu[rt]
+        gb[rs] = (-gns - gu[rs]) - gu[rs]
+        for t, rows, dx in ((xs, k_s[rs], gns), (xt, k_t[rt], -gnt), (xt, j_arr, gb),
+                            (xs, i_arr, ga)):
+            if t.requires_grad:
+                t._accumulate(_scatter(t.data, rows, dx))
+        if not cfg.detach_confidence:
+            gs = gm * rank * (s0 > 0)
+            for t, rows, dx in ((ft, j_arr, gs * fa), (fs, i_arr, gs * fb)):
+                if t.requires_grad:
+                    t._accumulate_last(_scatter(t.data, rows, dx))
 
-    a = ad.gather_rows(xs, i_arr)
-    b = ad.gather_rows(xt, j_arr)
-    d_pos = ad.tsum(ad.mul(ad.sub(a, b), ad.sub(a, b)), axis=1, keepdims=True)
-    nt = ad.sub(a, ad.gather_rows(xt, k_t))
-    d_nt = ad.tsum(ad.mul(nt, nt), axis=1, keepdims=True)
-    ns = ad.sub(ad.gather_rows(xs, k_s), b)
-    d_ns = ad.tsum(ad.mul(ns, ns), axis=1, keepdims=True)
-    pick_t = (d_nt.data <= d_ns.data).astype(xsd.dtype)  # tie prefers target side
-    sel = Tensor(pick_t)
-    neg = ad.add(ad.mul(sel, d_nt), ad.mul(ad.sub(Tensor(np.asarray(1.0, dtype=xsd.dtype)), sel), d_ns))
-
-    mp = Tensor(np.asarray(cfg.m_p, dtype=xsd.dtype))
-    mn = Tensor(np.asarray(cfg.m_n, dtype=xsd.dtype))
-    rank = ad.add(ad.relu(ad.sub(d_pos, mp)), ad.relu(ad.sub(mn, neg)))
-
-    fa = ad.gather_rows(fs, i_arr)
-    fb = ad.gather_rows(ft, j_arr)
-    s = ad.tsum(ad.mul(fa, fb), axis=1, keepdims=True)
-    if cfg.detach_confidence:
-        s = s.detach()
-    s = ad.relu(s)  # negative confidence must not reward wrong matches
-    total = ad.tsum(ad.mul(s, rank))
-    return ad.mul(total, Tensor(np.asarray(1.0 / len(gt.pairs), dtype=xsd.dtype)))
-
-
-def _map_params(weights: NetworkWeights, fn) -> NetworkWeights:
-    """The same layers with every parameter replaced by `fn(parameter)`."""
-    return NetworkWeights.from_table({name: fn(v) for name, v in weights.all_params()},
-                                     weights.heads)
+    # the order in which the tape's sweep first reached them, which orders the ops upstream
+    parents = (xs, xt) if cfg.detach_confidence else (fs, ft, xs, xt)
+    return ad.node(np.asarray((s * rank).sum() * inv), parents, backward)
 
 
 def loss_gradient(weights: NetworkWeights, batch, net_cfg: NetworkConfig,
@@ -142,12 +176,12 @@ def loss_gradient(weights: NetworkWeights, batch, net_cfg: NetworkConfig,
     Returns (loss, grads) where grads mirrors the weight structure.
     """
     ks, kt, gt = batch
-    tw = _map_params(weights, lambda w: Tensor(np.asarray(w), requires_grad=True))
+    tw = weights.map_params(lambda w: Tensor(w, requires_grad=True))
     enc = forward(ks, kt, tw, net_cfg, neigh_cfg)
     loss = triplet_loss(enc, gt, loss_cfg)
     loss.backward()
-    return float(loss.data), _map_params(
-        tw, lambda t: t.grad if t.grad is not None else np.zeros_like(t.data))
+    return float(loss.data), tw.map_params(
+        lambda t: t.grad if t.grad is not None else np.zeros_like(t.data))
 
 
 def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,

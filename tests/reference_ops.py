@@ -1,10 +1,13 @@
-"""The encoder as separate autodiff ops: the oracle of the fused ones.
+"""The encoder and the loss as separate autodiff ops: the oracle of the fused ones.
 
-`encoder.feed_forward`, `attention.projected_attention`,
-`autodiff.row_l2_normalize` and the flat-moment `AdamState` replace the
-compositions below.  Each fused op uses these ops' formulas and feeds shared
-inputs in their order, so the tests require equal outputs and gradients, bit
-for bit.  The ops here are checked against finite differences in
+The generic ops (`add`, `sub`, `mul`, `matmul`, `tsum`, `relu`,
+`gather_rows`, with `_unbroadcast` for broadcast gradients) and those built
+from them below are how the network was first written.  `encoder.feed_forward`,
+`attention.projected_attention`, `autodiff.row_l2_normalize`,
+`training.triplet_loss` and the flat-moment `AdamState` replace the
+compositions.  Each fused op uses these ops' formulas and feeds shared inputs
+in their order, so the tests require equal outputs and gradients, bit for
+bit.  The ops here are checked against finite differences in
 `test_autodiff.py`.  `membership` builds the arrays that the attention ops
 and the filter take from a readable list of `NeighborhoodPair`.
 `hardest_negatives` searches the loss's negatives on one full difference
@@ -33,10 +36,111 @@ def membership(pairs) -> Membership:
 
 def hardest_negatives(a, b, partner):
     """Per row i of a, np.argmin over the (len(a), len(b), C) difference table's squared
-    distances, with entry partner[i] set to inf."""
+    distances to every row of b but partner[i]."""
     d = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    d[np.arange(len(a)), partner] = np.inf
-    return d.argmin(axis=1)
+    others = np.array([np.delete(np.arange(len(b)), p) for p in partner]).reshape(len(a), -1)
+    best = np.take_along_axis(d, others, axis=1).argmin(axis=1)
+    return others[np.arange(len(a)), best]
+
+
+def _unbroadcast(g, shape):
+    """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and g.shape[axis] != 1:
+            g = g.sum(axis=axis, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    out_data = a.data + b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return ad.node(out_data, (a, b), backward)
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    out_data = a.data - b.data
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
+
+    return ad.node(out_data, (a, b), backward)
+
+
+def mul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    out_data = a.data * b.data
+    ad.note_mul(out_data.size)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+
+    return ad.node(out_data, (a, b), backward)
+
+
+def matmul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    out_data = a.data @ b.data
+    ad.note_mul(a.data.size * (b.data.shape[1] if b.data.ndim == 2 else 1))  # n * k * m
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T if b.data.ndim == 2 else np.outer(g, b.data))
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return ad.node(out_data, (a, b), backward)
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = as_tensor(a)
+    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+
+    return ad.node(out_data, (a,), backward)
+
+
+def relu(a):
+    a = as_tensor(a)
+    out_data = np.maximum(a.data, 0.0)
+
+    def backward(g):
+        # subgradient 0 at the kink
+        a._accumulate(g * (a.data > 0))
+
+    return ad.node(out_data, (a,), backward)
+
+
+def gather_rows(a, idx):
+    a = as_tensor(a)
+    idx = np.asarray(idx, dtype=np.intp)
+    out_data = a.data[idx]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        a._accumulate(full)
+
+    return ad.node(out_data, (a,), backward)
 
 
 def div(a, b):
@@ -46,9 +150,9 @@ def div(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(ad._unbroadcast(g / b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
         if b.requires_grad:
-            b._accumulate(ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return ad.node(out_data, (a, b), backward)
 
@@ -105,7 +209,7 @@ def layer_norm(x, gamma, beta, eps=1e-5):
 
 def row_l2_normalize(x):
     """Divide each row by its Euclidean norm (rows must be nonzero)."""
-    norms = sqrt(ad.tsum(ad.mul(x, x), axis=1, keepdims=True))
+    norms = sqrt(tsum(mul(x, x), axis=1, keepdims=True))
     return div(x, norms)
 
 
@@ -113,21 +217,21 @@ def encoder_layer(x_query, x_source, w, kernel=linear_attention, heads=1):
     """carrier + mlp1(relu(layer_norm(mlp0(concat(carrier, m))))), op by op."""
     xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
     (n, width), hidden = xq.data.shape, wv.data.shape[1]
-    carrier = xq if width == hidden else ad.matmul(xq, wv)
+    carrier = xq if width == hidden else matmul(xq, wv)
     if n == 0:
         return carrier
     if xs.data.shape[0] == 0:
         m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
     else:
-        t = ProjectedTriplet(ad.matmul(xq, as_tensor(w.wq)), ad.matmul(xs, as_tensor(w.wk)),
-                             ad.matmul(xs, wv))
+        t = ProjectedTriplet(matmul(xq, as_tensor(w.wq)), matmul(xs, as_tensor(w.wk)),
+                             matmul(xs, wv))
         m = as_tensor(kernel(t, heads))
     h = concat_cols(carrier, m)
-    h = ad.matmul(h, as_tensor(w.mlp0))
+    h = matmul(h, as_tensor(w.mlp0))
     h = layer_norm(h, as_tensor(w.ln_g), as_tensor(w.ln_b))
-    h = ad.relu(h)
-    h = ad.matmul(h, as_tensor(w.mlp1))
-    return ad.add(carrier, h)
+    h = relu(h)
+    h = matmul(h, as_tensor(w.mlp1))
+    return add(carrier, h)
 
 
 def self_attention_update(xs, xt, w, heads=1):
@@ -166,3 +270,35 @@ class DictAdam:
             v_hat = self.v[name] / (1 - beta2 ** self.t)
             upd = lr * m_hat / (np.sqrt(v_hat) + eps)
             np.asarray(w)[...] -= upd.astype(np.asarray(w).dtype)
+
+
+def triplet_loss(enc, gt, cfg):
+    """`training.triplet_loss` op by op, with negatives from `hardest_negatives`.  The two
+    sides' distances are blended as sel * d_nt + (1 - sel) * d_ns, which is NaN where the
+    unpicked one is inf."""
+    xs, xt = as_tensor(enc.xs_hat), as_tensor(enc.xt_hat)
+    fs, ft = as_tensor(enc.fs_hat), as_tensor(enc.ft_hat)
+    i_arr, j_arr = gt.pairs.T
+    xsd, xtd = xs.data, xt.data
+    k_t = hardest_negatives(xsd[i_arr], xtd, j_arr)
+    k_s = hardest_negatives(xtd[j_arr], xsd, i_arr)
+
+    a = gather_rows(xs, i_arr)
+    b = gather_rows(xt, j_arr)
+    d_pos = tsum(mul(sub(a, b), sub(a, b)), axis=1, keepdims=True)
+    nt = sub(a, gather_rows(xt, k_t))
+    d_nt = tsum(mul(nt, nt), axis=1, keepdims=True)
+    ns = sub(gather_rows(xs, k_s), b)
+    d_ns = tsum(mul(ns, ns), axis=1, keepdims=True)
+    sel = Tensor((d_nt.data <= d_ns.data).astype(xsd.dtype))  # tie prefers target side
+    neg = add(mul(sel, d_nt), mul(sub(Tensor(np.asarray(1.0, dtype=xsd.dtype)), sel), d_ns))
+
+    mp = Tensor(np.asarray(cfg.m_p, dtype=xsd.dtype))
+    mn = Tensor(np.asarray(cfg.m_n, dtype=xsd.dtype))
+    rank = add(relu(sub(d_pos, mp)), relu(sub(mn, neg)))
+
+    s = tsum(mul(gather_rows(fs, i_arr), gather_rows(ft, j_arr)), axis=1, keepdims=True)
+    if cfg.detach_confidence:
+        s = s.detach()
+    total = tsum(mul(relu(s), rank))
+    return mul(total, Tensor(np.asarray(1.0 / len(gt.pairs), dtype=xsd.dtype)))

@@ -1,12 +1,14 @@
 """Finite-difference checks for every autodiff op, and for the separate ops
-(`reference_ops`) that the fused encoder ops must reproduce bit for bit."""
+(`reference_ops`) that the fused encoder and loss ops must reproduce bit for bit."""
 
 import numpy as np
 import pytest
 import reference_ops as ref
 
 from linmatch import autodiff as ad
-from linmatch.encoder import LayerWeights, feed_forward
+from linmatch.encoder import EncodedPair, LayerWeights, feed_forward
+from linmatch.geometry import GroundTruth
+from linmatch.training import LossConfig, triplet_loss
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -29,7 +31,7 @@ def check_unary(op, x, scale=None, tol=1e-7):
     t = ad.Tensor(x.copy(), requires_grad=True)
     out = op(t)
     w = np.random.default_rng(0).standard_normal(out.data.shape)
-    ad.tsum(ad.mul(out, ad.Tensor(w))).backward()
+    ref.tsum(ref.mul(out, ad.Tensor(w))).backward()
 
     def f(xv):
         return float((op(ad.Tensor(xv)).data * w).sum())
@@ -45,16 +47,16 @@ class TestElementwise:
     def test_add_broadcast(self):
         a = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
         b = ad.Tensor(self.rng.standard_normal((1, 3)), requires_grad=True)
-        out = ad.add(a, b)
-        ad.tsum(out).backward()
+        out = ref.add(a, b)
+        ref.tsum(out).backward()
         np.testing.assert_allclose(a.grad, np.ones((4, 3)))
         np.testing.assert_allclose(b.grad, np.full((1, 3), 4.0))
 
     def test_sub_broadcast_scalar(self):
         a = ad.Tensor(self.rng.standard_normal((4, 3)), requires_grad=True)
         b = ad.Tensor(np.array(2.0), requires_grad=True)
-        out = ad.sub(a, b)
-        ad.tsum(out).backward()
+        out = ref.sub(a, b)
+        ref.tsum(out).backward()
         np.testing.assert_allclose(a.grad, np.ones((4, 3)))
         np.testing.assert_allclose(b.grad, -12.0)
 
@@ -63,7 +65,7 @@ class TestElementwise:
         y = self.rng.standard_normal((5, 4))
         a = ad.Tensor(x.copy(), requires_grad=True)
         b = ad.Tensor(y.copy(), requires_grad=True)
-        ad.tsum(ad.mul(a, b)).backward()
+        ref.tsum(ref.mul(a, b)).backward()
         np.testing.assert_allclose(a.grad, y)
         np.testing.assert_allclose(b.grad, x)
 
@@ -72,7 +74,7 @@ class TestElementwise:
         y = self.rng.standard_normal((3, 4)) + 3.0
         a = ad.Tensor(x.copy(), requires_grad=True)
         b = ad.Tensor(y.copy(), requires_grad=True)
-        ad.tsum(ref.div(a, b)).backward()
+        ref.tsum(ref.div(a, b)).backward()
 
         na = numeric_grad(lambda v: float((v / y).sum()), x.copy())
         nb = numeric_grad(lambda v: float((x / v).sum()), y.copy())
@@ -89,11 +91,11 @@ class TestElementwise:
     def test_relu(self):
         x = self.rng.standard_normal((6, 5))
         x[np.abs(x) < 0.05] = 0.5  # keep away from the kink
-        check_unary(ad.relu, x)
+        check_unary(ref.relu, x)
 
     def test_relu_kink_subgradient_zero(self):
         t = ad.Tensor(np.zeros(3), requires_grad=True)
-        ad.tsum(ad.relu(t)).backward()
+        ref.tsum(ref.relu(t)).backward()
         np.testing.assert_allclose(t.grad, np.zeros(3))
 
     def test_sqrt(self):
@@ -111,7 +113,7 @@ class TestLinalg:
         a = ad.Tensor(x.copy(), requires_grad=True)
         b = ad.Tensor(y.copy(), requires_grad=True)
         w = self.rng.standard_normal((4, 5))
-        ad.tsum(ad.mul(ad.matmul(a, b), ad.Tensor(w))).backward()
+        ref.tsum(ref.mul(ref.matmul(a, b), ad.Tensor(w))).backward()
 
         na = numeric_grad(lambda v: float(((v @ y) * w).sum()), x.copy())
         nb = numeric_grad(lambda v: float(((x @ v) * w).sum()), y.copy())
@@ -121,14 +123,14 @@ class TestLinalg:
     def test_sum_axis_keepdims(self):
         x = self.rng.standard_normal((4, 6))
         a = ad.Tensor(x.copy(), requires_grad=True)
-        out = ad.tsum(a, axis=1, keepdims=True)
+        out = ref.tsum(a, axis=1, keepdims=True)
         assert out.data.shape == (4, 1)
-        ad.tsum(ad.mul(out, ad.Tensor(np.arange(4.0)[:, None]))).backward()
+        ref.tsum(ref.mul(out, ad.Tensor(np.arange(4.0)[:, None]))).backward()
         np.testing.assert_allclose(a.grad, np.tile(np.arange(4.0)[:, None], (1, 6)))
 
     def test_sum_axis0(self):
         a = ad.Tensor(self.rng.standard_normal((4, 6)), requires_grad=True)
-        ad.tsum(ad.tsum(a, axis=0)).backward()
+        ref.tsum(ref.tsum(a, axis=0)).backward()
         np.testing.assert_allclose(a.grad, np.ones((4, 6)))
 
 
@@ -141,16 +143,16 @@ class TestStructural:
         b = ad.Tensor(self.rng.standard_normal((4, 2)), requires_grad=True)
         out = ref.concat_cols(a, b)
         w = self.rng.standard_normal((4, 5))
-        ad.tsum(ad.mul(out, ad.Tensor(w))).backward()
+        ref.tsum(ref.mul(out, ad.Tensor(w))).backward()
         np.testing.assert_allclose(a.grad, w[:, :3])
         np.testing.assert_allclose(b.grad, w[:, 3:])
 
     def test_gather_rows_with_repeats(self):
         a = ad.Tensor(self.rng.standard_normal((5, 3)), requires_grad=True)
         idx = np.array([0, 2, 2, 4])
-        out = ad.gather_rows(a, idx)
+        out = ref.gather_rows(a, idx)
         np.testing.assert_allclose(out.data, a.data[idx])
-        ad.tsum(out).backward()
+        ref.tsum(out).backward()
         expect = np.zeros((5, 3))
         np.add.at(expect, idx, 1.0)
         np.testing.assert_allclose(a.grad, expect)
@@ -167,7 +169,7 @@ class TestLayerNorm:
         tx = ad.Tensor(x.copy(), requires_grad=True)
         tg = ad.Tensor(gm.copy(), requires_grad=True)
         tb = ad.Tensor(bt.copy(), requires_grad=True)
-        ad.tsum(ad.mul(ref.layer_norm(tx, tg, tb), ad.Tensor(w))).backward()
+        ref.tsum(ref.mul(ref.layer_norm(tx, tg, tb), ad.Tensor(w))).backward()
 
         def f_x(v):
             return float((ref.layer_norm(ad.Tensor(v), ad.Tensor(gm), ad.Tensor(bt)).data * w).sum())
@@ -207,10 +209,41 @@ class TestFeedForward:
 
         tensors, out = run({k: v.copy() for k, v in inputs.items()},
                            lambda v: ad.Tensor(v, requires_grad=True))
-        ad.tsum(ad.mul(out, ad.Tensor(w))).backward()
+        ref.tsum(ref.mul(out, ad.Tensor(w))).backward()
         for name, value in inputs.items():
             def f(v):
                 return float((run({**inputs, name: v})[1].data * w).sum())
+
+            num = numeric_grad(f, value.copy())
+            np.testing.assert_allclose(tensors[name].grad, num, atol=1e-6, err_msg=name)
+
+
+class TestTripletLoss:
+    @pytest.mark.parametrize("detach", [False, True])
+    def test_numeric_grads(self, detach):
+        """Every input of the fused loss, with both sides' negatives, active and inactive
+        hinges and clamped confidences among the eight correspondences."""
+        rng = np.random.default_rng(4)
+        inputs = {"xs_hat": rng.standard_normal((12, 3)), "xt_hat": rng.standard_normal((10, 3)),
+                  "fs_hat": rng.standard_normal((12, 4)), "ft_hat": rng.standard_normal((10, 4))}
+        gt = GroundTruth(np.column_stack([rng.permutation(12)[:8], rng.permutation(10)[:8]]))
+        inputs["xt_hat"][gt.pairs[:4, 1]] = inputs["xs_hat"][gt.pairs[:4, 0]] + 0.3
+        cfg = LossConfig(m_p=0.3, m_n=0.5, detach_confidence=detach)
+
+        def run(values, cls=ad.Tensor):
+            t = {k: cls(v) for k, v in values.items()}
+            return t, triplet_loss(EncodedPair(**t), gt, cfg)
+
+        tensors, loss = run({k: v.copy() for k, v in inputs.items()},
+                            lambda v: ad.Tensor(v, requires_grad=True))
+        loss.backward()
+        for name, value in inputs.items():
+            if detach and name.startswith("f"):  # the confidence weighs, but passes no gradient
+                assert tensors[name].grad is None
+                continue
+
+            def f(v):
+                return float(run({**inputs, name: v})[1].data)
 
             num = numeric_grad(f, value.copy())
             np.testing.assert_allclose(tensors[name].grad, num, atol=1e-6, err_msg=name)
@@ -228,7 +261,7 @@ class TestRowNormalize:
         x = rng.standard_normal((4, 3)) + 0.5
         w = rng.standard_normal((4, 3))
         t = ad.Tensor(x.copy(), requires_grad=True)
-        ad.tsum(ad.mul(ad.row_l2_normalize(t), ad.Tensor(w))).backward()
+        ref.tsum(ref.mul(ad.row_l2_normalize(t), ad.Tensor(w))).backward()
 
         def f(v):
             return float((v / np.linalg.norm(v, axis=1, keepdims=True) * w).sum())
@@ -239,14 +272,14 @@ class TestRowNormalize:
 class TestGraphMechanics:
     def test_grad_accumulates_on_reuse(self):
         a = ad.Tensor(np.array([2.0, 3.0]), requires_grad=True)
-        out = ad.add(ad.mul(a, a), a)  # x^2 + x
-        ad.tsum(out).backward()
+        out = ref.add(ref.mul(a, a), a)  # x^2 + x
+        ref.tsum(out).backward()
         np.testing.assert_allclose(a.grad, 2 * a.data + 1)
 
     def test_no_grad_blocks_tape(self):
         a = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            out = ad.mul(a, a)
+            out = ref.mul(a, a)
         assert not out.requires_grad
         assert out._backward is None
 
@@ -254,7 +287,7 @@ class TestGraphMechanics:
         a = ad.Tensor(np.ones(3), requires_grad=True)
         d = a.detach()
         assert not d.requires_grad
-        out = ad.tsum(ad.mul(ad.mul(a, d), ad.Tensor(np.array(1.0))))
+        out = ref.tsum(ref.mul(ref.mul(a, d), ad.Tensor(np.array(1.0))))
         out.backward()
         np.testing.assert_allclose(a.grad, np.ones(3))
 
@@ -266,9 +299,9 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
     gc.disable()
     try:
         x = ad.Tensor(np.ones(3), requires_grad=True)
-        hidden = ad.mul(x, x)
+        hidden = ref.mul(x, x)
         alive = weakref.ref(hidden.data)
-        loss = ad.tsum(hidden)
+        loss = ref.tsum(hidden)
         del hidden
         loss.backward()
         del loss
@@ -280,17 +313,17 @@ def test_backward_frees_the_graph_without_the_cycle_collector():
 class TestOpCounter:
     def test_matmul_counts(self):
         with ad.count_ops() as c:
-            ad.matmul(ad.Tensor(np.ones((4, 3))), ad.Tensor(np.ones((3, 5))))
+            ref.matmul(ad.Tensor(np.ones((4, 3))), ad.Tensor(np.ones((3, 5))))
         assert c.multiplies == 4 * 3 * 5
 
     def test_allocation_tracking(self):
         with ad.count_ops() as c:
-            ad.add(ad.Tensor(np.ones((7, 2))), ad.Tensor(np.ones((7, 2))))
+            ref.add(ad.Tensor(np.ones((7, 2))), ad.Tensor(np.ones((7, 2))))
         assert c.has_allocation((7, 2))
         assert not c.has_allocation((7, 7))
 
     def test_disabled_outside_block(self):
         with ad.count_ops() as c:
             pass
-        ad.mul(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(4)))
+        ref.mul(ad.Tensor(np.ones(4)), ad.Tensor(np.ones(4)))
         assert c.multiplies == 0

@@ -74,17 +74,17 @@ def test_bench_attention_is_monotone_within_noise():
 
 
 def test_doubling_reps_keeps_medians_stable():
-    # the 5- and 10-rep runs alternate, three of each, so a drift in machine speed
-    # reaches both alike
+    # each 10-rep run is compared with the 5-rep run just before it, so a drift in
+    # machine speed between the pairs cancels out of their differences
     kw = dict(sizes=(2048, 8192), c_prime=64, seed=0)
-    runs = {5: [], 10: []}
+    m5, diff = ({n: [] for n in kw["sizes"]} for _ in range(2))
     for _ in range(3):
-        for reps in runs:
-            runs[reps] += bench_attention(("linear",), reps=reps, **kw).rows
-    m5, m10 = ({n: np.median([r.median_ms for r in runs[reps] if r.n == n]) for n in kw["sizes"]}
-               for reps in runs)
-    for n in m5:
-        assert abs(m10[n] - m5[n]) <= 0.2 * m5[n]
+        r5, r10 = (bench_attention(("linear",), reps=reps, **kw).rows for reps in (5, 10))
+        for a, b in zip(r5, r10, strict=True):
+            m5[a.n].append(a.median_ms)
+            diff[a.n].append(b.median_ms - a.median_ms)
+    for n in kw["sizes"]:
+        assert abs(np.median(diff[n])) <= 0.2 * np.median(m5[n])
 
 
 def test_bench_pipeline_smoke():

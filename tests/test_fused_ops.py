@@ -3,9 +3,10 @@
 `reference_ops` keeps the encoder as it was written op by op: three
 projection products, the attention kernel, concatenation, `mlp0`, layer
 norm, relu, `mlp1` and the residual add, then a row normalization built from
-mul, sum, sqrt and div, and Adam with one moment buffer per tensor.  The
-fused ops must give equal outputs and equal gradients (`np.array_equal`),
-and note the same multiplies with the op counter.
+mul, sum, sqrt and div, the triplet loss from gathers, differences, products,
+sums and hinges, and Adam with one moment buffer per tensor.  The fused ops
+must give equal outputs and equal gradients (`np.array_equal`), and note the
+same multiplies with the op counter, less the products they no longer make.
 """
 
 import numpy as np
@@ -15,10 +16,18 @@ from reference_ops import membership
 
 import linmatch.autodiff as ad
 import linmatch.encoder as encoder
+import linmatch.training as training
 from linmatch.attention import NeighborhoodPair
 from linmatch.autodiff import Tensor
-from linmatch.encoder import LayerWeights, NetworkConfig, encoder_layer, forward, init_weights
-from linmatch.geometry import GenNoiseConfig, generate_pair
+from linmatch.encoder import (
+    EncodedPair,
+    LayerWeights,
+    NetworkConfig,
+    encoder_layer,
+    forward,
+    init_weights,
+)
+from linmatch.geometry import GenNoiseConfig, GroundTruth, generate_pair
 from linmatch.training import AdamState, LossConfig, loss_gradient
 
 HIDDEN = 8
@@ -48,8 +57,8 @@ def _run(update, kind, in_dim, dtype, heads):
     tw = LayerWeights(*_tensors([a for _, a in w.params()]))
     args = (xs, xt, membership(PAIRS)) if kind == "pairwise" else (xs, xt)
     a, b = update(*args, tw, heads)
-    loss = ad.add(ad.tsum(ad.mul(a, Tensor(rng.standard_normal(a.data.shape).astype(dtype)))),
-                  ad.tsum(ad.mul(b, Tensor(rng.standard_normal(b.data.shape).astype(dtype)))))
+    loss = ref.add(ref.tsum(ref.mul(a, Tensor(rng.standard_normal(a.data.shape).astype(dtype)))),
+                   ref.tsum(ref.mul(b, Tensor(rng.standard_normal(b.data.shape).astype(dtype)))))
     loss.backward()
     return [a.data, b.data, xs.grad, xt.grad] + [t.grad for _, t in tw.params()]
 
@@ -78,7 +87,7 @@ def test_row_normalization_equals_the_separate_ops():
     for op in (ad.row_l2_normalize, ref.row_l2_normalize):
         t = Tensor(x.copy(), requires_grad=True)
         out = op(t)
-        ad.tsum(ad.mul(out, w)).backward()
+        ref.tsum(ref.mul(out, w)).backward()
         got.append((out.data, t.grad))
     assert all(np.array_equal(a, b) for a, b in zip(*got))
 
@@ -116,6 +125,65 @@ def test_training_step_equals_the_separate_ops(monkeypatch):
         assert np.array_equal(w, want), name
 
 
+def _loss_run(loss_fn, dtype, detach):
+    """Loss value and the gradients of its four inputs, for 20 correspondences among 30
+    source and 26 target rows.  Negatives repeat and some are correspondence rows; both
+    sides' negatives, both states of each hinge and of the confidence's clamp occur."""
+    rng = np.random.default_rng(9)
+    xs, xt = (rng.standard_normal((rows, 3)) for rows in (30, 26))
+    fs, ft = rng.standard_normal((30, 5)), rng.standard_normal((26, 5)) + 0.3
+    pairs = np.column_stack([rng.permutation(30)[:20], rng.permutation(26)[:20]])
+    i, j = pairs.T
+    xt[j[:10]] = xs[i[:10]] + 0.3 * rng.standard_normal((10, 3))
+    tensors = _tensors([x.astype(dtype) for x in (xs, xt, fs, ft)])
+    loss = loss_fn(EncodedPair(*tensors), GroundTruth(pairs),
+                   LossConfig(m_p=0.3, m_n=0.5, detach_confidence=detach))
+    loss.backward()
+    return [loss.data] + [t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_value_and_gradients_equal_the_separate_ops(dtype, detach):
+    fused = _loss_run(training.triplet_loss, dtype, detach)
+    separate = _loss_run(ref.triplet_loss, dtype, detach)
+    assert fused[0] > 0
+    for k, (got, want) in enumerate(zip(fused, separate)):
+        if detach and k > 2:  # f gets no gradient
+            assert got is None and want is None
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_loss_gradient_equals_the_separate_loss_ops(monkeypatch, dtype, detach):
+    """A whole step, where f also feeds the pairwise layer: the loss adds its share of f's
+    gradient after the layer's shares, as the tape's gathers did."""
+    ks, kt, gt, _ = _train_scene()
+    lcfg = LossConfig(detach_confidence=detach)
+    got = loss_gradient(init_weights(TRAIN_CFG, seed=0, dtype=dtype), (ks, kt, gt),
+                        TRAIN_CFG, lcfg)
+    monkeypatch.setattr(training, "triplet_loss", ref.triplet_loss)
+    want = loss_gradient(init_weights(TRAIN_CFG, seed=0, dtype=dtype), (ks, kt, gt),
+                         TRAIN_CFG, lcfg)
+    assert got[0] == want[0]
+    for (name, g), (_, w) in zip(got[1].all_params(), want[1].all_params()):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+
+def test_a_training_step_builds_25_nodes(monkeypatch):
+    """Layer 0's three per side, two per side in each later layer, the two row
+    normalizations and the loss."""
+    ks, kt, gt, _ = _train_scene()
+    made = []
+    node = ad.node
+    monkeypatch.setattr(ad, "node", lambda *a: made.append(1) or node(*a))
+    loss_gradient(init_weights(TRAIN_CFG, seed=0, dtype=np.float64), (ks, kt, gt),
+                  TRAIN_CFG, TRAIN_LOSS)
+    assert len(made) == 25
+
+
 @pytest.mark.parametrize("in_dim, nodes", [(HIDDEN, 2), (12, 3)])
 def test_one_layer_records_two_nodes_and_layer0_its_carrier(monkeypatch, in_dim, nodes):
     rng = np.random.default_rng(2)
@@ -129,8 +197,8 @@ def test_one_layer_records_two_nodes_and_layer0_its_carrier(monkeypatch, in_dim,
 
 
 def test_op_counts_equal_those_of_the_separate_ops():
-    """Multiplies noted by one inference forward and one training step, pinned
-    at their values before the ops were fused; and no (n, m) buffer."""
+    """Multiplies noted by one inference forward and one training step: their values
+    before the ops were fused, less the products no longer made; and no (n, m) buffer."""
     noise = GenNoiseConfig(desc_sigma=0.75, jitter_sigma=0.5, distractors=20)
     ks, kt, _, _ = generate_pair(3, 256, (314, 314), 256, noise)
     cfg = NetworkConfig()
@@ -140,6 +208,10 @@ def test_op_counts_equal_those_of_the_separate_ops():
     with ad.count_ops() as step:
         loss_gradient(init_weights(TRAIN_CFG, seed=0, dtype=np.float64), (ts, tt, gt),
                       TRAIN_CFG, TRAIN_LOSS)
-    assert (fwd.multiplies, step.multiplies) == (203520512, 3584804)
+    # layer 0 takes its carrier from the attention op's v block, and the loss picks a side
+    # instead of blending both with two multiplies per correspondence
+    carriers = (len(ks) + len(kt)) * 256 * 64, (len(ts) + len(tt)) * 32 * 16
+    assert fwd.multiplies == 203520512 - carriers[0]
+    assert step.multiplies == 3584804 - carriers[1] - 2 * len(gt.pairs)
     for c, (n, m) in ((fwd, (len(ks), len(kt))), (step, (len(ts), len(tt)))):
         assert not c.has_allocation((n, m)) and not c.has_allocation((m, n))

@@ -5,10 +5,13 @@ The scenes are built exactly as `perfbench/workloads.py` builds them (seeds
 training steps are the first 64 of the `train-step` workload at seed 101.
 For every scene, a SHA-256 over the match index pairs and stage tags pins
 the match set exactly, and the scores are pinned to a relative tolerance of
-1e-6 (they are stored as float32).  The losses are pinned to 1e-12 relative.
-A refactor that claims bit-identical outputs must pass this file unchanged.
+1e-6 (they are stored as float32).  The losses are pinned to 1e-12 relative,
+and a SHA-256 over the bytes of every step's gradients, in `all_params` order,
+pins those exactly.  A refactor that claims bit-identical outputs must pass
+this file unchanged.
 
-Regenerate the data only when an output change is intended:
+Regenerate the data only when an output change is intended, and then set
+`_TRAIN_GRADIENTS_SHA256` to the digest it prints:
 
     OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +29,7 @@ _DATA = _ROOT / "tests" / "data" / "golden.npz"
 _PIPELINES = [(name, seed) for name in ("match-1k-outliers", "match-4k-clean")
               for seed in (101, 102, 103)]
 _TRAIN_SEED, _TRAIN_STEPS = 101, 64
+_TRAIN_GRADIENTS_SHA256 = "8c50a3f4128380d59fee381bc586398d399e60ef7443132ff56668033c7c1fe5"
 
 
 def _workloads():
@@ -61,14 +65,17 @@ def _pipeline_outputs():
     return got
 
 
-def _train_losses():
+def _train_steps():
+    """The losses of the first training steps, and the SHA-256 of their gradients."""
     work = _workloads().make("train-step")
     work.setup(_TRAIN_SEED, _NoTrace())
-    losses = []
+    losses, digest = [], hashlib.sha256()
     for i in range(_TRAIN_STEPS):
         work.prepare(i)
-        losses.append(work.call(i)[0])
-    return np.array(losses)
+        loss, grads = work.call(i)
+        losses.append(loss)
+        digest.update(b"".join(np.asarray(g).tobytes() for _, g in grads.all_params()))
+    return np.array(losses), digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -87,15 +94,24 @@ def test_pipeline_matches_stages_and_scores_are_pinned(golden):
                                    err_msg=f"scene {k}")
 
 
-def test_first_training_losses_are_pinned(golden):
-    np.testing.assert_allclose(_train_losses(), golden["losses"], rtol=1e-12, atol=0)
+@pytest.fixture(scope="module")
+def train_steps():
+    return _train_steps()
+
+
+def test_first_training_losses_are_pinned(golden, train_steps):
+    np.testing.assert_allclose(train_steps[0], golden["losses"], rtol=1e-12, atol=0)
+
+
+def test_first_training_gradients_are_pinned(train_steps):
+    assert train_steps[1] == _TRAIN_GRADIENTS_SHA256
 
 
 if __name__ == "__main__":
-    outputs = _pipeline_outputs()
+    outputs, (losses, gradients) = _pipeline_outputs(), _train_steps()
     _DATA.parent.mkdir(exist_ok=True)
     np.savez_compressed(_DATA, digests=np.array([d for d, _ in outputs]),
                         counts=np.array([len(s) for _, s in outputs]),
                         scores=np.concatenate([s for _, s in outputs]).astype(np.float32),
-                        losses=_train_losses())
-    print(f"wrote {_DATA}")
+                        losses=losses)
+    print(f"wrote {_DATA}; gradients SHA-256 {gradients}")

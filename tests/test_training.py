@@ -166,6 +166,18 @@ def test_non_finite_row_keeps_the_difference_table_negatives(bad, dtype):
         assert np.isfinite(loss.data) == (row == 8 and np.isinf(bad))
 
 
+def test_partner_is_never_its_own_hardest_negative():
+    """Source row 1 is at inf, the only source row but the partner: it is the source-side
+    negative, so the negative is the target side's, at 9, and both hinges are inactive."""
+    xs, xt = np.array([[0.0, 0.0], [np.inf, 0.0]]), np.array([[0.1, 0.0], [3.0, 0.0]])
+    assert training._hardest_negatives(xt[:1], xs, np.array([0])).tolist() == [1]
+    tensors = [Tensor(x, requires_grad=True) for x in (xs, xt, np.ones((2, 2)), np.ones((2, 2)))]
+    loss = triplet_loss(EncodedPair(*tensors), GroundTruth(pairs=[(0, 0)]), LossConfig())
+    assert loss.data == 0.0
+    loss.backward()
+    assert not any(t.grad.any() for t in tensors)
+
+
 def test_train_toy_reports_a_non_finite_encoding_row(monkeypatch):
     cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=0)
     data = toy_dataset(1, 8)
