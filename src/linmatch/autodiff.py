@@ -119,9 +119,6 @@ class Tensor:
         self._backward = _backward if self.requires_grad else None
         self._last = ()  # shares to add after every other one (`_accumulate_last`)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)

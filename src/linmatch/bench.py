@@ -1,10 +1,10 @@
 """Scaling benchmarks and operation-count audits.
 
-Measures median forward time of the attention kernels (and of the full
-matching pipeline) across problem sizes, fits a log-log slope per method,
-and audits the debug counters: the streaming kernel must multiply within
-2x of (M+N)C'^2 plus lower-order terms and never allocate an NxM buffer,
-while the quadratic reference visibly does.
+Measures median forward time of the attention kernels across problem
+sizes, fits a log-log slope per method, and audits the debug counters:
+the streaming kernel must multiply within 2x of (M+N)C'^2 plus
+lower-order terms and never allocate an NxM buffer, while the quadratic
+reference visibly does.
 
 Times are the calling thread's CPU time (`time.thread_time`), not wall
 time, so time spent waiting for a busy CPU does not count.  Work that BLAS
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +31,7 @@ from .attention import (
     softmax_attention_reference,
 )
 from .autodiff import count_ops
-from .encoder import NetworkConfig, forward, init_weights
-from .geometry import GenNoiseConfig, generate_pair, require_int
-from .matcher import _candidates, match_pipeline
-from .neighborhood import NeighborhoodConfig
-
-# constant keypoint density: frame area grows with n so neighborhood
-# sizes stay bounded and the largest one remains far below n
-_PX_PER_KEYPOINT = 96.0
+from .geometry import require_int
 
 _KERNELS = {"linear": linear_attention, "softmax": softmax_attention_reference}
 
@@ -48,7 +41,7 @@ class BenchRow:
     method: str
     n: int
     median_ms: float
-    multiplies: int = 0
+    multiplies: int
 
 
 @dataclass
@@ -56,34 +49,17 @@ class BenchReport:
     rows: list  # BenchRow, sizes strictly increasing within each method
     slopes: dict  # method -> fitted log-log exponent
     reps: int
-    notes: dict = field(default_factory=dict)
 
 
-def _measure(fn, reps: int) -> float:
-    fn()
-    fn()
+def _measure(kernel, triplet: ProjectedTriplet, reps: int) -> float:
+    kernel(triplet)
+    kernel(triplet)
     times = []
     for _ in range(reps):
         t0 = time.thread_time()
-        fn()
+        kernel(triplet)
         times.append(time.thread_time() - t0)
     return float(np.median(times))
-
-
-def _scaling(make_fn, sizes, reps: int):
-    """Median seconds of `make_fn(n)()` per size: ([(n, median)], their log-log slope)."""
-    sizes = list(sizes)
-    for n in sizes:
-        require_int("each size", n, 1)
-    require_int("reps", reps, 3)
-    if len(sizes) < 2:
-        raise ValueError("need at least 2 size points; slope is undefined for one")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly increasing")
-    if sizes[-1] < 4 * sizes[0]:
-        raise ValueError("sizes must span at least a 4x range")
-    points = [(n, _measure(make_fn(n), reps)) for n in sizes]
-    return points, loglog_slope(points)
 
 
 def loglog_slope(points) -> float:
@@ -108,60 +84,29 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
     require_int("c_prime", c_prime, 1)
+    sizes = list(sizes)
+    for n in sizes:
+        require_int("each size", n, 1)
+    require_int("reps", reps, 3)
+    if len(sizes) < 2:
+        raise ValueError("need at least 2 size points; slope is undefined for one")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    if sizes[-1] < 4 * sizes[0]:
+        raise ValueError("sizes must span at least a 4x range")
 
     rows = []
     slopes = {}
     for method in methods:
         kernel = _KERNELS[method]
-
-        def make_fn(n):
-            t = _random_triplet(n, c_prime, seed)
-            return lambda: kernel(t)
-
-        points, slopes[method] = _scaling(make_fn, sizes, reps)
+        points = [(n, _measure(kernel, _random_triplet(n, c_prime, seed), reps))
+                  for n in sizes]
+        slopes[method] = loglog_slope(points)
         for n, median in points:
             with count_ops() as ops:
                 kernel(_random_triplet(n, c_prime, seed))
             rows.append(BenchRow(method, n, median * 1e3, ops.multiplies))
     return BenchReport(rows, slopes, reps)
-
-
-def _pipeline_scene(n: int, descriptor_dim: int, seed: int):
-    side = int(np.ceil(np.sqrt(_PX_PER_KEYPOINT * n)))
-    noise = GenNoiseConfig(desc_sigma=0.02, jitter_sigma=0.5)
-    return generate_pair(seed + n, n, (side, side), descriptor_dim, noise)
-
-
-def bench_pipeline(sizes, cfg: NetworkConfig | None = None, reps: int = 5,
-                   seed: int = 0, neigh_cfg: NeighborhoodConfig | None = None) -> BenchReport:
-    """Time encode + match + filter end-to-end on synthetic scenes.
-
-    With BLAS threads pinned, the slope reflects algorithmic cost.  Also records
-    the largest neighborhood encountered at each size (the `n_max` note) so
-    the restricted-attention cost term stays observable.
-    """
-    cfg = cfg or NetworkConfig()
-    weights = init_weights(cfg, seed)
-
-    scenes = {}
-
-    def make_fn(n):
-        if n not in scenes:
-            scenes[n] = _pipeline_scene(n, cfg.input_dim, seed)
-        ks, kt = scenes[n][0], scenes[n][1]
-        return lambda: match_pipeline(ks, kt, weights, cfg, neigh_cfg)
-
-    points, slope = _scaling(make_fn, sizes, reps)
-    n_max_note = {}
-    for n, _ in points:
-        ks, kt = scenes[n][0], scenes[n][1]
-        ncfg = (neigh_cfg or NeighborhoodConfig()).resolved_pair((ks.width, ks.height),
-                                                                 (kt.width, kt.height))
-        members = _candidates(forward(ks, kt, weights, cfg, ncfg), ks, kt, ncfg)[1]
-        n_max_note[n] = int(members.source.sizes.max(initial=0))
-    notes = {"n_max": n_max_note, "n_max_ratio": {n: v / n for n, v in n_max_note.items()}}
-    rows = [BenchRow("pipeline", n, median * 1e3) for n, median in points]
-    return BenchReport(rows, {"pipeline": slope}, reps, notes)
 
 
 def _disjoint_blocks(count: int, block: int) -> Membership:
@@ -241,9 +186,7 @@ def write_bench_json(path, report: BenchReport) -> None:
             "slope": float(report.slopes[row.method]), "points": []})
         entry["points"].append({"n": row.n, "median_ms": float(row.median_ms),
                                 "multiplies": int(row.multiplies)})
-    payload = {"reps": report.reps, "methods": methods,
-               "notes": {k: {str(n): v for n, v in d.items()} if isinstance(d, dict) else d
-                         for k, d in report.notes.items()}}
+    payload = {"reps": report.reps, "methods": methods}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")

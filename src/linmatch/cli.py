@@ -26,7 +26,6 @@ import numpy as np
 
 from .bench import (
     bench_attention,
-    bench_pipeline,
     op_counter_audit,
     write_bench_csv,
     write_bench_json,
@@ -311,12 +310,7 @@ def cmd_bench(args) -> int:
     cfg = _section(run, "bench", BenchConfig, sizes=args.sizes, reps=args.reps,
                    c_prime=args.c_prime, methods=args.methods)
     try:
-        if args.mode == "attention":
-            report = bench_attention(**vars(cfg), seed=run.seed)
-        else:
-            net = _section(run, "network", NetworkConfig)
-            neigh = _section(run, "neighborhood", NeighborhoodConfig)
-            report = bench_pipeline(cfg.sizes, net, cfg.reps, seed=run.seed, neigh_cfg=neigh)
+        report = bench_attention(**vars(cfg), seed=run.seed)
     except ValueError as e:
         raise UsageError(str(e))
     write_bench_csv(out / "bench.csv", report)
@@ -462,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("bench", parents=[common],
                         help="measure runtime scaling or audit op counts")
-    be.add_argument("--mode", choices=("attention", "pipeline", "audit"),
+    be.add_argument("--mode", choices=("attention", "audit"),
                     default="attention")
     be.add_argument("--sizes", type=_parse_sizes, default=None)
     be.add_argument("--methods", type=_parse_methods, default=None)

@@ -299,6 +299,6 @@ def triplet_loss(enc, gt, cfg):
 
     s = tsum(mul(gather_rows(fs, i_arr), gather_rows(ft, j_arr)), axis=1, keepdims=True)
     if cfg.detach_confidence:
-        s = s.detach()
+        s = Tensor(s.data)
     total = tsum(mul(relu(s), rank))
     return mul(total, Tensor(np.asarray(1.0 / len(gt.pairs), dtype=xsd.dtype)))

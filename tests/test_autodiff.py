@@ -283,14 +283,6 @@ class TestGraphMechanics:
         assert not out.requires_grad
         assert out._backward is None
 
-    def test_detach(self):
-        a = ad.Tensor(np.ones(3), requires_grad=True)
-        d = a.detach()
-        assert not d.requires_grad
-        out = ref.tsum(ref.mul(ref.mul(a, d), ad.Tensor(np.array(1.0))))
-        out.backward()
-        np.testing.assert_allclose(a.grad, np.ones(3))
-
 
 def test_backward_frees_the_graph_without_the_cycle_collector():
     import gc

@@ -5,13 +5,11 @@ import pytest
 
 from linmatch.bench import (
     bench_attention,
-    bench_pipeline,
     loglog_slope,
     op_counter_audit,
     write_bench_csv,
     write_bench_json,
 )
-from linmatch.encoder import NetworkConfig
 
 
 def test_loglog_slope_recovers_exact_powers():
@@ -47,14 +45,6 @@ def test_non_integer_size_reps_or_c_prime_is_refused(bad):
         bench_attention(("linear",), **args)
 
 
-@pytest.mark.parametrize("bad", [{"sizes": (64.9, 256)}, {"reps": 3.5}], ids=lambda v: repr(v))
-def test_pipeline_refuses_non_integer_size_or_reps(bad):
-    args = {"sizes": (64, 256), "reps": 3, **bad}
-    cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=0)
-    with pytest.raises(ValueError, match="must be an integer"):
-        bench_pipeline(cfg=cfg, **args)
-
-
 def test_bench_attention_smoke():
     report = bench_attention(("linear",), sizes=(64, 256), c_prime=16, reps=3, seed=1)
     assert [r.n for r in report.rows] == [64, 256]
@@ -85,18 +75,6 @@ def test_doubling_reps_keeps_medians_stable():
             diff[a.n].append(b.median_ms - a.median_ms)
     for n in kw["sizes"]:
         assert abs(np.median(diff[n])) <= 0.2 * np.median(m5[n])
-
-
-def test_bench_pipeline_smoke():
-    cfg = NetworkConfig(input_dim=16, hidden_dim=8, heads=2, l1=1, l2=1)
-    report = bench_pipeline((64, 256), cfg=cfg, reps=3, seed=3)
-    assert [r.n for r in report.rows] == [64, 256]
-    assert "pipeline" in report.slopes
-    assert set(report.notes["n_max"]) == {64, 256}
-    for n, ratio in report.notes["n_max_ratio"].items():
-        assert 0.0 <= ratio < 1.0
-    with pytest.raises(ValueError):
-        bench_pipeline((64,), cfg=cfg)
 
 
 def test_op_counter_audit_counts_and_bounds():

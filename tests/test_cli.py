@@ -368,17 +368,10 @@ def test_bench_audit_cli(tmp_path):
     assert payload["linear_multiplies"] <= payload["linear_bound"]
 
 
-def test_bench_pipeline_cli_with_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "network": {"input_dim": 8, "hidden_dim": 8, "heads": 2, "l1": 1, "l2": 0}}))
-    out = tmp_path / "bench"
-    code = run_cli(["bench", "--mode", "pipeline", "--sizes", "64,256",
-                    "--reps", 3, "--config", cfg, "-o", out])
-    assert code == 0
-    payload = json.loads((out / "bench.json").read_text())
-    assert "pipeline" in payload["methods"]
-    assert payload["notes"]["n_max"]
+def test_bench_pipeline_mode_is_gone(tmp_path, capsys):
+    """End-to-end and per-stage timing lives in perfbench/, not in `bench`."""
+    assert run_cli(["bench", "--mode", "pipeline", "-o", tmp_path / "b"]) == 2
+    assert "invalid choice: 'pipeline'" in capsys.readouterr().err
 
 
 def test_config_file_validation(tmp_path):

@@ -9,7 +9,6 @@ from reference_ops import membership
 
 import linmatch.matcher as matcher
 from linmatch.attention import Membership, NeighborhoodPair
-from linmatch.bench import _pipeline_scene
 from linmatch.encoder import NetworkConfig, forward, init_weights
 from linmatch.geometry import (
     GenNoiseConfig,
@@ -574,7 +573,8 @@ class TestMatchPipeline:
         `Membership` arrays are read: no `NeighborhoodPair` view is made."""
         cfg = NetworkConfig(input_dim=32, hidden_dim=16, heads=2, l1=1, l2=1)
         weights = init_weights(cfg, seed=0)
-        ks, kt, gt, _ = _pipeline_scene(256, cfg.input_dim, seed=0)
+        ks, kt, gt, _ = generate_pair(256, 256, (157, 157), cfg.input_dim,
+                                      GenNoiseConfig(desc_sigma=0.02, jitter_sigma=0.5))
 
         def run():
             out = match_pipeline(ks, kt, weights, cfg)
