@@ -3,7 +3,7 @@
 Multi-head attention splits the C' columns into `heads` contiguous groups of
 d = C' / heads.  The linear and restricted kernels view their inputs as
 (rows, heads, d) arrays and serve every head with the same batched numpy
-calls; each is one autodiff op with a hand-written backward.
+calls.
 
 The linear kernel replaces the N-by-M weight matrix with per-head
 accumulators built from the positive feature map phi(x) = elu(x) + 1,
@@ -21,13 +21,16 @@ distinct segment size (never a d x d product per member), and the results are
 sum-scattered into the output rows: rows outside every neighborhood stay
 exactly zero, rows in several get the plain sum.  The reverse direction
 (target rows querying source rows) swaps the two sides.  The linear kernel
-is the same op with one segment holding every row.
+is the same computation with one segment holding every row.
 
-The linear and restricted kernels take a `ProjectedTriplet` of numpy arrays
-(numpy out) or autodiff Tensors; `projected_attention`, which encoder layers
-call, forms q, k and v inside the same op and returns v too.  The softmax
-kernel is a single-head numpy reference (correctness oracle and complexity
-baseline) that deliberately materializes the N-by-M weight matrix.
+`linear_attention` and `pairwise_attention` are numpy functions: they take a
+`ProjectedTriplet` of arrays, return an array and record no autodiff node.
+`projected_attention`, which encoder layers call, is the one autodiff op: it
+forms q, k and v, runs the same kernel and returns v too, and its
+hand-written backward carries the kernel's gradient to the layer inputs and
+weights.  The softmax kernel is a single-head numpy reference (correctness
+oracle and complexity baseline) that deliberately materializes the N-by-M
+weight matrix.
 """
 
 from __future__ import annotations
@@ -39,19 +42,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, as_tensor
 
 
 @dataclass
 class ProjectedTriplet:
     """Query/key/value matrices sharing column count; K and V share rows."""
 
-    q: object  # N x C' array or Tensor
-    k: object  # M x C'
-    v: object  # M x C'
+    q: np.ndarray  # N x C'
+    k: np.ndarray  # M x C'
+    v: np.ndarray  # M x C'
 
     def __post_init__(self):
-        qs, ks, vs = (_shape(x) for x in (self.q, self.k, self.v))
+        qs, ks, vs = (np.shape(x) for x in (self.q, self.k, self.v))
         if ks[0] != vs[0]:
             raise ValueError(f"key/value row mismatch: {ks[0]} vs {vs[0]}")
         if not (qs[1] == ks[1] == vs[1]):
@@ -158,10 +160,6 @@ class Membership:
         return NeighborhoodPair(tuple(self.seeds[s].tolist()), a, b)
 
 
-def _shape(x):
-    return x.data.shape if isinstance(x, Tensor) else np.shape(x)
-
-
 def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
     """Per segment and head, phi(Q) K_v / phi(Q).K_m, summed into the query rows: the
     (n, C') output for arrays q, k and v, and `grads`, which maps its gradient to theirs."""
@@ -204,22 +202,9 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
     return qside.scatter(o, n).reshape(n, c), grads
 
 
-def _triplet_attention(t: ProjectedTriplet, heads: int, pairs, reverse: bool):
-    q, k, v = (as_tensor(x) for x in (t.q, t.k, t.v))
-    out, grads = _segment_attention(q.data, k.data, v.data, heads, pairs, reverse)
-
-    def backward(g):
-        for x, dx in zip((q, k, v), grads(g)):
-            if x.requires_grad:
-                x._accumulate(dx)
-
-    res = ad.node(out, (q, k, v), backward)
-    return res if any(isinstance(x, Tensor) for x in (t.q, t.k, t.v)) else res.data
-
-
 def linear_attention(t: ProjectedTriplet, heads: int = 1):
     """Attention via streamed accumulators; never forms an N x M matrix."""
-    return _triplet_attention(t, heads, None, False)
+    return _segment_attention(t.q, t.k, t.v, heads, None, False)[0]
 
 
 def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool = False):
@@ -229,10 +214,10 @@ def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool
     way round with `reverse`.  Rows outside every query-side set are exactly
     zero.
     """
-    return _triplet_attention(t, heads, pairs, reverse)
+    return _segment_attention(t.q, t.k, t.v, heads, pairs, reverse)[0]
 
 
-def projected_attention(xq: Tensor, xs: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+def projected_attention(xq: ad.Tensor, xs: ad.Tensor, wq: ad.Tensor, wk: ad.Tensor, wv: ad.Tensor,
                         heads: int = 1, pairs=None, reverse: bool = False):
     """`linear_attention`, or `pairwise_attention` with `pairs`, of q = xq wq to k = xs wk
     and v = xs wv as one op, and the array v.  A self layer (xq and xs one array) makes one
@@ -265,7 +250,7 @@ def projected_attention(xq: Tensor, xs: Tensor, wq: Tensor, wk: Tensor, wv: Tens
 
 def softmax_attention_reference(t: ProjectedTriplet):
     """Scaled dot-product attention, O(N M C'); correctness/complexity baseline."""
-    q, k, v = (np.asarray(x.data if isinstance(x, Tensor) else x) for x in (t.q, t.k, t.v))
+    q, k, v = (np.asarray(x) for x in (t.q, t.k, t.v))
     if k.shape[0] < 1:
         raise ValueError("softmax attention requires at least one key row")
     scores = q @ k.T / np.sqrt(q.shape[1])

@@ -44,14 +44,10 @@ class _State(threading.local):
 _state = _State()
 
 
-def _grad_enabled() -> bool:
-    return _state.grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording inside the block."""
-    prev = _grad_enabled()
+    prev = _state.grad_enabled
     _state.grad_enabled = False
     try:
         yield
@@ -76,14 +72,10 @@ class OpCounter:
         return tuple(shape) in self.allocations
 
 
-def _counter() -> OpCounter | None:
-    return _state.op_counter
-
-
 @contextmanager
 def count_ops():
     """Enable op counting inside the block; yields the counter."""
-    prev = _counter()
+    prev = _state.op_counter
     counter = OpCounter()
     _state.op_counter = counter
     try:
@@ -94,14 +86,14 @@ def count_ops():
 
 def note_alloc(arr):
     """Record an allocated array's shape with the active counter, if any."""
-    c = _counter()
+    c = _state.op_counter
     if c is not None and arr.ndim >= 1:
         c.note_alloc(arr.shape)
 
 
 def note_mul(size):
     """Record `size` multiplies with the active counter, if any."""
-    c = _counter()
+    c = _state.op_counter
     if c is not None:
         c.multiplies += size
 
@@ -114,7 +106,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad and _grad_enabled()
+        self.requires_grad = requires_grad and _state.grad_enabled
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
         self._last = ()  # shares to add after every other one (`_accumulate_last`)
@@ -165,7 +157,7 @@ def as_tensor(x) -> Tensor:
 def node(data, parents, backward):
     """Result Tensor of an op (here or fused elsewhere); `backward(g)` feeds the parents."""
     note_alloc(data)
-    need = _grad_enabled() and any(p.requires_grad for p in parents)
+    need = _state.grad_enabled and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=need, _parents=parents, _backward=backward if need else None)
 
 

@@ -110,13 +110,6 @@ def _child_seed(seed: int, stream: str, index: int = 0) -> int:
     return int(ss.generate_state(1)[0])
 
 
-@dataclass
-class RunConfig:
-    seed: int
-    output: Path | None
-    sections: dict  # validated config-file sections
-
-
 def _load_file_sections(path) -> dict:
     if path is None:
         return {}
@@ -141,12 +134,7 @@ def _load_file_sections(path) -> dict:
     return raw
 
 
-def _run_config(args) -> RunConfig:
-    sections = _load_file_sections(args.config)
-    return RunConfig(args.seed, args.output, sections)
-
-
-def _section(run: RunConfig, name: str, cls, defaults=None, **flag_values):
+def _section(sections: dict, name: str, cls, defaults=None, **flag_values):
     """Instantiate a config dataclass: defaults < config file < flags.
 
     `defaults` supplies values that sit below the config file, such as a
@@ -154,7 +142,7 @@ def _section(run: RunConfig, name: str, cls, defaults=None, **flag_values):
     file entry still wins over them.
     """
     body = dict(defaults or {})
-    body.update(run.sections.get(name, {}))
+    body.update(sections.get(name, {}))
     body.update({k: v for k, v in flag_values.items() if v is not None})
     try:
         return cls(**body)
@@ -162,8 +150,8 @@ def _section(run: RunConfig, name: str, cls, defaults=None, **flag_values):
         raise UsageError(f"invalid {name} config: {e}")
 
 
-def _out_dir(run: RunConfig) -> Path:
-    out = run.output or Path(".")
+def _out_dir(output: Path | None) -> Path:
+    out = output or Path(".")
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"
@@ -187,7 +175,7 @@ def _read_input(reader, path, what):
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args) -> int:
-    run = _run_config(args)
+    sections = _load_file_sections(args.config)
     if args.pairs <= 0:
         raise UsageError("--pairs must be positive")
     if args.kpts <= 0:
@@ -196,12 +184,12 @@ def cmd_synth(args) -> int:
         raise UsageError("--desc-dim must be positive")
     if (args.min_matches or 0) > args.kpts:
         raise UsageError("--min-matches cannot exceed --kpts")
-    out = _out_dir(run)
-    noise = _section(run, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
+    out = _out_dir(args.output)
+    noise = _section(sections, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
                      jitter_sigma=args.jitter_sigma, distractors=args.distractors)
     entries = []
     for k in range(args.pairs):
-        child = _child_seed(run.seed, "synth", k)
+        child = _child_seed(args.seed, "synth", k)
         try:
             ks, kt, gt, h = generate_pair(child, args.kpts, args.dims, args.desc_dim,
                                           noise, min_matches=args.min_matches)
@@ -222,7 +210,7 @@ def cmd_synth(args) -> int:
             "n_source": len(ks), "n_target": len(kt),
             "n_correspondences": len(gt.pairs),
         })
-    manifest = {"seed": run.seed, "keypoints": args.kpts,
+    manifest = {"seed": args.seed, "keypoints": args.kpts,
                 "descriptor_dim": args.desc_dim, "dims": list(args.dims),
                 "pairs": entries}
     with open(out / "manifest.json", "w") as f:
@@ -235,12 +223,12 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- match
 
 def cmd_match(args) -> int:
-    run = _run_config(args)
+    sections = _load_file_sections(args.config)
     ks = _read_input(read_kpds, args.source, "source keypoint")
     kt = _read_input(read_kpds, args.target, "target keypoint")
     weights = _read_input(load_weights, args.weights, "weight")
     recorded = weights.config()
-    for key, value in run.sections.get("network", {}).items():
+    for key, value in sections.get("network", {}).items():
         if value != getattr(recorded, key):
             raise UsageError(f"config network {key} is {value!r}, "
                              f"{args.weights} records {getattr(recorded, key)!r}")
@@ -254,15 +242,15 @@ def cmd_match(args) -> int:
             raise DataError(f"{side} descriptor dim {d} does not match "
                             f"weight input dim {net.input_dim}")
 
-    neigh = _section(run, "neighborhood", NeighborhoodConfig, theta=args.theta)
-    fcfg = _section(run, "filter", FilterConfig,
-                    defaults={"rng_seed": _child_seed(run.seed, "filter")})
+    neigh = _section(sections, "neighborhood", NeighborhoodConfig, theta=args.theta)
+    fcfg = _section(sections, "filter", FilterConfig,
+                    defaults={"rng_seed": _child_seed(args.seed, "filter")})
 
     try:
         result = match_pipeline(ks, kt, weights, net, neigh, fcfg, skip_filter=args.no_filter)
     except ValueError as e:  # encodings overflowed
         raise DataError(str(e))
-    out = _out_dir(run)
+    out = _out_dir(args.output)
     write_matches(out / "matches.csv", result)
     print(f"{len(result)} matches ({result.stage.count('verified')} verified) written to "
           f"{out / 'matches.csv'}")
@@ -272,7 +260,7 @@ def cmd_match(args) -> int:
 # ----------------------------------------------------------------- eval
 
 def cmd_eval(args) -> int:
-    run = _run_config(args)
+    _load_file_sections(args.config)  # eval reads no section, but refuses a bad file
     m = _read_input(read_matches, args.matches, "match")
     ks = _read_input(read_kpds, args.source, "source keypoint")
     kt = _read_input(read_kpds, args.target, "target keypoint")
@@ -282,7 +270,7 @@ def cmd_eval(args) -> int:
         metrics = evaluate(m, gt, h, ks, kt)
     except ValueError as e:
         raise DataError(str(e))
-    out = _out_dir(run)
+    out = _out_dir(args.output)
     write_metrics(out / "metrics.json", metrics)
     print(f"precision {metrics.precision:.4f}  recall {metrics.recall:.4f}  "
           f"matches {metrics.num_matches}  -> {out / 'metrics.json'}")
@@ -292,11 +280,11 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench(args) -> int:
-    run = _run_config(args)
-    out = _out_dir(run)
+    sections = _load_file_sections(args.config)
+    out = _out_dir(args.output)
     if args.mode == "audit":
         try:
-            counts = op_counter_audit(seed=run.seed)
+            counts = op_counter_audit(seed=args.seed)
         except AssertionError as e:
             print(f"audit failed: {e}", file=sys.stderr)
             return EXIT_FAILED_CHECK
@@ -307,10 +295,10 @@ def cmd_bench(args) -> int:
               f"(bound {counts['linear_bound']}) -> {out / 'audit.json'}")
         return EXIT_OK
 
-    cfg = _section(run, "bench", BenchConfig, sizes=args.sizes, reps=args.reps,
+    cfg = _section(sections, "bench", BenchConfig, sizes=args.sizes, reps=args.reps,
                    c_prime=args.c_prime, methods=args.methods)
     try:
-        report = bench_attention(**vars(cfg), seed=run.seed)
+        report = bench_attention(**vars(cfg), seed=args.seed)
     except ValueError as e:
         raise UsageError(str(e))
     write_bench_csv(out / "bench.csv", report)
@@ -324,24 +312,24 @@ def cmd_bench(args) -> int:
 # ------------------------------------------------------------ train-toy
 
 def cmd_train_toy(args) -> int:
-    run = _run_config(args)
+    sections = _load_file_sections(args.config)
     if args.pairs <= 0:
         raise UsageError("--pairs must be positive")
     if args.steps <= 0:
         raise UsageError("--steps must be positive")
     if args.kpts < 2:
         raise UsageError("--kpts must be at least 2: the loss mines a negative per side")
-    net = _section(run, "network", NetworkConfig, _TOY_NETWORK,
+    net = _section(sections, "network", NetworkConfig, _TOY_NETWORK,
                    input_dim=args.desc_dim, hidden_dim=args.hidden, heads=args.heads,
                    l1=args.l1, l2=args.l2)
-    loss = _section(run, "loss", LossConfig, learning_rate=args.lr,
+    loss = _section(sections, "loss", LossConfig, learning_rate=args.lr,
                     decay=args.decay)
-    noise = _section(run, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
+    noise = _section(sections, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
                      jitter_sigma=args.jitter_sigma, distractors=args.distractors)
-    neigh = _section(run, "neighborhood", NeighborhoodConfig)
+    neigh = _section(sections, "neighborhood", NeighborhoodConfig)
     dataset = []
     for k in range(args.pairs):
-        ks, kt, gt, _ = generate_pair(_child_seed(run.seed, "scene", k), args.kpts,
+        ks, kt, gt, _ = generate_pair(_child_seed(args.seed, "scene", k), args.kpts,
                                       args.dims, net.input_dim, noise)
         if min(len(ks), len(kt)) >= 2 and len(gt.pairs):  # what the loss can train on
             dataset.append((ks, kt, gt))
@@ -350,11 +338,11 @@ def cmd_train_toy(args) -> int:
               "needs at least 2 keypoints per side and a correspondence", file=sys.stderr)
     try:
         weights, trace = train_toy(dataset, net, loss, args.steps,
-                                   seed=_child_seed(run.seed, "train"), neigh_cfg=neigh)
+                                   seed=_child_seed(args.seed, "train"), neigh_cfg=neigh)
     except (RuntimeError, ValueError) as e:  # non-finite loss, or a scene it cannot train on
         print(f"training aborted: {e}", file=sys.stderr)
         return EXIT_FAILED_CHECK
-    out = _out_dir(run)
+    out = _out_dir(args.output)
     save_weights(out / "weights.lawt", weights)
     write_loss_trace(out / "trace.csv", trace)
     print(f"loss {trace[0][1]:.6f} -> {trace[-1][1]:.6f} over {args.steps} steps; "
@@ -365,17 +353,17 @@ def cmd_train_toy(args) -> int:
 # ------------------------------------------------------------ gradcheck
 
 def cmd_gradcheck(args) -> int:
-    run = _run_config(args)
+    sections = _load_file_sections(args.config)
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     if not 0 < args.step < 1:
         raise UsageError("--step must lie in (0, 1)")
-    net = _section(run, "network", NetworkConfig, _GRADCHECK_NETWORK,
+    net = _section(sections, "network", NetworkConfig, _GRADCHECK_NETWORK,
                    input_dim=args.input_dim, hidden_dim=args.hidden, heads=args.heads,
                    l1=args.l1, l2=args.l2)
-    loss = _section(run, "loss", LossConfig)
+    loss = _section(sections, "loss", LossConfig)
     dtype = np.float64 if args.precision == "double" else np.float32
-    max_err, frac_ok, count = gradient_check(net, loss, seed=run.seed,
+    max_err, frac_ok, count = gradient_check(net, loss, seed=args.seed,
                                              samples=args.samples,
                                              step=args.step, dtype=dtype)
     print(f"max relative error {max_err:.3e} over {count} entries "

@@ -8,23 +8,31 @@ from them below are how the network was first written.  `encoder.feed_forward`,
 compositions.  Each fused op uses these ops' formulas and feeds shared inputs
 in their order, so the tests require equal outputs and gradients, bit for
 bit.  The ops here are checked against finite differences in
-`test_autodiff.py`.  `membership` builds the arrays that the attention ops
-and the filter take from a readable list of `NeighborhoodPair`.
+`test_autodiff.py`; `attention`, the oracle's attention op, in
+`test_attention.py`.  It runs the kernel of `linear_attention` and
+`pairwise_attention` on the data of a `Triplet` of Tensors q, k and v, and its
+backward hands each its share of the kernel's gradient.  `membership` builds
+the arrays that the attention kernels and the filter take from a readable list
+of `NeighborhoodPair`.
 `hardest_negatives` searches the loss's negatives on one full difference
 table per direction: the oracle of `training._hardest_negatives`.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from linmatch import autodiff as ad
-from linmatch.attention import (
-    Membership,
-    ProjectedTriplet,
-    Segments,
-    linear_attention,
-    pairwise_attention,
-)
+from linmatch.attention import Membership, Segments, _segment_attention
 from linmatch.autodiff import Tensor, as_tensor
+
+
+class Triplet(NamedTuple):
+    """Query/key/value Tensors (or arrays) for `attention`."""
+
+    q: object  # N x C'
+    k: object  # M x C'
+    v: object  # M x C'
 
 
 def membership(pairs) -> Membership:
@@ -213,7 +221,20 @@ def row_l2_normalize(x):
     return div(x, norms)
 
 
-def encoder_layer(x_query, x_source, w, kernel=linear_attention, heads=1):
+def attention(t, heads=1, pairs=None, reverse=False):
+    """`linear_attention`, or `pairwise_attention` with `pairs`, of q, k and v as one op."""
+    q, k, v = (as_tensor(x) for x in t)
+    out, grads = _segment_attention(q.data, k.data, v.data, heads, pairs, reverse)
+
+    def backward(g):
+        for x, dx in zip((q, k, v), grads(g)):
+            if x.requires_grad:
+                x._accumulate(dx)
+
+    return ad.node(out, (q, k, v), backward)
+
+
+def encoder_layer(x_query, x_source, w, heads=1, pairs=None, reverse=False):
     """carrier + mlp1(relu(layer_norm(mlp0(concat(carrier, m))))), op by op."""
     xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
     (n, width), hidden = xq.data.shape, wv.data.shape[1]
@@ -223,9 +244,8 @@ def encoder_layer(x_query, x_source, w, kernel=linear_attention, heads=1):
     if xs.data.shape[0] == 0:
         m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
     else:
-        t = ProjectedTriplet(matmul(xq, as_tensor(w.wq)), matmul(xs, as_tensor(w.wk)),
-                             matmul(xs, wv))
-        m = as_tensor(kernel(t, heads))
+        t = Triplet(matmul(xq, as_tensor(w.wq)), matmul(xs, as_tensor(w.wk)), matmul(xs, wv))
+        m = attention(t, heads, pairs, reverse)
     h = concat_cols(carrier, m)
     h = matmul(h, as_tensor(w.mlp0))
     h = layer_norm(h, as_tensor(w.ln_g), as_tensor(w.ln_b))
@@ -235,18 +255,16 @@ def encoder_layer(x_query, x_source, w, kernel=linear_attention, heads=1):
 
 
 def self_attention_update(xs, xt, w, heads=1):
-    return (encoder_layer(xs, xs, w, linear_attention, heads),
-            encoder_layer(xt, xt, w, linear_attention, heads))
+    return encoder_layer(xs, xs, w, heads), encoder_layer(xt, xt, w, heads)
 
 
 def cross_attention_update(xs, xt, w, heads=1):
-    return (encoder_layer(xs, xt, w, linear_attention, heads),
-            encoder_layer(xt, xs, w, linear_attention, heads))
+    return encoder_layer(xs, xt, w, heads), encoder_layer(xt, xs, w, heads)
 
 
 def pairwise_layer_update(xs, xt, pairs, w, heads=1):
-    return (encoder_layer(xs, xt, w, lambda t, h: pairwise_attention(t, pairs, h), heads),
-            encoder_layer(xt, xs, w, lambda t, h: pairwise_attention(t, pairs, h, True), heads))
+    return (encoder_layer(xs, xt, w, heads, pairs),
+            encoder_layer(xt, xs, w, heads, pairs, reverse=True))
 
 
 class DictAdam:

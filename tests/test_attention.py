@@ -13,6 +13,7 @@ from linmatch.attention import (
     Segments,
     linear_attention,
     pairwise_attention,
+    projected_attention,
     softmax_attention_reference,
 )
 
@@ -140,7 +141,7 @@ class TestLinearAttention:
         q = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         k = ad.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
         v = ad.Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-        out = linear_attention(ProjectedTriplet(q, k, v))
+        out = ref.attention(ref.Triplet(q, k, v))
         ref.tsum(out).backward()
         eps = 1e-6
         i, j = 1, 2
@@ -465,23 +466,29 @@ class TestMultiHead:
             pairwise_attention(t, membership([NeighborhoodPair((0, 0), [0], [0])]), 4)
 
 
-def finite_difference_check(kernel, q, k, v, eps=1e-6):
-    """Analytic q/k/v gradients of sum(w * kernel) against central differences."""
-    w = np.random.default_rng(9).standard_normal(q.shape)
-    tq, tk, tv = (ad.Tensor(x.copy(), requires_grad=True) for x in (q, k, v))
-    ref.tsum(ref.mul(kernel(ProjectedTriplet(tq, tk, tv)), ad.Tensor(w))).backward()
-    for tensor in (tq, tk, tv):
+def finite_difference_check(out, tensors, w, eps=1e-6):
+    """Analytic gradients of sum(w * out()) in each Tensor of `tensors` against central
+    differences; `out` computes from the tensors' data."""
+    ref.tsum(ref.mul(out(), ad.Tensor(w))).backward()
+    for tensor in tensors:
         arr = tensor.data
         numeric = np.zeros_like(arr)
         for idx in np.ndindex(arr.shape):
             orig = arr[idx]
             arr[idx] = orig + eps
-            hi = (kernel(ProjectedTriplet(tq.data, tk.data, tv.data)) * w).sum()
+            hi = (out().data * w).sum()
             arr[idx] = orig - eps
-            lo = (kernel(ProjectedTriplet(tq.data, tk.data, tv.data)) * w).sum()
+            lo = (out().data * w).sum()
             arr[idx] = orig
             numeric[idx] = (hi - lo) / (2 * eps)
         np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+def triplet_difference_check(kernel, q, k, v):
+    """`finite_difference_check` of the q/k/v gradients of `kernel`, a map from a
+    `ref.Triplet` to a Tensor."""
+    t = ref.Triplet(*(ad.Tensor(x.copy(), requires_grad=True) for x in (q, k, v)))
+    finite_difference_check(lambda: kernel(t), t, np.random.default_rng(9).standard_normal(q.shape))
 
 
 class TestFusedGradients:
@@ -493,20 +500,43 @@ class TestFusedGradients:
             q = t.k if reverse else t.q
             k = t.q if reverse else t.k
             v = rng.standard_normal(k.shape)
-            finite_difference_check(lambda s: pairwise_attention(s, pairs, 2, reverse), q, k, v)
+            triplet_difference_check(lambda s: ref.attention(s, 2, pairs, reverse), q, k, v)
 
     def test_linear_two_heads(self):
         rng = np.random.default_rng(41)
         t = random_triplet(rng, 5, 6, 4)
-        finite_difference_check(lambda s: linear_attention(s, 2), t.q, t.k, t.v)
+        triplet_difference_check(lambda s: ref.attention(s, 2), t.q, t.k, t.v)
 
     def test_rows_outside_every_set_get_zero_gradient(self):
         rng = np.random.default_rng(42)
         t = random_triplet(rng, 12, 11, 4)
         q, k, v = (ad.Tensor(x, requires_grad=True) for x in (t.q, t.k, t.v))
         members = membership(overlapping_pairs())
-        ref.tsum(pairwise_attention(ProjectedTriplet(q, k, v), members, 2)).backward()
+        ref.tsum(ref.attention(ref.Triplet(q, k, v), 2, members)).backward()
         assert (q.grad[9:] == 0).all() and (k.grad[10:] == 0).all() and (v.grad[10:] == 0).all()
+
+    @pytest.mark.parametrize("case", ["self", "cross", "reverse_pairwise"])
+    def test_projected_attention_matches_finite_differences(self, case):
+        """The encoder's one attention op: gradients of all five inputs, float64, two heads."""
+        rng = np.random.default_rng(43)
+        # in the reverse case xq holds the 10 target rows and xs the 9 source rows
+        xq = ad.Tensor(rng.standard_normal((10, 3)), requires_grad=True)
+        xs = xq if case == "self" else ad.Tensor(rng.standard_normal((9, 3)), requires_grad=True)
+        wq, wk, wv = (ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
+        pairs = membership(overlapping_pairs()) if case == "reverse_pairwise" else None
+        tensors = [xq, wq, wk, wv] + ([] if xs is xq else [xs])
+        finite_difference_check(
+            lambda: projected_attention(xq, xs, wq, wk, wv, 2, pairs, pairs is not None)[0],
+            tensors, rng.standard_normal((10, 4)))
+
+
+def test_numpy_kernels_build_no_node(monkeypatch):
+    nodes, node = [], ad.node
+    monkeypatch.setattr(ad, "node", lambda *a: nodes.append(a) or node(*a))
+    t = random_triplet(np.random.default_rng(44), 9, 10, 4)
+    outs = [linear_attention(t, 2), pairwise_attention(t, membership(overlapping_pairs()), 2)]
+    assert all(type(out) is np.ndarray for out in outs)
+    assert nodes == []
 
 
 def add_at_scatter(self, x, n):
@@ -555,7 +585,7 @@ class TestLevelScatter:
 
         def run():
             q, k, v = (ad.Tensor(x, requires_grad=True) for x in (t.q, t.k, t.v))
-            out = pairwise_attention(ProjectedTriplet(q, k, v), members, 2, reverse)
+            out = ref.attention(ref.Triplet(q, k, v), 2, members, reverse)
             ref.tsum(ref.mul(out, ad.Tensor(g))).backward()
             return out.data, q.grad, k.grad, v.grad
 
