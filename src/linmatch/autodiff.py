@@ -2,9 +2,10 @@
 
 All network math in this package (attention kernels, encoder layers, the
 loss) is written against the `Tensor` type defined here, so a single
-implementation serves both inference and training.  Inference wraps arrays in
-`no_grad()` mode, in which no tape is recorded and ops reduce to plain numpy
-calls plus a constant-time dispatch.
+implementation serves both inference and training.  There is one rule: a node
+records its parents and backward iff a parent requires gradients.  Inference
+passes array weights, so nothing on its path requires gradients and it records
+nothing; its ops are plain numpy calls plus a constant-time dispatch.
 
 There is no generic op set: every op is fused, built through `node` with a
 hand-written backward, and `Tensor` has no operator overloads.  This module
@@ -35,24 +36,12 @@ import numpy as np
 
 
 class _State(threading.local):
-    # per-thread defaults as class attributes: every op reads both, and reading a
+    # the per-thread default as a class attribute: every op reads it, and reading a
     # thread-local attribute never set is a failed lookup, about six times slower
-    grad_enabled = True
     op_counter = None
 
 
 _state = _State()
-
-
-@contextmanager
-def no_grad():
-    """Disable tape recording inside the block."""
-    prev = _state.grad_enabled
-    _state.grad_enabled = False
-    try:
-        yield
-    finally:
-        _state.grad_enabled = prev
 
 
 class OpCounter:
@@ -106,7 +95,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad and _state.grad_enabled
+        self.requires_grad = requires_grad
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
         self._last = ()  # shares to add after every other one (`_accumulate_last`)
@@ -121,10 +110,8 @@ class Tensor:
         """Add g after every other consumer's share, just before this node's backward runs."""
         self._last += (g,)
 
-    def backward(self, grad=None):
-        """Reverse-mode sweep from this node (typically a scalar loss)."""
-        if grad is None:
-            grad = np.ones_like(self.data)
+    def backward(self):
+        """Reverse-mode sweep from this node (typically a scalar loss), seeded with ones."""
         topo, seen = [], set()
 
         def visit(t):
@@ -137,7 +124,7 @@ class Tensor:
 
         visit(self)
         visit = None  # drop the closure's self-reference: the graph is freed on return, not by gc
-        self._accumulate(grad)
+        self._accumulate(np.ones_like(self.data))
         for t in reversed(topo):
             if t._last:
                 for g in t._last:
@@ -157,8 +144,8 @@ def as_tensor(x) -> Tensor:
 def node(data, parents, backward):
     """Result Tensor of an op (here or fused elsewhere); `backward(g)` feeds the parents."""
     note_alloc(data)
-    need = _state.grad_enabled and any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=need, _parents=parents, _backward=backward if need else None)
+    need = any(p.requires_grad for p in parents)
+    return Tensor(data, requires_grad=need, _parents=parents, _backward=backward)
 
 
 def phi_array(x):

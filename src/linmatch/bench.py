@@ -80,6 +80,8 @@ def _random_triplet(n: int, c_prime: int, seed: int) -> ProjectedTriplet:
 def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192),
                     c_prime: int = 64, reps: int = 5, seed: int = 0) -> BenchReport:
     """Time each attention kernel on random N x C' inputs (M = N)."""
+    if not methods:
+        raise ValueError("no methods given")
     unknown = sorted(set(methods) - set(_KERNELS))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")

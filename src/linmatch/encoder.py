@@ -288,7 +288,7 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
     if isinstance(weights.self_layers[0].wq, Tensor):
         return _forward_impl(xs, xt, weights, cfg, neigh_cfg)
     # an overflow shows up as non-finite encodings, rejected below with one message
-    with ad.no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         enc = _forward_impl(xs, xt, weights, cfg, neigh_cfg)
     out = EncodedPair(enc.xs_hat.data, enc.xt_hat.data, enc.fs_hat.data, enc.ft_hat.data)
     if not all(np.isfinite(x).all() for x in vars(out).values()):
@@ -361,8 +361,7 @@ def write_tensor_table(path, entries, config) -> None:
         f.write(struct.pack("<IIH", _LAWT_VERSION, len(entries), len(record)))
         f.write(record)
         for name, value in entries:
-            data = value.data if isinstance(value, Tensor) else np.asarray(value)
-            data = np.ascontiguousarray(data, dtype="<f4")
+            data = np.ascontiguousarray(value, dtype="<f4")
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)

@@ -69,7 +69,7 @@ class MatchSet:
     def __len__(self):
         return len(self.pairs)
 
-    # (i, j, score) tuples for the benchmark's determinism check and tests/test_golden.py
+    # (i, j, score) tuples: only the benchmark's determinism check (`Pipeline.check`) reads them
     @property
     def matches(self):
         return list(zip(*self.pairs.T.tolist(), self.score.tolist()))

@@ -189,7 +189,7 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
     """Compare reverse-mode gradients against central finite differences.
 
     Samples `samples` parameter entries uniformly across all tensors and
-    returns (max_relative_error, fraction_within_1e-4, count).
+    returns their relative errors, in flat `all_params` order.
     """
     from .geometry import GenNoiseConfig, generate_pair
 
@@ -209,9 +209,7 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
     chosen = rng.choice(total, size=min(samples, total), replace=False)
 
     def loss_at():
-        enc = forward(ks, kt, weights, net_cfg)
-        with ad.no_grad():
-            return float(triplet_loss(enc, gt, loss_cfg).data)
+        return float(triplet_loss(forward(ks, kt, weights, net_cfg), gt, loss_cfg).data)
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     rel_errors = np.empty(len(chosen))
@@ -229,8 +227,7 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
         fd = (hi - lo) / (2 * step)
         adg = flat_grads[name].ravel()[local]
         rel_errors[out_idx] = abs(adg - fd) / max(abs(adg), abs(fd), 1e-6)
-    ok = float((rel_errors < 1e-4).mean())
-    return float(rel_errors.max()), ok, len(chosen)
+    return rel_errors
 
 
 class AdamState:

@@ -6,9 +6,10 @@ import pytest
 import reference_ops as ref
 
 from linmatch import autodiff as ad
-from linmatch.encoder import EncodedPair, LayerWeights, feed_forward
-from linmatch.geometry import GroundTruth
-from linmatch.training import LossConfig, triplet_loss
+from linmatch.encoder import EncodedPair, LayerWeights, NetworkConfig, feed_forward, init_weights
+from linmatch.geometry import GenNoiseConfig, GroundTruth, generate_pair
+from linmatch.matcher import match_pipeline
+from linmatch.training import LossConfig, loss_gradient, triplet_loss
 
 
 def numeric_grad(f, x, eps=1e-6):
@@ -276,12 +277,27 @@ class TestGraphMechanics:
         ref.tsum(out).backward()
         np.testing.assert_allclose(a.grad, 2 * a.data + 1)
 
-    def test_no_grad_blocks_tape(self):
-        a = ad.Tensor(np.ones(3), requires_grad=True)
-        with ad.no_grad():
-            out = ref.mul(a, a)
-        assert not out.requires_grad
-        assert out._backward is None
+    def test_a_node_records_iff_a_parent_requires_gradients(self, monkeypatch):
+        """On the real paths: an inference `match_pipeline` call (array weights) records
+        no node, and a training step (Tensor weights) records every one."""
+        made, real = [], ad.node
+
+        def recording(data, parents, backward):
+            made.append(real(data, parents, backward))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "node", recording)
+        cfg = NetworkConfig(input_dim=8, hidden_dim=8, heads=2, l1=1, l2=1)
+        ks, kt, gt, _ = generate_pair(0, 48, (128, 128), 8,
+                                      GenNoiseConfig(desc_sigma=0.1, distractors=4))
+        weights = init_weights(cfg, seed=0, dtype=np.float64)
+        match_pipeline(ks, kt, weights, cfg)
+        assert len(made) >= 10  # self, cross and pairwise layers, both sides, normalization
+        assert not any(t.requires_grad or t._parents or t._backward for t in made)
+        made.clear()
+        loss_gradient(weights, (ks, kt, gt), cfg, LossConfig())
+        assert len(made) >= 10
+        assert all(t.requires_grad and t._parents and t._backward for t in made)
 
 
 def test_backward_frees_the_graph_without_the_cycle_collector():

@@ -30,6 +30,8 @@ def test_size_preconditions():
         bench_attention(("linear",), sizes=(1024, 2048))  # spans only 2x
     with pytest.raises(ValueError):
         bench_attention(("warp",), sizes=(64, 256))
+    with pytest.raises(ValueError, match="no methods"):  # would report no kernel at all
+        bench_attention((), sizes=(64, 256), reps=3)
     with pytest.raises(ValueError):
         bench_attention(("linear",), sizes=(64, 256), reps=2)
 

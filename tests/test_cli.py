@@ -20,6 +20,7 @@ from linmatch.encoder import (
 )
 from linmatch.geometry import KeypointSet, read_ground_truth, read_kpds, write_kpds
 from linmatch.matcher import MatchSet, read_matches, write_matches
+from linmatch.training import LossConfig, gradient_check
 
 
 def run_cli(argv):
@@ -534,11 +535,12 @@ def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 
 
-# each flag at a value that, left unchecked, hangs or times empty problems (bench) or ends
-# in a traceback
+# each flag at a value that, left unchecked, hangs, times empty problems or no kernel
+# (bench), ends in a traceback, or fails a check as if the gradients were wrong (--tol)
 @pytest.mark.parametrize("argv", [
     ["bench", "--methods", "linear", "--reps", 3, "--c-prime", 8, "--sizes", "0,64"],
     ["bench", "--methods", "linear", "--reps", 3, "--sizes", "64,256", "--c-prime", 0],
+    ["bench", "--reps", 3, "--sizes", "64,256", "--methods", ","],
     ["train-toy", *TRAIN_ARGS, "--heads", 0],
     ["train-toy", *TRAIN_ARGS, "--hidden", 0],
     ["train-toy", *TRAIN_ARGS, "--desc-dim", 0],
@@ -547,6 +549,10 @@ def first_lr(trace_path):
     ["gradcheck", "--samples", 0],
     ["gradcheck", "--samples", -3],
     ["gradcheck", "--step", 0],
+    ["gradcheck", "--tol", 0],
+    ["gradcheck", "--tol", -1],
+    ["gradcheck", "--tol", "nan"],
+    ["gradcheck", "--tol", "inf"],
     ["synth", *SYNTH_ARGS, "--desc-dim", 0],
     ["synth", *SYNTH_ARGS, "--min-matches", 41],  # more than the 40 keypoints
 ], ids=lambda argv: " ".join(str(a) for a in argv[:1] + argv[-2:]))
@@ -620,9 +626,21 @@ def test_gradcheck_passes_in_double_precision(tmp_path, capsys):
     assert "max relative error" in capsys.readouterr().out
 
 
-def test_gradcheck_fails_with_absurd_tolerance(tmp_path):
+def test_gradcheck_prints_the_fraction_within_its_tolerance(tmp_path, capsys):
+    argv = ["gradcheck", "--seed", 1, "--samples", 20, "-o", tmp_path / "g"]
+    errors = gradient_check(NetworkConfig(8, 4, 1, 1, 0), LossConfig(), seed=1, samples=20)
+    # a tolerance between the sampled errors: some lie within it, the rest and the max do not
+    tol = float(np.sort(errors)[5])
+    assert run_cli([*argv, "--tol", repr(tol)]) == 1
+    want = (errors < tol).mean() * 100
+    assert 0 < want < 100
+    assert f"({want:.1f}% within {tol:g})" in capsys.readouterr().out
+
+
+def test_gradcheck_fails_with_absurd_tolerance(tmp_path, capsys):
     assert run_cli(["gradcheck", "--seed", 1, "--samples", 20,
                     "--tol", "1e-18", "-o", tmp_path / "g"]) == 1
+    assert "(0.0% within 1e-18)" in capsys.readouterr().out  # no error is that small
 
 
 def test_module_entry_point_runs():
