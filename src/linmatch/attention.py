@@ -15,13 +15,14 @@ denominator; phi > 0, so the denominator never vanishes.
 The restricted kernel applies the same ratio within the neighborhoods of a
 `Membership`, which `build_neighborhoods` returns and which checks every set
 once, when built.  It holds them as arrays, with no per-neighborhood records:
-each side's member rows, set after set (CSR segments).  K_v is summed over a
-segment's key rows and applied to its query rows by one batched matmul per
-distinct segment size (never a d x d product per member), and the results are
-sum-scattered into the output rows: rows outside every neighborhood stay
-exactly zero, rows in several get the plain sum.  The reverse direction
+each side's member rows, set after set (CSR segments), gathered into a
+zero-padded (segments, largest segment) layout.  One batched matmul sums K_v
+over every segment's key rows and one applies it to the query rows (never a
+d x d product per member), at cost O(segments x largest segment).  The filled
+slots are sum-scattered into the output rows: rows outside every neighborhood
+stay exactly zero, rows in several get the plain sum.  The reverse direction
 (target rows querying source rows) swaps the two sides.  The linear kernel
-is the same computation with one segment holding every row.
+is the same computation with one segment, a view of every row.
 
 `linear_attention` and `pairwise_attention` are numpy functions: they take a
 `ProjectedTriplet` of arrays, return an array and record no autodiff node.
@@ -72,14 +73,14 @@ class Segments:
     """One side's member rows, concatenated segment by segment, and the segments' sizes.
 
     `rows=None` stands for every input row, in order, as one segment.  `ids`
-    holds each member's segment.  `groups` pairs each distinct segment size
-    with the ids of the segments of that size and their members' positions,
-    a (segments, size) array; it and the scatter `levels` are built on first use.
+    holds each member's segment.  `gather` fills a zero-padded (segments, largest
+    size, ...) layout straight from row space and `scatter` sums its filled slots
+    back into rows; its index and the scatter `levels` are built on first use.
     """
 
     def __init__(self, rows=None, sizes=None):
-        if rows is None:  # position None indexes x[None]: the whole array, as a view
-            self.rows, self.count, self.groups = None, 1, [(np.zeros(1, dtype=np.intp), None)]
+        if rows is None:  # x[None] is the whole array as one segment, a view
+            self.rows = None
             return
         self.rows = np.asarray(rows).astype(np.intp, copy=False)
         sizes = self.sizes = np.asarray(sizes).astype(np.intp, copy=False)
@@ -88,44 +89,48 @@ class Segments:
         self.order = np.argsort(self.rows, kind="stable")  # equal rows keep set order
 
     @cached_property
-    def groups(self):
-        return [(segs, self.starts[segs][:, None] + np.arange(size))
-                for size in np.unique(self.sizes) for segs in [np.flatnonzero(self.sizes == size)]]
+    def padded(self):
+        """Each slot's row (-1 when empty), each member's slot and the flat empty slots."""
+        pos = np.arange(self.rows.size) - self.starts[self.ids]
+        slots = np.full((self.count, self.sizes.max(initial=0)), -1, dtype=np.intp)
+        slots[self.ids, pos] = self.rows
+        return slots, pos, np.flatnonzero(slots < 0)
 
     @cached_property
     def levels(self):
         # level L holds each row's (L+1)-th member, so a level repeats no row and
         # adding level by level sums in member order, exactly as np.add.at does
-        rows = self.rows[self.order]
+        rows, pos = self.rows[self.order], self.padded[1]
         rank = np.arange(rows.size) - np.searchsorted(rows, rows)
-        return [(self.rows[lv], lv) for r in range(rank.max(initial=-1) + 1)
+        return [(self.rows[lv], self.ids[lv], pos[lv]) for r in range(rank.max(initial=-1) + 1)
                 for lv in [self.order[rank == r]]]
 
     def gather(self, x):
-        return x if self.rows is None else x[self.rows]
+        """x's member rows in the padded layout, zero in empty slots."""
+        if self.rows is None:
+            return x[None]
+        out = x[self.padded[0]]
+        out.reshape((-1,) + x.shape[1:])[self.padded[2]] = 0
+        return out
 
     def scatter(self, x, n):
-        """Sum member rows back into an (n, ...) array."""
+        """Sum the filled slots of a padded array back into an (n, ...) array."""
         if self.rows is None:
-            return x
-        out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
-        for rows, members in self.levels:
-            out[rows] += x[members]
+            return x[0]
+        out = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
+        for rows, segs, slots in self.levels:
+            out[rows] += x[segs, slots]
         return out
 
-    def seg_outer(self, a, b):
-        """Per segment, the sum over its members of a_e^T b_e: (S, H, da, db)."""
-        out = np.empty((self.count,) + a.shape[1:] + b.shape[-1:], dtype=a.dtype)
-        for segs, pos in self.groups:
-            out[segs] = np.matmul(a[pos].transpose(0, 2, 3, 1), b[pos].transpose(0, 2, 1, 3))
-        return out
 
-    def seg_apply(self, a, t):
-        """a_e @ t[segment of e] for every member e: (members, H, dt)."""
-        out = np.empty(a.shape[:-1] + t.shape[-1:], dtype=a.dtype)
-        for segs, pos in self.groups:
-            out[pos] = np.matmul(a[pos].transpose(0, 2, 1, 3), t[segs]).transpose(0, 2, 1, 3)
-        return out
+def seg_outer(a, b):
+    """Per segment of a padded layout, the sum over its slots of a_e^T b_e: (S, H, da, db)."""
+    return np.matmul(a.transpose(0, 2, 3, 1), b.transpose(0, 2, 1, 3))
+
+
+def seg_apply(a, t):
+    """a_e @ t[segment of e] for every slot e of a padded layout: (S, slots, H, dt)."""
+    return np.matmul(a.transpose(0, 2, 1, 3), t).transpose(0, 2, 1, 3)
 
 
 class Membership:
@@ -179,12 +184,14 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
     d = c // heads
     pq = ad.phi_array(qside.gather(q.reshape(n, heads, d)))
     pk = ad.phi_array(kside.gather(k.reshape(m, heads, d)))
-    v1 = kside.gather(v.reshape(m, heads, d))
+    # [v | 1] stays in row space and is padded where used, so inference keeps no padded
+    # copy; empty slots are zero in both columns and add nothing to K_v or K_m
+    v1 = v.reshape(m, heads, d)
     v1 = np.concatenate([v1, np.ones_like(v1[..., :1])], axis=-1)
-    kv = kside.seg_outer(pk, v1)  # (S, H, d, d + 1): [K_v | K_m]
-    nd = qside.seg_apply(pq, kv)  # per query member: [numerator | denominator]
+    kv = seg_outer(pk, kside.gather(v1))  # (S, H, d, d + 1): [K_v | K_m]
+    nd = seg_apply(pq, kv)  # per query slot: [numerator | denominator]
     den = nd[..., d:]
-    o = nd[..., :d] / den
+    o = np.divide(nd[..., :d], den, out=nd[..., :d])  # in place: nd holds [o | den]
     ad.note_mul((pk.size + pq.size) * (d + 1) + pq.size)
     for a in (pq, pk, v1, kv, nd):
         ad.note_alloc(a)
@@ -192,12 +199,12 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
     def grads(g):
         dnum = qside.gather(g.reshape(n, heads, d)) / den
         dnd = np.concatenate([dnum, -(dnum * o).sum(axis=-1, keepdims=True)], axis=-1)
-        dkv = qside.seg_outer(pq, dnd)
+        dkv = seg_outer(pq, dnd)
         # phi'(x) is 1 where phi(x) = x + 1 >= 1, and phi(x) = exp(x) below
-        dpq = qside.seg_apply(dnd, kv.swapaxes(-1, -2)) * np.minimum(pq, 1.0)
-        dpk = kside.seg_apply(v1, dkv.swapaxes(-1, -2)) * np.minimum(pk, 1.0)
+        dpq = seg_apply(dnd, kv.swapaxes(-1, -2)) * np.minimum(pq, 1.0)
+        dpk = seg_apply(kside.gather(v1), dkv.swapaxes(-1, -2)) * np.minimum(pk, 1.0)
         return (qside.scatter(dpq, n).reshape(n, c), kside.scatter(dpk, m).reshape(m, c),
-                kside.scatter(kside.seg_apply(pk, dkv)[..., :d], m).reshape(m, c))
+                kside.scatter(seg_apply(pk, dkv)[..., :d], m).reshape(m, c))
 
     return qside.scatter(o, n).reshape(n, c), grads
 

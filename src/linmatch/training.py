@@ -10,8 +10,8 @@ non-partner indices) above m_n:
 with D the squared Euclidean distance.  The total loss averages s_c * R_c
 over ground-truth correspondences, where s_c is the raw dot product of the
 intermediate descriptors (clamped at zero inside the loss so wrong matches
-are never rewarded).  Gradients flow through s_c by default; a config flag
-detaches it.
+are never rewarded).  By default s_c is detached: trained through it, the
+loss finds a shortcut in driving s_c to zero.  A config flag attaches it.
 
 Subgradient conventions: hinges contribute zero gradient at the kink; the
 hardest negative is the first minimum of a row of detached squared distances
@@ -39,7 +39,7 @@ values, and no 0 * inf when the other side is at inf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,7 +59,7 @@ class LossConfig:
     m_n: float = 1.0  # negative margin
     learning_rate: float = 1e-3
     decay: float = 0.99992  # per-step multiplicative lr factor
-    detach_confidence: bool = False
+    detach_confidence: bool = True
 
     def __post_init__(self):
         if not (self.m_n > self.m_p >= 0):
@@ -189,7 +189,8 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
     """Compare reverse-mode gradients against central finite differences.
 
     Samples `samples` parameter entries uniformly across all tensors and
-    returns their relative errors, in flat `all_params` order.
+    returns their relative errors, in flat `all_params` order.  The gradient
+    always flows through the confidence, whatever `loss_cfg.detach_confidence`.
     """
     from .geometry import GenNoiseConfig, generate_pair
 
@@ -197,6 +198,7 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
         scene = generate_pair(seed, 16, (128, 128), net_cfg.input_dim,
                               GenNoiseConfig(desc_sigma=0.1, distractors=4))
     ks, kt, gt, _ = scene
+    loss_cfg = replace(loss_cfg, detach_confidence=False)  # a detached gradient is not the loss's
     weights = init_weights(net_cfg, seed=seed, dtype=dtype)
     _, grads = loss_gradient(weights, (ks, kt, gt), net_cfg, loss_cfg)
 

@@ -266,8 +266,8 @@ def test_criterion_03_empirical_complexity_and_op_audit():
 def test_criterion_04_gradients_match_finite_differences():
     t0 = time.perf_counter()
     cfg = NetworkConfig(input_dim=8, hidden_dim=4, heads=1, l1=1, l2=0)
-    errors = gradient_check(cfg, LossConfig(), seed=0, samples=C4_SAMPLES, step=C4_STEP,
-                            dtype=np.float64)
+    errors = gradient_check(cfg, LossConfig(detach_confidence=False), seed=0,
+                            samples=C4_SAMPLES, step=C4_STEP, dtype=np.float64)
     max_err, frac_ok, count = errors.max(), (errors < C4_REL_TOL).mean(), len(errors)
     elapsed = time.perf_counter() - t0
     print(f"criterion 4: max rel err {max_err:.3e}, {frac_ok * 100:.1f}% of "

@@ -11,6 +11,7 @@ from linmatch.attention import (
     NeighborhoodPair,
     ProjectedTriplet,
     Segments,
+    _segment_attention,
     linear_attention,
     pairwise_attention,
     projected_attention,
@@ -268,6 +269,19 @@ class TestPairwiseAttention:
         bound = 2 * (n + m + members) * c
         assert counter.max_allocation() <= bound < per_member_outer
 
+    def test_one_batched_product_per_step_however_many_sizes(self, monkeypatch):
+        """Forward, one `seg_outer` and one `seg_apply`; backward, one and three."""
+        members = membership([NeighborhoodPair((s, s), np.arange(s, 2 * s + 1),
+                                               np.arange(s, 2 * s + 1)) for s in range(24)])
+        assert np.unique(members.source.sizes).size == np.unique(members.target.sizes).size == 24
+        t = random_triplet(np.random.default_rng(27), 48, 48, 4)
+        calls, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
+        out, grads = _segment_attention(t.q, t.k, t.v, 2, members, False)
+        assert len(calls) == 2
+        grads(np.ones_like(out))
+        assert len(calls) == 6
+
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
             membership([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
@@ -335,16 +349,25 @@ class TestMembershipChecks:
                 assert all(pair_ok(p) for p in pairs)
         assert 0 < refused < 300
 
-    def test_groups_and_levels_are_built_on_first_use(self):
+    def test_padded_index_and_levels_are_built_on_first_use(self):
         members = membership(overlapping_pairs())
         np.testing.assert_array_equal(members.source.ids, np.repeat(np.arange(5), [3, 2, 5, 1, 2]))
         sides = (members.source, members.target)
-        assert not any({"groups", "levels"} & set(vars(s)) for s in sides)
+        assert not any({"padded", "levels"} & set(vars(s)) for s in sides)
         rng = np.random.default_rng(3)
         t = ProjectedTriplet(*(rng.standard_normal((10, 4)) for _ in range(3)))
         for reverse in (False, True):  # the attention op is what reads them
             pairwise_attention(t, members, reverse=reverse)
-        assert all({"groups", "levels"} <= set(vars(s)) for s in sides)
+        assert all({"padded", "levels"} <= set(vars(s)) for s in sides)
+        # five segments wide as the largest, five members: 13 filled slots, 12 empty
+        slots, pos, empty = members.source.padded
+        assert slots.shape == (5, 5) and empty.size == 12
+        np.testing.assert_array_equal(slots[members.source.ids, pos], members.source.rows)
+        x = rng.standard_normal((10, 2, 3))
+        padded = members.source.gather(x)
+        assert padded.shape == (5, 5, 2, 3)
+        assert (padded.reshape(25, 2, 3)[empty] == 0).all()
+        np.testing.assert_array_equal(padded[members.source.ids, pos], x[members.source.rows])
 
     def test_cannot_be_modified(self):
         members = membership(overlapping_pairs())
@@ -403,6 +426,14 @@ def overlapping_pairs():
     return [NeighborhoodPair((s[0], t[0]), np.array(s), np.array(t)) for s, t in sets]
 
 
+def mixed_pairs():
+    """Twelve neighborhoods of one member per side beside one of 60, sharing rows with it,
+    and one of a single source row and four target rows; rows 67 and up are in none."""
+    pairs = [NeighborhoodPair((0, 5), np.arange(60), np.arange(5, 65))]
+    pairs += [NeighborhoodPair((r, r), np.array([r]), np.array([r])) for r in range(55, 67)]
+    return pairs + [NeighborhoodPair((66, 60), np.array([66]), np.arange(60, 64))]
+
+
 class TestMultiHead:
     """Heads batched inside one kernel call equal a loop over column groups."""
 
@@ -437,6 +468,15 @@ class TestMultiHead:
             expect = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
             np.testing.assert_allclose(pairwise_attention(t, membership(pairs), heads), expect,
                                        rtol=1e-12, atol=1e-14)
+        # size-1 segments beside one of 60 members: most slots of the padded layout are empty
+        t, pairs = random_triplet(rng, 70, 70, 4), mixed_pairs()
+        for dtype, rtol, atol in ((np.float64, 1e-12, 1e-14), (np.float32, 1e-5, 1e-6)):
+            low = ProjectedTriplet(*(x.astype(dtype) for x in (t.q, t.k, t.v)))
+            for heads in (1, 2):
+                got = pairwise_attention(low, membership(pairs), heads)
+                assert got.dtype == dtype
+                np.testing.assert_allclose(got, per_head(lambda s: scattered_blocks(s, pairs),
+                                                         t, heads), rtol=rtol, atol=atol)
 
     def test_reverse_swaps_the_sides(self):
         rng = np.random.default_rng(35)
@@ -540,11 +580,12 @@ def test_numpy_kernels_build_no_node(monkeypatch):
 
 
 def add_at_scatter(self, x, n):
-    """The np.add.at scatter that `Segments.scatter` must equal bit for bit."""
+    """The np.add.at scatter of a padded array's members that `Segments.scatter` must equal
+    bit for bit."""
     if self.rows is None:
-        return x
-    out = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
-    np.add.at(out, self.rows, x)
+        return x[0]
+    out = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
+    np.add.at(out, self.rows, x[self.ids, self.padded[1]])
     return out
 
 
@@ -565,13 +606,13 @@ class TestLevelScatter:
         members = membership(hub_pairs(rng, 30, 25, 40))
         for side, n in ((members.source, 30), (members.target, 25)):
             assert np.bincount(side.rows).max() == 40  # row 0 is in every segment
-            x = (rng.standard_normal((side.rows.size, 2, 3)) * 1e3).astype(dtype)
+            x = (rng.standard_normal(side.padded[0].shape + (2, 3)) * 1e3).astype(dtype)
             assert np.array_equal(side.scatter(x, n), add_at_scatter(side, x, n))
             assert side.scatter(x, n).dtype == dtype
 
     def test_empty_membership(self):
         side = Segments([], [])
-        assert np.array_equal(side.scatter(np.zeros((0, 2, 3)), 4), np.zeros((4, 2, 3)))
+        assert np.array_equal(side.scatter(np.zeros((0, 0, 2, 3)), 4), np.zeros((4, 2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("reverse", [False, True])

@@ -196,22 +196,39 @@ def test_one_layer_records_two_nodes_and_layer0_its_carrier(monkeypatch, in_dim,
     assert out.requires_grad and len(made) == nodes
 
 
-def test_op_counts_equal_those_of_the_separate_ops():
+def _empty_slot_multiplies(memberships, c, heads):
+    """The multiplies the restricted kernel notes for the empty slots of its padded layout:
+    per pairwise layer, (source + target empties) C' (d + 1) in each direction, plus each
+    direction's query empties C'."""
+    empties = sum(side.count * side.sizes.max(initial=0) - side.rows.size
+                  for members in memberships for side in (members.source, members.target))
+    return empties * c * (2 * (c // heads) + 3)
+
+
+def test_op_counts_equal_those_of_the_separate_ops(monkeypatch):
     """Multiplies noted by one inference forward and one training step: their values
-    before the ops were fused, less the products no longer made; and no (n, m) buffer."""
+    before the ops were fused, less the products no longer made, plus the products of the
+    empty padded slots; and no (n, m) buffer."""
     noise = GenNoiseConfig(desc_sigma=0.75, jitter_sigma=0.5, distractors=20)
     ks, kt, _, _ = generate_pair(3, 256, (314, 314), 256, noise)
     cfg = NetworkConfig()
+    layers, update = [], encoder.pairwise_layer_update
+    monkeypatch.setattr(encoder, "pairwise_layer_update",
+                        lambda a, b, pairs, *rest: layers.append(pairs) or update(a, b, pairs, *rest))
     with ad.count_ops() as fwd:
         forward(ks, kt, init_weights(cfg, seed=0), cfg)
+    padded = [_empty_slot_multiplies(layers, cfg.hidden_dim, cfg.heads)]
+    layers.clear()
     ts, tt, gt, _ = _train_scene()
     with ad.count_ops() as step:
         loss_gradient(init_weights(TRAIN_CFG, seed=0, dtype=np.float64), (ts, tt, gt),
                       TRAIN_CFG, TRAIN_LOSS)
+    padded.append(_empty_slot_multiplies(layers, TRAIN_CFG.hidden_dim, TRAIN_CFG.heads))
+    assert len(layers) == TRAIN_CFG.l2 and min(padded) > 0
     # layer 0 takes its carrier from the attention op's v block, and the loss picks a side
     # instead of blending both with two multiplies per correspondence
     carriers = (len(ks) + len(kt)) * 256 * 64, (len(ts) + len(tt)) * 32 * 16
-    assert fwd.multiplies == 203520512 - carriers[0]
-    assert step.multiplies == 3584804 - carriers[1] - 2 * len(gt.pairs)
+    assert fwd.multiplies == 203520512 - carriers[0] + padded[0]
+    assert step.multiplies == 3584804 - carriers[1] - 2 * len(gt.pairs) + padded[1]
     for c, (n, m) in ((fwd, (len(ks), len(kt))), (step, (len(ts), len(tt)))):
         assert not c.has_allocation((n, m)) and not c.has_allocation((m, n))

@@ -10,6 +10,7 @@ import linmatch.training as training
 from linmatch.autodiff import Tensor
 from linmatch.encoder import EncodedPair, NetworkConfig, init_weights
 from linmatch.geometry import GenNoiseConfig, GroundTruth, generate_pair
+from linmatch.matcher import evaluate, match_pipeline
 from linmatch.training import (
     AdamState,
     LossConfig,
@@ -171,7 +172,8 @@ def test_partner_is_never_its_own_hardest_negative():
     xs, xt = np.array([[0.0, 0.0], [np.inf, 0.0]]), np.array([[0.1, 0.0], [3.0, 0.0]])
     assert training._hardest_negatives(xt[:1], xs, np.array([0])).tolist() == [1]
     tensors = [Tensor(x, requires_grad=True) for x in (xs, xt, np.ones((2, 2)), np.ones((2, 2)))]
-    loss = triplet_loss(EncodedPair(*tensors), GroundTruth(pairs=[(0, 0)]), LossConfig())
+    loss = triplet_loss(EncodedPair(*tensors), GroundTruth(pairs=[(0, 0)]),
+                        LossConfig(detach_confidence=False))
     assert loss.data == 0.0
     loss.backward()
     assert not any(t.grad.any() for t in tensors)
@@ -304,7 +306,7 @@ def tiny_scene(seed, d, n=10):
 
 def test_loss_gradient_matches_finite_differences():
     cfg = NetworkConfig(input_dim=6, hidden_dim=4, heads=1, l1=1, l2=0)
-    lcfg = LossConfig()
+    lcfg = LossConfig(detach_confidence=False)
     ks, kt, gt, _ = tiny_scene(5, 6, n=8)
     weights = init_weights(cfg, seed=2, dtype=np.float64)
     loss0, grads = loss_gradient(weights, (ks, kt, gt), cfg, lcfg)
@@ -394,6 +396,29 @@ def test_train_toy_reduces_loss():
     first = np.mean([l for _, l, _ in trace[:8]])
     last = np.mean([l for _, l, _ in trace[-8:]])
     assert last < first
+
+
+def test_default_loss_trains_a_better_matcher_than_no_training():
+    """Criterion-5 scenes, network and 300 steps, but the default `LossConfig`: held-out
+    precision and recall of the unfiltered candidates, pooled over 24 scenes, rise over the
+    init-seed-0 network (0.629 and 0.368).  Trained through the confidence, the loss would
+    drive the confidence to zero instead, and they fell to 0.240 and 0.101."""
+    cfg = NetworkConfig(input_dim=32, hidden_dim=16, heads=2, l1=2, l2=1)
+    noise = GenNoiseConfig(desc_sigma=0.75, jitter_sigma=0.5, distractors=20)
+    train = [generate_pair(1000 + k, 128, (256, 256), 32, noise)[:3] for k in range(200)]
+    held = [generate_pair(90000 + k, 128, (256, 256), 32, noise) for k in range(24)]
+
+    def pooled(weights):
+        hits = found = truth = 0
+        for ks, kt, gt, h in held:
+            e = evaluate(match_pipeline(ks, kt, weights, cfg, skip_filter=True), gt, h, ks, kt)
+            hits, found = hits + round(e.precision * e.num_matches), found + e.num_matches
+            truth += len(gt.pairs)
+        return np.array([hits / found, hits / truth])
+
+    untrained = pooled(init_weights(cfg, seed=0, dtype=np.float64))
+    trained = pooled(train_toy(train, cfg, LossConfig(), 300, seed=0)[0])
+    assert (trained >= untrained + 0.1).all(), (untrained, trained)
 
 
 def test_train_toy_aborts_on_non_finite_loss(monkeypatch):
