@@ -15,14 +15,17 @@ denominator; phi > 0, so the denominator never vanishes.
 The restricted kernel applies the same ratio within the neighborhoods of a
 `Membership`, which `build_neighborhoods` returns and which checks every set
 once, when built.  It holds them as arrays, with no per-neighborhood records:
-each side's member rows, set after set (CSR segments), gathered into a
-zero-padded (segments, largest segment) layout.  One batched matmul sums K_v
-over every segment's key rows and one applies it to the query rows (never a
-d x d product per member), at cost O(segments x largest segment).  The filled
-slots are sum-scattered into the output rows: rows outside every neighborhood
-stay exactly zero, rows in several get the plain sum.  The reverse direction
-(target rows querying source rows) swaps the two sides.  The linear kernel
-is the same computation with one segment, a view of every row.
+each side's member rows, set after set (CSR segments), gathered after phi (once
+per row) into a padded (segments, largest segment) layout.  One batched matmul
+sums K_v over every segment's key rows and one applies it to the query rows
+(never a d x d product per member), row-major, at cost O(segments x largest
+segment).  Only [V | 1] and the incoming gradient are zero in empty slots: an
+empty phi slot holds an arbitrary row's phi, which meets only those zeros, and
+an empty query slot is never scattered.  The filled slots are sum-scattered
+into the output rows: rows outside every neighborhood stay exactly zero, rows
+in several get the plain sum, and the backward sums dK and dV in one pass.  The
+reverse direction (target rows querying source rows) swaps the two sides.  The
+linear kernel is the same computation with one segment, a view of every row.
 
 `linear_attention` and `pairwise_attention` are numpy functions: they take a
 `ProjectedTriplet` of arrays, return an array and record no autodiff node.
@@ -73,9 +76,10 @@ class Segments:
     """One side's member rows, concatenated segment by segment, and the segments' sizes.
 
     `rows=None` stands for every input row, in order, as one segment.  `ids`
-    holds each member's segment.  `gather` fills a zero-padded (segments, largest
-    size, ...) layout straight from row space and `scatter` sums its filled slots
-    back into rows; its index and the scatter `levels` are built on first use.
+    holds each member's segment, `low` and `high` the least and greatest row.  `gather`
+    fills a padded (segments, largest size, ...) layout straight from row space and
+    `scatter` sums the filled slots of such arrays back into rows; its index and the
+    scatter `levels` are built on first use.
     """
 
     def __init__(self, rows=None, sizes=None):
@@ -87,6 +91,7 @@ class Segments:
         self.count, self.ids = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
         self.starts = np.cumsum(sizes) - sizes
         self.order = np.argsort(self.rows, kind="stable")  # equal rows keep set order
+        self.low, self.high = self.rows.min(initial=0), self.rows.max(initial=-1)
 
     @cached_property
     def padded(self):
@@ -105,22 +110,24 @@ class Segments:
         return [(self.rows[lv], self.ids[lv], pos[lv]) for r in range(rank.max(initial=-1) + 1)
                 for lv in [self.order[rank == r]]]
 
-    def gather(self, x):
-        """x's member rows in the padded layout, zero in empty slots."""
+    def gather(self, x, zero=True):
+        """x's member rows in the padded layout, zero in empty slots unless not `zero`."""
         if self.rows is None:
             return x[None]
         out = x[self.padded[0]]
-        out.reshape((-1,) + x.shape[1:])[self.padded[2]] = 0
+        if zero:
+            out.reshape((-1,) + x.shape[1:])[self.padded[2]] = 0
         return out
 
-    def scatter(self, x, n):
-        """Sum the filled slots of a padded array back into an (n, ...) array."""
+    def scatter(self, n, *xs):
+        """Sum the filled slots of padded arrays back into (n, ...) arrays, in one level pass."""
         if self.rows is None:
-            return x[0]
-        out = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
+            return [x[0] for x in xs]
+        outs = [np.zeros((n,) + x.shape[2:], dtype=x.dtype) for x in xs]
         for rows, segs, slots in self.levels:
-            out[rows] += x[segs, slots]
-        return out
+            for out, x in zip(outs, xs):
+                out[rows] += x[segs, slots]
+        return outs
 
 
 def seg_outer(a, b):
@@ -129,8 +136,10 @@ def seg_outer(a, b):
 
 
 def seg_apply(a, t):
-    """a_e @ t[segment of e] for every slot e of a padded layout: (S, slots, H, dt)."""
-    return np.matmul(a.transpose(0, 2, 1, 3), t).transpose(0, 2, 1, 3)
+    """a_e @ t[segment of e] for every slot e of a padded layout: a row-major (S, slots, H, dt)."""
+    out = np.empty(a.shape[:3] + t.shape[-1:], np.result_type(a, t))
+    np.matmul(a.transpose(0, 2, 1, 3), t, out=out.transpose(0, 2, 1, 3))
+    return out
 
 
 class Membership:
@@ -177,23 +186,23 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
         sides = (pairs.source, pairs.target)
         qside, kside = sides[::-1] if reverse else sides
         for side, rows in ((qside, n), (kside, m)):
-            if side.rows.size and (side.rows.min() < 0 or side.rows.max() >= rows):
+            if side.low < 0 or side.high >= rows:
                 raise ValueError("neighborhood index out of range")
     if heads < 1 or c % heads:
         raise ValueError(f"column count {c} not divisible by {heads} heads")
     d = c // heads
-    pq = ad.phi_array(qside.gather(q.reshape(n, heads, d)))
-    pk = ad.phi_array(kside.gather(k.reshape(m, heads, d)))
-    # [v | 1] stays in row space and is padded where used, so inference keeps no padded
-    # copy; empty slots are zero in both columns and add nothing to K_v or K_m
-    v1 = v.reshape(m, heads, d)
-    v1 = np.concatenate([v1, np.ones_like(v1[..., :1])], axis=-1)
+    # phi once per row, so an empty slot holds some row's (see the module docstring); [v | 1]
+    # is padded where used, so inference keeps no padded copy
+    pq = qside.gather(ad.phi_array(q.reshape(n, heads, d)), zero=False)
+    pk = kside.gather(ad.phi_array(k.reshape(m, heads, d)), zero=False)
+    v1 = np.ones((m, heads, d + 1), dtype=v.dtype)
+    v1[..., :d] = v.reshape(m, heads, d)
     kv = seg_outer(pk, kside.gather(v1))  # (S, H, d, d + 1): [K_v | K_m]
     nd = seg_apply(pq, kv)  # per query slot: [numerator | denominator]
     den = nd[..., d:]
-    o = np.divide(nd[..., :d], den, out=nd[..., :d])  # in place: nd holds [o | den]
+    o = nd[..., :d] / den
     ad.note_mul((pk.size + pq.size) * (d + 1) + pq.size)
-    for a in (pq, pk, v1, kv, nd):
+    for a in (pq, pk, v1, kv, nd, o):
         ad.note_alloc(a)
 
     def grads(g):
@@ -203,10 +212,10 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
         # phi'(x) is 1 where phi(x) = x + 1 >= 1, and phi(x) = exp(x) below
         dpq = seg_apply(dnd, kv.swapaxes(-1, -2)) * np.minimum(pq, 1.0)
         dpk = seg_apply(kside.gather(v1), dkv.swapaxes(-1, -2)) * np.minimum(pk, 1.0)
-        return (qside.scatter(dpq, n).reshape(n, c), kside.scatter(dpk, m).reshape(m, c),
-                kside.scatter(seg_apply(pk, dkv)[..., :d], m).reshape(m, c))
+        dk, dv = kside.scatter(m, dpk, seg_apply(pk, dkv)[..., :d])
+        return qside.scatter(n, dpq)[0].reshape(n, c), dk.reshape(m, c), dv.reshape(m, c)
 
-    return qside.scatter(o, n).reshape(n, c), grads
+    return qside.scatter(n, o)[0].reshape(n, c), grads
 
 
 def linear_attention(t: ProjectedTriplet, heads: int = 1):

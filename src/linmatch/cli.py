@@ -182,8 +182,8 @@ def cmd_synth(args) -> int:
         raise UsageError("--kpts must be positive")
     if args.desc_dim <= 0:
         raise UsageError("--desc-dim must be positive")
-    if (args.min_matches or 0) > args.kpts:
-        raise UsageError("--min-matches cannot exceed --kpts")
+    if not 0 <= (args.min_matches or 0) <= args.kpts:
+        raise UsageError("--min-matches must lie between 0 and --kpts")
     out = _out_dir(args.output)
     noise = _section(sections, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
                      jitter_sigma=args.jitter_sigma, distractors=args.distractors)

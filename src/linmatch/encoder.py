@@ -190,8 +190,8 @@ def feed_forward(carrier, m, w: LayerWeights) -> Tensor:
     for a in (cat, h):
         ad.note_alloc(a)
     cat = cat if keep else None
-    h -= h.mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt((h * h).mean(axis=1, keepdims=True) + 1e-5)
+    h -= h.sum(axis=1, keepdims=True) / nf  # np.mean's arithmetic, without its wrapper
+    inv = 1.0 / np.sqrt((h * h).sum(axis=1, keepdims=True) / nf + 1e-5)
     h *= inv  # the normalized rows
     r = h * gamma.data if keep else np.multiply(h, gamma.data, out=h)
     r += beta.data
@@ -299,8 +299,8 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
 def _forward_impl(xs, xt, weights, cfg, neigh_cfg):
     ref = weights.self_layers[0].wq
     dtype = (ref.data if isinstance(ref, Tensor) else np.asarray(ref)).dtype
-    a = as_tensor(xs.descriptors.astype(dtype))
-    b = as_tensor(xt.descriptors.astype(dtype))
+    a = as_tensor(xs.descriptors.astype(dtype, copy=False))
+    b = as_tensor(xt.descriptors.astype(dtype, copy=False))
     for i in range(cfg.l1):
         a, b = self_attention_update(a, b, weights.self_layers[i], cfg.heads)
         a, b = cross_attention_update(a, b, weights.cross_layers[i], cfg.heads)

@@ -85,8 +85,8 @@ class FilterConfig:
     def __post_init__(self):
         for name, low in (("ransac_iterations", 1), ("min_inliers", 3), ("rng_seed", 0)):
             require_int(name, getattr(self, name), low)
-        if not self.inlier_threshold_factor > 0:  # written so that NaN fails too
-            raise ValueError("threshold factor must be positive")
+        if not 0 < self.inlier_threshold_factor < np.inf:  # written so that NaN fails too
+            raise ValueError("threshold factor must be positive and finite")
 
 
 @dataclass

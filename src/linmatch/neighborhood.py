@@ -64,12 +64,12 @@ class NeighborhoodConfig:
     def __post_init__(self):
         if not (0 < self.theta <= 1):
             raise ValueError("theta must lie in (0, 1]")
-        if not self.lam > 0:  # written so that NaN fails too
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < np.inf:  # written so that NaN fails too
+            raise ValueError("lambda must be positive and finite")
         for name in ("r", "r_t"):
             val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise ValueError(f"{name} must be positive when set")
+            if val is not None and not 0 < val < np.inf:
+                raise ValueError(f"{name} must be positive and finite when set")
 
     def resolved_pair(self, source_dims: tuple, target_dims: tuple) -> "NeighborhoodConfig":
         """Fill unset radii per side: r from the source frame, r_t from the target."""
@@ -279,8 +279,8 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
     row, pos = near_pairs(sp[seeds], sp, cfg.lam * cfg.r)  # a non-finite point is near nothing
     for pts, r in ((sp, cfg.r), (tp, cfg.r_t)):  # the source side drops most pairs first
         (x, y), at = pts.T, seeds[row]  # ((pts[pos] - pts[at]) ** 2).sum(axis=1), bit for bit
-        dx, dy = x[pos] - x[at], y[pos] - y[at]
-        member = np.flatnonzero(dx * dx + dy * dy <= (cfg.lam * r) ** 2)
+        dx, dy, reach = x[pos] - x[at], y[pos] - y[at], cfg.lam * r
+        member = np.flatnonzero(dx * dx + dy * dy <= reach * reach)  # inf, not OverflowError
         row, pos = row[member], pos[member]
     sizes = np.bincount(row, minlength=len(seeds))  # each seed is a member
     return Membership(m.matches[seeds], *(Segments(idx[pos[np.lexsort((idx[pos], row))]], sizes)

@@ -62,10 +62,10 @@ class LossConfig:
     detach_confidence: bool = True
 
     def __post_init__(self):
-        if not (self.m_n > self.m_p >= 0):
-            raise ValueError("margins must satisfy m_n > m_p >= 0")
-        if not self.learning_rate > 0:  # written so that NaN fails too
-            raise ValueError("learning rate must be positive")
+        if not (np.inf > self.m_n > self.m_p >= 0):
+            raise ValueError("margins must be finite and satisfy m_n > m_p >= 0")
+        if not 0 < self.learning_rate < np.inf:  # written so that NaN fails too
+            raise ValueError("learning rate must be positive and finite")
         if not (0 < self.decay <= 1):
             raise ValueError("decay must lie in (0, 1]")
 
@@ -243,7 +243,7 @@ class AdamState:
 
     def step(self, weights: NetworkWeights, grads: NetworkWeights, lr: float):
         self.t += 1
-        g = np.concatenate([np.ravel(v) for _, v in grads.all_params()], dtype=np.float64)
+        g = np.concatenate([v.ravel() for _, v in grads.all_params()], dtype=np.float64)
         self.m = _BETA1 * self.m + (1 - _BETA1) * g
         self.v = _BETA2 * self.v + (1 - _BETA2) * g * g
         m_hat = self.m / (1 - _BETA1 ** self.t)
@@ -251,7 +251,7 @@ class AdamState:
         upd = lr * m_hat / (np.sqrt(v_hat) + _EPS)
         params = [np.asarray(w) for _, w in weights.all_params()]
         for w, end in zip(params, np.cumsum([w.size for w in params])):
-            w -= upd[end - w.size:end].reshape(w.shape).astype(w.dtype)
+            w -= upd[end - w.size:end].reshape(w.shape).astype(w.dtype, copy=False)
 
 
 def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,

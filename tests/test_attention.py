@@ -282,6 +282,30 @@ class TestPairwiseAttention:
         grads(np.ones_like(out))
         assert len(calls) == 6
 
+    def test_phi_runs_once_per_row(self, monkeypatch):
+        """phi sees the (rows, heads, d) inputs, never the padded layout, here 14 segments
+        of up to 60 slots (840) over 70 rows."""
+        members = membership(mixed_pairs())
+        assert members.source.padded[0].size > 70
+        t = random_triplet(np.random.default_rng(28), 70, 70, 4)
+        shapes, phi = [], ad.phi_array
+        monkeypatch.setattr(ad, "phi_array", lambda x: shapes.append(x.shape) or phi(x))
+        for reverse in (False, True):
+            out, grads = _segment_attention(t.q, t.k, t.v, 2, members, reverse)
+            grads(np.ones_like(out))
+        assert shapes == [(70, 2, 2)] * 4
+
+    def test_three_scatters_per_forward_and_backward(self, monkeypatch):
+        """The output forward; dQ, then dK and dV together, backward."""
+        calls, scatter = [], Segments.scatter
+        monkeypatch.setattr(Segments, "scatter",
+                            lambda self, *a: calls.append(1) or scatter(self, *a))
+        t = random_triplet(np.random.default_rng(29), 10, 10, 4)
+        out, grads = _segment_attention(t.q, t.k, t.v, 2, membership(overlapping_pairs()), False)
+        assert len(calls) == 1
+        grads(np.ones_like(out))
+        assert len(calls) == 3
+
     def test_pair_invariants_enforced(self):
         with pytest.raises(ValueError):
             membership([NeighborhoodPair((0, 0), np.array([], dtype=int), np.array([0]))])
@@ -468,15 +492,20 @@ class TestMultiHead:
             expect = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
             np.testing.assert_allclose(pairwise_attention(t, membership(pairs), heads), expect,
                                        rtol=1e-12, atol=1e-14)
-        # size-1 segments beside one of 60 members: most slots of the padded layout are empty
-        t, pairs = random_triplet(rng, 70, 70, 4), mixed_pairs()
-        for dtype, rtol, atol in ((np.float64, 1e-12, 1e-14), (np.float32, 1e-5, 1e-6)):
-            low = ProjectedTriplet(*(x.astype(dtype) for x in (t.q, t.k, t.v)))
-            for heads in (1, 2):
-                got = pairwise_attention(low, membership(pairs), heads)
-                assert got.dtype == dtype
-                np.testing.assert_allclose(got, per_head(lambda s: scattered_blocks(s, pairs),
-                                                         t, heads), rtol=rtol, atol=atol)
+        # size-1 segments beside one of 60 members: most slots of the padded layout are empty;
+        # then query rows 9 to 11 and key rows 10 and 11 in no set, the last ones large: an
+        # empty slot's phi is the last row's, which must add nothing
+        mixed = random_triplet(rng, 70, 70, 4)
+        outsider = random_triplet(rng, 12, 12, 4)
+        outsider.k[-1] = outsider.q[-1] = 40.0
+        for t, pairs in ((mixed, mixed_pairs()), (outsider, overlapping_pairs())):
+            for dtype, rtol, atol in ((np.float64, 1e-12, 1e-14), (np.float32, 1e-5, 1e-6)):
+                low = ProjectedTriplet(*(x.astype(dtype) for x in (t.q, t.k, t.v)))
+                for heads in (1, 2):
+                    got = pairwise_attention(low, membership(pairs), heads)
+                    assert got.dtype == dtype
+                    want = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
+                    np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
 
     def test_reverse_swaps_the_sides(self):
         rng = np.random.default_rng(35)
@@ -579,14 +608,15 @@ def test_numpy_kernels_build_no_node(monkeypatch):
     assert nodes == []
 
 
-def add_at_scatter(self, x, n):
-    """The np.add.at scatter of a padded array's members that `Segments.scatter` must equal
+def add_at_scatter(self, n, *xs):
+    """The np.add.at scatter of padded arrays' members that `Segments.scatter` must equal
     bit for bit."""
     if self.rows is None:
-        return x[0]
-    out = np.zeros((n,) + x.shape[2:], dtype=x.dtype)
-    np.add.at(out, self.rows, x[self.ids, self.padded[1]])
-    return out
+        return [x[0] for x in xs]
+    outs = [np.zeros((n,) + x.shape[2:], dtype=x.dtype) for x in xs]
+    for out, x in zip(outs, xs):
+        np.add.at(out, self.rows, x[self.ids, self.padded[1]])
+    return outs
 
 
 def hub_pairs(rng, n, m, count):
@@ -606,13 +636,14 @@ class TestLevelScatter:
         members = membership(hub_pairs(rng, 30, 25, 40))
         for side, n in ((members.source, 30), (members.target, 25)):
             assert np.bincount(side.rows).max() == 40  # row 0 is in every segment
-            x = (rng.standard_normal(side.padded[0].shape + (2, 3)) * 1e3).astype(dtype)
-            assert np.array_equal(side.scatter(x, n), add_at_scatter(side, x, n))
-            assert side.scatter(x, n).dtype == dtype
+            x, y = (rng.standard_normal((2,) + side.padded[0].shape + (2, 3)) * 1e3).astype(dtype)
+            got = side.scatter(n, x, y)
+            assert all(np.array_equal(a, b) for a, b in zip(got, add_at_scatter(side, n, x, y)))
+            assert len(got) == 2 and all(a.dtype == dtype for a in got)
 
     def test_empty_membership(self):
         side = Segments([], [])
-        assert np.array_equal(side.scatter(np.zeros((0, 0, 2, 3)), 4), np.zeros((4, 2, 3)))
+        assert np.array_equal(side.scatter(4, np.zeros((0, 0, 2, 3)))[0], np.zeros((4, 2, 3)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("reverse", [False, True])

@@ -459,6 +459,15 @@ def test_nan_config_value_is_usage_error(tmp_path, capsys, match_argv, command, 
     assert f"invalid {section} config" in capsys.readouterr().err
 
 
+# a finite neighborhood factor whose square overflows once ended in an OverflowError traceback
+@pytest.mark.parametrize("command", ["match", "train-toy"])
+def test_huge_neighborhood_factor_runs(tmp_path, match_argv, command):
+    cfg = tmp_path / "lam.json"
+    cfg.write_text(json.dumps({"neighborhood": {"lam": 1e300}}))
+    argv = match_argv if command == "match" else ["train-toy", *TRAIN_ARGS, "--l2", 1]
+    assert run_cli([*argv, "--config", cfg, "-o", tmp_path / "o"]) == 0
+
+
 # an infinite noise magnitude once ended in a traceback (desc_sigma) or wrote a target
 # frame with no keypoint (jitter_sigma); as a flag or as a config key it is a usage error
 @pytest.mark.parametrize("command", ["synth", "train-toy"])
@@ -535,8 +544,11 @@ def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 
 
-# each flag at a value that, left unchecked, hangs, times empty problems or no kernel
-# (bench), ends in a traceback, or fails a check as if the gradients were wrong (--tol)
+# each flag or config value (a dict, written as the config file) at a value that, left
+# unchecked, hangs, times empty problems or no kernel (bench), ends in a traceback, fails a
+# check as if the gradients were wrong (--tol), aborts training (an infinite margin or learning
+# rate) or runs silently (an infinite radius, factor or negative --min-matches); a "match"
+# argv is completed with the match inputs
 @pytest.mark.parametrize("argv", [
     ["bench", "--methods", "linear", "--reps", 3, "--c-prime", 8, "--sizes", "0,64"],
     ["bench", "--methods", "linear", "--reps", 3, "--sizes", "64,256", "--c-prime", 0],
@@ -555,8 +567,21 @@ def first_lr(trace_path):
     ["gradcheck", "--tol", "inf"],
     ["synth", *SYNTH_ARGS, "--desc-dim", 0],
     ["synth", *SYNTH_ARGS, "--min-matches", 41],  # more than the 40 keypoints
+    ["synth", *SYNTH_ARGS, "--min-matches", -1],
+    ["train-toy", *TRAIN_ARGS, "--lr", "inf"],
+    ["train-toy", *TRAIN_ARGS, "--config", {"loss": {"m_n": float("inf")}}],
+    ["train-toy", *TRAIN_ARGS, "--config", {"loss": {"learning_rate": float("inf")}}],
+    ["train-toy", *TRAIN_ARGS, "--config", {"neighborhood": {"lam": float("inf")}}],
+    ["train-toy", *TRAIN_ARGS, "--config", {"neighborhood": {"r": float("inf")}}],
+    ["train-toy", *TRAIN_ARGS, "--config", {"neighborhood": {"r_t": float("inf")}}],
+    ["match", "--config", {"filter": {"inlier_threshold_factor": float("inf")}}],
 ], ids=lambda argv: " ".join(str(a) for a in argv[:1] + argv[-2:]))
-def test_out_of_range_flag_is_usage_error(tmp_path, argv):
+def test_out_of_range_flag_is_usage_error(tmp_path, match_argv, argv):
+    argv = (match_argv if argv[0] == "match" else argv[:1]) + argv[1:]
+    for i, body in enumerate(argv):
+        if isinstance(body, dict):
+            argv[i] = tmp_path / "config.json"
+            argv[i].write_text(json.dumps(body))  # infinity written as Infinity
     assert run_cli([*argv, "-o", tmp_path / "o"]) == 2
 
 
