@@ -176,12 +176,6 @@ def _read_input(reader, path, what):
 
 def cmd_synth(args) -> int:
     sections = _load_file_sections(args.config)
-    if args.pairs <= 0:
-        raise UsageError("--pairs must be positive")
-    if args.kpts <= 0:
-        raise UsageError("--kpts must be positive")
-    if args.desc_dim <= 0:
-        raise UsageError("--desc-dim must be positive")
     if not 0 <= (args.min_matches or 0) <= args.kpts:
         raise UsageError("--min-matches must lie between 0 and --kpts")
     out = _out_dir(args.output)
@@ -313,12 +307,6 @@ def cmd_bench(args) -> int:
 
 def cmd_train_toy(args) -> int:
     sections = _load_file_sections(args.config)
-    if args.pairs <= 0:
-        raise UsageError("--pairs must be positive")
-    if args.steps <= 0:
-        raise UsageError("--steps must be positive")
-    if args.kpts < 2:
-        raise UsageError("--kpts must be at least 2: the loss mines a negative per side")
     net = _section(sections, "network", NetworkConfig, _TOY_NETWORK,
                    input_dim=args.desc_dim, hidden_dim=args.hidden, heads=args.heads,
                    l1=args.l1, l2=args.l2)
@@ -354,8 +342,6 @@ def cmd_train_toy(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     sections = _load_file_sections(args.config)
-    if args.samples < 1:
-        raise UsageError("--samples must be at least 1")
     if not 0 < args.step < 1:
         raise UsageError("--step must lie in (0, 1)")
     if not 0 < args.tol < np.inf:  # written so that NaN fails too
@@ -385,6 +371,16 @@ def _parse_dims(text: str):
     return dims
 
 
+def _at_least(low: int):
+    """An argparse type for counts: an int of at least `low`, else a usage error."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return count
+
+
 def _parse_sizes(text: str):
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -411,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sy = sub.add_parser("synth", parents=[common],
                         help="generate labelled synthetic pairs")
-    sy.add_argument("--pairs", type=int, default=10)
-    sy.add_argument("--kpts", type=int, default=512)
+    sy.add_argument("--pairs", type=_at_least(1), default=10)
+    sy.add_argument("--kpts", type=_at_least(1), default=512)
     sy.add_argument("--dims", type=_parse_dims, default=(640, 480))
-    sy.add_argument("--desc-dim", type=int, default=256)
+    sy.add_argument("--desc-dim", type=_at_least(1), default=256)
     sy.add_argument("--desc-sigma", type=float, default=None)
     sy.add_argument("--jitter-sigma", type=float, default=None)
     sy.add_argument("--distractors", type=int, default=None)
@@ -455,15 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("train-toy", parents=[common],
                         help="train a small network on synthetic pairs")
-    tr.add_argument("--pairs", type=int, default=200)
-    tr.add_argument("--kpts", type=int, default=128)
+    tr.add_argument("--pairs", type=_at_least(1), default=200)
+    tr.add_argument("--kpts", type=_at_least(2), default=128,
+                    help="keypoints per scene, at least 2: the loss mines a negative per side")
     tr.add_argument("--dims", type=_parse_dims, default=(256, 256))
     tr.add_argument("--desc-dim", type=int)
     tr.add_argument("--hidden", type=int)
     tr.add_argument("--heads", type=int)
     tr.add_argument("--l1", type=int)
     tr.add_argument("--l2", type=int)
-    tr.add_argument("--steps", type=int, default=300)
+    tr.add_argument("--steps", type=_at_least(1), default=300)
     tr.add_argument("--lr", type=float, default=None)
     tr.add_argument("--decay", type=float, default=None)
     tr.add_argument("--desc-sigma", type=float, default=None)
@@ -474,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc = sub.add_parser("gradcheck", parents=[common],
                         help="compare analytic gradients with finite differences")
     gc.add_argument("--precision", choices=("single", "double"), default="double")
-    gc.add_argument("--samples", type=int, default=256)
+    gc.add_argument("--samples", type=_at_least(1), default=256)
     gc.add_argument("--step", type=float, default=1e-5)
     gc.add_argument("--tol", type=float, default=1e-4)
     gc.add_argument("--input-dim", type=int)

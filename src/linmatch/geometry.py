@@ -29,7 +29,7 @@ _KPDS_MAGIC = b"KPDS"
 _KPDS_VERSION = 1
 _ROW_LIMIT = 1 << 24  # positions clip here, in rows, so a key fits int64
 _ROW_STRIDE = 1 << 34  # key distance between rows: more than 512 * (_ROW_LIMIT + 4)
-_ALL_PAIRS = 1 << 12  # up to this many pairs, near_pairs returns them all
+_ALL_PAIRS = 1 << 12  # up to this many pairs, near_pairs tests them all
 # NumPy's normal draws lie within 14 standard deviations, so base + noise stays a finite float32
 _DESC_SIGMA_MAX = float(np.finfo(np.float32).max) / 64
 
@@ -168,22 +168,28 @@ def _clip_to_frame(pts: np.ndarray, width: int, height: int) -> np.ndarray:
 
 
 def near_pairs(p, q, radius: float, upper: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) intp arrays of every pair of p[i] and q[j] within `radius`, plus some farther.
-
-    Callers re-test the pairs exactly; non-finite points pair with nothing.  With
-    `upper`, q must be p and each unordered pair of distinct rows comes once.  Up
-    to 4096 pairs, all are returned.  Otherwise q is binned into rows half the
-    (padded) radius high and sorted by x, and a point meets, in the five rows
-    around its own, the points within reach along x.  Positions clip at 2**24
-    rows, which only brings far points closer: scratch is linear in points plus
-    pairs.
-    """
+    """(i, j) intp arrays of exactly the pairs with dx*dx + dy*dy <= radius*radius in float64
+    (where a far-but-finite pair overflows to inf); a non-finite point pairs with nothing.
+    With `upper`, q must be p and each unordered pair of distinct rows comes once."""
     if upper and q is not p:
         raise ValueError("upper pairs need q to be p")
     if not radius > 0:
         raise ValueError("radius must be positive")
     p = np.asarray(p, dtype=np.float64).reshape(-1, 2)
     q = p if upper else np.asarray(q, dtype=np.float64).reshape(-1, 2)
+    i, j = _candidates(p, q, radius, upper)  # the search's scratch is freed before the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = (a[i] - b[j] for a, b in zip(p.T, q.T))
+        near = np.flatnonzero(dx * dx + dy * dy <= radius * radius)
+    return i[near], j[near]
+
+
+def _candidates(p, q, radius: float, upper: bool):
+    """(i, j) among the finite points: all pairs, if at most 4096, else every pair within
+    `radius` and some farther.  q is then binned into rows half the (padded) radius high and
+    sorted by x, and a point meets, in the five rows around its own, the points within reach
+    along x, all within about 1.5 radii.  Positions clip at 2**24 rows, which only brings far
+    points closer: scratch is linear in points plus candidates."""
     fp = np.flatnonzero(np.isfinite(p[:, 0]) & np.isfinite(p[:, 1]))
     fq = fp if upper else np.flatnonzero(np.isfinite(q[:, 0]) & np.isfinite(q[:, 1]))
     if (len(fp) * (len(fp) - 1) // 2 if upper else len(fp) * len(fq)) <= _ALL_PAIRS:

@@ -13,14 +13,14 @@ the neighborhood collects the matches lying within lambda * R of the seed
 on the source side and lambda * R_t on the target side simultaneously.
 
 Matches are kept as a (k, 2) index array of (source, target) rows, and every
-stage indexes it directly.  Seed candidates come from one radius search
-(`geometry.near_pairs`) among the matches' source points; neighborhood
-members from one search between the seeds' source points and the matches'.
-The search returns some pairs beyond the radius, so each pair is re-tested
-with the exact squared distance, dx*dx + dy*dy <= r*r (on both sides, for
-members).  A non-finite point is within the radius of nothing, and a seed
-whose own point is non-finite gets no neighborhood.  The sorted sets and
-their sizes go straight into one `Membership`, which checks them all at once.
+stage indexes it directly.  The pairs of matches within R of each other come
+from one radius search (`geometry.near_pairs`) among the matches' source
+points, which returns exactly the pairs with dx*dx + dy*dy <= r*r.  Members
+come from one search between the seeds' source points and the matches', and
+the same test on the target side.  A non-finite point is within the radius of
+nothing, and a seed whose own point is non-finite gets no neighborhood.  The
+sorted sets and their sizes go straight into one `Membership`, which checks
+them all at once.
 
 One distance table per chunk of source rows serves both directions: rows
 give the nearest and second-nearest target, columns the nearest source.  The
@@ -247,10 +247,6 @@ def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarra
     src_idx, scores = m.matches[:, 0], m.ratio_score
     pts = np.asarray(source_keypoints, dtype=np.float64)[src_idx]
     a, b = near_pairs(pts, pts, radius, upper=True)  # a non-finite point is near nothing
-    x, y = pts.T  # ((pts[a] - pts[b]) ** 2).sum(axis=1) below, bit for bit
-    dx, dy = x[a] - x[b], y[a] - y[b]
-    near = np.flatnonzero(dx * dx + dy * dy <= radius * radius)
-    a, b = a[near], b[near]
 
     def outranks(x, y):
         return (scores[x] > scores[y]) | ((scores[x] == scores[y]) & (src_idx[x] < src_idx[y]))
@@ -277,11 +273,10 @@ def build_neighborhoods(seeds, m: RatioMatchSet, source_keypoints, target_keypoi
     tp = np.asarray(target_keypoints, dtype=np.float64)[tgt_idx]
     seeds = seeds[(np.isfinite(sp[seeds]) & np.isfinite(tp[seeds])).all(axis=1)]
     row, pos = near_pairs(sp[seeds], sp, cfg.lam * cfg.r)  # a non-finite point is near nothing
-    for pts, r in ((sp, cfg.r), (tp, cfg.r_t)):  # the source side drops most pairs first
-        (x, y), at = pts.T, seeds[row]  # ((pts[pos] - pts[at]) ** 2).sum(axis=1), bit for bit
-        dx, dy, reach = x[pos] - x[at], y[pos] - y[at], cfg.lam * r
-        member = np.flatnonzero(dx * dx + dy * dy <= reach * reach)  # inf, not OverflowError
-        row, pos = row[member], pos[member]
+    (x, y), at = tp.T, seeds[row]  # ((tp[pos] - tp[at]) ** 2).sum(axis=1), bit for bit
+    dx, dy, reach = x[pos] - x[at], y[pos] - y[at], cfg.lam * cfg.r_t
+    member = np.flatnonzero(dx * dx + dy * dy <= reach * reach)  # inf, not OverflowError
+    row, pos = row[member], pos[member]
     sizes = np.bincount(row, minlength=len(seeds))  # each seed is a member
     return Membership(m.matches[seeds], *(Segments(idx[pos[np.lexsort((idx[pos], row))]], sizes)
                                           for idx in (src_idx, tgt_idx)))

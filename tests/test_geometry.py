@@ -1,5 +1,7 @@
 """Scene generation, homography math, labeling oracle, and file round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,7 @@ class TestLabelCorrespondences:
 
 
 def brute_force_near(p, q, radius, upper):
-    """Every (i, j) with |p[i] - q[j]|^2 <= radius^2, as the callers' re-test computes it."""
+    """Every (i, j) with |p[i] - q[j]|^2 <= radius^2, summed in float64 as near_pairs does."""
     with np.errstate(all="ignore"):  # inf - inf, and far-but-finite points overflowing
         d = ((p[:, None, :] - q[None, :, :]) ** 2).sum(axis=2)
     near = d <= radius * radius
@@ -287,6 +289,7 @@ class TestNearPairs:
     @pytest.mark.parametrize("all_pairs", [0, geometry._ALL_PAIRS])  # the search, and small inputs
     @pytest.mark.parametrize("upper", [False, True])
     def test_superset_of_pairs_within_radius(self, monkeypatch, all_pairs, upper):
+        """Exactly the pairs within the radius: the superset, and nothing farther."""
         monkeypatch.setattr(geometry, "_ALL_PAIRS", all_pairs)
         for p, q, r in near_cases():
             q = p if upper else q
@@ -297,24 +300,29 @@ class TestNearPairs:
                 assert (i != j).all()
                 got = [(min(a, b), max(a, b)) for a, b in got]
             assert len(set(got)) == len(got)
-            assert brute_force_near(p, q, r, upper) <= set(got)
+            assert set(got) == brute_force_near(p, q, r, upper)
             # a non-finite point pairs with nothing
             assert np.isfinite(p[i]).all() and np.isfinite(q[j]).all()
 
-    def test_search_keeps_candidates_near_the_radius(self, monkeypatch):
+    def test_search_scratch_is_linear_in_points_plus_pairs(self, monkeypatch):
         monkeypatch.setattr(geometry, "_ALL_PAIRS", 0)
         pts = np.random.default_rng(5).uniform(0, 600, (3000, 2))
-        i, j = near_pairs(pts, pts, 35.0, upper=True)
-        within = len(brute_force_near(pts, pts, 35.0, True))
-        assert within <= len(i) < 1.5 * within  # about 1.3 here; every pair would be 80 times
+        for upper in (True, False):  # 45k pairs with upper, 94k without; all would be 9M
+            tracemalloc.start()
+            try:
+                i, _ = near_pairs(pts, pts, 35.0, upper=upper)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(i) > 40_000 and peak <= 128 * (len(pts) + len(i))  # about 62 here
 
     def test_small_inputs_return_every_pair(self):
-        p = np.array([[0.0, 0.0], [100.0, 0.0], [np.nan, 0.0], [0.0, 100.0]])
+        """Every pair within the radius, and only those, on the all-pairs path."""
+        p = np.array([[0.0, 0.0], [100.0, 0.0], [np.nan, 0.0], [0.0, 100.0], [0.6, 0.8]])
         i, j = near_pairs(p, p, 1.0, upper=True)
-        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 1), (0, 3), (1, 3)]
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 4)]  # (0, 4) at exactly the radius
         i, j = near_pairs(p[:2], p, 1.0)
-        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 1), (0, 3),
-                                                      (1, 0), (1, 1), (1, 3)]
+        assert sorted(zip(i.tolist(), j.tolist())) == [(0, 0), (0, 4), (1, 1)]
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, np.nan])
     def test_radius_must_be_positive(self, radius):
