@@ -27,10 +27,11 @@ in several get the plain sum, and the backward sums dK and dV in one pass.  The
 reverse direction (target rows querying source rows) swaps the two sides.  The
 linear kernel is the same computation with one segment, a view of every row.
 
-`linear_attention` and `pairwise_attention` are numpy functions: they take a
-`ProjectedTriplet` of arrays, return an array and record no autodiff node.
-`projected_attention`, which encoder layers call, is the one autodiff op: it
-forms q, k and v, runs the same kernel and returns v too, and its
+`attention` is the one numpy kernel, linear without `pairs` and restricted
+with them: it takes arrays q, k and v, returns the output array and a map from
+its gradient to theirs, and records no autodiff node (numpy callers take
+`[0]`).  `projected_attention`, which encoder layers call, is the one autodiff
+op: it forms q, k and v, runs the same kernel and returns v too, and its
 hand-written backward carries the kernel's gradient to the layer inputs and
 weights.  The softmax kernel is a single-head numpy reference (correctness
 oracle and complexity baseline) that deliberately materializes the N-by-M
@@ -39,29 +40,12 @@ weight matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
-
-
-@dataclass
-class ProjectedTriplet:
-    """Query/key/value matrices sharing column count; K and V share rows."""
-
-    q: np.ndarray  # N x C'
-    k: np.ndarray  # M x C'
-    v: np.ndarray  # M x C'
-
-    def __post_init__(self):
-        qs, ks, vs = (np.shape(x) for x in (self.q, self.k, self.v))
-        if ks[0] != vs[0]:
-            raise ValueError(f"key/value row mismatch: {ks[0]} vs {vs[0]}")
-        if not (qs[1] == ks[1] == vs[1]):
-            raise ValueError(f"column mismatch: q={qs[1]} k={ks[1]} v={vs[1]}")
 
 
 class NeighborhoodPair(NamedTuple):  # kept for `Membership.__getitem__`, below
@@ -174,13 +158,25 @@ class Membership:
         return NeighborhoodPair(tuple(self.seeds[s].tolist()), a, b)
 
 
-def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
+def _check_shapes(q, k, v):
+    """ValueError unless q (N x C'), k and v (M x C') share columns and k and v rows."""
+    (_, c), (m, ck), (mv, cv) = q.shape, k.shape, v.shape
+    if m != mv:
+        raise ValueError(f"key/value row mismatch: {m} vs {mv}")
+    if not c == ck == cv:
+        raise ValueError(f"column mismatch: q={c} k={ck} v={cv}")
+
+
+def attention(q, k, v, heads: int = 1, pairs=None, reverse: bool = False):
     """Per segment and head, phi(Q) K_v / phi(Q).K_m, summed into the query rows: the
-    (n, C') output for arrays q, k and v, and `grads`, which maps its gradient to theirs."""
+    (n, C') output for arrays q, k and v, and `grads`, which maps its gradient to theirs.
+    `pairs`, a `Membership`, restricts source rows to query their target sets (the reverse
+    with `reverse`); rows outside every query-side set are exactly zero."""
+    _check_shapes(q, k, v)
     (n, c), m = q.shape, k.shape[0]
     if pairs is None:
         if m < 1:
-            raise ValueError("linear_attention requires at least one key row")
+            raise ValueError("attention requires at least one key row")
         qside = kside = Segments()
     else:
         sides = (pairs.source, pairs.target)
@@ -218,27 +214,11 @@ def _segment_attention(q, k, v, heads: int, pairs, reverse: bool):
     return qside.scatter(n, o)[0].reshape(n, c), grads
 
 
-def linear_attention(t: ProjectedTriplet, heads: int = 1):
-    """Attention via streamed accumulators; never forms an N x M matrix."""
-    return _segment_attention(t.q, t.k, t.v, heads, None, False)[0]
-
-
-def pairwise_attention(t: ProjectedTriplet, pairs, heads: int = 1, reverse: bool = False):
-    """Linear attention restricted to neighborhood pairs, summed on overlap.
-
-    `pairs` is a `Membership`; source rows query target rows, or the other
-    way round with `reverse`.  Rows outside every query-side set are exactly
-    zero.
-    """
-    return _segment_attention(t.q, t.k, t.v, heads, pairs, reverse)[0]
-
-
 def projected_attention(xq: ad.Tensor, xs: ad.Tensor, wq: ad.Tensor, wk: ad.Tensor, wv: ad.Tensor,
                         heads: int = 1, pairs=None, reverse: bool = False):
-    """`linear_attention`, or `pairwise_attention` with `pairs`, of q = xq wq to k = xs wk
-    and v = xs wv as one op, and the array v.  A self layer (xq and xs one array) makes one
-    product with [wq | wk | wv], others one with [wk | wv]: the column blocks equal separate
-    products."""
+    """`attention` of q = xq wq to k = xs wk and v = xs wv as one op, and the array v.  A
+    self layer (xq and xs one array) makes one product with [wq | wk | wv], others one with
+    [wk | wv]: the column blocks equal separate products."""
     cq, ck = wq.data.shape[1], wk.data.shape[1]
     if xq.data is xs.data:
         qkv = xs.data @ np.concatenate([wq.data, wk.data, wv.data], axis=1)
@@ -246,11 +226,10 @@ def projected_attention(xq: ad.Tensor, xs: ad.Tensor, wq: ad.Tensor, wk: ad.Tens
     else:
         q, kv = xq.data @ wq.data, xs.data @ np.concatenate([wk.data, wv.data], axis=1)
         k, v = kv[:, :ck], kv[:, ck:]
-    ProjectedTriplet(q, k, v)  # its shape checks
     ad.note_mul(xq.data.size * q.shape[1] + xs.data.size * (k.shape[1] + v.shape[1]))
     for a in (q, k, v):
         ad.note_alloc(a)
-    out, grads = _segment_attention(q, k, v, heads, pairs, reverse)
+    out, grads = attention(q, k, v, heads, pairs, reverse)
 
     def backward(g):
         # v, k, then q, each input before its weight: the order of the matmul ops replaced
@@ -264,9 +243,10 @@ def projected_attention(xq: ad.Tensor, xs: ad.Tensor, wq: ad.Tensor, wk: ad.Tens
     return ad.node(out, (xq, xs, wq, wk, wv), backward), v
 
 
-def softmax_attention_reference(t: ProjectedTriplet):
+def softmax_attention_reference(q, k, v):
     """Scaled dot-product attention, O(N M C'); correctness/complexity baseline."""
-    q, k, v = (np.asarray(x) for x in (t.q, t.k, t.v))
+    q, k, v = (np.asarray(x) for x in (q, k, v))
+    _check_shapes(q, k, v)
     if k.shape[0] < 1:
         raise ValueError("softmax attention requires at least one key row")
     scores = q @ k.T / np.sqrt(q.shape[1])

@@ -22,18 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    Membership,
-    ProjectedTriplet,
-    Segments,
-    linear_attention,
-    pairwise_attention,
-    softmax_attention_reference,
-)
+from .attention import Membership, Segments, attention, softmax_attention_reference
 from .autodiff import count_ops
 from .geometry import require_int
 
-_KERNELS = {"linear": linear_attention, "softmax": softmax_attention_reference}
+_KERNELS = {"linear": attention, "softmax": softmax_attention_reference}
 
 
 @dataclass
@@ -51,13 +44,13 @@ class BenchReport:
     reps: int
 
 
-def _measure(kernel, triplet: ProjectedTriplet, reps: int) -> float:
-    kernel(triplet)
-    kernel(triplet)
+def _measure(kernel, q, k, v, reps: int) -> float:
+    kernel(q, k, v)
+    kernel(q, k, v)
     times = []
     for _ in range(reps):
         t0 = time.thread_time()
-        kernel(triplet)
+        kernel(q, k, v)
         times.append(time.thread_time() - t0)
     return float(np.median(times))
 
@@ -71,10 +64,9 @@ def loglog_slope(points) -> float:
     return float(np.polyfit(ns, ts, 1)[0])
 
 
-def _random_triplet(n: int, c_prime: int, seed: int) -> ProjectedTriplet:
+def _random_triplet(n: int, c_prime: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, n])
-    q, k, v = (rng.normal(size=(n, c_prime)).astype(np.float32) for _ in range(3))
-    return ProjectedTriplet(q, k, v)
+    return tuple(rng.normal(size=(n, c_prime)).astype(np.float32) for _ in range(3))
 
 
 def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192),
@@ -101,12 +93,12 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     slopes = {}
     for method in methods:
         kernel = _KERNELS[method]
-        points = [(n, _measure(kernel, _random_triplet(n, c_prime, seed), reps))
+        points = [(n, _measure(kernel, *_random_triplet(n, c_prime, seed), reps))
                   for n in sizes]
         slopes[method] = loglog_slope(points)
         for n, median in points:
             with count_ops() as ops:
-                kernel(_random_triplet(n, c_prime, seed))
+                kernel(*_random_triplet(n, c_prime, seed))
             rows.append(BenchRow(method, n, median * 1e3, ops.multiplies))
     return BenchReport(rows, slopes, reps)
 
@@ -131,10 +123,9 @@ def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,
     q = rng.normal(size=(n, c_prime)).astype(np.float32)
     k = rng.normal(size=(m, c_prime)).astype(np.float32)
     v = rng.normal(size=(m, c_prime)).astype(np.float32)
-    t = ProjectedTriplet(q, k, v)
 
     with count_ops() as lin:
-        linear_attention(t)
+        attention(q, k, v)
     bound = 2 * ((m + n) * c_prime ** 2 + (m + n) * c_prime)
     if lin.multiplies > bound:
         raise AssertionError(
@@ -143,16 +134,16 @@ def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,
         raise AssertionError("streaming kernel allocated a query x key table")
 
     with count_ops() as soft:
-        softmax_attention_reference(t)
+        softmax_attention_reference(q, k, v)
     if not soft.has_allocation((n, m)):
         raise AssertionError("quadratic reference did not allocate its score table")
 
     block = max(2, min(8, min(n, m) // 8))
     blocks = min(4, min(n, m) // (2 * block))
     with count_ops() as pw1:
-        pairwise_attention(t, _disjoint_blocks(blocks, block))
+        attention(q, k, v, pairs=_disjoint_blocks(blocks, block))
     with count_ops() as pw2:
-        pairwise_attention(t, _disjoint_blocks(2 * blocks, block))
+        attention(q, k, v, pairs=_disjoint_blocks(2 * blocks, block))
     if pw1.multiplies <= 0:
         raise AssertionError("restricted attention reported no multiplies")
     if pw2.multiplies != 2 * pw1.multiplies:

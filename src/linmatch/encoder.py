@@ -232,8 +232,8 @@ def _carrier(xq, wv, v=None) -> Tensor:
 
 def encoder_layer(x_query, x_source, w: LayerWeights, heads: int = 1, pairs=None,
                   reverse: bool = False):
-    """One residual attention block (see the module docstring); its attention is linear,
-    or with `pairs` that of `pairwise_attention(..., pairs, heads, reverse)`."""
+    """One residual attention block (see the module docstring); its attention is
+    `attention.attention(q, k, v, heads, pairs, reverse)`, linear when `pairs` is None."""
     xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
     (n, width), hidden = xq.data.shape, wv.data.shape[1]
     m = v = None

@@ -9,9 +9,9 @@ compositions.  Each fused op uses these ops' formulas and feeds shared inputs
 in their order, so the tests require equal outputs and gradients, bit for
 bit.  The ops here are checked against finite differences in
 `test_autodiff.py`; `attention`, the oracle's attention op, in
-`test_attention.py`.  It runs the kernel of `linear_attention` and
-`pairwise_attention` on the data of a `Triplet` of Tensors q, k and v, and its
-backward hands each its share of the kernel's gradient.  `membership` builds
+`test_attention.py`.  It runs the numpy kernel `linmatch.attention.attention`
+on the data of a `Triplet` of Tensors q, k and v, and its backward hands each
+its share of the kernel's gradient.  `membership` builds
 the arrays that the attention kernels and the filter take from a readable list
 of `NeighborhoodPair`.
 `hardest_negatives` searches the loss's negatives on one full difference
@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from linmatch import autodiff as ad
-from linmatch.attention import Membership, Segments, _segment_attention
+from linmatch.attention import Membership, Segments
+from linmatch.attention import attention as attention_kernel
 from linmatch.autodiff import Tensor, as_tensor
 
 
@@ -222,9 +223,9 @@ def row_l2_normalize(x):
 
 
 def attention(t, heads=1, pairs=None, reverse=False):
-    """`linear_attention`, or `pairwise_attention` with `pairs`, of q, k and v as one op."""
+    """The numpy kernel's attention of q, k and v as one op, restricted with `pairs`."""
     q, k, v = (as_tensor(x) for x in t)
-    out, grads = _segment_attention(q.data, k.data, v.data, heads, pairs, reverse)
+    out, grads = attention_kernel(q.data, k.data, v.data, heads, pairs, reverse)
 
     def backward(g):
         for x, dx in zip((q, k, v), grads(g)):

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 from reference_ops import membership
 
-from linmatch.attention import (
-    NeighborhoodPair,
-    ProjectedTriplet,
-    linear_attention,
-    pairwise_attention,
-)
+from linmatch.attention import NeighborhoodPair, attention
 from linmatch.bench import bench_attention, op_counter_audit
 from linmatch.cli import main as cli_main
 from linmatch.encoder import (
@@ -148,12 +143,12 @@ def test_criterion_01_streamed_kernel_matches_dense_reference():
         v64 = rng.standard_normal((m, c))
 
         oracle = _dense_attention_f64(q64, k64, v64)
-        out64 = linear_attention(ProjectedTriplet(q64, k64, v64))
+        out64 = attention(q64, k64, v64)[0]
         worst["f64"] = max(worst["f64"], _max_relative_error(out64, oracle))
 
         q32, k32, v32 = (a.astype(np.float32) for a in (q64, k64, v64))
         oracle32 = _dense_attention_f64(q32, k32, v32)
-        out32 = linear_attention(ProjectedTriplet(q32, k32, v32))
+        out32 = attention(q32, k32, v32)[0]
         assert out32.dtype == np.float32
         worst["f32"] = max(worst["f32"], _max_relative_error(out32, oracle32))
 
@@ -213,7 +208,7 @@ def test_criterion_02_restricted_attention_blockwise_equivalence():
         pairs = _random_disjoint_pairs(rng, n, m, int(rng.integers(1, 9)))
         if not pairs:
             continue
-        out = pairwise_attention(ProjectedTriplet(q, k, v), membership(pairs))
+        out = attention(q, k, v, pairs=membership(pairs))[0]
         worst = max(worst, _max_relative_error(out, _scattered_blocks_f64(q, k, v, pairs)))
         covered = np.zeros(n, dtype=bool)
         for p in pairs:
@@ -229,9 +224,9 @@ def test_criterion_02_restricted_attention_blockwise_equivalence():
         v = rng.standard_normal((n, c))
         a = NeighborhoodPair((0, 0), np.arange(0, 30), np.arange(0, 25))
         b = NeighborhoodPair((20, 15), np.arange(20, 48), np.arange(15, 40))
-        t = ProjectedTriplet(q, k, v)
-        both = pairwise_attention(t, membership([a, b]))
-        summed = pairwise_attention(t, membership([a])) + pairwise_attention(t, membership([b]))
+        both = attention(q, k, v, pairs=membership([a, b]))[0]
+        summed = (attention(q, k, v, pairs=membership([a]))[0]
+                  + attention(q, k, v, pairs=membership([b]))[0])
         additive_worst = max(additive_worst, float(np.abs(both - summed).max()))
 
     print(f"criterion 2: blockwise max rel err {worst:.3e}, overlap "

@@ -9,17 +9,14 @@ from linmatch import autodiff as ad
 from linmatch.attention import (
     Membership,
     NeighborhoodPair,
-    ProjectedTriplet,
     Segments,
-    _segment_attention,
-    linear_attention,
-    pairwise_attention,
+    attention,
     projected_attention,
     softmax_attention_reference,
 )
 
 
-def naive_linear_attention(q, k, v):
+def double_loop_attention(q, k, v):
     """Explicit double-loop evaluation of the accumulator-free formula."""
 
     def elu1(x):
@@ -47,7 +44,7 @@ def naive_softmax_attention(q, k, v):
 
 
 def random_triplet(rng, n, m, c, dtype=np.float64):
-    return ProjectedTriplet(
+    return ref.Triplet(
         rng.standard_normal((n, c)).astype(dtype),
         rng.standard_normal((m, c)).astype(dtype),
         rng.standard_normal((m, c)).astype(dtype),
@@ -68,47 +65,47 @@ class TestLinearAttention:
     def test_single_key_collapses(self):
         rng = np.random.default_rng(0)
         t = random_triplet(rng, 5, 1, 4)
-        out = linear_attention(t)
+        out = attention(*t)[0]
         np.testing.assert_allclose(out, np.tile(t.v, (5, 1)), rtol=1e-12)
 
     def test_identical_keys_give_value_mean(self):
         rng = np.random.default_rng(1)
         k_row = rng.standard_normal(4)
-        t = ProjectedTriplet(
+        t = ref.Triplet(
             rng.standard_normal((6, 4)),
             np.tile(k_row, (7, 1)),
             rng.standard_normal((7, 4)),
         )
-        out = linear_attention(t)
+        out = attention(*t)[0]
         np.testing.assert_allclose(out, np.tile(t.v.mean(axis=0), (6, 1)), rtol=1e-10, atol=1e-12)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
         t = random_triplet(rng, 8, 8, 4)
-        np.testing.assert_allclose(linear_attention(t), naive_linear_attention(t.q, t.k, t.v),
+        np.testing.assert_allclose(attention(*t)[0], double_loop_attention(t.q, t.k, t.v),
                                    rtol=1e-12, atol=1e-12)
 
     def test_oracle_various_shapes(self):
         rng = np.random.default_rng(3)
         for n, m, c in [(1, 1, 2), (3, 9, 5), (17, 4, 8), (2, 32, 16)]:
             t = random_triplet(rng, n, m, c)
-            np.testing.assert_allclose(linear_attention(t),
-                                       naive_linear_attention(t.q, t.k, t.v), rtol=1e-11, atol=1e-12)
+            np.testing.assert_allclose(attention(*t)[0],
+                                       double_loop_attention(t.q, t.k, t.v), rtol=1e-11, atol=1e-12)
 
     def test_source_permutation_equivariant(self):
         rng = np.random.default_rng(4)
         t = random_triplet(rng, 10, 12, 6)
         perm = rng.permutation(10)
-        base = linear_attention(t)
-        permuted = linear_attention(ProjectedTriplet(t.q[perm], t.k, t.v))
+        base = attention(*t)[0]
+        permuted = attention(t.q[perm], t.k, t.v)[0]
         np.testing.assert_allclose(permuted, base[perm], rtol=1e-12)
 
     def test_target_permutation_invariant(self):
         rng = np.random.default_rng(5)
         t = random_triplet(rng, 10, 12, 6)
         perm = rng.permutation(12)
-        base = linear_attention(t)
-        permuted = linear_attention(ProjectedTriplet(t.q, t.k[perm], t.v[perm]))
+        base = attention(*t)[0]
+        permuted = attention(t.q, t.k[perm], t.v[perm])[0]
         np.testing.assert_allclose(permuted, base, rtol=1e-12, atol=1e-13)
 
     def test_denominator_positive(self):
@@ -123,15 +120,15 @@ class TestLinearAttention:
         assert (den > 0).all()
 
     def test_empty_keys_rejected(self):
-        t = ProjectedTriplet(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
+        t = ref.Triplet(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            linear_attention(t)
+            attention(*t)
 
     def test_no_query_key_product_allocated(self):
         rng = np.random.default_rng(7)
         t = random_triplet(rng, 33, 47, 8)
         with ad.count_ops() as counter:
-            linear_attention(t)
+            attention(*t)
         assert not counter.has_allocation((33, 47))
         assert not counter.has_allocation((47, 33))
         # every buffer is linear in N or M (times C'), never N*M
@@ -149,9 +146,9 @@ class TestLinearAttention:
         for t_param, arr in [(q, q.data), (k, k.data), (v, v.data)]:
             orig = arr[i, j]
             arr[i, j] = orig + eps
-            hi = linear_attention(ProjectedTriplet(q.data, k.data, v.data)).sum()
+            hi = attention(q.data, k.data, v.data)[0].sum()
             arr[i, j] = orig - eps
-            lo = linear_attention(ProjectedTriplet(q.data, k.data, v.data)).sum()
+            lo = attention(q.data, k.data, v.data)[0].sum()
             arr[i, j] = orig
             np.testing.assert_allclose(t_param.grad[i, j], (hi - lo) / (2 * eps), atol=1e-5)
 
@@ -160,19 +157,20 @@ class TestSoftmaxReference:
     def test_single_key(self):
         rng = np.random.default_rng(10)
         t = random_triplet(rng, 4, 1, 3)
-        np.testing.assert_allclose(softmax_attention_reference(t), np.tile(t.v, (4, 1)), rtol=1e-12)
+        np.testing.assert_allclose(softmax_attention_reference(*t), np.tile(t.v, (4, 1)),
+                                   rtol=1e-12)
 
     def test_zero_query_gives_value_mean(self):
         rng = np.random.default_rng(11)
-        t = ProjectedTriplet(np.zeros((5, 4)), rng.standard_normal((9, 4)),
+        t = ref.Triplet(np.zeros((5, 4)), rng.standard_normal((9, 4)),
                              rng.standard_normal((9, 4)))
-        out = softmax_attention_reference(t)
+        out = softmax_attention_reference(*t)
         np.testing.assert_allclose(out, np.tile(t.v.mean(axis=0), (5, 1)), rtol=1e-12)
 
     def test_matches_manual(self):
         rng = np.random.default_rng(12)
         t = random_triplet(rng, 8, 8, 4)
-        np.testing.assert_allclose(softmax_attention_reference(t),
+        np.testing.assert_allclose(softmax_attention_reference(*t),
                                    naive_softmax_attention(t.q, t.k, t.v), rtol=1e-12)
 
     def test_weight_rows_normalized(self):
@@ -187,7 +185,7 @@ class TestSoftmaxReference:
         rng = np.random.default_rng(14)
         t = random_triplet(rng, 21, 34, 8)
         with ad.count_ops() as counter:
-            softmax_attention_reference(t)
+            softmax_attention_reference(*t)
         assert counter.has_allocation((21, 34))
 
 
@@ -195,13 +193,13 @@ class TestPairwiseAttention:
     def test_empty_pairs_all_zero(self):
         rng = np.random.default_rng(20)
         t = random_triplet(rng, 6, 6, 4)
-        np.testing.assert_array_equal(pairwise_attention(t, membership([])), np.zeros((6, 4)))
+        np.testing.assert_array_equal(attention(*t, pairs=membership([]))[0], np.zeros((6, 4)))
 
     def test_single_target_restriction(self):
         rng = np.random.default_rng(21)
         t = random_triplet(rng, 8, 8, 4)
         pair = NeighborhoodPair((2, 5), np.array([1, 2, 4]), np.array([5]))
-        out = pairwise_attention(t, membership([pair]))
+        out = attention(*t, pairs=membership([pair]))[0]
         for i in (1, 2, 4):
             np.testing.assert_allclose(out[i], t.v[5], rtol=1e-12)
         untouched = np.setdiff1d(np.arange(8), [1, 2, 4])
@@ -212,12 +210,12 @@ class TestPairwiseAttention:
         t = random_triplet(rng, 16, 16, 4)
         p1 = NeighborhoodPair((0, 1), np.array([0, 3, 5]), np.array([1, 2]))
         p2 = NeighborhoodPair((7, 9), np.array([7, 8]), np.array([9, 10, 11]))
-        out = pairwise_attention(t, membership([p1, p2]))
+        out = attention(*t, pairs=membership([p1, p2]))[0]
 
         expect = np.zeros((16, 4))
         for p in (p1, p2):
-            sub = ProjectedTriplet(t.q[p.source_set], t.k[p.target_set], t.v[p.target_set])
-            expect[p.source_set] = linear_attention(sub)
+            sub = ref.Triplet(t.q[p.source_set], t.k[p.target_set], t.v[p.target_set])
+            expect[p.source_set] = attention(*sub)[0]
         np.testing.assert_allclose(out, expect, rtol=1e-12)
 
     def test_overlap_sums_contributions(self):
@@ -225,8 +223,8 @@ class TestPairwiseAttention:
         t = random_triplet(rng, 10, 10, 4)
         p1 = NeighborhoodPair((1, 0), np.array([1, 2, 3]), np.array([0, 1]))
         p2 = NeighborhoodPair((3, 4), np.array([3, 4]), np.array([4, 5]))
-        combined = pairwise_attention(t, membership([p1, p2]))
-        solo = pairwise_attention(t, membership([p1])) + pairwise_attention(t, membership([p2]))
+        combined = attention(*t, pairs=membership([p1, p2]))[0]
+        solo = attention(*t, pairs=membership([p1]))[0] + attention(*t, pairs=membership([p2]))[0]
         np.testing.assert_allclose(combined, solo, rtol=1e-12, atol=1e-14)
         # row 3 belongs to both neighborhoods: strictly a sum, not an average
         assert not np.allclose(combined[3], solo[3] / 2)
@@ -235,15 +233,15 @@ class TestPairwiseAttention:
         rng = np.random.default_rng(24)
         t = random_triplet(rng, 12, 12, 4)
         pair = NeighborhoodPair((0, 0), np.array([0, 5]), np.array([0, 3, 7]))
-        out = pairwise_attention(t, membership([pair]))
+        out = attention(*t, pairs=membership([pair]))[0]
         outside = np.setdiff1d(np.arange(12), [0, 5])
         assert (out[outside] == 0.0).all()
 
     def test_out_of_range_indices_rejected(self):
-        t = ProjectedTriplet(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)))
+        t = ref.Triplet(np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 2)))
         bad = NeighborhoodPair((0, 0), np.array([0, 9]), np.array([0]))
         with pytest.raises(ValueError):
-            pairwise_attention(t, membership([bad]))
+            attention(*t, pairs=membership([bad]))
 
     def test_duplicate_indices_rejected(self):
         # a repeated row is added once forward but would be counted twice backward
@@ -262,7 +260,7 @@ class TestPairwiseAttention:
                  for s in range(0, 48, 4)]
         members = sum(len(p.source_set) + len(p.target_set) for p in pairs)
         with ad.count_ops() as counter:
-            pairwise_attention(t, membership(pairs), heads)
+            attention(*t, heads, membership(pairs))
         assert counter.multiplies > 0
         assert not counter.has_allocation((n, m))
         per_member_outer = len(pairs) * 10 * c * (c // heads)
@@ -277,7 +275,7 @@ class TestPairwiseAttention:
         t = random_triplet(np.random.default_rng(27), 48, 48, 4)
         calls, matmul = [], np.matmul
         monkeypatch.setattr(np, "matmul", lambda *a, **kw: calls.append(1) or matmul(*a, **kw))
-        out, grads = _segment_attention(t.q, t.k, t.v, 2, members, False)
+        out, grads = attention(*t, 2, members)
         assert len(calls) == 2
         grads(np.ones_like(out))
         assert len(calls) == 6
@@ -291,7 +289,7 @@ class TestPairwiseAttention:
         shapes, phi = [], ad.phi_array
         monkeypatch.setattr(ad, "phi_array", lambda x: shapes.append(x.shape) or phi(x))
         for reverse in (False, True):
-            out, grads = _segment_attention(t.q, t.k, t.v, 2, members, reverse)
+            out, grads = attention(*t, 2, members, reverse)
             grads(np.ones_like(out))
         assert shapes == [(70, 2, 2)] * 4
 
@@ -301,7 +299,7 @@ class TestPairwiseAttention:
         monkeypatch.setattr(Segments, "scatter",
                             lambda self, *a: calls.append(1) or scatter(self, *a))
         t = random_triplet(np.random.default_rng(29), 10, 10, 4)
-        out, grads = _segment_attention(t.q, t.k, t.v, 2, membership(overlapping_pairs()), False)
+        out, grads = attention(*t, 2, membership(overlapping_pairs()))
         assert len(calls) == 1
         grads(np.ones_like(out))
         assert len(calls) == 3
@@ -379,9 +377,9 @@ class TestMembershipChecks:
         sides = (members.source, members.target)
         assert not any({"padded", "levels"} & set(vars(s)) for s in sides)
         rng = np.random.default_rng(3)
-        t = ProjectedTriplet(*(rng.standard_normal((10, 4)) for _ in range(3)))
+        t = ref.Triplet(*(rng.standard_normal((10, 4)) for _ in range(3)))
         for reverse in (False, True):  # the attention op is what reads them
-            pairwise_attention(t, members, reverse=reverse)
+            attention(*t, pairs=members, reverse=reverse)
         assert all({"padded", "levels"} <= set(vars(s)) for s in sides)
         # five segments wide as the largest, five members: 13 filled slots, 12 empty
         slots, pos, empty = members.source.padded
@@ -430,7 +428,7 @@ def per_head(kernel, t, heads):
     """Multi-head reference: run `kernel` on each head's columns alone, concatenate."""
     d = t.q.shape[1] // heads
     cols = [slice(h * d, (h + 1) * d) for h in range(heads)]
-    return np.concatenate([kernel(ProjectedTriplet(t.q[:, c], t.k[:, c], t.v[:, c]))
+    return np.concatenate([kernel(ref.Triplet(t.q[:, c], t.k[:, c], t.v[:, c]))
                            for c in cols], axis=1)
 
 
@@ -438,7 +436,7 @@ def scattered_blocks(t, pairs):
     """Restricted-attention reference: the double-loop oracle per pair, summed."""
     out = np.zeros(t.q.shape)
     for p in pairs:
-        out[p.source_set] += naive_linear_attention(t.q[p.source_set], t.k[p.target_set],
+        out[p.source_set] += double_loop_attention(t.q[p.source_set], t.k[p.target_set],
                                                     t.v[p.target_set])
     return out
 
@@ -464,25 +462,25 @@ class TestMultiHead:
     def test_single_head_is_identity_wrapper(self):
         rng = np.random.default_rng(30)
         t = random_triplet(rng, 6, 7, 8)
-        np.testing.assert_array_equal(linear_attention(t, 1), linear_attention(t))
-        np.testing.assert_allclose(linear_attention(t, 1), naive_linear_attention(t.q, t.k, t.v),
+        np.testing.assert_array_equal(attention(*t, 1)[0], attention(*t)[0])
+        np.testing.assert_allclose(attention(*t, 1)[0], double_loop_attention(t.q, t.k, t.v),
                                    rtol=1e-12)
 
     def test_matches_manual_slicing(self):
         rng = np.random.default_rng(31)
         t = random_triplet(rng, 8, 9, 8)
         for heads in (2, 4):
-            np.testing.assert_allclose(linear_attention(t, heads),
-                                       per_head(lambda s: naive_linear_attention(s.q, s.k, s.v),
+            np.testing.assert_allclose(attention(*t, heads)[0],
+                                       per_head(lambda s: double_loop_attention(s.q, s.k, s.v),
                                                 t, heads), rtol=1e-12)
 
     def test_scalar_heads_preserve_column_order(self):
         rng = np.random.default_rng(32)
         t = random_triplet(rng, 5, 5, 4)
-        out = linear_attention(t, 4)
+        out = attention(*t, 4)[0]
         for col in range(4):
-            sub = ProjectedTriplet(t.q[:, col:col + 1], t.k[:, col:col + 1], t.v[:, col:col + 1])
-            np.testing.assert_allclose(out[:, col:col + 1], linear_attention(sub), rtol=1e-12)
+            sub = ref.Triplet(t.q[:, col:col + 1], t.k[:, col:col + 1], t.v[:, col:col + 1])
+            np.testing.assert_allclose(out[:, col:col + 1], attention(*sub)[0], rtol=1e-12)
 
     def test_pairwise_matches_manual_slicing(self):
         rng = np.random.default_rng(33)
@@ -490,7 +488,7 @@ class TestMultiHead:
         pairs = overlapping_pairs()
         for heads in (1, 2, 3, 6):
             expect = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
-            np.testing.assert_allclose(pairwise_attention(t, membership(pairs), heads), expect,
+            np.testing.assert_allclose(attention(*t, heads, membership(pairs))[0], expect,
                                        rtol=1e-12, atol=1e-14)
         # size-1 segments beside one of 60 members: most slots of the padded layout are empty;
         # then query rows 9 to 11 and key rows 10 and 11 in no set, the last ones large: an
@@ -500,9 +498,9 @@ class TestMultiHead:
         outsider.k[-1] = outsider.q[-1] = 40.0
         for t, pairs in ((mixed, mixed_pairs()), (outsider, overlapping_pairs())):
             for dtype, rtol, atol in ((np.float64, 1e-12, 1e-14), (np.float32, 1e-5, 1e-6)):
-                low = ProjectedTriplet(*(x.astype(dtype) for x in (t.q, t.k, t.v)))
+                low = ref.Triplet(*(x.astype(dtype) for x in (t.q, t.k, t.v)))
                 for heads in (1, 2):
-                    got = pairwise_attention(low, membership(pairs), heads)
+                    got = attention(*low, heads, membership(pairs))[0]
                     assert got.dtype == dtype
                     want = per_head(lambda s: scattered_blocks(s, pairs), t, heads)
                     np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
@@ -512,7 +510,7 @@ class TestMultiHead:
         t = random_triplet(rng, 10, 9, 4)
         pairs = overlapping_pairs()
         swapped = [NeighborhoodPair(p.seed[::-1], p.target_set, p.source_set) for p in pairs]
-        np.testing.assert_allclose(pairwise_attention(t, membership(pairs), 2, reverse=True),
+        np.testing.assert_allclose(attention(*t, 2, membership(pairs), True)[0],
                                    per_head(lambda s: scattered_blocks(s, swapped), t, 2),
                                    rtol=1e-12, atol=1e-14)
 
@@ -520,19 +518,19 @@ class TestMultiHead:
         rng = np.random.default_rng(36)
         t = random_triplet(rng, 9, 10, 8, dtype=np.float32)
         members = membership(overlapping_pairs())
-        out = pairwise_attention(t, members, 4)
+        out = attention(*t, 4, members)[0]
         assert out.dtype == np.float32
-        t64 = ProjectedTriplet(*(x.astype(np.float64) for x in (t.q, t.k, t.v)))
-        np.testing.assert_allclose(out, pairwise_attention(t64, members, 4),
+        t64 = ref.Triplet(*(x.astype(np.float64) for x in (t.q, t.k, t.v)))
+        np.testing.assert_allclose(out, attention(*t64, 4, members)[0],
                                    rtol=1e-5, atol=1e-6)
 
     def test_indivisible_heads_rejected(self):
         rng = np.random.default_rng(34)
         t = random_triplet(rng, 4, 4, 6)
         with pytest.raises(ValueError):
-            linear_attention(t, 4)
+            attention(*t, 4)
         with pytest.raises(ValueError):
-            pairwise_attention(t, membership([NeighborhoodPair((0, 0), [0], [0])]), 4)
+            attention(*t, 4, membership([NeighborhoodPair((0, 0), [0], [0])]))
 
 
 def finite_difference_check(out, tensors, w, eps=1e-6):
@@ -603,7 +601,7 @@ def test_numpy_kernels_build_no_node(monkeypatch):
     nodes, node = [], ad.node
     monkeypatch.setattr(ad, "node", lambda *a: nodes.append(a) or node(*a))
     t = random_triplet(np.random.default_rng(44), 9, 10, 4)
-    outs = [linear_attention(t, 2), pairwise_attention(t, membership(overlapping_pairs()), 2)]
+    outs = [attention(*t, 2)[0], attention(*t, 2, membership(overlapping_pairs()))[0]]
     assert all(type(out) is np.ndarray for out in outs)
     assert nodes == []
 
@@ -651,7 +649,7 @@ class TestLevelScatter:
         rng = np.random.default_rng(51)
         t = random_triplet(rng, 30, 25, 6, dtype)
         if reverse:
-            t = ProjectedTriplet(t.k, t.q, rng.standard_normal(t.q.shape).astype(dtype))
+            t = ref.Triplet(t.k, t.q, rng.standard_normal(t.q.shape).astype(dtype))
         members = membership(hub_pairs(rng, 30, 25, 40))
         g = rng.standard_normal(t.q.shape).astype(dtype)
 
@@ -669,10 +667,30 @@ class TestLevelScatter:
 
 
 class TestTripletValidation:
+    """Both kernels refuse k and v of different row counts, and q, k and v of different
+    column counts; `attention` with and without `pairs`, `projected_attention` through it."""
+
     def test_row_mismatch(self):
-        with pytest.raises(ValueError):
-            ProjectedTriplet(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 3)))
+        q, k, v = np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((5, 3))
+        for pairs in (None, membership([NeighborhoodPair((0, 0), [0], [0])])):
+            with pytest.raises(ValueError, match="key/value row mismatch"):
+                attention(q, k, v, pairs=pairs)
+        with pytest.raises(ValueError, match="key/value row mismatch"):
+            softmax_attention_reference(q, k, v)
 
     def test_column_mismatch(self):
-        with pytest.raises(ValueError):
-            ProjectedTriplet(np.zeros((2, 3)), np.zeros((4, 4)), np.zeros((4, 4)))
+        q, k, v = np.zeros((2, 3)), np.zeros((4, 4)), np.zeros((4, 4))
+        for pairs in (None, membership([NeighborhoodPair((0, 0), [0], [0])])):
+            with pytest.raises(ValueError, match="column mismatch"):
+                attention(q, k, v, pairs=pairs)
+        with pytest.raises(ValueError, match="column mismatch"):
+            softmax_attention_reference(q, k, v)
+
+    @pytest.mark.parametrize("case", ["self", "cross"])
+    def test_projected_key_narrower_than_query(self, case):
+        rng = np.random.default_rng(45)
+        xq = ad.Tensor(rng.standard_normal((5, 3)))
+        xs = xq if case == "self" else ad.Tensor(rng.standard_normal((6, 3)))
+        wq, wv = (ad.Tensor(rng.standard_normal((3, 4))) for _ in range(2))
+        with pytest.raises(ValueError, match="column mismatch"):
+            projected_attention(xq, xs, wq, ad.Tensor(rng.standard_normal((3, 2))), wv)

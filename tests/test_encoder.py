@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from reference_ops import membership
 
-from linmatch.attention import NeighborhoodPair, linear_attention, ProjectedTriplet
+from linmatch.attention import NeighborhoodPair, attention
 from linmatch.encoder import (
     EncodedPair,
     LayerWeights,
@@ -203,7 +203,7 @@ class TestUpdates:
             sub_q = xs[p.source_set] @ w.wq
             sub_k = xt[p.target_set] @ w.wk
             sub_v = xt[p.target_set] @ w.wv
-            msg = linear_attention(ProjectedTriplet(sub_q, sub_k, sub_v))
+            msg = attention(sub_q, sub_k, sub_v)[0]
             h = np.concatenate([xs[p.source_set], msg], axis=1) @ w.mlp0
             mu = h.mean(axis=1, keepdims=True)
             var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
