@@ -1,10 +1,11 @@
 """Scaling benchmarks and operation-count audits.
 
 Measures median forward time of the attention kernels across problem
-sizes, fits a log-log slope per method, and audits the debug counters:
-the streaming kernel must multiply within 2x of (M+N)C'^2 plus
-lower-order terms and never allocate an NxM buffer, while the quadratic
-reference visibly does.
+sizes and fits a log-log slope per method, in the record that `linmatch
+bench` writes as `bench.json`; and audits the debug counters: the
+streaming kernel must multiply within 2x of (M+N)C'^2 plus lower-order
+terms and never allocate an NxM buffer, while the quadratic reference
+visibly does.
 
 Times are the calling thread's CPU time (`time.thread_time`), not wall
 time, so time spent waiting for a busy CPU does not count.  Work that BLAS
@@ -16,9 +17,7 @@ at exactly the sizes asked for.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,21 +26,6 @@ from .autodiff import count_ops
 from .geometry import require_int
 
 _KERNELS = {"linear": attention, "softmax": softmax_attention_reference}
-
-
-@dataclass
-class BenchRow:
-    method: str
-    n: int
-    median_ms: float
-    multiplies: int
-
-
-@dataclass
-class BenchReport:
-    rows: list  # BenchRow, sizes strictly increasing within each method
-    slopes: dict  # method -> fitted log-log exponent
-    reps: int
 
 
 def _measure(kernel, q, k, v, reps: int) -> float:
@@ -70,13 +54,17 @@ def _random_triplet(n: int, c_prime: int, seed: int) -> tuple:
 
 
 def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192),
-                    c_prime: int = 64, reps: int = 5, seed: int = 0) -> BenchReport:
-    """Time each attention kernel on random N x C' inputs (M = N)."""
+                    c_prime: int = 64, reps: int = 5, seed: int = 0) -> dict:
+    """Time each attention kernel on random N x C' inputs (M = N), as the `bench.json`
+    record `{"reps", "methods": {method: {"slope", "points": [{"n", "median_ms",
+    "multiplies"}]}}}`; each slope is fitted to its medians in seconds."""
     if not methods:
         raise ValueError("no methods given")
     unknown = sorted(set(methods) - set(_KERNELS))
     if unknown:
         raise ValueError(f"unknown methods: {unknown}")
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"repeated methods: {list(methods)}")
     require_int("c_prime", c_prime, 1)
     sizes = list(sizes)
     for n in sizes:
@@ -89,18 +77,17 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     if sizes[-1] < 4 * sizes[0]:
         raise ValueError("sizes must span at least a 4x range")
 
-    rows = []
-    slopes = {}
+    record = {"reps": reps, "methods": {}}
     for method in methods:
         kernel = _KERNELS[method]
-        points = [(n, _measure(kernel, *_random_triplet(n, c_prime, seed), reps))
-                  for n in sizes]
-        slopes[method] = loglog_slope(points)
-        for n, median in points:
+        times = [(n, _measure(kernel, *_random_triplet(n, c_prime, seed), reps)) for n in sizes]
+        points = []
+        for n, median in times:
             with count_ops() as ops:
                 kernel(*_random_triplet(n, c_prime, seed))
-            rows.append(BenchRow(method, n, median * 1e3, ops.multiplies))
-    return BenchReport(rows, slopes, reps)
+            points.append({"n": n, "median_ms": median * 1e3, "multiplies": ops.multiplies})
+        record["methods"][method] = {"slope": loglog_slope(times), "points": points}
+    return record
 
 
 def _disjoint_blocks(count: int, block: int) -> Membership:
@@ -161,25 +148,3 @@ def op_counter_audit(n: int = 256, m: int = 256, c_prime: int = 16,
         "pairwise_multiplies": pw1.multiplies,
         "pairwise_multiplies_doubled": pw2.multiplies,
     }
-
-
-def write_bench_csv(path, report: BenchReport) -> None:
-    with open(path, "w") as f:
-        f.write("method,n,median_ms,slope\n")
-        for row in report.rows:
-            slope = report.slopes[row.method]
-            f.write(f"{row.method},{row.n},{repr(float(row.median_ms))},"
-                    f"{repr(float(slope))}\n")
-
-
-def write_bench_json(path, report: BenchReport) -> None:
-    methods = {}
-    for row in report.rows:
-        entry = methods.setdefault(row.method, {
-            "slope": float(report.slopes[row.method]), "points": []})
-        entry["points"].append({"n": row.n, "median_ms": float(row.median_ms),
-                                "multiplies": int(row.multiplies)})
-    payload = {"reps": report.reps, "methods": methods}
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

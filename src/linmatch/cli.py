@@ -24,12 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (
-    bench_attention,
-    op_counter_audit,
-    write_bench_csv,
-    write_bench_json,
-)
+from .bench import bench_attention, op_counter_audit
 from .encoder import NetworkConfig, load_weights, save_weights
 from .geometry import (
     GenNoiseConfig,
@@ -157,6 +152,10 @@ def _out_dir(output: Path | None) -> Path:
     return out
 
 
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")  # tuples as lists
+
+
 def _read_input(reader, path, what):
     p = Path(path)
     if not p.is_file():
@@ -202,9 +201,7 @@ def cmd_synth(args) -> int:
     manifest = {"seed": args.seed, "keypoints": args.kpts,
                 "descriptor_dim": args.desc_dim, "dims": list(args.dims),
                 "pairs": entries}
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out / "manifest.json", manifest)
     print(f"wrote {args.pairs} pairs ({args.kpts} keypoints each) to {out}")
     return EXIT_OK
 
@@ -271,15 +268,9 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     sections = _load_file_sections(args.config)
     out = _out_dir(args.output)
-    if args.mode == "audit":
-        try:
-            counts = op_counter_audit(seed=args.seed)
-        except AssertionError as e:
-            print(f"audit failed: {e}", file=sys.stderr)
-            return EXIT_FAILED_CHECK
-        with open(out / "audit.json", "w") as f:
-            json.dump(counts, f, indent=2, sort_keys=True)  # tuples are written as lists
-            f.write("\n")
+    if args.mode == "audit":  # a failed audit raises AssertionError, which exits 1
+        counts = op_counter_audit(seed=args.seed)
+        _write_json(out / "audit.json", counts)
         print(f"audit ok: {counts['linear_multiplies']} multiplies "
               f"(bound {counts['linear_bound']}) -> {out / 'audit.json'}")
         return EXIT_OK
@@ -287,14 +278,13 @@ def cmd_bench(args) -> int:
     cfg = _section(sections, "bench", BenchConfig, sizes=args.sizes, reps=args.reps,
                    c_prime=args.c_prime, methods=args.methods)
     try:
-        report = bench_attention(**vars(cfg), seed=args.seed)
+        record = bench_attention(**vars(cfg), seed=args.seed)
     except ValueError as e:
         raise UsageError(f"invalid bench config: {e}")
-    write_bench_csv(out / "bench.csv", report)
-    write_bench_json(out / "bench.json", report)
-    for method, slope in sorted(report.slopes.items()):
-        print(f"{method}: slope {slope:.3f}")
-    print(f"report -> {out / 'bench.csv'}")
+    _write_json(out / "bench.json", record)
+    for method, entry in sorted(record["methods"].items()):
+        print(f"{method}: slope {entry['slope']:.3f}")
+    print(f"report -> {out / 'bench.json'}")
     return EXIT_OK
 
 
@@ -322,11 +312,11 @@ def cmd_train_toy(args) -> int:
     try:
         weights, trace = train_toy(dataset, net, loss, args.steps,
                                    seed=_child_seed(args.seed, "train"), neigh_cfg=neigh)
-    except (RuntimeError, ValueError) as e:  # non-finite loss, or a scene it cannot train on
-        print(f"training aborted: {e}", file=sys.stderr)
+        out = _out_dir(args.output)
+        save_weights(out / "weights.lawt", weights)
+    except (RuntimeError, ValueError) as e:  # non-finite loss, a scene it cannot train on,
+        print(f"training aborted: {e}", file=sys.stderr)  # or a weight float32 cannot hold
         return EXIT_FAILED_CHECK
-    out = _out_dir(args.output)
-    save_weights(out / "weights.lawt", weights)
     write_loss_trace(out / "trace.csv", trace)
     print(f"loss {trace[0][1]:.6f} -> {trace[-1][1]:.6f} over {args.steps} steps; "
           f"weights -> {out / 'weights.lawt'}")
@@ -361,8 +351,8 @@ def _parse_dims(text: str):
         dims = (int(w), int(h))
     except ValueError:
         raise argparse.ArgumentTypeError(f"dims must look like 640x480, got {text!r}")
-    if dims[0] <= 0 or dims[1] <= 0:
-        raise argparse.ArgumentTypeError("dims must be positive")
+    if not all(0 < side <= 0xFFFFFFFF for side in dims):  # a .kpds header holds u32 sides
+        raise argparse.ArgumentTypeError(f"dims must be positive and at most {0xFFFFFFFF}")
     return dims
 
 
@@ -392,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linmatch",
         description="Sparse keypoint matching with linear-time attention.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_at_least(0), default=0,
                         help="global random seed (default 0)")
     common.add_argument("--config", type=Path, default=None,
                         help="JSON config file with per-module sections")

@@ -354,14 +354,19 @@ def init_weights(cfg: NetworkConfig, seed: int, dtype=np.float32) -> NetworkWeig
 
 
 def write_tensor_table(path, entries, config) -> None:
-    """Serialize named f32 tensors, and the `config` dict, in the LAWT layout."""
+    """Serialize named f32 tensors, and the `config` dict, in the LAWT layout; a tensor
+    that is not finite in float32 raises `ValueError` before the file is opened."""
     record = json.dumps(config, sort_keys=True).encode("utf-8")
+    with np.errstate(over="ignore"):  # an overflow is the inf that the check reports
+        entries = [(name, np.ascontiguousarray(value, dtype="<f4")) for name, value in entries]
+    for name, data in entries:
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name}: non-finite values in float32")
     with open(path, "wb") as f:
         f.write(_LAWT_MAGIC)
         f.write(struct.pack("<IIH", _LAWT_VERSION, len(entries), len(record)))
         f.write(record)
-        for name, value in entries:
-            data = np.ascontiguousarray(value, dtype="<f4")
+        for name, data in entries:
             encoded = name.encode("utf-8")
             f.write(struct.pack("<H", len(encoded)))
             f.write(encoded)

@@ -237,14 +237,14 @@ def test_criterion_02_restricted_attention_blockwise_equivalence():
 
 def test_criterion_03_empirical_complexity_and_op_audit():
     t0 = time.perf_counter()
-    report = bench_attention(methods=("linear", "softmax"), sizes=C3_SIZES,
+    record = bench_attention(methods=("linear", "softmax"), sizes=C3_SIZES,
                              c_prime=64, reps=5, seed=0)
     audit = op_counter_audit()
     elapsed = time.perf_counter() - t0
 
-    assert tuple(r.n for r in report.rows if r.method == "linear") == C3_SIZES
-    assert tuple(r.n for r in report.rows if r.method == "softmax") == C3_SIZES
-    lin, soft = report.slopes["linear"], report.slopes["softmax"]
+    for entry in record["methods"].values():
+        assert tuple(p["n"] for p in entry["points"]) == C3_SIZES
+    lin, soft = (record["methods"][m]["slope"] for m in ("linear", "softmax"))
     print(f"criterion 3: slope linear={lin:.3f} softmax={soft:.3f}, "
           f"streamed multiply count {audit['linear_multiplies']} <= "
           f"bound {audit['linear_bound']}, elapsed {elapsed:.1f}s")

@@ -1,15 +1,12 @@
 """Benchmark harness tests: report shape, slope fits, counter audits."""
 
+import json
+
 import numpy as np
 import pytest
 
-from linmatch.bench import (
-    bench_attention,
-    loglog_slope,
-    op_counter_audit,
-    write_bench_csv,
-    write_bench_json,
-)
+from linmatch import cli
+from linmatch.bench import bench_attention, loglog_slope, op_counter_audit
 
 
 def test_loglog_slope_recovers_exact_powers():
@@ -34,6 +31,9 @@ def test_size_preconditions():
         bench_attention((), sizes=(64, 256), reps=3)
     with pytest.raises(ValueError):
         bench_attention(("linear",), sizes=(64, 256), reps=2)
+    # a method's second run would replace its first in the record
+    with pytest.raises(ValueError, match="repeated methods"):
+        bench_attention(("linear", "softmax", "linear"), sizes=(64, 256), reps=3)
 
 
 # each value was once truncated (a size of 64.9 timed n = 64) or ended in a TypeError
@@ -48,19 +48,20 @@ def test_non_integer_size_reps_or_c_prime_is_refused(bad):
 
 
 def test_bench_attention_smoke():
-    report = bench_attention(("linear",), sizes=(64, 256), c_prime=16, reps=3, seed=1)
-    assert [r.n for r in report.rows] == [64, 256]
-    assert all(r.method == "linear" for r in report.rows)
-    assert all(r.median_ms > 0 for r in report.rows)
-    assert all(r.multiplies > 0 for r in report.rows)
-    assert np.isfinite(report.slopes["linear"])
-    assert report.reps == 3
+    record = bench_attention(("linear",), sizes=(64, 256), c_prime=16, reps=3, seed=1)
+    points = record["methods"]["linear"]["points"]
+    assert list(record["methods"]) == ["linear"]
+    assert [p["n"] for p in points] == [64, 256]
+    assert all(p["median_ms"] > 0 for p in points)
+    assert all(p["multiplies"] > 0 for p in points)
+    assert np.isfinite(record["methods"]["linear"]["slope"])
+    assert record["reps"] == 3
 
 
 def test_bench_attention_is_monotone_within_noise():
-    report = bench_attention(("linear",), sizes=(1024, 2048, 4096), c_prime=64,
+    record = bench_attention(("linear",), sizes=(1024, 2048, 4096), c_prime=64,
                              reps=3, seed=0)
-    ms = [r.median_ms for r in report.rows]
+    ms = [p["median_ms"] for p in record["methods"]["linear"]["points"]]
     for a, b in zip(ms, ms[1:]):
         assert b >= 0.9 * a
 
@@ -71,10 +72,11 @@ def test_doubling_reps_keeps_medians_stable():
     kw = dict(sizes=(2048, 8192), c_prime=64, seed=0)
     m5, diff = ({n: [] for n in kw["sizes"]} for _ in range(2))
     for _ in range(3):
-        r5, r10 = (bench_attention(("linear",), reps=reps, **kw).rows for reps in (5, 10))
+        r5, r10 = (bench_attention(("linear",), reps=reps, **kw)["methods"]["linear"]["points"]
+                   for reps in (5, 10))
         for a, b in zip(r5, r10, strict=True):
-            m5[a.n].append(a.median_ms)
-            diff[a.n].append(b.median_ms - a.median_ms)
+            m5[a["n"]].append(a["median_ms"])
+            diff[a["n"]].append(b["median_ms"] - a["median_ms"])
     for n in kw["sizes"]:
         assert abs(np.median(diff[n])) <= 0.2 * np.median(m5[n])
 
@@ -104,26 +106,24 @@ def test_op_counter_audit_rectangular():
     assert counts["softmax_score_table"] == (128, 320)
 
 
-def test_bench_csv_and_json_outputs(tmp_path):
-    report = bench_attention(("linear",), sizes=(64, 256), c_prime=8, reps=3, seed=0)
-    csv_path = tmp_path / "bench.csv"
-    write_bench_csv(csv_path, report)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "method,n,median_ms,slope"
-    assert len(lines) == 1 + len(report.rows)
-    for line, row in zip(lines[1:], report.rows):
-        method, n, median_ms, slope = line.split(",")
-        assert method == row.method
-        assert int(n) == row.n
-        assert float(median_ms) == row.median_ms
-        assert float(slope) == report.slopes[row.method]
+def test_bench_json_output(tmp_path, monkeypatch):
+    """`linmatch bench` writes the record that `bench_attention` returns, key for key."""
+    returned = []
 
-    json_path = tmp_path / "bench.json"
-    write_bench_json(json_path, report)
-    import json
+    def recording(**kw):
+        returned.append(bench_attention(**kw))
+        return returned[-1]
 
-    payload = json.loads(json_path.read_text())
-    assert payload["reps"] == 3
-    assert payload["methods"]["linear"]["points"][0]["n"] == 64
-    assert np.isclose(payload["methods"]["linear"]["slope"],
-                      report.slopes["linear"])
+    monkeypatch.setattr(cli, "bench_attention", recording)
+    assert cli.main(["bench", "--sizes", "64,256", "--methods", "linear", "--reps", "3",
+                     "--c-prime", "8", "-o", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "bench.json").read_text())
+    assert payload == returned[0]
+    assert set(payload) == {"reps", "methods"} and payload["reps"] == 3
+    entry = payload["methods"]["linear"]
+    assert set(entry) == {"slope", "points"}
+    assert [set(p) for p in entry["points"]] == [{"n", "median_ms", "multiplies"}] * 2
+    assert [p["n"] for p in entry["points"]] == [64, 256]
+    # the slope is fitted to the medians in seconds, which the record holds in ms
+    times = [(p["n"], p["median_ms"] / 1e3) for p in entry["points"]]
+    assert np.isclose(entry["slope"], loglog_slope(times))

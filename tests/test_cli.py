@@ -348,14 +348,12 @@ def test_bench_attention_cli(tmp_path, capsys):
     code = run_cli(["bench", "--sizes", "64,256", "--methods", "linear",
                     "--reps", 3, "--c-prime", 8, "-o", out])
     assert code == 0
-    lines = (out / "bench.csv").read_text().splitlines()
-    assert lines[0] == "method,n,median_ms,slope"
-    assert len(lines) == 3
-    assert [line.split(",")[:2] for line in lines[1:]] == [["linear", "64"], ["linear", "256"]]
+    assert sorted(p.name for p in out.iterdir()) == ["bench.json"]
     payload = json.loads((out / "bench.json").read_text())
-    assert "linear" in payload["methods"]
+    assert list(payload["methods"]) == ["linear"]
     assert [p["n"] for p in payload["methods"]["linear"]["points"]] == [64, 256]
-    assert "slope" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "linear: slope" in printed and printed.endswith(f"{out / 'bench.json'}\n")
 
 
 def test_bench_single_size_is_usage_error(tmp_path):
@@ -540,6 +538,31 @@ def test_rng_seed_beyond_64_bits_runs(tmp_path, match_argv):
     assert (tmp_path / "o" / "matches.csv").is_file()
 
 
+# each once reached NumPy with the negative seed and ended in a ValueError traceback (exit 1)
+# or, for `bench --mode attention`, in "invalid bench config"
+@pytest.mark.parametrize("argv", [["synth", *SYNTH_ARGS], ["match"], ["train-toy", *TRAIN_ARGS],
+                                  ["gradcheck"], ["bench", "--mode", "audit"],
+                                  ["bench", "--sizes", "64,256", "--reps", 3, "--c-prime", 8]],
+                         ids=lambda argv: " ".join(map(str, argv[:3])))
+def test_negative_seed_is_usage_error(tmp_path, capsys, match_argv, argv):
+    argv = match_argv if argv == ["match"] else argv
+    assert run_cli([*argv, "--seed", -1, "-o", tmp_path / "o"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert errors == [f"linmatch {argv[0]}: error: argument --seed: must be at least 0, got -1"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_toy_weights_beyond_float32_abort(tmp_path, capsys):
+    # a learning rate of 1e39 steps every weight past float32's range; the weight file was
+    # once written (with a cast warning) and then refused by `match` with exit 3
+    out = tmp_path / "o"
+    argv = ["train-toy", "--steps", 1, "--pairs", 1, "--kpts", 8, "--lr", 1e39, "-o", out]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("training aborted: layer0.self.wq: non-finite values in float32")
+    assert list(out.iterdir()) == []
+
+
 def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 
@@ -553,6 +576,8 @@ def first_lr(trace_path):
     ["bench", "--methods", "linear", "--reps", 3, "--c-prime", 8, "--sizes", "0,64"],
     ["bench", "--methods", "linear", "--reps", 3, "--sizes", "64,256", "--c-prime", 0],
     ["bench", "--reps", 3, "--sizes", "64,256", "--methods", ","],
+    # ran linear twice and listed its points [64, 256, 64, 256] under one slope
+    ["bench", "--reps", 3, "--sizes", "64,256", "--c-prime", 8, "--methods", "linear,linear"],
     ["train-toy", *TRAIN_ARGS, "--heads", 0],
     ["train-toy", *TRAIN_ARGS, "--hidden", 0],
     ["train-toy", *TRAIN_ARGS, "--desc-dim", 0],
@@ -568,6 +593,8 @@ def first_lr(trace_path):
     ["synth", *SYNTH_ARGS, "--desc-dim", 0],
     ["synth", *SYNTH_ARGS, "--min-matches", 41],  # more than the 40 keypoints
     ["synth", *SYNTH_ARGS, "--min-matches", -1],
+    ["synth", *SYNTH_ARGS, "--dims", "5000000000x10"],  # more than the .kpds header holds
+    ["synth", *SYNTH_ARGS, "--dims", "10x4294967296"],
     ["train-toy", *TRAIN_ARGS, "--lr", "inf"],
     ["train-toy", *TRAIN_ARGS, "--config", {"loss": {"m_n": float("inf")}}],
     ["train-toy", *TRAIN_ARGS, "--config", {"loss": {"learning_rate": float("inf")}}],

@@ -414,6 +414,17 @@ def test_weights_record_their_head_count(tmp_path):
         load_weights(p)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nan, np.inf])
+def test_tensor_float32_cannot_hold_is_refused_unwritten(tmp_path, value):
+    # 1e39 once overflowed in the cast with a RuntimeWarning, and load_weights refused the file
+    p = tmp_path / "w.lawt"
+    bad = np.ones((2, 3))
+    bad[1, 2] = value
+    with pytest.raises(ValueError, match="layer0.self.wk: non-finite values in float32"):
+        write_tensor_table(p, [("layer0.self.wq", np.ones(2)), ("layer0.self.wk", bad)], {})
+    assert not p.exists()
+
+
 def test_weight_file_cut_anywhere_is_a_value_error(tmp_path):
     cfg = NetworkConfig(input_dim=2, hidden_dim=2, heads=2, l1=1, l2=0)
     p = tmp_path / "w.lawt"
