@@ -12,13 +12,13 @@ hand-written backward, and `Tensor` has no operator overloads.  This module
 holds row L2 normalization; the others are projected attention (it applies
 the feature map `phi_array`, splits heads and scatters neighborhood rows),
 the feed-forward block and layer 0's carrier in `encoder`, and the triplet
-loss in `training`.  Each backward uses the formulas of the separate ops it
-replaced (add, sub, mul, matmul, sum, relu, row gather; `tests/reference_ops`
-keeps them) and feeds shared inputs in their order, so gradients keep their
-bits.  A backward adds a share with `_accumulate` at once, or with
-`_accumulate_last` after every other consumer's share, just before the
-parent's own backward runs: where a row gather that was the first op traced
-from the parent added it.
+loss and its confidence in `training`.  Each backward uses the formulas of the
+separate ops it replaced (add, sub, mul, matmul, sum, relu, row gather;
+`tests/reference_ops` keeps them) and feeds shared inputs in their order, so
+gradients keep their bits.  The sweep visits parents depth first, in listed
+order, and runs the nodes in reverse, so a parent listed first gives its
+shares after those given through later parents: the loss lists its confidence
+first, so that its shares reach f last.
 
 A thread-local operation counter can be enabled with `count_ops()`; it records
 multiply counts and every allocated result shape (fused ops report their
@@ -90,7 +90,7 @@ def note_mul(size):
 class Tensor:
     """Array node in the autodiff graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_last")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data)
@@ -98,17 +98,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
-        self._last = ()  # shares to add after every other one (`_accumulate_last`)
 
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
-
-    def _accumulate_last(self, g):
-        """Add g after every other consumer's share, just before this node's backward runs."""
-        self._last += (g,)
 
     def backward(self):
         """Reverse-mode sweep from this node (typically a scalar loss), seeded with ones."""
@@ -126,10 +121,6 @@ class Tensor:
         visit = None  # drop the closure's self-reference: the graph is freed on return, not by gc
         self._accumulate(np.ones_like(self.data))
         for t in reversed(topo):
-            if t._last:
-                for g in t._last:
-                    t._accumulate(g)
-                t._last = ()
             if t._backward is not None:
                 t._backward(t.grad)
 

@@ -42,7 +42,6 @@ from .matcher import (
     match_pipeline,
     read_matches,
     write_matches,
-    write_metrics,
 )
 from .neighborhood import NeighborhoodConfig
 from .training import (
@@ -168,8 +167,7 @@ def _read_input(reader, path, what):
 
 # ---------------------------------------------------------------- synth
 
-def cmd_synth(args) -> int:
-    sections = _load_file_sections(args.config)
+def cmd_synth(args, sections) -> int:
     if not 0 <= (args.min_matches or 0) <= args.kpts:
         raise UsageError("--min-matches must lie between 0 and --kpts")
     out = _out_dir(args.output)
@@ -208,8 +206,7 @@ def cmd_synth(args) -> int:
 
 # ---------------------------------------------------------------- match
 
-def cmd_match(args) -> int:
-    sections = _load_file_sections(args.config)
+def cmd_match(args, sections) -> int:
     ks = _read_input(read_kpds, args.source, "source keypoint")
     kt = _read_input(read_kpds, args.target, "target keypoint")
     weights = _read_input(load_weights, args.weights, "weight")
@@ -245,8 +242,7 @@ def cmd_match(args) -> int:
 
 # ----------------------------------------------------------------- eval
 
-def cmd_eval(args) -> int:
-    _load_file_sections(args.config)  # eval reads no section, but refuses a bad file
+def cmd_eval(args, sections) -> int:
     m = _read_input(read_matches, args.matches, "match")
     ks = _read_input(read_kpds, args.source, "source keypoint")
     kt = _read_input(read_kpds, args.target, "target keypoint")
@@ -257,7 +253,8 @@ def cmd_eval(args) -> int:
     except ValueError as e:
         raise DataError(str(e))
     out = _out_dir(args.output)
-    write_metrics(out / "metrics.json", metrics)
+    mma = {str(t): v for t, v in metrics.mma.items()}  # keys sort as text: "10" after "1"
+    _write_json(out / "metrics.json", {**vars(metrics), "mma": mma})
     print(f"precision {metrics.precision:.4f}  recall {metrics.recall:.4f}  "
           f"matches {metrics.num_matches}  -> {out / 'metrics.json'}")
     return EXIT_OK
@@ -265,8 +262,7 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def cmd_bench(args) -> int:
-    sections = _load_file_sections(args.config)
+def cmd_bench(args, sections) -> int:
     out = _out_dir(args.output)
     if args.mode == "audit":  # a failed audit raises AssertionError, which exits 1
         counts = op_counter_audit(seed=args.seed)
@@ -290,8 +286,7 @@ def cmd_bench(args) -> int:
 
 # ------------------------------------------------------------ train-toy
 
-def cmd_train_toy(args) -> int:
-    sections = _load_file_sections(args.config)
+def cmd_train_toy(args, sections) -> int:
     net = _section(sections, "network", NetworkConfig, _TOY_NETWORK,
                    input_dim=args.desc_dim, hidden_dim=args.hidden, heads=args.heads,
                    l1=args.l1, l2=args.l2)
@@ -325,8 +320,7 @@ def cmd_train_toy(args) -> int:
 
 # ------------------------------------------------------------ gradcheck
 
-def cmd_gradcheck(args) -> int:
-    sections = _load_file_sections(args.config)
+def cmd_gradcheck(args, sections) -> int:
     if not 0 < args.step < 1:
         raise UsageError("--step must lie in (0, 1)")
     if not 0 < args.tol < np.inf:  # written so that NaN fails too
@@ -471,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # every subcommand refuses a bad config file before it reads any input
+        return args.func(args, _load_file_sections(args.config))
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -306,19 +306,19 @@ def _forward_impl(xs, xt, weights, cfg, neigh_cfg):
         a, b = cross_attention_update(a, b, weights.cross_layers[i], cfg.heads)
     fs, ft = a, b
     if cfg.l2 > 0:
-        ncfg = (neigh_cfg or NeighborhoodConfig()).resolved_pair(
-            (xs.width, xs.height), (xt.width, xt.height))
-        pairs = neighborhoods(fs.data, ft.data, xs, xt, ncfg)[2]
+        pairs = neighborhoods(fs.data, ft.data, xs, xt, neigh_cfg)[2]
         for i in range(cfg.l2):
             a, b = pairwise_layer_update(a, b, pairs, weights.pair_layers[i], cfg.heads)
     xs_hat, xt_hat = (ad.row_l2_normalize(x) if x.data.shape[0] else x for x in (a, b))
     return EncodedPair(xs_hat, xt_hat, fs, ft)
 
 
-def neighborhoods(xs_enc, xt_enc, ks: KeypointSet, kt: KeypointSet, cfg: NeighborhoodConfig):
-    """Ratio matches of the encodings, their seed positions and the seeds' `Membership`,
-    under a config resolved for this pair: the chain both `forward` (on f) and the
-    matcher (on x) run."""
+def neighborhoods(xs_enc, xt_enc, ks: KeypointSet, kt: KeypointSet, cfg: NeighborhoodConfig | None):
+    """Ratio matches of the encodings, their seed positions and the seeds' `Membership`:
+    the chain both `forward` (on f) and the matcher (on x) run.  Unset radii are resolved
+    here, per chain, from the two frames."""
+    cfg = (cfg or NeighborhoodConfig()).resolved_pair((ks.width, ks.height),
+                                                      (kt.width, kt.height))
     m = ratio_match(xs_enc, xt_enc, cfg.theta)
     seeds = select_seeds(m, ks.keypoints, cfg.r)
     return m, seeds, build_neighborhoods(seeds, m, ks.keypoints, kt.keypoints, cfg)

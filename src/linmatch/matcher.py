@@ -3,11 +3,11 @@
 A `MatchSet` is a (k, 2) index array of (source, target) rows, a score array
 and one stage tag per row; every stage slices the arrays.
 
-`match_pipeline` resolves its neighborhood config once, encodes a pair, then
-runs the neighborhood chain (`encoder.neighborhoods`: ratio matches, locally
-best seeds, their neighborhoods) on the final descriptors and takes the
-ratio matches of all neighborhood members as candidates (seeds keep their
-own tag).
+`match_pipeline` encodes a pair, then runs the neighborhood chain
+(`encoder.neighborhoods`: ratio matches, locally best seeds, their
+neighborhoods, under radii it resolves itself) on the final descriptors and
+takes the ratio matches of all neighborhood members as candidates (seeds
+keep their own tag).
 
 `filter_matches` then verifies all neighborhoods in one batched pass:
 repeated 3-correspondence minimal samples fit an exact affine transform,
@@ -24,7 +24,6 @@ with the same draws and arithmetic.  Runs single-threaded.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +99,7 @@ class Metrics:
 
 # the benchmark's tracer times this stage under this name
 def _candidates(enc: EncodedPair, ks: KeypointSet, kt: KeypointSet, cfg: NeighborhoodConfig):
-    """Candidate matches from final descriptors, under a config resolved for this pair:
-    (MatchSet, the neighborhoods' Membership)."""
+    """Candidate matches from final descriptors: (MatchSet, the neighborhoods' Membership)."""
     m, seeds, members = neighborhoods(enc.xs_hat, enc.xt_hat, ks, kt, cfg)
     src = m.matches[:, 0]
     ordered = np.flatnonzero(np.isin(src, members.source.rows))
@@ -197,8 +195,7 @@ def match_pipeline(ks: KeypointSet, kt: KeypointSet, weights: NetworkWeights,
                    fcfg: FilterConfig | None = None,
                    skip_filter: bool = False) -> MatchSet:
     """forward -> candidates -> filter_matches (optionally skipping the filter)."""
-    neigh_cfg = (neigh_cfg or NeighborhoodConfig()).resolved_pair((ks.width, ks.height),
-                                                                  (kt.width, kt.height))
+    neigh_cfg = neigh_cfg or NeighborhoodConfig()
     enc = forward(ks, kt, weights, cfg, neigh_cfg)
     candidates, neighborhoods = _candidates(enc, ks, kt, neigh_cfg)
     if skip_filter:
@@ -252,10 +249,3 @@ def read_matches(path) -> MatchSet:
             scores.append(float(score))
             stages.append(stage)
     return MatchSet(pairs, scores, stages)
-
-
-def write_metrics(path, metrics: Metrics) -> None:
-    payload = {**vars(metrics), "mma": {str(t): v for t, v in metrics.mma.items()}}
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -1,4 +1,5 @@
-"""Distance-ratio matching, seed selection, and local neighborhood sets.
+"""Distance-ratio matching, seed selection, local neighborhood sets, and the
+certified distance search that ratio matching and the training loss share.
 
 Matching is mutual nearest neighbor in descriptor space gated by Lowe's
 ratio test d1/d2 <= theta.  Each surviving match carries a distinctiveness
@@ -33,8 +34,9 @@ dot-product error bound (Higham, Accuracy and Stability of Numerical
 Algorithms, section 3.1); the slack over gamma_{C+2} covers rounding the
 squared norms and the window's threshold, and the d term the recomputed
 distances.  `_augmented` builds the product and the window 2E for both its
-callers, `_mutual_nearest` (d = float64) and `training.triplet_loss`'s
-hardest-negative search (d = the encodings' dtype).  Here a row's two nearest
+callers, `_mutual_nearest` (d = float64) and `hardest_negatives`, the
+training loss's negative search (d = the encodings' dtype), and both cut it
+into chunks of `_CHUNK_ENTRIES`.  In `_mutual_nearest` a row's two nearest
 targets lie within 2E of its second-smallest entry, and a column's nearest
 source within 2E of its smallest.  Every entry inside those windows is
 recomputed as np.linalg.norm(a_i - b_j) in float64, and the exact distances
@@ -49,6 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attention import Membership, Segments
+from .autodiff import note_alloc
 from .geometry import index_pairs, near_pairs
 
 _CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
@@ -207,6 +210,32 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
             dist[k1] = np.inf
             d2[s + i] = dist.min()
     return j1, d1, d2, col_i
+
+
+def hardest_negatives(a: np.ndarray, b: np.ndarray, partner: np.ndarray) -> np.ndarray:
+    """Per row i of a, the first index of the least ((a_i - b) ** 2).sum(axis=-1) among all
+    but partner[i], computed a chunk of rows at a time, never as a (len(a), len(b), C) table."""
+    dt = np.result_type(a, b)
+    lhs, rhs, window = _augmented(a, b, dt)
+    chunk = min(len(a), max(1, _CHUNK_ENTRIES // len(b)))
+    table = np.empty((chunk, len(b)), lhs.dtype)  # the search's largest buffer
+    note_alloc(table)
+    out = np.empty(len(a), dtype=np.intp)
+    for s in range(0, len(a), chunk):
+        e = min(len(a), s + chunk)
+        ar, skip = np.arange(e - s), partner[s:e]
+        with np.errstate(invalid="ignore", over="ignore"):  # from non-finite or huge rows
+            block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
+            block[ar, skip] = np.inf
+            keep = ~(block > (block.min(axis=1) + window)[:, None])  # NaN keeps its whole row
+        # any other entry exceeds the row's least exact value
+        rows, cols = np.divmod(np.flatnonzero(keep), len(b))
+        block[rows, cols] = _exact(a, b, rows + s, cols, max(1, table.size // a.shape[1]), dt)
+        block[ar, skip] = np.inf  # a void window recomputed the partner too
+        out[s:e] = block.argmin(axis=1)
+    # np.argmin returns the partner only as index 0 of a row whose other entries are all inf
+    out[out == partner] = 1
+    return out
 
 
 def _encodings(x) -> np.ndarray:

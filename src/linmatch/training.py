@@ -19,22 +19,23 @@ over every index but the partner (np.argmin, and never the partner, even when
 all others are inf), so ties go to the lowest index (and to the target side
 between the two directional minima), and gradients flow through exactly one
 negative, the picked side's, and only while its hinge is active.  As in
-HardNet (arXiv:1705.10872), the rows come from one distance table, built a
-chunk of ground-truth rows at a time by the product of
-`neighborhood._augmented`, whose window bounds its error: every entry within
+HardNet (arXiv:1705.10872), the rows come from one distance table, which
+`neighborhood.hardest_negatives` builds a chunk of ground-truth rows at a
+time with the certified product that ratio matching uses: every entry within
 the window of its row's minimum is recomputed as the loss ranks it,
 ((a - b) ** 2).sum(axis=-1) in the encodings' dtype, so the true minimum is
 among them and the choice is exact.  A NaN or inf row voids the window, and
 then every entry is recomputed.
 
-The loss is one autodiff op.  Its backward replays the formulas and the
-accumulation order of the op-by-op graph it replaced
-(`tests/reference_ops.triplet_loss`), so gradients keep their bits: a
-gathered row's gradient is summed into zeros with np.add.at, and the
-confidence's shares reach fs and ft after every other consumer's, as its row
-gathers added them (`Tensor._accumulate_last`).  The picked side's distance
-replaces the blend sel * d_nt + (1 - sel) * d_ns: the same bits on finite
-values, and no 0 * inf when the other side is at inf.
+The loss is one autodiff op, or two with the confidence attached.  Its
+backward replays the formulas and the accumulation order of the op-by-op
+graph it replaced (`tests/reference_ops.triplet_loss`), so gradients keep
+their bits: a gathered row's gradient is summed into zeros with np.add.at.
+An attached confidence is a node of its own, listed first among the loss's
+parents, so the sweep reaches fs and ft through it after every other
+consumer, and its shares land last, as its row gathers added them.  The
+picked side's distance replaces the blend sel * d_nt + (1 - sel) * d_ns: the
+same bits on finite values, and no 0 * inf when the other side is at inf.
 """
 
 from __future__ import annotations
@@ -44,11 +45,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from . import neighborhood as nb
 from .autodiff import Tensor, as_tensor
 from .encoder import NetworkConfig, NetworkWeights, forward, init_weights
 from .geometry import GroundTruth
-from .neighborhood import NeighborhoodConfig
+from .neighborhood import NeighborhoodConfig, hardest_negatives
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
@@ -70,32 +70,6 @@ class LossConfig:
             raise ValueError("decay must lie in (0, 1]")
 
 
-def _hardest_negatives(a: np.ndarray, b: np.ndarray, partner: np.ndarray) -> np.ndarray:
-    """Per row i of a, the first index of the least ((a_i - b) ** 2).sum(axis=-1) among all
-    but partner[i], computed a chunk of rows at a time, never as a (len(a), len(b), C) table."""
-    dt = np.result_type(a, b)
-    lhs, rhs, window = nb._augmented(a, b, dt)
-    chunk = min(len(a), max(1, nb._CHUNK_ENTRIES // len(b)))
-    table = np.empty((chunk, len(b)), lhs.dtype)  # the search's largest buffer
-    ad.note_alloc(table)
-    out = np.empty(len(a), dtype=np.intp)
-    for s in range(0, len(a), chunk):
-        e = min(len(a), s + chunk)
-        ar, skip = np.arange(e - s), partner[s:e]
-        with np.errstate(invalid="ignore", over="ignore"):  # from non-finite or huge rows
-            block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
-            block[ar, skip] = np.inf
-            keep = ~(block > (block.min(axis=1) + window)[:, None])  # NaN keeps its whole row
-        # any other entry exceeds the row's least exact value
-        rows, cols = np.divmod(np.flatnonzero(keep), len(b))
-        block[rows, cols] = nb._exact(a, b, rows + s, cols, max(1, table.size // a.shape[1]), dt)
-        block[ar, skip] = np.inf  # a void window recomputed the partner too
-        out[s:e] = block.argmin(axis=1)
-    # np.argmin returns the partner only as index 0 of a row whose other entries are all inf
-    out[out == partner] = 1
-    return out
-
-
 def _scatter(like, rows, g):
     """A row gather's backward: g's rows summed into zeros shaped like `like`, in order."""
     out = np.zeros_like(like)
@@ -106,9 +80,9 @@ def _scatter(like, rows, g):
 def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     """Mean of confidence-weighted ranking losses over all GT correspondences.
 
-    Vectorized over correspondences: negatives are located on detached
-    descriptor values by `_hardest_negatives` (exact; see the module
-    docstring), then only the selected rows enter the loss, one autodiff op.
+    Vectorized over correspondences: negatives are located on detached descriptor
+    values by `hardest_negatives` (exact; see the module docstring), then only the
+    selected rows enter the loss: one autodiff op, two with the confidence attached.
     """
     if len(gt.pairs) == 0:
         raise ValueError("need at least one ground-truth correspondence")
@@ -123,8 +97,8 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     i_arr, j_arr = gt.pairs.T
     xsd, xtd, dt = xs.data, xt.data, xs.data.dtype
     a, b = xsd[i_arr], xtd[j_arr]
-    k_t = _hardest_negatives(a, xtd, j_arr)
-    k_s = _hardest_negatives(b, xsd, i_arr)
+    k_t = hardest_negatives(a, xtd, j_arr)
+    k_s = hardest_negatives(b, xsd, i_arr)
     u, nt, ns = a - b, a - xtd[k_t], xsd[k_s] - b
     d_pos, d_nt, d_ns = ((x * x).sum(axis=1, keepdims=True) for x in (u, nt, ns))
     pick = d_nt <= d_ns  # tie prefers target side
@@ -138,6 +112,14 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
     ad.note_mul(u.size + nt.size + ns.size + fa.size + s.size + 1)
     for x in (u, nt, ns, fa):
         ad.note_alloc(x)
+
+    def confidence_backward(g):
+        gs = g * (s0 > 0)
+        for t, rows, dx in ((ft, j_arr, gs * fa), (fs, i_arr, gs * fb)):
+            if t.requires_grad:
+                t._accumulate(_scatter(t.data, rows, dx))
+
+    conf = None if cfg.detach_confidence else ad.node(s, (fs, ft), confidence_backward)
 
     def backward(g):
         gm = g * inv  # the sum's gradient
@@ -158,14 +140,11 @@ def triplet_loss(enc, gt: GroundTruth, cfg: LossConfig):
                             (xs, i_arr, ga)):
             if t.requires_grad:
                 t._accumulate(_scatter(t.data, rows, dx))
-        if not cfg.detach_confidence:
-            gs = gm * rank * (s0 > 0)
-            for t, rows, dx in ((ft, j_arr, gs * fa), (fs, i_arr, gs * fb)):
-                if t.requires_grad:
-                    t._accumulate_last(_scatter(t.data, rows, dx))
+        if conf is not None:
+            conf._accumulate(gm * rank)
 
-    # the order in which the tape's sweep first reached them, which orders the ops upstream
-    parents = (xs, xt) if cfg.detach_confidence else (fs, ft, xs, xt)
+    # the confidence first, so that its shares reach f last (see the module docstring)
+    parents = (xs, xt) if conf is None else (conf, xs, xt)
     return ad.node(np.asarray((s * rank).sum() * inv), parents, backward)
 
 
@@ -244,11 +223,14 @@ class AdamState:
     def step(self, weights: NetworkWeights, grads: NetworkWeights, lr: float):
         self.t += 1
         g = np.concatenate([v.ravel() for _, v in grads.all_params()], dtype=np.float64)
-        self.m = _BETA1 * self.m + (1 - _BETA1) * g
-        self.v = _BETA2 * self.v + (1 - _BETA2) * g * g
-        m_hat = self.m / (1 - _BETA1 ** self.t)
-        v_hat = self.v / (1 - _BETA2 ** self.t)
-        upd = lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite update raises below
+            self.m = _BETA1 * self.m + (1 - _BETA1) * g
+            self.v = _BETA2 * self.v + (1 - _BETA2) * g * g
+            m_hat = self.m / (1 - _BETA1 ** self.t)
+            v_hat = self.v / (1 - _BETA2 ** self.t)
+            upd = lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        if not np.isfinite(upd).all():
+            raise RuntimeError(f"non-finite Adam update at step {self.t - 1}")  # from 0, as traced
         params = [np.asarray(w) for _, w in weights.all_params()]
         for w, end in zip(params, np.cumsum([w.size for w in params])):
             w -= upd[end - w.size:end].reshape(w.shape).astype(w.dtype, copy=False)
@@ -259,7 +241,7 @@ def train_toy(dataset, net_cfg: NetworkConfig, loss_cfg: LossConfig, steps: int,
     """Single-pair-per-step Adam training; returns (weights, trace).
 
     The trace lists (step, loss, lr) tuples.  Deterministic for a fixed
-    seed.  Aborts on a non-finite loss, naming the step.
+    seed.  Aborts on a non-finite loss or Adam update, naming the step.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")

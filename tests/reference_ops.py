@@ -15,7 +15,7 @@ its share of the kernel's gradient.  `membership` builds
 the arrays that the attention kernels and the filter take from a readable list
 of `NeighborhoodPair`.
 `hardest_negatives` searches the loss's negatives on one full difference
-table per direction: the oracle of `training._hardest_negatives`.
+table per direction: the oracle of `neighborhood.hardest_negatives`.
 """
 
 from typing import NamedTuple

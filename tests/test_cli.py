@@ -563,6 +563,16 @@ def test_train_toy_weights_beyond_float32_abort(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_train_toy_non_finite_adam_update_aborts(tmp_path, capsys):
+    # a learning rate of 1e308 overflows the first update itself: once a multi-line overflow
+    # warning (an uncaught RuntimeWarning under -W error), then the float32 refusal above
+    out = tmp_path / "o"
+    argv = ["train-toy", "--steps", 1, "--pairs", 1, "--kpts", 8, "--lr", 1e308, "-o", out]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == "training aborted: non-finite Adam update at step 0\n"
+    assert not (out / "weights.lawt").exists()
+
+
 def first_lr(trace_path):
     return float(trace_path.read_text().splitlines()[1].split(",")[2])
 

@@ -34,3 +34,24 @@ def test_third_party_imports_are_the_declared_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as f:
         declared = tomllib.load(f)["project"]["dependencies"]
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in declared} == {"numpy"}
+
+
+def test_no_module_reads_another_modules_private_names():
+    """Each decision has one owner: no module imports a sibling's underscore name, or reads
+    one through the sibling's module alias (`from . import neighborhood as nb`, `nb._x`)."""
+    found = []
+    for path in sorted((SRC / "linmatch").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.append(f"{path.name}: from .{node.module} import {alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")):
+                found.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert found == []

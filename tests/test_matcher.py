@@ -9,6 +9,7 @@ from reference_ops import membership
 
 import linmatch.matcher as matcher
 from linmatch.attention import Membership, NeighborhoodPair
+from linmatch.cli import main
 from linmatch.encoder import NetworkConfig, forward, init_weights
 from linmatch.geometry import (
     GenNoiseConfig,
@@ -16,17 +17,18 @@ from linmatch.geometry import (
     Homography,
     KeypointSet,
     generate_pair,
+    write_ground_truth,
+    write_homography,
+    write_kpds,
 )
 from linmatch.matcher import (
     FilterConfig,
     MatchSet,
-    Metrics,
     evaluate,
     filter_matches,
     match_pipeline,
     read_matches,
     write_matches,
-    write_metrics,
     _affine,
     _candidates,
     _residual,
@@ -688,11 +690,20 @@ class TestMatchFiles:
             read_matches(p)
 
     def test_metrics_json(self, tmp_path):
-        metrics = Metrics({1: 0.25, 3: 0.5}, 0.5, 1.0, 4, 0.5)
-        p = tmp_path / "metrics.json"
-        write_metrics(p, metrics)
+        # two of four matches are true and on their projection; the other two are 14 px off
+        pts = np.array([[10, 10], [20, 20], [30, 30], [40, 40]], dtype=np.float32)
+        kpts = KeypointSet(pts, np.eye(4, dtype=np.float32), 64, 64)
+        write_kpds(tmp_path / "k.kpds", kpts)
+        write_ground_truth(tmp_path / "gt.csv", GroundTruth([(0, 0), (1, 1)]))
+        write_homography(tmp_path / "h.txt", Homography(np.eye(3)))
+        write_matches(tmp_path / "m.csv", MatchSet([(0, 0), (1, 1), (2, 3), (3, 2)],
+                                                   np.ones(4), ["verified"] * 4))
+        assert main(["eval", "--matches", str(tmp_path / "m.csv"),
+                     "--source", str(tmp_path / "k.kpds"), "--target", str(tmp_path / "k.kpds"),
+                     "--gt", str(tmp_path / "gt.csv"), "--homography", str(tmp_path / "h.txt"),
+                     "-o", str(tmp_path)]) == 0
         import json
-        loaded = json.loads(p.read_text())
+        loaded = json.loads((tmp_path / "metrics.json").read_text())
         assert loaded["mma"]["3"] == 0.5
         assert loaded["precision"] == 0.5
         assert loaded["num_matches"] == 4

@@ -131,14 +131,14 @@ def test_hardest_negatives_equal_the_difference_table_argmin(monkeypatch, kind, 
     gt = GroundTruth(pairs=np.column_stack([i_arr, j_arr]))
     if rows_per_chunk is not None:  # ground-truth rows span several chunks per direction
         monkeypatch.setattr(neighborhood, "_CHUNK_ENTRIES", rows_per_chunk * len(xs))
-    k_t = training._hardest_negatives(xs[i_arr], xt, j_arr)
-    k_s = training._hardest_negatives(xt[j_arr], xs, i_arr)
+    k_t = neighborhood.hardest_negatives(xs[i_arr], xt, j_arr)
+    k_s = neighborhood.hardest_negatives(xt[j_arr], xs, i_arr)
     np.testing.assert_array_equal(k_t, ref.hardest_negatives(xs[i_arr], xt, j_arr))
     np.testing.assert_array_equal(k_s, ref.hardest_negatives(xt[j_arr], xs, i_arr))
     if kind == "partner-tie":
         assert k_t[0] == 1 and k_s[0] == 1
     got = loss_and_grads(xs, xt, fs, ft, gt)
-    monkeypatch.setattr(training, "_hardest_negatives", ref.hardest_negatives)
+    monkeypatch.setattr(training, "hardest_negatives", ref.hardest_negatives)
     want = loss_and_grads(xs, xt, fs, ft, gt)
     assert got[0].dtype == dtype and got[0] == want[0]
     for g, w in zip(got[1], want[1]):
@@ -159,7 +159,7 @@ def test_non_finite_row_keeps_the_difference_table_negatives(bad, dtype):
         i_arr, j_arr = pairs.T
         for a, b, partner in ((bad_xs[i_arr], xt, j_arr), (xt[j_arr], bad_xs, i_arr)):
             want = ref.hardest_negatives(a, b, partner)
-            np.testing.assert_array_equal(training._hardest_negatives(a, b, partner), want)
+            np.testing.assert_array_equal(neighborhood.hardest_negatives(a, b, partner), want)
         unit = np.ones((len(xs), 2), dtype), np.ones((len(xt), 2), dtype)
         loss = triplet_loss(EncodedPair(bad_xs, xt, *unit), GroundTruth(pairs), LossConfig())
         # a NaN column is every row's negative; an inf row outside the ground truth is none's
@@ -170,7 +170,7 @@ def test_partner_is_never_its_own_hardest_negative():
     """Source row 1 is at inf, the only source row but the partner: it is the source-side
     negative, so the negative is the target side's, at 9, and both hinges are inactive."""
     xs, xt = np.array([[0.0, 0.0], [np.inf, 0.0]]), np.array([[0.1, 0.0], [3.0, 0.0]])
-    assert training._hardest_negatives(xt[:1], xs, np.array([0])).tolist() == [1]
+    assert neighborhood.hardest_negatives(xt[:1], xs, np.array([0])).tolist() == [1]
     tensors = [Tensor(x, requires_grad=True) for x in (xs, xt, np.ones((2, 2)), np.ones((2, 2)))]
     loss = triplet_loss(EncodedPair(*tensors), GroundTruth(pairs=[(0, 0)]),
                         LossConfig(detach_confidence=False))
