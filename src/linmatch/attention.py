@@ -216,16 +216,8 @@ def attention(q, k, v, heads: int = 1, pairs=None, reverse: bool = False):
 
 def projected_attention(xq: ad.Tensor, xs: ad.Tensor, wq: ad.Tensor, wk: ad.Tensor, wv: ad.Tensor,
                         heads: int = 1, pairs=None, reverse: bool = False):
-    """`attention` of q = xq wq to k = xs wk and v = xs wv as one op, and the array v.  A
-    self layer (xq and xs one array) makes one product with [wq | wk | wv], others one with
-    [wk | wv]: the column blocks equal separate products."""
-    cq, ck = wq.data.shape[1], wk.data.shape[1]
-    if xq.data is xs.data:
-        qkv = xs.data @ np.concatenate([wq.data, wk.data, wv.data], axis=1)
-        q, k, v = qkv[:, :cq], qkv[:, cq:cq + ck], qkv[:, cq + ck:]
-    else:
-        q, kv = xq.data @ wq.data, xs.data @ np.concatenate([wk.data, wv.data], axis=1)
-        k, v = kv[:, :ck], kv[:, ck:]
+    """`attention` of q = xq wq to k = xs wk and v = xs wv as one op, and the array v."""
+    q, k, v = xq.data @ wq.data, xs.data @ wk.data, xs.data @ wv.data
     ad.note_mul(xq.data.size * q.shape[1] + xs.data.size * (k.shape[1] + v.shape[1]))
     for a in (q, k, v):
         ad.note_alloc(a)

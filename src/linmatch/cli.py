@@ -470,6 +470,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as e:  # the sizes come from flags or the config
+        print(f"error: not enough memory for the requested sizes: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA

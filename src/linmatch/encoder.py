@@ -14,9 +14,9 @@ the v-projection of the query input so that the residual path lives in the
 reduced dimension.  Both linear maps are bias-free; with mlp1 zeroed the
 layer is exactly the identity on its carrier.  A layer is two autodiff nodes,
 `attention.projected_attention` and `feed_forward`, whose backwards use the
-separate ops' formulas and input order.  Layer 0 adds a third, its carrier,
-whose value is the v block of the [wq | wk | wv] product that the attention
-op already made.
+separate ops' formulas and input order.  Layer 0 adds a third, its carrier;
+in a self layer its value is the attention op's v product, so it makes no
+product of its own.
 
 The full network runs L1 iterations of (self, cross) updates with linear
 attention, captures the raw descriptors f after the last cross layer, takes
@@ -216,7 +216,7 @@ def feed_forward(carrier, m, w: LayerWeights) -> Tensor:
 
 def _carrier(xq, wv, v=None) -> Tensor:
     """Layer 0's carrier xq @ wv as an op with the matmul op's backward; `v` is that product
-    when the caller already has it (a self layer's v block), and then none is made here."""
+    when the caller already has it (a self layer's attention v), and then none is made here."""
     if v is None:
         v = xq.data @ wv.data
         ad.note_mul(xq.data.size * wv.data.shape[1])

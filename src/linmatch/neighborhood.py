@@ -36,7 +36,8 @@ squared norms and the window's threshold, and the d term the recomputed
 distances.  `_augmented` builds the product and the window 2E for both its
 callers, `_mutual_nearest` (d = float64) and `hardest_negatives`, the
 training loss's negative search (d = the encodings' dtype), and both cut it
-into chunks of `_CHUNK_ENTRIES`.  In `_mutual_nearest` a row's two nearest
+into chunks of `_CHUNK_ENTRIES`: their scratch is one table chunk, its one-byte
+mask and O((n + m) * C) entries.  In `_mutual_nearest` a row's two nearest
 targets lie within 2E of its second-smallest entry, and a column's nearest
 source within 2E of its smallest.  Every entry inside those windows is
 recomputed as np.linalg.norm(a_i - b_j) in float64, and the exact distances
@@ -54,7 +55,7 @@ from .attention import Membership, Segments
 from .autodiff import note_alloc
 from .geometry import index_pairs, near_pairs
 
-_CHUNK_ENTRIES = 1 << 22  # table entries per chunk: 16 MB in float32, 32 MB in float64
+_CHUNK_ENTRIES = 1 << 21  # per chunk: 8 MB in float32, 16 MB in float64, plus a 2 MB mask
 
 
 @dataclass
@@ -149,16 +150,16 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
     within the window of it is recomputed and merged.  Rows take their two
     smallest entries; a row whose third-smallest entry is also within the
     window of the second is crowded, and all its entries within the window
-    are recomputed.  Masks, candidate lists and exact batches are cut to
-    O((n + m) * C) entries, so the scratch stays one table plus that, even
-    when every distance ties.
+    are recomputed.  Candidate lists and exact batches are cut to
+    O((n + m) * C) entries, so the scratch stays one table chunk, its
+    one-byte mask and that, even when every distance ties.
     """
     n, m, c = a.shape[0], b.shape[0], a.shape[1]
     lhs, rhs, window = _augmented(a, b, np.float64)
     if window == np.inf:
         raise ValueError("non-finite distances: encodings too large to compare")
-    span = max(1 << 16, (n + m) * c)  # scratch entries: masks, candidate lists, exact batches
-    batch, cap, step = max(1, span // max(8 * c, 1)), span // 8, max(1, span // m)
+    span = max(1 << 16, (n + m) * c)  # scratch entries: candidate lists, exact batches
+    batch, cap = max(1, span // max(8 * c, 1)), span // 8
     j1, d1, d2 = np.empty(n, dtype=np.intp), np.empty(n), np.full(n, np.inf)
     col_t, col_d, col_i = np.full(m, np.inf, lhs.dtype), np.full(m, np.inf), np.zeros(m, dtype=np.intp)
     chunk = min(n, max(1, _CHUNK_ENTRIES // m))
@@ -168,22 +169,20 @@ def _mutual_nearest(a: np.ndarray, b: np.ndarray):
         block = np.matmul(lhs[s:e], rhs.T, out=table[:e - s])
         # columns: every row within the window of the running column minimum
         np.minimum(col_t, block.min(axis=0), out=col_t)
-        limit = col_t + window
-        for p in range(0, e - s, step):
-            keep = block[p:p + step] <= limit
-            if np.count_nonzero(keep) <= cap:
-                groups = [np.divmod(np.flatnonzero(keep), m)]
-            else:  # near-ties everywhere: one row at a time bounds the lists
-                groups = ((np.full(k.sum(), i), np.flatnonzero(k)) for i, k in enumerate(keep))
-            for rows, cols in groups:
-                rows += s + p
-                dist = np.sqrt(_exact(a, b, rows, cols, batch))
-                closer = dist < col_d[cols]  # a later row must be strictly closer
-                rows, cols, dist = rows[closer], cols[closer], dist[closer]
-                np.minimum.at(col_d, cols, dist)
-                tie = dist == col_d[cols]
-                col_i[cols[tie]] = n
-                np.minimum.at(col_i, cols[tie], rows[tie])
+        keep = block <= col_t + window
+        if np.count_nonzero(keep) <= cap:
+            groups = [np.divmod(np.flatnonzero(keep), m)]
+        else:  # near-ties everywhere: one row at a time bounds the lists
+            groups = ((np.full(k.sum(), i), np.flatnonzero(k)) for i, k in enumerate(keep))
+        for rows, cols in groups:
+            rows += s
+            dist = np.sqrt(_exact(a, b, rows, cols, batch))
+            closer = dist < col_d[cols]  # a later row must be strictly closer
+            rows, cols, dist = rows[closer], cols[closer], dist[closer]
+            np.minimum.at(col_d, cols, dist)
+            tie = dist == col_d[cols]
+            col_i[cols[tie]] = n
+            np.minimum.at(col_i, cols[tie], rows[tie])
         # rows: the two smallest entries, and a third one inside the window flags a crowded row
         ar = np.arange(e - s)
         i1 = block.argmin(axis=1)
@@ -262,9 +261,7 @@ def ratio_match(xs_enc, xt_enc, theta: float) -> RatioMatchSet:
     d1, d2 = d1[src], d2[src]
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = np.where(d1 == 0, np.inf, d2 / d1)
-    out = object.__new__(RatioMatchSet)  # mutual matches are one-to-one: skip the check
-    out.matches, out.ratio_score = np.column_stack([src, nn_st[src]]), scores
-    return out
+    return RatioMatchSet(np.column_stack([src, nn_st[src]]), scores)
 
 
 def select_seeds(m: RatioMatchSet, source_keypoints, radius: float) -> np.ndarray:

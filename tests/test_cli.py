@@ -622,6 +622,25 @@ def test_out_of_range_flag_is_usage_error(tmp_path, match_argv, argv):
     assert run_cli([*argv, "-o", tmp_path / "o"]) == 2
 
 
+# sizes asking for tebibytes once ended in a MemoryError traceback; numpy refuses each
+# request before it touches any memory
+@pytest.mark.parametrize("argv", [
+    ["match", "--config", {"filter": {"ransac_iterations": 2 ** 40}}],  # 24 TiB of samples
+    ["synth", "--pairs", 1, "--kpts", 2 ** 40],  # 8 TiB of x coordinates
+    ["bench", "--methods", "linear", "--reps", 3, "--c-prime", 8, "--sizes", f"64,{2 ** 40}"],
+], ids=["match", "synth", "bench"])
+def test_out_of_memory_is_usage_error(tmp_path, capsys, match_argv, argv):
+    argv = (match_argv if argv[0] == "match" else argv[:1]) + argv[1:]
+    for i, body in enumerate(argv):
+        if isinstance(body, dict):
+            argv[i] = tmp_path / "config.json"
+            argv[i].write_text(json.dumps(body))
+    assert run_cli([*argv, "-o", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory for the requested sizes: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, message", [
     # 10 px jitter leaves few projections within the 3 px label cutoff
     (["synth", *SYNTH_ARGS, "--jitter-sigma", 10, "--min-matches", 40], "could not reach 40"),

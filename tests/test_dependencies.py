@@ -36,6 +36,19 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert third_party == {re.match(r"[A-Za-z0-9_.-]+", d).group(0) for d in declared} == {"numpy"}
 
 
+def test_no_constructor_bypass():
+    """Every object is built through its constructor, so its checks run: no module calls
+    `object.__new__(...)` to skip them."""
+    found = []
+    for path in sorted((SRC / "linmatch").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            f = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(f, ast.Attribute) and f.attr == "__new__"
+                    and isinstance(f.value, ast.Name) and f.value.id == "object"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_reads_another_modules_private_names():
     """Each decision has one owner: no module imports a sibling's underscore name, or reads
     one through the sibling's module alias (`from . import neighborhood as nb`, `nb._x`)."""
