@@ -11,8 +11,11 @@ Times are the calling thread's CPU time (`time.thread_time`), not wall
 time, so time spent waiting for a busy CPU does not count.  Work that BLAS
 hands to other threads does not count either: pin BLAS to one thread
 before NumPy loads (as tests/conftest.py does), or the times leave work out.
-Medians are taken over >= 3 repetitions after 2 discarded warm-up runs,
-at exactly the sizes asked for.
+Every size's inputs are built before anything is timed, so a size that
+memory cannot hold fails first.  Then each kernel runs 2 discarded warm-up
+rounds and `reps` >= 3 timed rounds, and each round calls every size once
+(round-robin), so a drift in machine speed reaches all sizes alike instead of
+tilting the slope.  Medians are taken per size, at exactly the sizes asked for.
 """
 
 from __future__ import annotations
@@ -26,17 +29,6 @@ from .autodiff import count_ops
 from .geometry import require_int
 
 _KERNELS = {"linear": attention, "softmax": softmax_attention_reference}
-
-
-def _measure(kernel, q, k, v, reps: int) -> float:
-    kernel(q, k, v)
-    kernel(q, k, v)
-    times = []
-    for _ in range(reps):
-        t0 = time.thread_time()
-        kernel(q, k, v)
-        times.append(time.thread_time() - t0)
-    return float(np.median(times))
 
 
 def loglog_slope(points) -> float:
@@ -77,16 +69,23 @@ def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192
     if sizes[-1] < 4 * sizes[0]:
         raise ValueError("sizes must span at least a 4x range")
 
+    inputs = [_random_triplet(n, c_prime, seed) for n in sizes]
     record = {"reps": reps, "methods": {}}
     for method in methods:
         kernel = _KERNELS[method]
-        times = [(n, _measure(kernel, *_random_triplet(n, c_prime, seed), reps)) for n in sizes]
+        times = [[] for _ in sizes]
+        for _ in range(2 + reps):  # the first 2 rounds warm up and are dropped below
+            for qkv, spent in zip(inputs, times):
+                t0 = time.thread_time()
+                kernel(*qkv)
+                spent.append(time.thread_time() - t0)
+        medians = [(n, float(np.median(spent[2:]))) for n, spent in zip(sizes, times)]
         points = []
-        for n, median in times:
+        for (n, median), qkv in zip(medians, inputs):
             with count_ops() as ops:
-                kernel(*_random_triplet(n, c_prime, seed))
+                kernel(*qkv)
             points.append({"n": n, "median_ms": median * 1e3, "multiplies": ops.multiplies})
-        record["methods"][method] = {"slope": loglog_slope(times), "points": points}
+        record["methods"][method] = {"slope": loglog_slope(medians), "points": points}
     return record
 
 

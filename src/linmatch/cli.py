@@ -3,12 +3,13 @@
 Subcommands: `synth`, `match`, `eval`, `bench`, `train-toy`, `gradcheck`.
 Every subcommand accepts `--seed`, `--config <json>` and `-o <dir>`;
 configuration precedence is dataclass defaults, then config-file
-sections, then explicit flags.  Unknown config sections or keys are rejected
-up front.  `match` takes its network from the weight file, which states it
-whole: a `network` section may only repeat it.  All randomness derives from
-the single seed through stable per-module streams, so any subcommand rerun
-with the same seed and the same BLAS thread count reproduces its outputs
-byte for byte.
+sections, then explicit flags.  A flag sets the config field its `dest`
+names (`--hidden` sets `hidden_dim`); a flag left unset is None and sets
+nothing.  Unknown config sections or keys are rejected up front.  `match`
+takes its network from the weight file, which states it whole: a `network`
+section may only repeat it.  All randomness derives from the single seed
+through stable per-module streams, so any subcommand rerun with the same
+seed and the same BLAS thread count reproduces its outputs byte for byte.
 
 Exit codes: 0 success, 1 failed numeric check, 2 usage error, 3 data error.
 """
@@ -123,16 +124,17 @@ def _load_file_sections(path) -> dict:
     return raw
 
 
-def _section(sections: dict, name: str, cls, defaults=None, **flag_values):
+def _section(sections: dict, name: str, cls, args, defaults=None):
     """Instantiate a config dataclass: defaults < config file < flags.
 
-    `defaults` supplies values that sit below the config file, such as a
-    subcommand's own defaults or values derived from --seed, so an explicit
-    file entry still wins over them.
+    A flag is an attribute of `args` named after a field of `cls`, set when not
+    None.  `defaults` sits below the config file: a subcommand's own defaults,
+    or values derived from --seed, so an explicit file entry still wins.
     """
     body = dict(defaults or {})
     body.update(sections.get(name, {}))
-    body.update({k: v for k, v in flag_values.items() if v is not None})
+    body.update({f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                 if getattr(args, f.name, None) is not None})
     try:
         return cls(**body)
     except (TypeError, ValueError) as e:
@@ -171,8 +173,7 @@ def cmd_synth(args, sections) -> int:
     if not 0 <= (args.min_matches or 0) <= args.kpts:
         raise UsageError("--min-matches must lie between 0 and --kpts")
     out = _out_dir(args.output)
-    noise = _section(sections, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
-                     jitter_sigma=args.jitter_sigma, distractors=args.distractors)
+    noise = _section(sections, "noise", GenNoiseConfig, args)
     entries = []
     for k in range(args.pairs):
         child = _child_seed(args.seed, "synth", k)
@@ -225,9 +226,9 @@ def cmd_match(args, sections) -> int:
             raise DataError(f"{side} descriptor dim {d} does not match "
                             f"weight input dim {net.input_dim}")
 
-    neigh = _section(sections, "neighborhood", NeighborhoodConfig, theta=args.theta)
-    fcfg = _section(sections, "filter", FilterConfig,
-                    defaults={"rng_seed": _child_seed(args.seed, "filter")})
+    neigh = _section(sections, "neighborhood", NeighborhoodConfig, args)
+    fcfg = _section(sections, "filter", FilterConfig, args,
+                    {"rng_seed": _child_seed(args.seed, "filter")})
 
     try:
         result = match_pipeline(ks, kt, weights, net, neigh, fcfg, skip_filter=args.no_filter)
@@ -271,8 +272,7 @@ def cmd_bench(args, sections) -> int:
               f"(bound {counts['linear_bound']}) -> {out / 'audit.json'}")
         return EXIT_OK
 
-    cfg = _section(sections, "bench", BenchConfig, sizes=args.sizes, reps=args.reps,
-                   c_prime=args.c_prime, methods=args.methods)
+    cfg = _section(sections, "bench", BenchConfig, args)
     try:
         record = bench_attention(**vars(cfg), seed=args.seed)
     except ValueError as e:
@@ -287,14 +287,10 @@ def cmd_bench(args, sections) -> int:
 # ------------------------------------------------------------ train-toy
 
 def cmd_train_toy(args, sections) -> int:
-    net = _section(sections, "network", NetworkConfig, _TOY_NETWORK,
-                   input_dim=args.desc_dim, hidden_dim=args.hidden, heads=args.heads,
-                   l1=args.l1, l2=args.l2)
-    loss = _section(sections, "loss", LossConfig, learning_rate=args.lr,
-                    decay=args.decay)
-    noise = _section(sections, "noise", GenNoiseConfig, desc_sigma=args.desc_sigma,
-                     jitter_sigma=args.jitter_sigma, distractors=args.distractors)
-    neigh = _section(sections, "neighborhood", NeighborhoodConfig)
+    net = _section(sections, "network", NetworkConfig, args, _TOY_NETWORK)
+    loss = _section(sections, "loss", LossConfig, args)
+    noise = _section(sections, "noise", GenNoiseConfig, args)
+    neigh = _section(sections, "neighborhood", NeighborhoodConfig, args)
     dataset = []
     for k in range(args.pairs):
         ks, kt, gt, _ = generate_pair(_child_seed(args.seed, "scene", k), args.kpts,
@@ -325,10 +321,8 @@ def cmd_gradcheck(args, sections) -> int:
         raise UsageError("--step must lie in (0, 1)")
     if not 0 < args.tol < np.inf:  # written so that NaN fails too
         raise UsageError("--tol must be a positive finite number")
-    net = _section(sections, "network", NetworkConfig, _GRADCHECK_NETWORK,
-                   input_dim=args.input_dim, hidden_dim=args.hidden, heads=args.heads,
-                   l1=args.l1, l2=args.l2)
-    loss = _section(sections, "loss", LossConfig)
+    net = _section(sections, "network", NetworkConfig, args, _GRADCHECK_NETWORK)
+    loss = _section(sections, "loss", LossConfig, args)
     dtype = np.float64 if args.precision == "double" else np.float32
     errors = gradient_check(net, loss, seed=args.seed, samples=args.samples,
                             step=args.step, dtype=dtype)
@@ -382,18 +376,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON config file with per-module sections")
     common.add_argument("-o", "--output", type=Path, default=None,
                         help="output directory (default current directory)")
+    noise = argparse.ArgumentParser(add_help=False)  # the noise section's flags
+    noise.add_argument("--desc-sigma", type=float)
+    noise.add_argument("--jitter-sigma", type=float)
+    noise.add_argument("--distractors", type=int)
+    network = argparse.ArgumentParser(add_help=False)  # the network section's shape flags
+    network.add_argument("--hidden", dest="hidden_dim", metavar="HIDDEN", type=int)
+    network.add_argument("--heads", type=int)
+    network.add_argument("--l1", type=int)
+    network.add_argument("--l2", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sy = sub.add_parser("synth", parents=[common],
+    sy = sub.add_parser("synth", parents=[common, noise],
                         help="generate labelled synthetic pairs")
     sy.add_argument("--pairs", type=_at_least(1), default=10)
     sy.add_argument("--kpts", type=_at_least(1), default=512)
     sy.add_argument("--dims", type=_parse_dims, default=(640, 480))
     sy.add_argument("--desc-dim", type=_at_least(1), default=256)
-    sy.add_argument("--desc-sigma", type=float, default=None)
-    sy.add_argument("--jitter-sigma", type=float, default=None)
-    sy.add_argument("--distractors", type=int, default=None)
-    sy.add_argument("--min-matches", type=int, default=None)
+    sy.add_argument("--min-matches", type=int)
     sy.set_defaults(func=cmd_synth)
 
     ma = sub.add_parser("match", parents=[common],
@@ -401,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     ma.add_argument("source", help="source .kpds file")
     ma.add_argument("target", help="target .kpds file")
     ma.add_argument("--weights", required=True, help="weight .lawt file")
-    ma.add_argument("--theta", type=float, default=None,
-                    help="distance-ratio acceptance threshold")
+    ma.add_argument("--theta", type=float, help="distance-ratio acceptance threshold")
     ma.add_argument("--no-filter", action="store_true",
                     help="emit unfiltered candidates (distance matching only)")
     ma.add_argument("--skip-pairwise", action="store_true",
@@ -422,42 +421,31 @@ def build_parser() -> argparse.ArgumentParser:
                         help="measure runtime scaling or audit op counts")
     be.add_argument("--mode", choices=("attention", "audit"),
                     default="attention")
-    be.add_argument("--sizes", type=_parse_sizes, default=None)
-    be.add_argument("--methods", type=_parse_methods, default=None)
-    be.add_argument("--reps", type=int, default=None)
-    be.add_argument("--c-prime", dest="c_prime", type=int, default=None)
+    be.add_argument("--sizes", type=_parse_sizes)
+    be.add_argument("--methods", type=_parse_methods)
+    be.add_argument("--reps", type=int)
+    be.add_argument("--c-prime", type=int)
     be.set_defaults(func=cmd_bench)
 
-    tr = sub.add_parser("train-toy", parents=[common],
+    tr = sub.add_parser("train-toy", parents=[common, network, noise],
                         help="train a small network on synthetic pairs")
     tr.add_argument("--pairs", type=_at_least(1), default=200)
     tr.add_argument("--kpts", type=_at_least(2), default=128,
                     help="keypoints per scene, at least 2: the loss mines a negative per side")
     tr.add_argument("--dims", type=_parse_dims, default=(256, 256))
-    tr.add_argument("--desc-dim", type=int)
-    tr.add_argument("--hidden", type=int)
-    tr.add_argument("--heads", type=int)
-    tr.add_argument("--l1", type=int)
-    tr.add_argument("--l2", type=int)
+    tr.add_argument("--desc-dim", dest="input_dim", metavar="DESC_DIM", type=int)
     tr.add_argument("--steps", type=_at_least(1), default=300)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--decay", type=float, default=None)
-    tr.add_argument("--desc-sigma", type=float, default=None)
-    tr.add_argument("--jitter-sigma", type=float, default=None)
-    tr.add_argument("--distractors", type=int, default=None)
+    tr.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    tr.add_argument("--decay", type=float)
     tr.set_defaults(func=cmd_train_toy)
 
-    gc = sub.add_parser("gradcheck", parents=[common],
+    gc = sub.add_parser("gradcheck", parents=[common, network],
                         help="compare analytic gradients with finite differences")
     gc.add_argument("--precision", choices=("single", "double"), default="double")
     gc.add_argument("--samples", type=_at_least(1), default=256)
     gc.add_argument("--step", type=float, default=1e-5)
     gc.add_argument("--tol", type=float, default=1e-4)
     gc.add_argument("--input-dim", type=int)
-    gc.add_argument("--hidden", type=int)
-    gc.add_argument("--heads", type=int)
-    gc.add_argument("--l1", type=int)
-    gc.add_argument("--l2", type=int)
     gc.set_defaults(func=cmd_gradcheck)
     return parser
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from linmatch import cli
+from linmatch import bench, cli
 from linmatch.bench import bench_attention, loglog_slope, op_counter_audit
 
 
@@ -79,6 +79,33 @@ def test_doubling_reps_keeps_medians_stable():
             diff[a["n"]].append(b["median_ms"] - a["median_ms"])
     for n in kw["sizes"]:
         assert abs(np.median(diff[n])) <= 0.2 * np.median(m5[n])
+
+
+def recording_kernel(monkeypatch, method="linear"):
+    """Wrap one kernel in `bench._KERNELS`; the returned list gets the n of every call."""
+    calls, kernel = [], bench._KERNELS[method]
+
+    def recorded(q, k, v):
+        calls.append(len(q))
+        return kernel(q, k, v)
+
+    monkeypatch.setitem(bench._KERNELS, method, recorded)
+    return calls
+
+
+def test_unallocatable_size_fails_before_any_kernel_runs(monkeypatch):
+    # n = 2**40 asks for 512 TiB; n = 1024 was once timed in full before that request
+    calls = recording_kernel(monkeypatch)
+    with pytest.raises(MemoryError):
+        bench_attention(("linear",), sizes=(1024, 2 ** 40), c_prime=64, reps=3)
+    assert calls == []
+
+
+def test_sizes_are_timed_round_robin(monkeypatch):
+    # 2 warm-up rounds and 3 timed rounds call every size once each, then one counted call
+    calls = recording_kernel(monkeypatch)
+    bench_attention(("linear",), sizes=(16, 32, 64), c_prime=4, reps=3)
+    assert calls == [16, 32, 64] * 5 + [16, 32, 64]
 
 
 def test_op_counter_audit_counts_and_bounds():

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from linmatch import cli
 from linmatch.cli import main
 from linmatch.encoder import (
     NetworkConfig,
@@ -436,6 +437,55 @@ def match_argv(tmp_path_factory):
     data = synth_dataset(tmp_path_factory.mktemp("match"))
     return ["match", data / "pair0000" / "source.kpds", data / "pair0000" / "target.kpds",
             "--weights", small_weights_file(data / "w.lawt")]
+
+
+class SectionsBuilt(Exception):
+    """Raised in place of a subcommand's work, after it has built its config sections."""
+
+
+# one case per flag that sets a config field: (command, flag, value, section, field, built
+# value), each value off the dataclass default and the subcommand's own default
+FLAG_FIELDS = [(command, flag, value, "noise", field, value)
+               for command in ("synth", "train-toy")
+               for flag, value, field in (("--desc-sigma", 0.07, "desc_sigma"),
+                                          ("--jitter-sigma", 0.3, "jitter_sigma"),
+                                          ("--distractors", 3, "distractors"))] + [
+    (command, flag, value, "network", field, value)
+    for command, dim_flag in (("train-toy", "--desc-dim"), ("gradcheck", "--input-dim"))
+    for flag, value, field in ((dim_flag, 6, "input_dim"), ("--hidden", 8, "hidden_dim"),
+                               ("--heads", 4, "heads"), ("--l1", 3, "l1"), ("--l2", 2, "l2"))] + [
+    ("train-toy", "--lr", 0.002, "loss", "learning_rate", 0.002),
+    ("train-toy", "--decay", 0.5, "loss", "decay", 0.5),
+    ("match", "--theta", 0.7, "neighborhood", "theta", 0.7),
+    ("bench", "--sizes", "64,256", "bench", "sizes", (64, 256)),
+    ("bench", "--reps", 4, "bench", "reps", 4),
+    ("bench", "--c-prime", 8, "bench", "c_prime", 8),
+    ("bench", "--methods", "linear", "bench", "methods", ("linear",)),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, section, field, expected", FLAG_FIELDS,
+                         ids=[f"{command} {flag}" for command, flag, *_ in FLAG_FIELDS])
+def test_each_flag_sets_its_config_field(monkeypatch, match_argv, command, flag, value, section,
+                                         field, expected):
+    """A flag reaches its field through its argparse dest, so a misspelled dest would be
+    ignored without an error; this catches it."""
+    built, section_of = {}, cli._section
+
+    def recording(sections, name, *rest):
+        built[name] = section_of(sections, name, *rest)
+        return built[name]
+
+    def stop(*args, **kwargs):
+        raise SectionsBuilt
+
+    monkeypatch.setattr(cli, "_section", recording)
+    for work in ("generate_pair", "match_pipeline", "bench_attention", "gradient_check"):
+        monkeypatch.setattr(cli, work, stop)
+    argv = (match_argv if command == "match" else [command]) + [flag, value]
+    with pytest.raises(SectionsBuilt):
+        main([str(a) for a in argv])
+    assert getattr(built[section], field) == expected
 
 
 # every numeric key of the sections whose checks a NaN once slipped through, with the

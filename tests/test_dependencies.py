@@ -68,3 +68,25 @@ def test_no_module_reads_another_modules_private_names():
                     and node.value.id in siblings and node.attr.startswith("_")):
                 found.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_every_top_level_name_is_read_in_the_package():
+    """Code that only tests call is deleted: each function, class or constant defined at a
+    module's top level is read somewhere in `src/linmatch`, by name or as an attribute."""
+    defined, read = [], set()
+    for path in sorted((SRC / "linmatch").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [f"{module}: {name}" for module, name in defined
+              if name not in read and name != "__version__"]
+    assert unread == []
