@@ -25,7 +25,8 @@ an empty query slot is never scattered.  The filled slots are sum-scattered
 into the output rows: rows outside every neighborhood stay exactly zero, rows
 in several get the plain sum, and the backward sums dK and dV in one pass.  The
 reverse direction (target rows querying source rows) swaps the two sides.  The
-linear kernel is the same computation with one segment, a view of every row.
+linear kernel is the same computation with one segment, a view of every row, or
+with no segment when there are no key rows, so every output row is zero.
 
 `attention` is the one numpy kernel, linear without `pairs` and restricted
 with them: it takes arrays q, k and v, returns the output array and a map from
@@ -171,13 +172,12 @@ def attention(q, k, v, heads: int = 1, pairs=None, reverse: bool = False):
     """Per segment and head, phi(Q) K_v / phi(Q).K_m, summed into the query rows: the
     (n, C') output for arrays q, k and v, and `grads`, which maps its gradient to theirs.
     `pairs`, a `Membership`, restricts source rows to query their target sets (the reverse
-    with `reverse`); rows outside every query-side set are exactly zero."""
+    with `reverse`); rows outside every query-side set, and every row when k has no rows,
+    are exactly zero and pass back a zero gradient."""
     _check_shapes(q, k, v)
     (n, c), m = q.shape, k.shape[0]
-    if pairs is None:
-        if m < 1:
-            raise ValueError("attention requires at least one key row")
-        qside = kside = Segments()
+    if pairs is None:  # no key rows: no segment, so every row and gradient is zero
+        qside = kside = Segments() if m else Segments([], [])
     else:
         sides = (pairs.source, pairs.target)
         qside, kside = sides[::-1] if reverse else sides

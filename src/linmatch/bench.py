@@ -42,7 +42,7 @@ def loglog_slope(points) -> float:
 
 def _random_triplet(n: int, c_prime: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, n])
-    return tuple(rng.normal(size=(n, c_prime)).astype(np.float32) for _ in range(3))
+    return tuple(rng.standard_normal((n, c_prime), dtype=np.float32) for _ in range(3))
 
 
 def bench_attention(methods=("linear", "softmax"), sizes=(1024, 2048, 4096, 8192),

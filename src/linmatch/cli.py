@@ -219,20 +219,13 @@ def cmd_match(args, sections) -> int:
     if args.skip_pairwise:
         weights = dataclasses.replace(weights, pair_layers=[])
     net = weights.config()
-
-    for side, kset in (("source", ks), ("target", kt)):
-        d = kset.descriptors.shape[1]
-        if d != net.input_dim:
-            raise DataError(f"{side} descriptor dim {d} does not match "
-                            f"weight input dim {net.input_dim}")
-
     neigh = _section(sections, "neighborhood", NeighborhoodConfig, args)
     fcfg = _section(sections, "filter", FilterConfig, args,
                     {"rng_seed": _child_seed(args.seed, "filter")})
 
     try:
         result = match_pipeline(ks, kt, weights, net, neigh, fcfg, skip_filter=args.no_filter)
-    except ValueError as e:  # encodings overflowed
+    except ValueError as e:  # a descriptor width the weights do not take, or an overflow
         raise DataError(str(e))
     out = _out_dir(args.output)
     write_matches(out / "matches.csv", result)

@@ -16,7 +16,10 @@ layer is exactly the identity on its carrier.  A layer is two autodiff nodes,
 `attention.projected_attention` and `feed_forward`, whose backwards use the
 separate ops' formulas and input order.  Layer 0 adds a third, its carrier;
 in a self layer its value is the attention op's v product, so it makes no
-product of its own.
+product of its own.  Every layer takes this one path, whatever its row counts:
+a side with no rows gives the other side's queries a zero message, as a row
+outside every neighborhood gets, and a side with no rows of its own passes
+through as zero rows.
 
 The full network runs L1 iterations of (self, cross) updates with linear
 attention, captures the raw descriptors f after the last cross layer, takes
@@ -232,21 +235,14 @@ def _carrier(xq, wv, v=None) -> Tensor:
 
 def encoder_layer(x_query, x_source, w: LayerWeights, heads: int = 1, pairs=None,
                   reverse: bool = False):
-    """One residual attention block (see the module docstring); its attention is
-    `attention.attention(q, k, v, heads, pairs, reverse)`, linear when `pairs` is None."""
+    """One residual attention block (see the module docstring), one path for any row
+    counts: `projected_attention` (linear when `pairs` is None; a query with no keys gets a
+    zero message), the carrier, then `feed_forward`."""
     xq, xs, wv = as_tensor(x_query), as_tensor(x_source), as_tensor(w.wv)
-    (n, width), hidden = xq.data.shape, wv.data.shape[1]
-    m = v = None
-    if n and xs.data.shape[0]:
-        m, v = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs,
-                                   reverse)
+    m, v = projected_attention(xq, xs, as_tensor(w.wq), as_tensor(w.wk), wv, heads, pairs, reverse)
     carrier = xq
-    if width != hidden:
+    if xq.data.shape[1] != wv.data.shape[1]:
         carrier = _carrier(xq, wv, v if xq.data is xs.data else None)
-    if n == 0:
-        return carrier
-    if m is None:
-        m = Tensor(np.zeros((n, hidden), dtype=carrier.data.dtype))
     return feed_forward(carrier, m, w)
 
 
@@ -274,16 +270,20 @@ def forward(xs: KeypointSet, xt: KeypointSet, weights: NetworkWeights,
             cfg: NetworkConfig, neigh_cfg: NeighborhoodConfig | None = None) -> EncodedPair:
     """Encode both keypoint sets into matchable descriptors.
 
-    Pure given weights; deterministic.  Keypoint coordinates are used only
-    for neighborhood selection between the cross and pairwise stages, so
-    with l2 = 0 the output depends on descriptors alone.  With array weights
+    Pure given weights; deterministic.  It alone checks descriptor width:
+    a side whose width is not `cfg.input_dim` raises `ValueError`.
+    Keypoint coordinates are used only for neighborhood selection between
+    the cross and pairwise stages, so with l2 = 0 the output depends on
+    descriptors alone.  With array weights
     (inference), non-finite encodings raise `ValueError`: one huge input or
     weight overflows, and linear attention spreads that to every row.
     Training (Tensor weights) checks its loss instead; with l2 > 0 on either
     path, `ratio_match` rejects non-finite encodings first.
     """
-    if xs.descriptors.shape[1] != cfg.input_dim or xt.descriptors.shape[1] != cfg.input_dim:
-        raise ValueError(f"descriptor dim must be {cfg.input_dim}")
+    for side, kset in (("source", xs), ("target", xt)):
+        if kset.descriptors.shape[1] != cfg.input_dim:
+            raise ValueError(f"{side} descriptor dim {kset.descriptors.shape[1]} does not "
+                             f"match the network's input dim {cfg.input_dim}")
     weights.validate(cfg)
     if isinstance(weights.self_layers[0].wq, Tensor):
         return _forward_impl(xs, xt, weights, cfg, neigh_cfg)
@@ -309,8 +309,7 @@ def _forward_impl(xs, xt, weights, cfg, neigh_cfg):
         pairs = neighborhoods(fs.data, ft.data, xs, xt, neigh_cfg)[2]
         for i in range(cfg.l2):
             a, b = pairwise_layer_update(a, b, pairs, weights.pair_layers[i], cfg.heads)
-    xs_hat, xt_hat = (ad.row_l2_normalize(x) if x.data.shape[0] else x for x in (a, b))
-    return EncodedPair(xs_hat, xt_hat, fs, ft)
+    return EncodedPair(ad.row_l2_normalize(a), ad.row_l2_normalize(b), fs, ft)
 
 
 def neighborhoods(xs_enc, xt_enc, ks: KeypointSet, kt: KeypointSet, cfg: NeighborhoodConfig | None):

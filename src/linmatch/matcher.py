@@ -13,11 +13,12 @@ keep their own tag).
 repeated 3-correspondence minimal samples fit an exact affine transform,
 candidates within `inlier_threshold_factor * R_t` of their prediction count
 as inliers, and the first best model in draw order keeps its inliers when
-there are at least `min_inliers`.  There is no refitting step; a match kept
-by any neighborhood survives.  Candidates are the matches whose (source,
-target) pair lies in a neighborhood's two sets.  A neighborhood's samples are
-a counter hash of (rng_seed, its seed source index, draw), so they do not
-depend on neighborhood order, and all are solved at once in closed form.
+there are at least `min_inliers`.  A neighborhood with fewer candidates than
+that can never win, so it draws no samples.  There is no refitting step; a
+match kept by any neighborhood survives.  Candidates are the matches whose
+(source, target) pair lies in a neighborhood's two sets.  A neighborhood's
+samples are a counter hash of (rng_seed, its seed source index, draw), so they
+do not depend on neighborhood order, and all are solved at once in closed form.
 Survivors equal those of verifying one neighborhood and one sample at a time
 with the same draws and arithmetic.  Runs single-threaded.
 """
@@ -170,7 +171,7 @@ def filter_matches(m: MatchSet, ks: KeypointSet, kt: KeypointSet, members: Membe
     hom = np.column_stack([ks.keypoints[idx[cand, 0]], np.ones(len(cand))])  # float64
     tgt = kt.keypoints[idx[cand, 1]].astype(np.float64)
 
-    live, iters = np.flatnonzero(sizes >= 3), fcfg.ransac_iterations  # others never reach 3 inliers
+    live, iters = np.flatnonzero(sizes >= fcfg.min_inliers), fcfg.ransac_iterations
     draws = _triples(fcfg.rng_seed, members.seeds[live, 0], sizes[live], iters) \
         + starts[live, None]  # candidate rows
     coef = _affine(*(np.take(pts.T, draws, axis=1) for pts in (hom[:, :2], tgt)))  # per draw

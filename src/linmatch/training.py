@@ -47,7 +47,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .encoder import NetworkConfig, NetworkWeights, forward, init_weights
-from .geometry import GroundTruth
+from .geometry import GenNoiseConfig, GroundTruth, generate_pair
 from .neighborhood import NeighborhoodConfig, hardest_negatives
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
@@ -171,8 +171,6 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
     returns their relative errors, in flat `all_params` order.  The gradient
     always flows through the confidence, whatever `loss_cfg.detach_confidence`.
     """
-    from .geometry import GenNoiseConfig, generate_pair
-
     if scene is None:
         scene = generate_pair(seed, 16, (128, 128), net_cfg.input_dim,
                               GenNoiseConfig(desc_sigma=0.1, distractors=4))
@@ -181,24 +179,19 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
     weights = init_weights(net_cfg, seed=seed, dtype=dtype)
     _, grads = loss_gradient(weights, (ks, kt, gt), net_cfg, loss_cfg)
 
-    names = [name for name, _ in weights.all_params()]
-    flat_grads = {name: g for (name, g) in grads.all_params()}
-    flat_weights = {name: w for (name, w) in weights.all_params()}
-    sizes = np.array([flat_weights[n].size for n in names])
-    total = int(sizes.sum())
+    params = [w.reshape(-1) for _, w in weights.all_params()]  # views: writes move the weights
+    analytic = np.concatenate([g.reshape(-1) for _, g in grads.all_params()])
+    ends = np.cumsum([p.size for p in params])
     rng = np.random.default_rng(seed + 1)
-    chosen = rng.choice(total, size=min(samples, total), replace=False)
+    chosen = np.sort(rng.choice(ends[-1], size=min(samples, ends[-1]), replace=False))
 
     def loss_at():
         return float(triplet_loss(forward(ks, kt, weights, net_cfg), gt, loss_cfg).data)
 
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
     rel_errors = np.empty(len(chosen))
-    for out_idx, flat_idx in enumerate(sorted(int(x) for x in chosen)):
-        t_idx = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        name = names[t_idx]
-        local = flat_idx - offsets[t_idx]
-        arr = flat_weights[name].ravel()
+    for i, flat_idx in enumerate(chosen):
+        t = int(np.searchsorted(ends, flat_idx, side="right"))
+        arr, local = params[t], flat_idx - (ends[t] - params[t].size)
         orig = arr[local]
         arr[local] = orig + step
         hi = loss_at()
@@ -206,8 +199,8 @@ def gradient_check(net_cfg: NetworkConfig, loss_cfg: LossConfig, seed: int = 0,
         lo = loss_at()
         arr[local] = orig
         fd = (hi - lo) / (2 * step)
-        adg = flat_grads[name].ravel()[local]
-        rel_errors[out_idx] = abs(adg - fd) / max(abs(adg), abs(fd), 1e-6)
+        adg = analytic[flat_idx]
+        rel_errors[i] = abs(adg - fd) / max(abs(adg), abs(fd), 1e-6)
     return rel_errors
 
 

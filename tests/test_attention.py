@@ -1,5 +1,7 @@
 """Kernel correctness against naive per-row oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import reference_ops as ref
@@ -119,10 +121,28 @@ class TestLinearAttention:
         den = elu1(q) @ elu1(k).sum(axis=0)
         assert (den > 0).all()
 
-    def test_empty_keys_rejected(self):
-        t = ref.Triplet(np.zeros((2, 3)), np.zeros((0, 3)), np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            attention(*t)
+    def test_empty_keys_give_zero_rows_and_gradients(self):
+        # no key rows is the same computation with no segment: nothing reaches any row
+        rng = np.random.default_rng(8)
+        out, grads = attention(rng.standard_normal((5, 4)), np.zeros((0, 4)), np.zeros((0, 4)),
+                               heads=2)
+        np.testing.assert_array_equal(out, np.zeros((5, 4)))
+        dq, dk, dv = grads(rng.standard_normal((5, 4)))
+        np.testing.assert_array_equal(dq, np.zeros((5, 4)))
+        assert dk.shape == dv.shape == (0, 4)
+
+    def test_projected_attention_without_key_rows_sends_zero(self):
+        rng = np.random.default_rng(9)
+        xq, xs = ad.Tensor(rng.standard_normal((5, 6))), ad.Tensor(np.zeros((0, 6)))
+        ws = [ad.Tensor(rng.standard_normal((6, 4)), requires_grad=True) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m, v = projected_attention(xq, xs, *ws, heads=2)
+            m.backward()
+        np.testing.assert_array_equal(m.data, np.zeros((5, 4)))
+        assert v.shape == (0, 4)
+        for w in ws:  # wq, wk and wv
+            np.testing.assert_array_equal(w.grad, np.zeros((6, 4)))
 
     def test_no_query_key_product_allocated(self):
         rng = np.random.default_rng(7)

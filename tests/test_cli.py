@@ -113,6 +113,18 @@ def test_match_dim_mismatch_names_both_dims(tmp_path, capsys):
     assert "8" in err and "16" in err
 
 
+@pytest.mark.parametrize("empty", ["source", "target", "both"])
+def test_match_with_an_empty_side_writes_only_the_header(tmp_path, empty):
+    data = synth_dataset(tmp_path / "data")
+    none = tmp_path / "none.kpds"
+    write_kpds(none, KeypointSet(np.zeros((0, 2)), np.zeros((0, 8)), 160, 120))
+    src = none if empty != "target" else data / "pair0000" / "source.kpds"
+    tgt = none if empty != "source" else data / "pair0000" / "target.kpds"
+    assert run_cli(["match", src, tgt, "--weights", small_weights_file(tmp_path / "w.lawt"),
+                    "-o", tmp_path / "run"]) == 0
+    assert (tmp_path / "run" / "matches.csv").read_text() == "i,j,score,stage\n"
+
+
 def test_match_missing_inputs_exit_3(tmp_path):
     data = synth_dataset(tmp_path / "data")
     src = data / "pair0000" / "source.kpds"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from reference_ops import membership
 
-from linmatch.attention import NeighborhoodPair, attention
+from linmatch import encoder
+from linmatch.attention import NeighborhoodPair, attention, projected_attention
 from linmatch.encoder import (
     EncodedPair,
     LayerWeights,
@@ -320,6 +321,32 @@ class TestForward:
         ks, kt, _, _ = generate_pair(0, 8, (64, 64), 16)
         with pytest.raises(ValueError):
             forward(ks, kt, weights, cfg)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_dim_mismatch_names_the_side_and_both_widths(self, side):
+        cfg, weights = self._setup(d=8)
+        ks, kt, _, _ = tiny_scene()
+        wide = KeypointSet(kt.keypoints, np.zeros((len(kt), 16)), kt.width, kt.height)
+        pair = (wide, kt) if side == "source" else (ks, wide)
+        with pytest.raises(ValueError, match=f"^{side} descriptor dim 16 does not match "
+                                             "the network's input dim 8$"):
+            forward(*pair, weights, cfg)
+
+    def test_every_layer_attends_whatever_the_row_counts(self, monkeypatch):
+        # an empty target still runs each of the 2 * (2 * l1 + l2) layer calls in full
+        cfg, weights = self._setup(l1=2, l2=1)
+        ks, kt, _, _ = tiny_scene()
+        empty = KeypointSet(np.zeros((0, 2)), np.zeros((0, 8)), kt.width, kt.height)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].data.shape[0])  # the query rows
+            return projected_attention(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "projected_attention", counted)
+        enc = forward(ks, empty, weights, cfg)
+        assert sorted(calls) == [0] * 5 + [len(ks)] * 5
+        assert enc.xt_hat.shape == (0, 4) and np.isfinite(enc.xs_hat).all()
 
     def test_heads_default_config(self):
         cfg = NetworkConfig()

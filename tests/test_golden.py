@@ -13,7 +13,12 @@ this file unchanged.
 Regenerate the data only when an output change is intended, and then set
 `_TRAIN_GRADIENTS_SHA256` to the digest it prints:
 
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+    OMP_NUM_THREADS=1 OPENBLAS_NUM_THREADS=1 MKL_NUM_THREADS=1 VECLIB_MAXIMUM_THREADS=1 \
+        NUMEXPR_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+
+It refuses to run unless every thread pool variable that tests/conftest.py
+pins (`THREAD_ENV` of perfbench/spec.py) is 1: more BLAS threads move the
+scores of a large scene by more than the pinned tolerance.
 
 Before it overwrites the file, it prints the drift against it: whether each
 scene's match digest changed, the largest relative loss difference, and the
@@ -24,6 +29,9 @@ and keep the committed file.
 import contextlib
 import hashlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +45,9 @@ _TRAIN_SEED, _TRAIN_STEPS = 101, 64
 _TRAIN_GRADIENTS_SHA256 = "3772e9f3c34b90d4f2342913c93f8d0b78735d586d3a32469994011844004f8d"
 
 
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  _ROOT / "perfbench" / "workloads.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  _ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -59,7 +67,7 @@ def _match_digest(out):
 
 def _pipeline_outputs():
     """(digest, scores) of every scene, in workload, seed and scene order."""
-    workloads, got = _workloads(), []
+    workloads, got = _perfbench("workloads"), []
     for name, seed in _PIPELINES:
         work = workloads.make(name)
         work.setup(seed, _NoTrace())
@@ -71,7 +79,7 @@ def _pipeline_outputs():
 
 def _train_steps():
     """The losses of the first training steps, and the SHA-256 of their gradients."""
-    work = _workloads().make("train-step")
+    work = _perfbench("workloads").make("train-step")
     work.setup(_TRAIN_SEED, _NoTrace())
     losses, digest = [], hashlib.sha256()
     for i in range(_TRAIN_STEPS):
@@ -111,6 +119,15 @@ def test_first_training_gradients_are_pinned(train_steps):
     assert train_steps[1] == _TRAIN_GRADIENTS_SHA256
 
 
+def test_regeneration_refuses_unpinned_thread_pools():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "refusing to regenerate golden data: set OPENBLAS_NUM_THREADS to 1"]
+
+
 def _print_drift(outputs, losses, gradients):
     """What regenerating changes against the committed file."""
     with np.load(_DATA) as old:
@@ -123,6 +140,9 @@ def _print_drift(outputs, losses, gradients):
 
 
 if __name__ == "__main__":
+    unpinned = [var for var in _perfbench("spec").THREAD_ENV if os.environ.get(var) != "1"]
+    if unpinned:
+        sys.exit(f"refusing to regenerate golden data: set {', '.join(unpinned)} to 1")
     outputs, (losses, gradients) = _pipeline_outputs(), _train_steps()
     if _DATA.exists():
         _print_drift(outputs, losses, gradients)

@@ -421,6 +421,23 @@ class TestFilterMatches:
         out = filter_matches(m, ks, kt, membership([pair]), FilterConfig(min_inliers=6))
         assert len(out) == 0
 
+    def test_only_neighborhoods_that_can_win_draw_samples(self, monkeypatch):
+        # 3, 5 and 7 candidates with min_inliers = 6: only the 7 can reach it
+        rng = np.random.default_rng(6)
+        ks, kt, m, _ = self._affine_scene(rng, n=15)
+        sets = [np.arange(0, 3), np.arange(3, 8), np.arange(8, 15)]
+        pairs = membership([NeighborhoodPair((s[0], s[0]), s, s) for s in sets])
+        drawn = []
+
+        def recording(rng_seed, seeds, sizes, iters):
+            drawn.append(sizes.tolist())
+            return _triples(rng_seed, seeds, sizes, iters)
+
+        monkeypatch.setattr(matcher, "_triples", recording)
+        out = filter_matches(m, ks, kt, pairs, FilterConfig(min_inliers=6))
+        assert drawn == [[7]]
+        assert pair_set(out) == {(i, i) for i in range(8, 15)}
+
     def test_output_subset_of_input(self):
         rng = np.random.default_rng(3)
         ks, kt, m, neigh = self._affine_scene(rng, n=15, outlier_rows=(2, 9))
